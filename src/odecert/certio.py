@@ -28,7 +28,47 @@ def _fraction_str(c: Fraction) -> str:
 
 
 def _fraction_parse(s: str) -> Fraction:
-    return Fraction(s)
+    if not isinstance(s, str):
+        raise InputError(f"certificate: a rational must be a string, not {type(s).__name__}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"certificate: {s!r} is not a rational") from None
+
+
+_REQUIRED = object()
+
+
+def _field(d, key: str, kind: type = str, default=_REQUIRED):
+    """``d[key]`` checked to be a ``kind``.  A missing key or a value of the
+    wrong type raises InputError; with a ``default``, a missing key (or a
+    null, for a None default) gives the default."""
+    if not isinstance(d, dict):
+        raise InputError(f"certificate: expected an object with field {key!r}, "
+                         f"got {type(d).__name__}")
+    if key not in d or (d[key] is None and default is None):
+        if default is _REQUIRED:
+            raise InputError(f"certificate field {key!r} is missing")
+        return default
+    value = d[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise InputError(f"certificate field {key!r} must be of type {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _string_list(values, key: str) -> list[str]:
+    if not isinstance(values, list) or not all(isinstance(s, str) for s in values):
+        raise InputError(f"certificate field {key!r} must be a list of strings")
+    return values
+
+
+def _strings(d, key: str) -> list[str]:
+    return _string_list(_field(d, key, list), key)
+
+
+def _terms(d, key: str, table: VarTable) -> tuple:
+    return tuple(parse_term(s, table) for s in _strings(d, key))
 
 
 def _system_json(sys: OdeSystem) -> dict:
@@ -40,10 +80,12 @@ def _system_json(sys: OdeSystem) -> dict:
 
 
 def _system_parse(d: dict) -> OdeSystem:
-    table = VarTable(d["vars"])
-    pairs = [(name, parse_term(rhs, table))
-             for name, rhs in zip(d["ode_vars"], d["ode_rhs"])]
-    return OdeSystem.from_pairs(table, pairs)
+    table = VarTable(_strings(d, "vars"))
+    names, rhs = _strings(d, "ode_vars"), _strings(d, "ode_rhs")
+    if len(names) != len(rhs):
+        raise InputError("certificate: 'ode_vars' and 'ode_rhs' differ in length")
+    return OdeSystem.from_pairs(table, [(name, parse_term(f, table))
+                                        for name, f in zip(names, rhs)])
 
 
 def _nf_json(nf: NormalForm) -> dict:
@@ -54,9 +96,8 @@ def _nf_json(nf: NormalForm) -> dict:
 
 def _nf_parse(d: dict, table: VarTable) -> NormalForm:
     disjuncts = []
-    for c in d["disjuncts"]:
-        disjuncts.append(Conjunct(tuple(parse_term(s, table) for s in c["geqs"]),
-                                  tuple(parse_term(s, table) for s in c["gts"])))
+    for c in _field(d, "disjuncts", list):
+        disjuncts.append(Conjunct(_terms(c, "geqs", table), _terms(c, "gts", table)))
     return NormalForm(tuple(disjuncts))
 
 
@@ -70,11 +111,11 @@ def status_json(status: DischargeStatus) -> dict:
 
 
 def _status_parse(d: dict) -> DischargeStatus:
-    witness = d.get("witness")
+    witness = _field(d, "witness", list, default=None)
     return DischargeStatus(
-        kind=d["kind"],
+        kind=_field(d, "kind"),
         witness=None if witness is None else tuple(_fraction_parse(v) for v in witness),
-        detail=d.get("detail", ""),
+        detail=_field(d, "detail", default=""),
     )
 
 
@@ -90,11 +131,11 @@ def condition_json(cond: SideCondition) -> dict:
 
 def _condition_parse(d: dict, table: VarTable) -> SideCondition:
     return SideCondition(
-        hypothesis=parse_formula(d["hypothesis"], table),
-        conclusion=parse_formula(d["conclusion"], table),
-        universal_vars=tuple(d["universal_vars"]),
-        provenance=d["provenance"],
-        status=_status_parse(d["status"]),
+        hypothesis=parse_formula(_field(d, "hypothesis"), table),
+        conclusion=parse_formula(_field(d, "conclusion"), table),
+        universal_vars=tuple(_strings(d, "universal_vars")),
+        provenance=_field(d, "provenance"),
+        status=_status_parse(_field(d, "status", dict)),
     )
 
 
@@ -156,59 +197,62 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(d: dict) -> Certificate:
+    """Parse a certificate; a malformed one (missing field, wrong type, bad
+    term) raises InputError."""
     if not isinstance(d, dict) or "kind" not in d:
         raise InputError("certificate JSON must be an object with a 'kind' field")
     if d.get("version") != FORMAT_VERSION:
         raise InputError(f"unsupported certificate version {d.get('version')!r}")
-    kind = d["kind"]
+    kind = _field(d, "kind")
     if kind == "hpreduce":
-        table = VarTable(d["vars"])
+        table = VarTable(_strings(d, "vars"))
         return HpReductionCert(
             table=table,
-            program=parse_program(d["program"], table),
-            p=parse_term(d["p"], table),
-            q=parse_term(d["q"], table),
-            cap=d.get("cap", 20),
-            chains=tuple(
-                ChainRecord(tuple(parse_term(s, table) for s in rec["chain"]),
-                            tuple(parse_term(s, table) for s in rec["cofactors"]))
-                for rec in d["chains"]),
+            program=parse_program(_field(d, "program"), table),
+            p=parse_term(_field(d, "p"), table),
+            q=parse_term(_field(d, "q"), table),
+            cap=_field(d, "cap", int, default=20),
+            chains=tuple(ChainRecord(_terms(rec, "chain", table),
+                                     _terms(rec, "cofactors", table))
+                         for rec in _field(d, "chains", list)),
         )
-    system = _system_parse(d["system"])
+    system = _system_parse(_field(d, "system", dict))
     table = system.table
     if kind == "darboux":
+        domain = _field(d, "domain", default=None)
         return DarbouxCert(
             system=system,
-            p=parse_term(d["p"], table),
-            g=parse_term(d["g"], table),
-            relation=d["relation"],
-            domain=None if d.get("domain") is None else parse_formula(d["domain"], table),
+            p=parse_term(_field(d, "p"), table),
+            g=parse_term(_field(d, "g"), table),
+            relation=_field(d, "relation"),
+            domain=None if domain is None else parse_formula(domain, table),
         )
     if kind == "vdbx":
-        rows = d["G"]
+        rows = _field(d, "G", list)
         n = len(rows)
-        entries = [parse_term(s, table) for row in rows for s in row]
+        entries = [parse_term(s, table) for row in rows for s in _string_list(row, "G")]
         return VdbxCert(
             system=system,
-            p_vec=tuple(parse_term(s, table) for s in d["p_vec"]),
+            p_vec=_terms(d, "p_vec", table),
             G=PolyMatrix(n, n if n == 0 else len(rows[0]), entries),
         )
     if kind == "dri":
+        rank = _field(d, "rank", dict)
+        domain = _field(d, "domain", default=None)
         return DriCert(
             system=system,
-            p=parse_term(d["p"], table),
-            domain=None if d.get("domain") is None else parse_term(d["domain"], table),
-            rank_result=RankResult(
-                d["rank"]["n"],
-                tuple(parse_term(s, table) for s in d["rank"]["cofactors"])),
+            p=parse_term(_field(d, "p"), table),
+            domain=None if domain is None else parse_term(domain, table),
+            rank_result=RankResult(_field(rank, "n", int), _terms(rank, "cofactors", table)),
         )
     if kind == "sai":
         return SaiCert(
             system=system,
-            P=_nf_parse(d["P"], table),
-            Q=_nf_parse(d["Q"], table),
-            forward=parse_formula(d["forward"], table),
-            backward=parse_formula(d["backward"], table),
-            conditions=tuple(_condition_parse(c, table) for c in d["conditions"]),
+            P=_nf_parse(_field(d, "P", dict), table),
+            Q=_nf_parse(_field(d, "Q", dict), table),
+            forward=parse_formula(_field(d, "forward"), table),
+            backward=parse_formula(_field(d, "backward"), table),
+            conditions=tuple(_condition_parse(c, table)
+                             for c in _field(d, "conditions", list)),
         )
     raise InputError(f"unknown certificate kind {kind!r}")

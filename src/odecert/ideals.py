@@ -1,10 +1,14 @@
 """Groebner bases with membership witnesses, rank, and differential radicals.
 
 Buchberger's algorithm runs with the normal selection strategy (smallest
-S-pair lcm in the active order, ties by pair index) and carries a transform
-matrix so every basis element is an explicit combination of the original
-generators.  That transform is what turns division records into the exact
-cofactor witnesses the certificates replay.
+S-pair lcm in the active order, ties by pair index).  Reductions run
+untracked; each basis row keeps a derivation record instead: the generator
+or S-pair it came from, the multipliers of its reduction and its monic
+scale.  S-pairs that reduce to zero leave no record.  When a witness is
+asked for, the records of the rows the final reduction used, and of the
+rows those derive from, are materialised into exact cofactors of the
+original generators, once per row.  Those cofactors are what the
+certificates replay.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
 from .polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
                         mono_coprime, mono_div, mono_divides, mono_lcm,
-                        mono_mul)
+                        mono_mul, mono_one)
 
 DEFAULT_STEP_BUDGET = 400_000
 DEFAULT_RANK_CAP = 20
@@ -80,10 +84,10 @@ class RankResult:
     cofactors: tuple[Polynomial, ...]
 
 
-# Transform cofactors are carried as (integer term map, positive denominator)
-# pairs during Buchberger runs: plain int arithmetic avoids the per-operation
-# gcd normalization of Fraction and is what keeps witness tracking usable on
-# degree-8 chains.  Conversion to Polynomial happens only at the API boundary.
+# Materialised cofactors are (integer term map, positive denominator) pairs:
+# plain int arithmetic avoids the per-operation gcd normalization of Fraction
+# and is what keeps witnesses affordable on degree-8 chains.  Conversion to
+# Polynomial happens only at the API boundary.
 _IPoly = tuple[dict, int]
 
 _IP_ZERO: _IPoly = ({}, 1)
@@ -175,13 +179,30 @@ def _ip_submul(a: _IPoly, b: _IPoly, mult: _IPoly) -> _IPoly:
 
 
 class _Row:
-    __slots__ = ("poly", "cofs", "lm", "lc")
+    """A basis row (or a reducer of ``reduce_mod``) and how it was made.
 
-    def __init__(self, poly: Polynomial, cofs: list[_IPoly],
-                 order: MonomialOrder):
+    ``origin`` is ``("gen", j)`` for a reduced generator or
+    ``("pair", i, mi, j, mj)`` for the S-polynomial x^mi*rows[i] -
+    x^mj*rows[j]; ``mults`` are the multipliers of its reduction, ``scale``
+    the factor that made it monic.  ``cofs`` is the sparse
+    {generator index: _IPoly} cofactor map, filled on first demand.
+    """
+    __slots__ = ("poly", "lm", "lc", "origin", "mults", "scale", "cofs")
+
+    def __init__(self, poly: Polynomial, order: MonomialOrder, origin=None,
+                 mults: Optional[dict[int, dict]] = None, scale: Fraction = Fraction(1)):
         self.poly = poly
-        self.cofs = cofs
         self.lm, self.lc = poly.leading(order)
+        self.origin = origin
+        self.mults = mults
+        self.scale = scale
+        self.cofs: Optional[dict[int, _IPoly]] = None
+
+    def parents(self) -> list[int]:
+        deps = list(self.mults)
+        if self.origin[0] == "pair":
+            deps += [self.origin[1], self.origin[3]]
+        return deps
 
 
 def _reduce_terms(terms: dict, rows: Sequence[_Row], order: MonomialOrder,
@@ -234,52 +255,49 @@ def _reduce_terms(terms: dict, rows: Sequence[_Row], order: MonomialOrder,
     return rem, multipliers
 
 
-def _apply_multipliers(cofs: list[_IPoly], rows: Sequence[_Row],
+def _apply_multipliers(cofs: dict[int, _IPoly], rows: Sequence[_Row],
                        multipliers: dict[int, dict]) -> None:
-    """cofs[j] -= sum_i multipliers[i] * rows[i].cofs[j], in place."""
+    """cofs[j] -= sum_i multipliers[i] * rows[i].cofs[j], in place; the
+    cofactors of the rows used must already be materialised."""
     for ridx, mult_terms in multipliers.items():
         mult = _ip_from_poly_terms(mult_terms)
         if not mult[0]:
             continue
-        row = rows[ridx]
-        for j, rj in enumerate(row.cofs):
-            if rj[0]:
-                cofs[j] = _ip_submul(cofs[j], rj, mult)
+        for j, rj in rows[ridx].cofs.items():
+            c = _ip_submul(cofs.get(j, _IP_ZERO), rj, mult)
+            if c[0]:
+                cofs[j] = c
+            else:
+                cofs.pop(j, None)
 
 
 class BuchbergerState:
     """Incremental Buchberger engine; generators may be added between runs,
     which is how rank computations warm-start each chain step.
 
-    With ``track=False`` the transform bookkeeping is skipped entirely:
-    membership can still be *tested* by reduction, but no witnesses come out.
+    Reductions are untracked.  Every row records its derivation, and
+    witnesses materialise cofactors from those records for just the rows
+    a reduction used.  Once a constant row appears the ideal is <1>: every
+    later reduction ends at zero through it, so the pending S-pairs are
+    dropped.
     """
 
     def __init__(self, table: VarTable, order: MonomialOrder = GREVLEX,
-                 budget: Optional[StepBudget] = None, track: bool = True):
+                 budget: Optional[StepBudget] = None):
         self.table = table
         self.order = order
         self.budget = budget if budget is not None else StepBudget()
-        self.track = track
         self.gens: list[Polynomial] = []
         self.rows: list[_Row] = []
         self._pairs: list[tuple] = []  # heap of (lcm_key, i, j)
 
     # -- internals ---------------------------------------------------------
 
-    def _unit_cofs(self, idx: int) -> list[_IPoly]:
-        cofs = [_IP_ZERO] * len(self.gens)
-        cofs[idx] = _ip_unit((0,) * len(self.table))
-        return cofs
-
-    def _normal_form(self, poly: Polynomial,
-                     cofs: Optional[list[_IPoly]]) -> tuple[Polynomial, Optional[list[_IPoly]]]:
-        """Full reduction modulo the current rows, updating cofactors."""
+    def _reduce(self, poly: Polynomial) -> tuple[Polynomial, dict[int, dict]]:
+        """Full reduction modulo the current rows: (remainder, multipliers)."""
         rem_terms, multipliers = _reduce_terms(dict(poly.terms), self.rows,
                                                self.order, self.budget)
-        if cofs is not None and self.track:
-            _apply_multipliers(cofs, self.rows, multipliers)
-        return Polynomial(self.table, rem_terms, _normalized=True), cofs
+        return Polynomial(self.table, rem_terms, _normalized=True), multipliers
 
     def _push_pairs(self, new_index: int) -> None:
         order = self.order
@@ -291,30 +309,71 @@ class BuchbergerState:
             key = order.key(mono_lcm(lm_i, lm_new))
             heapq.heappush(self._pairs, (key, i, new_index))
 
-    def _append_row(self, poly: Polynomial, cofs: list[_IPoly]) -> None:
+    def _append_row(self, poly: Polynomial, origin: tuple,
+                    mults: dict[int, dict]) -> None:
         _, lc = poly.leading(self.order)
+        scale = Fraction(1) / lc
         if lc != 1:
-            inv = Fraction(1) / lc
-            poly = poly.scale(inv)
-            cofs = [_ip_scale(c, inv) for c in cofs] if self.track else []
-        self.rows.append(_Row(poly, cofs, self.order))
-        self._push_pairs(len(self.rows) - 1)
+            poly = poly.scale(scale)
+        self.rows.append(_Row(poly, self.order, origin, mults, scale))
+        if poly.is_constant():
+            self._pairs.clear()  # the unit ideal: no pair can add a row
+        else:
+            self._push_pairs(len(self.rows) - 1)
+
+    def _add_reduced(self, g: Polynomial, rem: Polynomial,
+                     mults: dict[int, dict]) -> None:
+        """Add generator g whose reduction modulo the current rows is given."""
+        self.gens.append(g)
+        if not rem.is_zero():
+            self._append_row(rem, ("gen", len(self.gens) - 1), mults)
+
+    def _materialise(self, roots) -> None:
+        """Fill ``cofs`` of rows[i] for i in roots and of every row they
+        derive from, parents first, without recursion."""
+        rows = self.rows
+        one = _ip_unit(mono_one(len(self.table)))
+        stack = [i for i in roots if rows[i].cofs is None]
+        while stack:
+            row = rows[stack[-1]]
+            if row.cofs is not None:
+                stack.pop()
+                continue
+            missing = [k for k in row.parents() if rows[k].cofs is None]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            if row.origin[0] == "gen":
+                cofs = {row.origin[1]: one}
+            else:
+                # rows are monic, so the s-pair cofactors combine with unit scalars
+                _, i, mi, j, mj = row.origin
+                a, b = rows[i].cofs, rows[j].cofs
+                cofs = {}
+                for k in a.keys() | b.keys():
+                    c = _ip_combine(a.get(k, _IP_ZERO), mi, b.get(k, _IP_ZERO), mj)
+                    if c[0]:
+                        cofs[k] = c
+            _apply_multipliers(cofs, rows, row.mults)
+            if row.scale != 1:
+                cofs = {k: _ip_scale(c, row.scale) for k, c in cofs.items()}
+            row.cofs = cofs
+
+    def _witness(self, mults: dict[int, dict]) -> list[Polynomial]:
+        """Cofactors w.r.t. the generators of sum_i mults[i] * rows[i]."""
+        self._materialise(mults)
+        cofs: dict[int, _IPoly] = {}
+        _apply_multipliers(cofs, self.rows, mults)
+        return [-_ip_to_poly(cofs.get(j, _IP_ZERO), self.table)
+                for j in range(len(self.gens))]
 
     # -- public ------------------------------------------------------------
 
     def add_generator(self, g: Polynomial) -> None:
         if g.table != self.table:
             raise InputError("generator over a different variable table")
-        if self.track:
-            for row in self.rows:
-                row.cofs.append(_IP_ZERO)
-        self.gens.append(g)
-        if g.is_zero():
-            return
-        start = self._unit_cofs(len(self.gens) - 1) if self.track else []
-        rem, cofs = self._normal_form(g, start)
-        if not rem.is_zero():
-            self._append_row(rem, cofs)
+        self._add_reduced(g, *self._reduce(g))
 
     def complete(self) -> None:
         """Run Buchberger's loop to quiescence (normal strategy)."""
@@ -322,60 +381,52 @@ class BuchbergerState:
             _, i, j = heapq.heappop(self._pairs)
             fi, fj = self.rows[i], self.rows[j]
             lcm = mono_lcm(fi.lm, fj.lm)
-            ci, mi = Fraction(1) / fi.lc, mono_div(lcm, fi.lm)
-            cj, mj = Fraction(1) / fj.lc, mono_div(lcm, fj.lm)
-            s = fi.poly.mul_term(ci, mi) - fj.poly.mul_term(cj, mj)
-            # rows are monic, so the s-pair cofactors combine with unit scalars
-            cofs = [_ip_combine(a, mi, b, mj)
-                    for a, b in zip(fi.cofs, fj.cofs)] if self.track else []
+            mi, mj = mono_div(lcm, fi.lm), mono_div(lcm, fj.lm)
+            s = fi.poly.mul_term(Fraction(1), mi) - fj.poly.mul_term(Fraction(1), mj)
             self.budget.spend()
-            rem, cofs = self._normal_form(s, cofs)
+            rem, mults = self._reduce(s)
             if not rem.is_zero():
-                self._append_row(rem, cofs)
+                self._append_row(rem, ("pair", i, mi, j, mj), mults)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the current basis (no witness)."""
-        rem, _ = self._normal_form(p, None)
-        return rem
+        return self._reduce(p)[0]
 
     def normal_form_with_witness(self, p: Polynomial) -> tuple[Polynomial, list[Polynomial]]:
         """Reduce p; returns (remainder, cofactors w.r.t. the generators) with
         p == remainder + sum cofactors[j]*generators[j]."""
-        if not self.track:
-            raise InputError("witnesses need a transform-tracking state")
-        cofs = [_IP_ZERO] * len(self.gens)
-        rem, cofs = self._normal_form(p, cofs)
-        return rem, [-_ip_to_poly(c, self.table) for c in cofs]
+        rem, mults = self._reduce(p)
+        return rem, self._witness(mults)
 
     def reduced_basis(self) -> GroebnerBasis:
         """Inter-reduced, monic, deterministic view of the current basis."""
-        if not self.track:
-            raise InputError("the public basis view needs a transform-tracking state")
         order = self.order
-        rows = sorted(self.rows, key=lambda r: order.key(r.lm))
         kept: list[_Row] = []
-        for row in rows:
-            if any(mono_divides(k.lm, row.lm) for k in kept):
+        for idx in sorted(range(len(self.rows)), key=lambda i: order.key(self.rows[i].lm)):
+            if any(mono_divides(k.lm, self.rows[idx].lm) for k in kept):
                 continue
-            kept.append(row)
+            self._materialise([idx])
+            kept.append(self.rows[idx])
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
             rem_terms, multipliers = _reduce_terms(dict(row.poly.terms), others,
                                                    order, self.budget)
-            cofs = list(row.cofs)
+            cofs = dict(row.cofs)
             _apply_multipliers(cofs, others, multipliers)
             rem = Polynomial(self.table, rem_terms, _normalized=True)
             _, lc = rem.leading(order)
             if lc != 1:
                 inv = Fraction(1) / lc
                 rem = rem.scale(inv)
-                cofs = [_ip_scale(c, inv) for c in cofs]
-            kept[idx] = _Row(rem, cofs, order)
+                cofs = {k: _ip_scale(c, inv) for k, c in cofs.items()}
+            kept[idx] = _Row(rem, order)
+            kept[idx].cofs = cofs
         return GroebnerBasis(
             generators=tuple(self.gens),
             basis=tuple(r.poly for r in kept),
             order=order,
-            transform=tuple(tuple(_ip_to_poly(c, self.table) for c in r.cofs)
+            transform=tuple(tuple(_ip_to_poly(r.cofs.get(j, _IP_ZERO), self.table)
+                                  for j in range(len(self.gens)))
                             for r in kept),
         )
 
@@ -412,9 +463,10 @@ def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
     for g in gens:
         state.add_generator(g)
     state.complete()
-    rem, cofs = state.normal_form_with_witness(p)
+    rem, mults = state._reduce(p)
     if not rem.is_zero():
         return None
+    cofs = state._witness(mults)
     _assert_recombines(p, cofs, gens)
     return MembershipWitness(tuple(cofs))
 
@@ -435,7 +487,7 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
     tracking.  With a genuine Groebner basis the result is canonical, so a
     zero remainder decides ideal membership."""
     budget = budget if budget is not None else StepBudget(what="reduction")
-    rows = [_Row(b, [], order) for b in basis if not b.is_zero()]
+    rows = [_Row(b, order) for b in basis if not b.is_zero()]
     rem_terms, _ = _reduce_terms(dict(p.terms), rows, order, budget)
     return Polynomial(p.table, rem_terms, _normalized=True)
 
@@ -465,12 +517,13 @@ def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
     q = p
     for n in range(1, cap + 1):
         q = lie_derivative(q, sys)
-        rem, cofs = state.normal_form_with_witness(q)
+        rem, mults = state._reduce(q)
         if rem.is_zero():
+            cofs = state._witness(mults)
             _assert_recombines(q, cofs, chain)
             return RankResult(n, tuple(cofs))
         chain.append(q)
-        state.add_generator(q)
+        state._add_reduced(q, rem, mults)
         state.complete()
     raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
 

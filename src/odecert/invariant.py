@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
-from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, RankResult,
-                     groebner, member_with_witness, rank, reduce_mod)
+from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, BuchbergerState,
+                     RankResult, StepBudget, groebner, rank, reduce_mod)
 from .odecore import OdeSystem, lie_derivative, reverse
 from .polyarith import GREVLEX, Polynomial, PolyMatrix, VarTable, mono_degree
 from .sampling import sample_points
@@ -656,9 +656,12 @@ def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
         acc = acc + g * q
     if acc != chain[rr.n]:
         return False
+    # one incremental basis of <chain[:i]> decides each smaller rank in turn
+    state = BuchbergerState(cert.p.table, budget=StepBudget(config.step_budget, "rank replay"))
     for i in range(1, rr.n):
-        if member_with_witness(chain[i], chain[:i],
-                               step_budget=config.step_budget) is not None:
+        state.add_generator(chain[i - 1])
+        state.complete()
+        if state.normal_form(chain[i]).is_zero():
             return False  # a smaller rank exists: recorded minimality is wrong
     return True
 

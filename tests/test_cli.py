@@ -188,6 +188,51 @@ class TestCertCheckCommand:
         path.write_text("{not json")
         assert main(["cert-check", str(path)]) == 3
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.pop("rank"),
+        lambda doc: doc["rank"].update(n="one"),
+        lambda doc: doc["rank"].pop("cofactors"),
+        lambda doc: doc["rank"].update(cofactors=[1]),
+        lambda doc: doc.update(system=[]),
+        lambda doc: doc["system"].pop("ode_rhs"),
+        lambda doc: doc["system"].update(ode_rhs=doc["system"]["ode_rhs"][:1]),
+        lambda doc: doc.update(p=None),
+        lambda doc: doc.update(domain=7),
+    ], ids=["no-rank", "n-string", "no-cofactors", "cofactor-int", "system-list",
+            "no-ode-rhs", "short-ode-rhs", "p-null", "domain-int"])
+    def test_malformed_dri_certificate_is_input_error(self, tmp_path, circle_prob,
+                                                      capsys, mutate):
+        _, report = run_json(capsys, ["check-alg", circle_prob, "--json"])
+        doc = report["data"]["certificate"]
+        mutate(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 3
+        assert "input error" in capsys.readouterr().err
+
+    def test_malformed_hpreduce_and_sai_certificates_are_input_errors(
+            self, tmp_path, disk_prob, capsys):
+        hp = write(tmp_path, "hp.prob", "vars: x\nprogram: { x := -x }*\npost: x = 0\n")
+        _, report = run_json(capsys, ["hp-reduce", hp, "--json"])
+        hp_doc = report["data"]["certificate"]
+        _, report = run_json(capsys, ["check-inv", disk_prob, "--json", "--samples", "50"])
+        sai_doc = report["data"]["certificate"]
+        cases = [
+            (hp_doc, lambda d: d.update(cap="20")),
+            (hp_doc, lambda d: d["chains"][0].update(chain="x")),
+            (hp_doc, lambda d: d.pop("vars")),
+            (sai_doc, lambda d: d.pop("conditions")),
+            (sai_doc, lambda d: d["conditions"][0]["status"].update(witness=[1])),
+            (sai_doc, lambda d: d["conditions"][0]["status"].update(witness=["1/0"])),
+            (sai_doc, lambda d: d["P"].update(disjuncts=[{"geqs": []}])),
+        ]
+        for k, (original, mutate) in enumerate(cases):
+            doc = json.loads(json.dumps(original))
+            mutate(doc)
+            path = tmp_path / f"malformed{k}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["cert-check", str(path)]) == 3, k
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, half_prob, capsys):

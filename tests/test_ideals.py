@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odecert import (LEX, OdeSystem, Polynomial, ResourceError, VarTable,
                      differential_radical, groebner, higher_lie,
@@ -64,6 +65,14 @@ class TestGroebner:
         with pytest.raises(ResourceError):
             groebner(gens, step_budget=3)
 
+    def test_unit_ideal(self, xy):
+        # x - (x - 1) = 1: the basis collapses to [1] and the transform still
+        # expresses 1 in the generators
+        gb = groebner([P("x", xy), P("x - 1", xy)])
+        assert [b.render() for b in gb.basis] == ["1"]
+        assert gb.recombination_holds()
+        assert gb.transform == ((Polynomial.one(xy), -Polynomial.one(xy)),)
+
     def test_diagnostic_dump(self, xy):
         gb = groebner([P("x - 1", xy), P("y - x", xy)], order=LEX)
         dump = gb.render()
@@ -110,7 +119,64 @@ class TestMembership:
         assert r1 == Polynomial.one(xy) and r2 == Polynomial.one(xy)
 
 
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).filter(bool), max_size=3)
+
+
+def _poly(table, terms):
+    return Polynomial(table, {m: Fraction(c) for m, c in terms.items()})
+
+
+class TestMembershipProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(gens=st.lists(_small_polys, min_size=1, max_size=3),
+           target=_small_polys,
+           combine=st.lists(_small_polys, min_size=3, max_size=3),
+           member=st.booleans())
+    def test_witness_exactly_when_remainder_is_zero(self, gens, target, combine, member):
+        xy = VarTable(["x", "y"])
+        gens = [_poly(xy, g) for g in gens]
+        p = _poly(xy, target)
+        if member:  # bias towards members: p = sum h_j * g_j
+            p = Polynomial.zero(xy)
+            for h, g in zip(combine, gens):
+                p = p + _poly(xy, h) * g
+        w = member_with_witness(p, gens)
+        assert (w is not None) == reduce_mod(p, groebner(gens).basis).is_zero()
+        if w is not None:
+            assert len(w.cofactors) == len(gens)
+            acc = Polynomial.zero(xy)
+            for c, g in zip(w.cofactors, gens):
+                acc = acc + c * g
+            assert acc == p
+
+
+# (p, [x', y'], rank, rendered cofactors, whether <p, ..., L^{n-1} p> = <1>);
+# the cofactors are golden output that the witness engine must reproduce
+# byte for byte.
+PINNED_RANKS = [
+    ("-2*y^2 + 2*y", ["2*x*y", "2*y"], 2, ["-8", "6"], False),
+    ("-y", ["-x + 1", "-x^2 + x - 2*y"], 3, ["-4", "-8", "-5"], False),
+    ("x*y", ["-2*x*y + 2*y", "x + 1"], 4,
+     ["-200*x*y^2 + 136*x^2 + 216*y^2 + 12*x - 108", "-8*y^3 - 20*y", "0", "0"], False),
+    ("-2*x*y", ["1", "-x*y - 3*x"], 4, ["x^2 - 5", "-x^3 + 5*x", "-5", "0"], True),
+    ("y^2", ["-x - 1", "2*x*y + 2*x"], 5,
+     ["0", "-224*x^4 + 7528/27*x^3 + 232*x^2 - 8624/27*x - 5768/27",
+      "120*x^3 - 592/9*x^2 - 1024/9*x - 274/9", "-544/27*x - 295/9", "-10/3"], True),
+]
+
+
 class TestRank:
+    @pytest.mark.parametrize("p, field, n, cofactors, unit", PINNED_RANKS)
+    def test_pinned_cofactors(self, xy, p, field, n, cofactors, unit):
+        sysr = OdeSystem.from_pairs(xy, [("x", P(field[0], xy)), ("y", P(field[1], xy))])
+        rr = rank(P(p, xy), sysr)
+        assert rr.n == n
+        assert [g.render() for g in rr.cofactors] == cofactors
+        chain = differential_radical(P(p, xy), sysr)
+        assert ([b.render() for b in groebner(chain).basis] == ["1"]) == unit
+
     def test_unit_disk_boundary_rank_one(self, uv, alpha_e):
         rr = rank(P("1 - u^2 - v^2", uv), alpha_e)
         assert rr.n == 1

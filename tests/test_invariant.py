@@ -480,6 +480,26 @@ class TestCertificates:
         cert = DriCert(system=alpha_e, p=p, domain=None, rank_result=fake)
         assert not check_certificate(cert)
 
+    def test_dri_minimality_replay_on_a_unit_ideal_chain(self, xy):
+        # rank 4, and <p, ..., L^3 p> is <1>; lifting the identity one step
+        # (L^5 p = sum (L g_i + g_{i-1}) L^i p) gives a valid-looking rank 5
+        # that the replay must reject at i = 4
+        from odecert.ideals import RankResult
+        p = P("-2*x*y", xy)
+        sysr = OdeSystem.from_pairs(xy, [("x", P("1", xy)), ("y", P("-x*y - 3*x", xy))])
+        rr = rank(p, sysr)
+        assert rr.n == 4
+        assert check_certificate(DriCert(system=sysr, p=p, domain=None, rank_result=rr))
+        g = rr.cofactors
+        lifted = tuple(lie_derivative(g[i], sysr) + (g[i - 1] if i else Polynomial.zero(xy))
+                       for i in range(4)) + (g[3],)
+        fake = DriCert(system=sysr, p=p, domain=None, rank_result=RankResult(5, lifted))
+        chain = [p]
+        for _ in range(5):
+            chain.append(lie_derivative(chain[-1], sysr))
+        assert sum((c * q for c, q in zip(lifted, chain)), Polynomial.zero(xy)) == chain[5]
+        assert not check_certificate(fake)
+
     def test_sai_condition_tamper_detected(self, uv, alpha_e):
         P_nf = to_normal_form(F("1 - u^2 - v^2 > 0", uv))
         verdict = check_semialgebraic_invariance(P_nf, NormalForm.true(), alpha_e,
