@@ -445,7 +445,7 @@ def _try_sampling(cond: SideCondition, config: DischargeConfig,
     for point in sample_points(rng, len(table), config.samples, boundary):
         ev = PointEvaluator(point)
         if ev(cond.hypothesis) and not ev(cond.conclusion):
-            return DischargeStatus(REFUTED, witness=point,
+            return DischargeStatus(REFUTED, witness=point.fractions(),
                                    detail="exact rational counterexample")
     return None
 

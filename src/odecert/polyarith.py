@@ -5,16 +5,27 @@ Polynomials are stored sparsely as a map from exponent vectors to nonzero
 of polynomials (canonical form).  Exponent vectors ("monomials") are plain
 tuples of non-negative ints whose length is the ambient variable count of
 the owning :class:`VarTable`.
+
+Evaluation runs in integers.  A :class:`ScaledPoint` holds a rational point
+as integer numerators over one positive common denominator, and a
+polynomial compiles itself once, on first evaluation, into an
+:class:`IntKernel`: integer coefficients over a positive common
+denominator, homogenised by total degree, so that its value at a scaled
+point is one integer sum whose sign is the sign of the polynomial there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionError, InputError, NonPolynomialError
+from .errors import DimensionError, InputError, NonPolynomialError, ResourceError
 
 Mono = tuple  # exponent vector; one entry per VarTable slot
+
+# largest total degree a power may reach: x^k costs about k^n terms
+MAX_DEGREE = 1000
 
 
 class VarTable:
@@ -149,7 +160,9 @@ class Polynomial:
     immutable after construction and safe to share.
     """
 
-    __slots__ = ("table", "terms", "_hash")
+    # _kernel and _text are caches that stay unset until first use, so
+    # construction (the Groebner hot path) pays nothing for them
+    __slots__ = ("table", "terms", "_hash", "_kernel", "_text")
 
     def __init__(self, table: VarTable, terms: Mapping[Mono, Fraction] | None = None,
                  _normalized: bool = False):
@@ -215,11 +228,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(mono_degree(m) for m in self.terms)
-
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(m[i] for m in self.terms)
 
     def variables(self) -> set[int]:
         used: set[int] = set()
@@ -288,6 +296,9 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise NonPolynomialError("non-polynomial: negative or non-integer exponent")
+        if k > 1 and self.total_degree() * k > MAX_DEGREE:
+            raise ResourceError(f"power of degree {self.total_degree()} * {k} exceeds "
+                                f"the degree cap {MAX_DEGREE}")
         result = Polynomial.one(self.table)
         base = self
         while k:
@@ -364,17 +375,18 @@ class Polynomial:
             total = total + part
         return total
 
+    def kernel(self) -> "IntKernel":
+        """The integer form of this polynomial, built on first use."""
+        try:
+            return self._kernel
+        except AttributeError:
+            self._kernel = IntKernel(self)
+            return self._kernel
+
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != len(self.table):
-            raise DimensionError("point dimension does not match variable count")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for i, e in enumerate(m):
-                if e:
-                    v *= point[i] ** e
-            total += v
-        return total
+        k = self.kernel()
+        sp = ScaledPoint.of(point)
+        return Fraction(k.scaled_value(sp), k.scale * sp.den ** k.degree)
 
     def lift(self, new_table: VarTable) -> "Polynomial":
         """Reindex into an extended table (old table must be a prefix)."""
@@ -396,10 +408,6 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self.table.names, frozenset(self.terms.items())))
         return self._hash
-
-    def sort_key(self):
-        """Deterministic total key for sorting polynomials in output."""
-        return tuple(sorted((m, c) for m, c in self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -427,7 +435,17 @@ class Polynomial:
 
     def render(self, order: MonomialOrder = GREVLEX) -> str:
         """Canonical text: terms in decreasing monomial order, explicit * and ^,
-        rationals as num/den (e.g. ``-1/2*u^2 - 1/2*v^2``)."""
+        rationals as num/den (e.g. ``-1/2*u^2 - 1/2*v^2``).  The text in the
+        default order is built once and kept."""
+        if order is not GREVLEX:
+            return self._render(order)
+        try:
+            return self._text
+        except AttributeError:
+            self._text = self._render(GREVLEX)
+            return self._text
+
+    def _render(self, order: MonomialOrder) -> str:
         if not self.terms:
             return "0"
         parts: list[str] = []
@@ -453,6 +471,107 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self.render()}>"
+
+
+class ScaledPoint:
+    """A rational point x_i = nums[i] / den over one positive common
+    denominator.  The power tables ``num_pows[i][e] = nums[i]^e`` and
+    ``den_pows[e] = den^e`` grow on demand (:meth:`grow`) and are shared by
+    every polynomial evaluated at the point."""
+
+    __slots__ = ("nums", "den", "num_pows", "den_pows")
+
+    def __init__(self, nums: Sequence[int], den: int):
+        self.nums = tuple(nums)
+        self.den = den
+        self.num_pows = [[1] for _ in self.nums]
+        self.den_pows = [1]
+
+    @classmethod
+    def of(cls, point) -> "ScaledPoint":
+        """``point`` itself if scaled already, else the scaled form of a
+        sequence of rationals (Fractions or ints)."""
+        if isinstance(point, ScaledPoint):
+            return point
+        den = lcm(*(x.denominator for x in point))
+        return cls([x.numerator * (den // x.denominator) for x in point], den)
+
+    def fractions(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    def with_coordinate(self, i: int, num: int, den: int) -> "ScaledPoint":
+        """This point with coordinate ``i`` replaced by num/den (den > 0)."""
+        common = lcm(self.den, den)
+        up = common // self.den
+        nums = [a * up for a in self.nums]
+        nums[i] = num * (common // den)
+        return ScaledPoint(nums, common)
+
+    def grow(self, degree: int) -> None:
+        """Extend the power tables to cover exponents up to ``degree``."""
+        dp = self.den_pows
+        while len(dp) <= degree:
+            dp.append(dp[-1] * self.den)
+        for a, row in zip(self.nums, self.num_pows):
+            while len(row) <= degree:
+                row.append(row[-1] * a)
+
+
+class IntKernel:
+    """A polynomial p of total degree D compiled to integers: with ``scale``
+    the positive lcm of p's coefficient denominators,
+
+        scale * den^D * p(nums / den) = sum_m c_m * nums^m * den^(D - |m|)
+
+    with integer c_m.  The right side is :meth:`scaled_value`; it has the
+    sign of p at the point, as scale and den are positive.  ``terms`` holds
+    (c_m, D - |m|, ((i, m_i) for each m_i > 0)) per term."""
+
+    __slots__ = ("nvars", "scale", "degree", "terms")
+
+    def __init__(self, p: Polynomial):
+        self.nvars = len(p.table)
+        self.scale = lcm(*(c.denominator for c in p.terms.values()))
+        self.degree = max(p.total_degree(), 0)
+        self.terms = tuple(
+            (c.numerator * (self.scale // c.denominator), self.degree - mono_degree(m),
+             tuple((i, e) for i, e in enumerate(m) if e))
+            for m, c in p.terms.items())
+
+    def _powers(self, point: ScaledPoint) -> tuple[list[list[int]], list[int]]:
+        if len(point.nums) != self.nvars:
+            raise DimensionError("point dimension does not match variable count")
+        if len(point.den_pows) <= self.degree:
+            point.grow(self.degree)
+        return point.num_pows, point.den_pows
+
+    def scaled_value(self, point: ScaledPoint) -> int:
+        pows, dp = self._powers(point)
+        total = 0
+        for c, pad, factors in self.terms:
+            v = c * dp[pad]
+            for i, e in factors:
+                v *= pows[i][e]
+            total += v
+        return total
+
+    def restrict_to_variable(self, var: int, point: ScaledPoint) -> dict[int, int]:
+        """Integer coefficients, by power of x_var, of a positive multiple
+        (scale * den^D) of p with every other variable set to the point's
+        value; zero coefficients dropped.  It has the roots in x_var of the
+        exact restriction."""
+        pows, dp = self._powers(point)
+        out: dict[int, int] = {}
+        for c, pad, factors in self.terms:
+            v = c
+            k = 0
+            for i, e in factors:
+                if i == var:
+                    k = e
+                else:
+                    v *= pows[i][e]
+            out[k] = out.get(k, 0) + v * dp[pad + k]
+        return {k: v for k, v in out.items() if v}
 
 
 class PolyMatrix:
@@ -508,21 +627,6 @@ class PolyMatrix:
                     acc = acc + self.get(i, k) * other.get(k, j)
                 out.append(acc)
         return PolyMatrix(self.rows, other.cols, out)
-
-    def mul_vec(self, vec: Sequence[Polynomial]) -> list[Polynomial]:
-        if self.cols != len(vec):
-            raise DimensionError("matrix/vector dimensions do not match")
-        out = []
-        for i in range(self.rows):
-            acc = Polynomial.zero(self.table)
-            for k in range(self.cols):
-                acc = acc + self.get(i, k) * vec[k]
-            out.append(acc)
-        return out
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.cols, self.rows,
-                          [self.get(i, j) for j in range(self.cols) for i in range(self.rows)])
 
     def trace(self) -> Polynomial:
         if self.rows != self.cols:

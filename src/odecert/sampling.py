@@ -1,35 +1,42 @@
-"""Seeded rational counterexample sampling.
+"""Seeded rational counterexample sampling, in integers.
 
-Coordinates are drawn as n/d with |n| <= 100 and 1 <= d <= 10.  Half of the
-samples take one exact correction step toward a hypothesis boundary: pick a
-boundary atom, substitute the sampled values into all but one variable, and
-replace that coordinate by an exact rational root of the resulting
-univariate polynomial (the linear case is plain coordinate solving).  Points
-that the projection cannot fix stay as drawn.  Every candidate is used only
-through exact evaluation, so emitted witnesses are sound by construction.
+Coordinates are drawn as n/d with |n| <= 100 and 1 <= d <= 10, and a point
+is kept as a :class:`~odecert.polyarith.ScaledPoint`: integer numerators
+over one positive common denominator.  Half of the samples take one exact
+correction step toward a hypothesis boundary: pick a boundary atom,
+substitute the sampled values into all but one variable, and replace that
+coordinate by an exact rational root of the resulting univariate
+polynomial (the linear case is plain coordinate solving).  The univariate
+polynomial has integer coefficients (a positive multiple of the
+restriction, from the atom's compiled :class:`~odecert.polyarith.IntKernel`)
+and its roots come out as reduced integer pairs, so no ``Fraction`` is built
+here.  Points that the projection cannot fix stay as drawn.  Every
+candidate is used only through exact evaluation, so emitted witnesses are
+sound by construction.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from math import isqrt
+from functools import cmp_to_key
+from math import gcd, isqrt, lcm
 from typing import Iterator, Optional, Sequence
 
-from .polyarith import Polynomial
+from .polyarith import Polynomial, ScaledPoint
 
 NUM_RANGE = 100
 DEN_RANGE = 10
 _DIVISOR_CAP = 10 ** 12
 _MAX_DIVISORS = 128
 
-
-def random_coordinate(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-NUM_RANGE, NUM_RANGE), rng.randint(1, DEN_RANGE))
+Root = tuple[int, int]  # num/den in lowest terms, den > 0
 
 
-def random_point(rng: random.Random, nvars: int) -> tuple[Fraction, ...]:
-    return tuple(random_coordinate(rng) for _ in range(nvars))
+def random_point(rng: random.Random, nvars: int) -> ScaledPoint:
+    pairs = [(rng.randint(-NUM_RANGE, NUM_RANGE), rng.randint(1, DEN_RANGE))
+             for _ in range(nvars)]
+    den = lcm(*(d for _, d in pairs))
+    return ScaledPoint([n * (den // d) for n, d in pairs], den)
 
 
 def _divisors(n: int) -> list[int]:
@@ -47,8 +54,20 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def univariate_rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
-    """All rational roots of sum coeffs[e] * x^e, exactly.
+def _root(num: int, den: int) -> Root:
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _compare(a: Root, b: Root) -> int:
+    return a[0] * b[1] - b[0] * a[1]
+
+
+def univariate_rational_roots(coeffs: dict[int, int]) -> list[Root]:
+    """All rational roots of sum coeffs[e] * x^e, exactly, as reduced
+    (num, den) pairs with den > 0, in increasing order.
 
     Degenerate cases: the zero polynomial and constants return no roots
     (callers treat that as "no projection found").  Root candidates beyond the
@@ -58,96 +77,59 @@ def univariate_rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
     coeffs = {e: c for e, c in coeffs.items() if c != 0}
     if not coeffs:
         return []
-    roots: list[Fraction] = []
+    roots: list[Root] = []
     min_exp = min(coeffs)
     if min_exp > 0:
-        roots.append(Fraction(0))
+        roots.append((0, 1))
         coeffs = {e - min_exp: c for e, c in coeffs.items()}
     deg = max(coeffs)
     if deg == 0:
         return roots
     if deg == 1:
-        a1 = coeffs[1]
-        a0 = coeffs.get(0, Fraction(0))
-        root = -a0 / a1
-        if root not in roots:
-            roots.append(root)
-        return sorted(roots)
+        _add_root(roots, _root(-coeffs.get(0, 0), coeffs[1]))
+        return _sorted(roots)
     if deg == 2:
-        a = coeffs[2]
-        b = coeffs.get(1, Fraction(0))
-        c = coeffs.get(0, Fraction(0))
+        a, b, c = coeffs[2], coeffs.get(1, 0), coeffs.get(0, 0)
         disc = b * b - 4 * a * c
-        sq = _rational_sqrt(disc)
-        if sq is not None:
-            for root in ((-b + sq) / (2 * a), (-b - sq) / (2 * a)):
-                if root not in roots:
-                    roots.append(root)
-        return sorted(roots)
-    # integer form: common denominator, then content out
-    den_lcm = 1
-    for c in coeffs.values():
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-    iofs = {e: int(c * den_lcm) for e, c in coeffs.items()}
+        sq = isqrt(disc) if disc >= 0 else -1
+        if sq >= 0 and sq * sq == disc:
+            for num in (-b + sq, -b - sq):
+                _add_root(roots, _root(num, 2 * a))
+        return _sorted(roots)
+    # rational root theorem on the primitive part
     g = 0
-    for v in iofs.values():
-        g = _gcd(g, abs(v))
-    iofs = {e: v // g for e, v in iofs.items()}
-    lead = iofs[deg]
+    for v in coeffs.values():
+        g = gcd(g, v)
+    iofs = {e: v // g for e, v in coeffs.items()}
     const = iofs.get(0, 0)
     if const == 0:  # x factored out above, so const != 0 unless poly was x^k * c
-        return sorted(roots)
+        return _sorted(roots)
     for num in _divisors(const):
-        for den in _divisors(lead):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in roots:
-                    continue
-                if _eval_univariate(iofs, cand) == 0:
+        for den in _divisors(iofs[deg]):
+            for cand in (_root(num, den), _root(-num, den)):
+                if cand not in roots and _vanishes(iofs, deg, cand):
                     roots.append(cand)
-    return sorted(roots)
+    return _sorted(roots)
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a non-negative rational, or None."""
-    if x < 0:
-        return None
-    num_root = isqrt(x.numerator)
-    den_root = isqrt(x.denominator)
-    if num_root * num_root != x.numerator or den_root * den_root != x.denominator:
-        return None
-    return Fraction(num_root, den_root)
+def _add_root(roots: list[Root], root: Root) -> None:
+    if root not in roots:
+        roots.append(root)
 
 
-def _eval_univariate(coeffs: dict[int, Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for e, c in coeffs.items():
-        total += c * x ** e
-    return total
+def _sorted(roots: list[Root]) -> list[Root]:
+    return sorted(roots, key=cmp_to_key(_compare))
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _vanishes(coeffs: dict[int, int], deg: int, root: Root) -> bool:
+    """Whether sum coeffs[e] * (num/den)^e is zero, from the integer
+    den^deg times it."""
+    num, den = root
+    return sum(c * num ** e * den ** (deg - e) for e, c in coeffs.items()) == 0
 
 
-def restrict_to_variable(p: Polynomial, var: int,
-                         point: Sequence[Fraction]) -> dict[int, Fraction]:
-    """Coefficients of p as a univariate polynomial in ``var`` after
-    substituting the point's values for all other variables."""
-    out: dict[int, Fraction] = {}
-    for m, c in p.terms.items():
-        v = c
-        for i, e in enumerate(m):
-            if i != var and e:
-                v *= point[i] ** e
-        if v:
-            out[m[var]] = out.get(m[var], Fraction(0)) + v
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def project_to_boundary(point: tuple[Fraction, ...], atom: Polynomial,
-                        rng: random.Random) -> Optional[tuple[Fraction, ...]]:
+def project_to_boundary(point: ScaledPoint, atom: Polynomial,
+                        rng: random.Random) -> Optional[ScaledPoint]:
     """One exact correction step: replaces one coordinate of ``point`` so
     that ``atom`` vanishes, when a rational root exists."""
     candidates = sorted(atom.variables())
@@ -155,16 +137,15 @@ def project_to_boundary(point: tuple[Fraction, ...], atom: Polynomial,
         return None
     rng.shuffle(candidates)
     for var in candidates:
-        coeffs = restrict_to_variable(atom, var, point)
-        roots = univariate_rational_roots(coeffs)
+        roots = univariate_rational_roots(atom.kernel().restrict_to_variable(var, point))
         if roots:
-            root = roots[rng.randrange(len(roots))]
-            return point[:var] + (root,) + point[var + 1:]
+            num, den = roots[rng.randrange(len(roots))]
+            return point.with_coordinate(var, num, den)
     return None
 
 
 def sample_points(rng: random.Random, nvars: int, count: int,
-                  boundary_atoms: Sequence[Polynomial]) -> Iterator[tuple[Fraction, ...]]:
+                  boundary_atoms: Sequence[Polynomial]) -> Iterator[ScaledPoint]:
     """Yield ``count`` candidate points, alternating uniform draws with
     boundary-projected draws when boundary atoms are available."""
     for k in range(count):

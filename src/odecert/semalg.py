@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import InputError, ResourceError
 from .ideals import DEFAULT_RANK_CAP, differential_radical
 from .odecore import OdeSystem
-from .polyarith import Polynomial, VarTable
+from .polyarith import Polynomial, ScaledPoint, VarTable
 
 DEFAULT_DISJUNCT_LIMIT = 4096
 DISJUNCT_WARN_AT = 256
@@ -73,12 +72,6 @@ class Implies:
 
 @dataclass(frozen=True)
 class Forall:
-    vars: tuple[str, ...]
-    body: "Formula"
-
-
-@dataclass(frozen=True)
-class Exists:
     vars: tuple[str, ...]
     body: "Formula"
 
@@ -145,14 +138,16 @@ def formula_atoms(f: Formula) -> list[Atom]:
         elif isinstance(g, Implies):
             walk(g.hyp)
             walk(g.concl)
-        elif isinstance(g, (Forall, Exists)):
+        elif isinstance(g, Forall):
             walk(g.body)
 
     walk(f)
     return out
 
 
-def _atom_truth(op: str, value: Fraction) -> bool:
+def _atom_truth(op: str, value) -> bool:
+    """Truth of ``value op 0``; ``value`` may be any number with the sign of
+    the atom's polynomial."""
     if op == "=":
         return value == 0
     if op == "!=":
@@ -167,43 +162,61 @@ def _atom_truth(op: str, value: Fraction) -> bool:
 
 
 class PointEvaluator:
-    """Evaluates formulas at one rational point, memoizing polynomial values
-    by object identity (progress formulas reuse the same Lie derivatives a
-    lot)."""
+    """Evaluates formulas at one rational point, given as a sequence of
+    rationals or as a :class:`~odecert.polyarith.ScaledPoint` (integer
+    numerators over a common denominator, as sampling draws them).
+
+    Only signs are computed: each atom's polynomial is evaluated through its
+    compiled integer kernel (built once per polynomial) against the point's
+    shared power tables, giving an integer with the polynomial's sign.  The
+    integers are memoized by polynomial identity, since progress formulas
+    reuse the same Lie derivatives a lot.
+    """
 
     __slots__ = ("point", "_cache")
 
-    def __init__(self, point: Sequence[Fraction]):
-        self.point = tuple(point)
-        self._cache: dict[int, Fraction] = {}
+    def __init__(self, point):
+        self.point = ScaledPoint.of(point)
+        self._cache: dict[int, int] = {}
 
-    def poly_value(self, p: Polynomial) -> Fraction:
+    def sign_value(self, p: Polynomial) -> int:
+        """An integer with the sign of p at the point."""
         key = id(p)
         v = self._cache.get(key)
         if v is None:
-            v = p.evaluate(self.point)
+            v = p.kernel().scaled_value(self.point)
             self._cache[key] = v
         return v
 
     def __call__(self, f: Formula) -> bool:
-        if isinstance(f, TrueF):
+        return self._truth(f)
+
+    def _truth(self, f: Formula) -> bool:
+        t = type(f)
+        if t is Atom:
+            return _atom_truth(f.op, self.sign_value(f.poly))
+        if t is And:
+            for a in f.args:
+                if not self._truth(a):
+                    return False
             return True
-        if isinstance(f, FalseF):
+        if t is Or:
+            for a in f.args:
+                if self._truth(a):
+                    return True
             return False
-        if isinstance(f, Atom):
-            return _atom_truth(f.op, self.poly_value(f.poly))
-        if isinstance(f, Not):
-            return not self(f.arg)
-        if isinstance(f, And):
-            return all(self(a) for a in f.args)
-        if isinstance(f, Or):
-            return any(self(a) for a in f.args)
-        if isinstance(f, Implies):
-            return (not self(f.hyp)) or self(f.concl)
+        if t is Implies:
+            return not self._truth(f.hyp) or self._truth(f.concl)
+        if t is Not:
+            return not self._truth(f.arg)
+        if t is TrueF:
+            return True
+        if t is FalseF:
+            return False
         raise InputError("cannot evaluate a quantified formula at a point")
 
 
-def eval_formula(f: Formula, point: Sequence[Fraction]) -> bool:
+def eval_formula(f: Formula, point) -> bool:
     return PointEvaluator(point)(f)
 
 
@@ -271,7 +284,7 @@ def render_formula(f: Formula) -> str:
             return " | ".join(wrap(a, 2) for a in g.args)
         if isinstance(g, Implies):
             return f"{wrap(g.hyp, 1)} -> {wrap(g.concl, 1)}"
-        if isinstance(g, (Forall, Exists)):
+        if isinstance(g, Forall):
             raise InputError("quantified formulas have no surface syntax")
         raise InputError(f"cannot render {type(g).__name__}")
 
@@ -311,11 +324,11 @@ class NormalForm:
             for c in self.disjuncts
         ])
 
-    def evaluate(self, point: Sequence[Fraction]) -> bool:
+    def evaluate(self, point) -> bool:
         ev = PointEvaluator(point)
         for c in self.disjuncts:
-            if all(ev.poly_value(p) >= 0 for p in c.geqs) and \
-               all(ev.poly_value(q) > 0 for q in c.gts):
+            if all(ev.sign_value(p) >= 0 for p in c.geqs) and \
+               all(ev.sign_value(q) > 0 for q in c.gts):
                 return True
         return False
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -55,6 +57,14 @@ class TestExitCodes:
         prob = write(tmp_path, "loop.prob",
                      "vars: x\nprogram: { x := x^2 + 1 }*\npost: x = 0\ncap: 0\n")
         assert main(["hp-reduce", prob]) == 4
+
+    def test_huge_exponent_is_a_resource_error(self, tmp_path, capsys):
+        prob = write(tmp_path, "huge.prob",
+                     "vars: x, y\node: x' = y, y' = -x\npolynomial: (x+1)^3000\n")
+        started = time.monotonic()
+        assert main(["lie", prob]) == 4
+        assert time.monotonic() - started < 5
+        assert "degree cap" in capsys.readouterr().err
 
     def test_unknown_is_two(self, tmp_path, capsys):
         prob = write(tmp_path, "green.prob",
@@ -246,3 +256,32 @@ class TestDeterminism:
     def test_seed_recorded(self, disk_prob, capsys):
         _, report = run_json(capsys, ["check-inv", disk_prob, "--json", "--seed", "3"])
         assert report["seed"] == 3
+
+
+class TestPinnedOutputs:
+    """sha256 of ``check-inv --json`` output on the running-example regions,
+    recorded before sampling moved to integers: a change to the sampling
+    rng's call sequence or to the root lists moves the refuting witnesses."""
+
+    HALF = "u^2 + v^2 < 1/4 | (u^2 + v^2 = 1/4 & u >= 0)"
+
+    @pytest.mark.parametrize("candidate, extra, digest", [
+        pytest.param("1 - u^2 - v^2 > 0", [],
+                     "7786b82712e60696c3e1fb0ee121db7b0778c76f3d358dd8a190562a0ba49348",
+                     id="open-disk"),
+        pytest.param("u^2 <= v^2 + 9/2\nsamples: 2000", [],
+                     "c77a6a49d7cccba9ed89d441ae9b1bbabee461f661e0166b3cc33bc6175f9337",
+                     id="green-region"),
+        pytest.param(HALF, [],
+                     "77514421d4231f2efee6089083e18b22f658cb6c1174e22e8962c6ce07d99ec3",
+                     id="half-open-disk"),
+        pytest.param(HALF, ["--seed", "5"],
+                     "aadaac51e2e79dc80383723bf91f83e6a893cdb5bae8b77918accc379576eb8f",
+                     id="half-open-disk-seed-5"),
+    ])
+    def test_check_inv_json_digest(self, tmp_path, capsys, candidate, extra, digest):
+        prob = write(tmp_path, "region.prob",
+                     f"vars: u, v\node: {ALPHA_E_ODE}\ncandidate: {candidate}\n")
+        main(["check-inv", prob, "--json"] + extra)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

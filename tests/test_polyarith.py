@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odecert import (GREVLEX, LEX, DimensionError, InputError,
-                     NonPolynomialError, PolyMatrix, Polynomial, VarTable)
+                     NonPolynomialError, PolyMatrix, Polynomial, ResourceError,
+                     VarTable)
 from odecert.parser import parse_term
+from odecert.polyarith import MAX_DEGREE, ScaledPoint
 
 from conftest import random_point, random_polynomial
 
@@ -226,3 +228,65 @@ class TestOrdersAndRendering:
         p = P("a*b", t)
         lifted = p.lift(t2)
         assert lifted.render() == "a*b"
+
+
+def _fraction_value(p: Polynomial, point) -> Fraction:
+    """Reference: the exact value, term by term in Fractions."""
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = c
+        for x, e in zip(point, m):
+            v *= x ** e
+        total += v
+    return total
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+_small_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.one_of(st.just(Fraction(0)), _rationals), max_size=6)
+
+
+class TestIntKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(terms=_small_terms,
+           point=st.tuples(st.one_of(st.just(Fraction(0)), _rationals),
+                           st.one_of(st.just(Fraction(0)), _rationals)))
+    def test_kernel_sign_is_the_sign_of_the_exact_value(self, terms, point):
+        # covers the zero polynomial, constants and rational coefficients
+        p = Polynomial(VarTable(["x", "y"]), terms)
+        exact = _fraction_value(p, point)
+        k = p.kernel()
+        sp = ScaledPoint.of(point)
+        assert _sign(k.scaled_value(sp)) == _sign(exact)
+        assert p.evaluate(point) == exact
+        assert p.kernel() is k
+
+    def test_point_dimension_checked(self, t3):
+        with pytest.raises(DimensionError):
+            P("x + y", t3).evaluate((Fraction(1), Fraction(2)))
+
+    def test_scaled_point_with_coordinate(self):
+        sp = ScaledPoint.of((Fraction(1, 2), Fraction(-2, 3)))
+        assert (sp.nums, sp.den) == ((3, -4), 6)
+        moved = sp.with_coordinate(0, -5, 4)
+        assert moved.fractions() == (Fraction(-5, 4), Fraction(-2, 3))
+
+    def test_render_text_is_cached(self, uv):
+        p = P("u^2 - 1/2*v", uv)
+        assert p.render() is p.render()
+        assert p.render(LEX) == p.render() == "u^2 - 1/2*v"
+
+
+class TestDegreeCap:
+    def test_power_past_the_cap_is_a_resource_error(self):
+        x = P("x + 1", VarTable(["x"]))
+        with pytest.raises(ResourceError):
+            x ** (MAX_DEGREE + 1)
+        with pytest.raises(ResourceError):
+            (x * x) ** (MAX_DEGREE // 2 + 1)
+        assert (x ** 3).total_degree() == 3
