@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .hpreduce import render_program
-from .ideals import RankResult
+from .ideals import DEFAULT_RANK_CAP, RankResult
 from .invariant import (ChainRecord, Certificate, DarbouxCert, DischargeStatus,
                         DriCert, HpReductionCert, SaiCert, SideCondition,
                         VdbxCert)
@@ -21,10 +21,6 @@ from .polyarith import PolyMatrix, VarTable
 from .semalg import Conjunct, NormalForm, render_formula
 
 FORMAT_VERSION = 1
-
-
-def _fraction_str(c: Fraction) -> str:
-    return str(c)
 
 
 def _fraction_parse(s: str) -> Fraction:
@@ -105,7 +101,7 @@ def status_json(status: DischargeStatus) -> dict:
     return {
         "kind": status.kind,
         "witness": None if status.witness is None
-        else [_fraction_str(v) for v in status.witness],
+        else [str(v) for v in status.witness],
         "detail": status.detail,
     }
 
@@ -211,7 +207,7 @@ def certificate_from_json(d: dict) -> Certificate:
             program=parse_program(_field(d, "program"), table),
             p=parse_term(_field(d, "p"), table),
             q=parse_term(_field(d, "q"), table),
-            cap=_field(d, "cap", int, default=20),
+            cap=_field(d, "cap", int, default=DEFAULT_RANK_CAP),
             chains=tuple(ChainRecord(_terms(rec, "chain", table),
                                      _terms(rec, "cofactors", table))
                          for rec in _field(d, "chains", list)),

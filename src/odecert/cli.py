@@ -9,6 +9,7 @@ refuted, 2 unknown, 3 input error, 4 resource error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -20,14 +21,15 @@ from .errors import InputError, OdecertError, ResourceError
 from .hpreduce import reduce_box
 from .ideals import differential_radical, rank
 from .invariant import (ChainRecord, DischargeConfig, HpReductionCert,
-                        SideCondition, Verdict, check_algebraic_invariance,
+                        SideCondition, Verdict, algebraic_invariance_condition,
+                        check_algebraic_invariance,
                         check_certificate, check_semialgebraic_invariance,
                         find_darboux_cofactor, find_vectorial_darboux,
                         sai_side_conditions)
 from .odecore import higher_lie, reverse
 from .problemfile import ProblemFile, parse_problem
 from .semalg import (NormalForm, algebraic_combine, progress_geq, progress_gt,
-                     radical_formula, render_formula, semialg_progress,
+                     radical_of_chain, render_formula, semialg_progress,
                      to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib
 
@@ -41,6 +43,7 @@ _VERDICT_EXIT = {"invariant": EXIT_OK, "not_invariant": EXIT_REFUTED,
                  "unknown": EXIT_UNKNOWN}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="odecert",
                                   description="Exact invariance checking and "
@@ -143,11 +146,9 @@ def _run_command(args) -> tuple[dict, int, int]:
         cert = certificate_from_json(doc)
         solver = SolverConfig(args.solver, timeout=args.solver_timeout or 60.0) \
             if args.solver else None
-        config = DischargeConfig(
-            samples=args.samples if args.samples is not None else 100_000,
-            seed=args.seed if args.seed is not None else 0,
-            solver=solver,
-            rank_cap=args.cap if args.cap is not None else 20)
+        given = {"samples": args.samples, "seed": args.seed, "rank_cap": args.cap}
+        config = DischargeConfig(solver=solver,  # unset options keep its defaults
+                                 **{k: v for k, v in given.items() if v is not None})
         ok = check_certificate(cert, config)
         data = {"valid": ok, "kind": doc.get("kind")}
         if not args.json:
@@ -186,7 +187,7 @@ def _run_command(args) -> tuple[dict, int, int]:
         sys_ = _require(pf, "ode", "ode")
         p = _require(pf, "polynomial", "polynomial")
         chain = differential_radical(p, sys_, cap=config.rank_cap, order=pf.order)
-        formula = radical_formula(p, sys_, cap=config.rank_cap)
+        formula = radical_of_chain(chain)
         data = {"chain": [q.render() for q in chain],
                 "formula": render_formula(formula)}
         if not args.json:
@@ -300,16 +301,9 @@ def _run_command(args) -> tuple[dict, int, int]:
                 if pf.domain is not None else NormalForm.true()
             conditions.extend(sai_side_conditions(P, Q, sys_, config))
         elif pf.polynomial is not None:
-            from .invariant import _domain_formula
-            from .semalg import Atom, make_and
-            p = pf.polynomial
-            chain = differential_radical(p, sys_, cap=config.rank_cap)
-            conditions.append(SideCondition(
-                hypothesis=make_and([Atom("=", p),
-                                     _domain_formula(pf.domain_polynomial())]),
-                conclusion=make_and([Atom("=", q) for q in chain]),
-                universal_vars=sys_.table.names,
-                provenance="algebraic-invariance"))
+            chain = differential_radical(pf.polynomial, sys_, cap=config.rank_cap)
+            conditions.append(algebraic_invariance_condition(chain, sys_,
+                                                             pf.domain_polynomial()))
         else:
             raise InputError("emit-smt needs 'candidate' or 'polynomial'")
         queries = []

@@ -3,9 +3,11 @@
 Programs are built from assignments, disequational tests ?r!=0, ODEs with
 optional disequational domains, choice, sequence, and loops.  For a single
 polynomial postcondition p, ``reduce_box`` computes a polynomial q with
-[program] p=0 equivalent to q=0 pointwise, by structural recursion; Star
-nodes iterate the reduction until the ideal chain of iterates stabilizes,
-recording the membership witness.
+[program] p=0 equivalent to q=0 pointwise, by structural recursion.  ODE
+nodes sum the squares of the rank chain of p.  Star nodes run
+``ideals.stabilize`` with the body's reduction as the step: the chain of
+iterates grows on one incremental Groebner basis until it stabilizes, and
+the membership witness of its last element is recorded.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import InputError, ResourceError
-from .ideals import DEFAULT_RANK_CAP, member_with_witness, rank
-from .odecore import OdeSystem, lie_derivative
+from .ideals import DEFAULT_RANK_CAP, StepBudget, rank, stabilize
+from .odecore import OdeSystem
 from .polyarith import Polynomial, VarTable
 
 
@@ -144,11 +146,8 @@ def reduce_box(alpha: HybridProgram, p: Polynomial,
     if isinstance(alpha, Ode):
         rr = rank(p, alpha.sys, cap=cap)
         q = Polynomial.zero(p.table)
-        lie = p
-        for i in range(rr.n):
+        for lie in rr.chain:
             q = q + lie * lie
-            if i + 1 < rr.n:
-                lie = lie_derivative(lie, alpha.sys)
         if alpha.r is not None:
             q = alpha.r * q
         return q, ReductionTrace("ode", q, rank_n=rr.n)
@@ -162,30 +161,23 @@ def reduce_box(alpha: HybridProgram, p: Polynomial,
         q1, t1 = reduce_box(alpha.first, q2, cap)
         return q1, ReductionTrace("seq", q1, children=[t1, t2])
     if isinstance(alpha, Star):
-        chain = [p]
         children: list[ReductionTrace] = []
-        witness: Optional[list[Polynomial]] = None
-        for _ in range(cap + 1):
-            k = len(chain) - 1
-            if k == 0:
-                if chain[0].is_zero():
-                    witness = []
-                    break
-            else:
-                w = member_with_witness(chain[k], chain[:k])
-                if w is not None:
-                    witness = list(w.cofactors)
-                    break
-            q_next, t_next = reduce_box(alpha.body, chain[-1], cap)
+
+        def body(q: Polynomial) -> Polynomial:
+            q_next, t_next = reduce_box(alpha.body, q, cap)
             children.append(t_next)
-            chain.append(q_next)
+            return q_next
+
+        if p.is_zero():
+            chain, witness = [p], []  # 0 lies in the zero ideal <> already
+        else:
+            chain, witness = stabilize(p, body, cap, StepBudget(what="loop chain"))
         if witness is None:
             trace = ReductionTrace("star", Polynomial.zero(p.table),
                                    children=children, chain=chain)
             raise ResourceError(f"loop chain cap {cap} exceeded", partial=trace)
-        k = len(chain) - 1
         q = Polynomial.zero(p.table)
-        for qi in chain[:k]:
+        for qi in chain[:-1]:
             q = q + qi * qi
         trace = ReductionTrace("star", q, children=children,
                                chain=chain, witness=witness)

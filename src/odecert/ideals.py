@@ -9,15 +9,21 @@ asked for, the records of the rows the final reduction used, and of the
 rows those derive from, are materialised into exact cofactors of the
 original generators, once per row.  Those cofactors are what the
 certificates replay.
+
+``stabilize`` is the one ascending-chain loop: it grows q_0, q_1 = step(q_0),
+... on a single incremental basis until q_k lies in <q_0, ..., q_{k-1}>.
+``rank`` runs it with the Lie derivative as the step and returns the chain
+it grew; the loop rule of ``hpreduce`` and the rank replay of DRI
+certificates run it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 import heapq
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
@@ -79,9 +85,12 @@ class MembershipWitness:
 
 @dataclass(frozen=True)
 class RankResult:
-    """Smallest n >= 1 with L^n p = sum_{i<n} cofactors[i] * L^i p exactly."""
+    """Smallest n >= 1 with L^n p = sum_{i<n} cofactors[i] * chain[i] exactly,
+    where chain = (p, Lp, ..., L^{n-1}p).  ``chain`` is what ``rank`` derived;
+    a parsed certificate leaves it empty, and replay never reads it."""
     n: int
     cofactors: tuple[Polynomial, ...]
+    chain: tuple[Polynomial, ...] = field(default=(), compare=False)
 
 
 # Materialised cofactors are (integer term map, positive denominator) pairs:
@@ -492,40 +501,54 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
     return Polynomial(p.table, rem_terms, _normalized=True)
 
 
+def stabilize(first: Polynomial, step: Callable[[Polynomial], Polynomial], cap: int,
+              budget: StepBudget, order: MonomialOrder = GREVLEX
+              ) -> tuple[list[Polynomial], Optional[list[Polynomial]]]:
+    """Grow q_0 = first, q_{k+1} = step(q_k) until q_k lies in <q_0, ..., q_{k-1}>.
+
+    Returns (q_0..q_k, cofactors g with q_k = sum_{i<k} g_i q_i) for the
+    smallest such k in 1..cap, or (q_0..q_cap, None) when there is none.  One
+    incremental Buchberger run serves the whole chain: each q_k is reduced
+    once, and a non-member enters the basis through that same reduction.
+    The ascending chain condition makes every chain stop; ``cap`` bounds
+    the wait.  Budget exhaustion raises ResourceError.
+    """
+    state = BuchbergerState(first.table, order, budget)
+    chain = [first]
+    rem, mults = state._reduce(first)
+    for _ in range(cap):
+        state._add_reduced(chain[-1], rem, mults)
+        state.complete()
+        q = step(chain[-1])
+        chain.append(q)
+        rem, mults = state._reduce(q)
+        if rem.is_zero():
+            cofs = state._witness(mults)
+            _assert_recombines(q, cofs, chain[:-1])
+            return chain, cofs
+    return chain, None
+
+
 def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
          order: MonomialOrder = GREVLEX,
          step_budget: Optional[int] = None) -> RankResult:
-    """Smallest N >= 1 with L^N p in <p, Lp, ..., L^{N-1}p>, with exact cofactors.
+    """Smallest N >= 1 with L^N p in <p, Lp, ..., L^{N-1}p>, with exact
+    cofactors and the chain p, ..., L^{N-1}p.
 
-    The Groebner chain is warm-started: each step adds one Lie derivative as a
-    fresh generator to the running basis.  The zero polynomial has rank 1 with
-    cofactor 0.  Exceeding ``cap`` raises ResourceError carrying the partial
-    Lie chain.
+    The zero polynomial has rank 1 with cofactor 0.  Exceeding ``cap``
+    raises ResourceError carrying the partial Lie chain.
     """
     if cap < 1:
         raise InputError("rank cap must be >= 1")
     if p.table != sys.table:
         raise InputError("polynomial and system use different variable tables")
-    if p.is_zero():
-        return RankResult(1, (Polynomial.zero(p.table),))
     budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET,
                         what="rank")
-    state = BuchbergerState(p.table, order, budget)
-    chain = [p]
-    state.add_generator(p)
-    state.complete()
-    q = p
-    for n in range(1, cap + 1):
-        q = lie_derivative(q, sys)
-        rem, mults = state._reduce(q)
-        if rem.is_zero():
-            cofs = state._witness(mults)
-            _assert_recombines(q, cofs, chain)
-            return RankResult(n, tuple(cofs))
-        chain.append(q)
-        state._add_reduced(q, rem, mults)
-        state.complete()
-    raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
+    chain, cofs = stabilize(p, lambda q: lie_derivative(q, sys), cap, budget, order)
+    if cofs is None:
+        raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
+    n = len(chain) - 1
+    return RankResult(n, tuple(cofs), tuple(chain[:n]))
 
 
 def differential_radical(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
@@ -533,8 +556,4 @@ def differential_radical(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_
                          step_budget: Optional[int] = None) -> list[Polynomial]:
     """The chain [L^0 p, ..., L^{N-1} p] whose zero-conjunction is the
     differential radical formula of p."""
-    result = rank(p, sys, cap=cap, order=order, step_budget=step_budget)
-    chain = [p]
-    for _ in range(result.n - 1):
-        chain.append(lie_derivative(chain[-1], sys))
-    return chain
+    return list(rank(p, sys, cap=cap, order=order, step_budget=step_budget).chain)

@@ -15,14 +15,14 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
-from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, BuchbergerState,
-                     RankResult, StepBudget, groebner, rank, reduce_mod)
+from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, RankResult,
+                     StepBudget, groebner, rank, reduce_mod, stabilize)
 from .odecore import OdeSystem, lie_derivative, reverse
 from .polyarith import GREVLEX, Polynomial, PolyMatrix, VarTable, mono_degree
 from .sampling import sample_points
 from .semalg import (Atom, Conjunct, Formula, NormalForm, PointEvaluator,
                      TrueF, fold_constants, make_and, negate_normal_form,
-                     semialg_progress, to_normal_form)
+                     radical_of_chain, semialg_progress, to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib, run_solver
 
 # status kinds
@@ -267,20 +267,17 @@ def _dot(row: Sequence[Polynomial], vec: Sequence[Polynomial]) -> Polynomial:
     return acc
 
 
-def dri_companion(rank_result: RankResult, p: Polynomial, sys: OdeSystem) -> VdbxCert:
-    """Companion-form vectorial Darboux certificate from a rank identity:
-    1 on the superdiagonal, the rank cofactors in the last row, and
-    p_vec = (p, Lp, ..., L^{N-1}p)."""
+def dri_companion(rank_result: RankResult, sys: OdeSystem) -> VdbxCert:
+    """Companion-form vectorial Darboux certificate from a rank identity that
+    ``rank`` computed: 1 on the superdiagonal, the rank cofactors in the last
+    row, and p_vec = rank_result.chain = (p, Lp, ..., L^{N-1}p)."""
     n = rank_result.n
-    p_vec = [p]
-    for _ in range(n - 1):
-        p_vec.append(lie_derivative(p_vec[-1], sys))
     zero, one = Polynomial.zero(sys.table), Polynomial.one(sys.table)
     entries = []
     for i in range(n - 1):
         entries.extend([one if j == i + 1 else zero for j in range(n)])
     entries.extend(rank_result.cofactors)
-    return VdbxCert(system=sys, p_vec=tuple(p_vec), G=PolyMatrix(n, n, entries))
+    return VdbxCert(system=sys, p_vec=rank_result.chain, G=PolyMatrix(n, n, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +491,15 @@ def discharge(cond: SideCondition, config: Optional[DischargeConfig] = None) -> 
 # ---------------------------------------------------------------------------
 # deciders
 
-def _domain_formula(domain: Optional[Polynomial]) -> Formula:
-    if domain is None:
-        return TrueF()
-    return Atom("!=", domain)
+def algebraic_invariance_condition(chain: Sequence[Polynomial], sys: OdeSystem,
+                                   domain: Optional[Polynomial] = None) -> SideCondition:
+    """forall x (p=0 and Q -> differential radical of p), for the rank chain
+    (p, Lp, ..., L^{N-1}p) of p and Q either true or domain != 0."""
+    q = TrueF() if domain is None else Atom("!=", domain)
+    return SideCondition(hypothesis=make_and([Atom("=", chain[0]), q]),
+                         conclusion=radical_of_chain(chain),
+                         universal_vars=sys.table.names,
+                         provenance="algebraic-invariance")
 
 
 def check_algebraic_invariance(p: Polynomial, sys: OdeSystem,
@@ -511,15 +513,7 @@ def check_algebraic_invariance(p: Polynomial, sys: OdeSystem,
         rr = rank(p, sys, cap=config.rank_cap, step_budget=config.step_budget)
     except ResourceError as exc:
         return Verdict.unknown(diagnostics=f"rank computation failed: {exc}")
-    chain = [p]
-    for _ in range(rr.n - 1):
-        chain.append(lie_derivative(chain[-1], sys))
-    eps = make_and([Atom("=", q) for q in chain])
-    hyp = make_and([Atom("=", p), _domain_formula(domain)])
-    cond = SideCondition(hypothesis=hyp, conclusion=eps,
-                         universal_vars=sys.table.names,
-                         provenance="algebraic-invariance")
-    cond = discharge(cond, config)
+    cond = discharge(algebraic_invariance_condition(rr.chain, sys, domain), config)
     if cond.status.is_proved():
         cert = DriCert(system=sys, p=p, domain=domain, rank_result=rr)
         if not check_certificate(cert, config):
@@ -648,22 +642,18 @@ def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
     rr = cert.rank_result
     if rr.n < 1 or len(rr.cofactors) != rr.n:
         return False
-    chain = [cert.p]
-    for _ in range(rr.n):
-        chain.append(lie_derivative(chain[-1], cert.system))
+
+    def lie(q: Polynomial) -> Polynomial:
+        return lie_derivative(q, cert.system)
+
+    chain, smaller = stabilize(cert.p, lie, rr.n - 1,
+                               StepBudget(config.step_budget, "rank replay"))
+    if smaller is not None:
+        return False  # a smaller rank exists: recorded minimality is wrong
     acc = Polynomial.zero(cert.p.table)
-    for g, q in zip(rr.cofactors, chain[:rr.n]):
+    for g, q in zip(rr.cofactors, chain):
         acc = acc + g * q
-    if acc != chain[rr.n]:
-        return False
-    # one incremental basis of <chain[:i]> decides each smaller rank in turn
-    state = BuchbergerState(cert.p.table, budget=StepBudget(config.step_budget, "rank replay"))
-    for i in range(1, rr.n):
-        state.add_generator(chain[i - 1])
-        state.complete()
-        if state.normal_form(chain[i]).is_zero():
-            return False  # a smaller rank exists: recorded minimality is wrong
-    return True
+    return acc == lie(chain[-1])
 
 
 def _check_sai(cert: SaiCert, config: DischargeConfig) -> bool:

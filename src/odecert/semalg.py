@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .ideals import DEFAULT_RANK_CAP, differential_radical
@@ -543,14 +543,15 @@ def _gt_from_chain(chain: list[Polynomial]) -> Formula:
     return make_and(conjuncts)
 
 
-def _eps_from_chain(chain: list[Polynomial]) -> Formula:
+def radical_of_chain(chain: Sequence[Polynomial]) -> Formula:
+    """The differential radical formula from a rank chain: every q = 0."""
     return make_and([Atom("=", q) for q in chain])
 
 
 def radical_formula(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
                     _cache: Optional[_ChainCache] = None) -> Formula:
     """Conjunction of L^i p = 0 for i below the rank of p."""
-    return _eps_from_chain(_chain(p, sys, cap, _cache))
+    return radical_of_chain(_chain(p, sys, cap, _cache))
 
 
 def progress_gt(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
@@ -568,7 +569,7 @@ def progress_geq(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
                  _cache: Optional[_ChainCache] = None) -> Formula:
     """Progress into p >= 0: progress_gt(p) or the differential radical of p."""
     chain = _chain(p, sys, cap, _cache)
-    return make_or([_gt_from_chain(chain), _eps_from_chain(chain)])
+    return make_or([_gt_from_chain(chain), radical_of_chain(chain)])
 
 
 def semialg_progress(P: NormalForm, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,

@@ -258,7 +258,7 @@ class TestAcceptance:
                 DarbouxCert(system=alpha_e, p=p, g=g + d, relation=">"), config)
 
         # vdbx: every matrix-entry mutation must be rejected
-        vd = dri_companion(rank(P("x", xy), swap_sys), P("x", xy), swap_sys)
+        vd = dri_companion(rank(P("x", xy), swap_sys), swap_sys)
         assert check_certificate(vd, config)
         deltas_xy = [P(t, xy) for t in ("1", "x", "y", "2", "x*y", "x^2", "-1",
                                         "y^2", "x + y", "3")]

@@ -48,6 +48,18 @@ class TestExitCodes:
     def test_not_invariant_is_one(self, half_prob, capsys):
         assert main(["check-inv", half_prob]) == 1
 
+    def test_usage_error_is_two_on_every_call(self, capsys):
+        # the parser is built once per process; a reused parser must still
+        # reject bad usage with argparse's exit code and text
+        texts = []
+        for argv in (["rank"], ["frobnicate", "x.prob"], ["rank"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            texts.append(capsys.readouterr().err)
+        assert texts[0] == texts[2] and texts[0].startswith("usage: odecert")
+        assert "invalid choice: 'frobnicate'" in texts[1]
+
     def test_input_error_is_three(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.prob", "vars: x\npolynomial: x + y\n")
         assert main(["rank", bad]) == 3
@@ -125,10 +137,20 @@ class TestCommands:
         assert code == 0
         assert report["data"]["gt_forward"] == "u^2 + v^2 - 1 > 0"
 
-    def test_radical_command(self, circle_prob, capsys):
+    def test_radical_command(self, circle_prob, capsys, monkeypatch):
+        import odecert.ideals as ideals
+        calls = []
+        real_rank = ideals.rank
+
+        def counting_rank(*args, **kwargs):
+            calls.append(args)
+            return real_rank(*args, **kwargs)
+
+        monkeypatch.setattr(ideals, "rank", counting_rank)
         code, report = run_json(capsys, ["radical", circle_prob, "--json"])
         assert code == 0
         assert report["data"]["formula"] == "u^2 + v^2 - 1 = 0"
+        assert len(calls) == 1  # the chain and the formula share one rank run
 
     def test_hp_reduce_loop(self, tmp_path, capsys):
         prob = write(tmp_path, "hp.prob",
@@ -259,9 +281,14 @@ class TestDeterminism:
 
 
 class TestPinnedOutputs:
-    """sha256 of ``check-inv --json`` output on the running-example regions,
-    recorded before sampling moved to integers: a change to the sampling
-    rng's call sequence or to the root lists moves the refuting witnesses."""
+    """sha256 of ``--json`` output on fixed problems.
+
+    ``check-inv`` on the running-example regions was recorded before sampling
+    moved to integers: a change to the sampling rng's call sequence or to the
+    root lists moves the refuting witnesses.  ``hp-reduce`` and ``radical``
+    were recorded while loop chains still ran a from-scratch Groebner basis
+    per membership test: the chains, their cofactors and the rank chains
+    must not move under the incremental chain engine."""
 
     HALF = "u^2 + v^2 < 1/4 | (u^2 + v^2 = 1/4 & u >= 0)"
 
@@ -283,5 +310,33 @@ class TestPinnedOutputs:
         prob = write(tmp_path, "region.prob",
                      f"vars: u, v\node: {ALPHA_E_ODE}\ncandidate: {candidate}\n")
         main(["check-inv", prob, "--json"] + extra)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command, text, digest", [
+        pytest.param("hp-reduce", "vars: x\nprogram: { x := x^2 + 1 }*\npost: x = 0\n",
+                     "4fb506729bb6540509767741a5356f680ab96cf074c2b0cf040850b2d4327d8b",
+                     id="loop-to-unit-ideal"),
+        pytest.param("hp-reduce", "vars: x, y\nprogram: { x := x + y }*\npost: x - x = 0\n",
+                     "85b1b53b3cb7945aaf68cb87873e7ddcc9576f40a7edae9644352bd8f1321a74",
+                     id="loop-zero-postcondition"),
+        pytest.param("hp-reduce", "vars: x, y\nprogram: x := x + 1 ; "
+                     "{ y := 2*y ; { x' = y, y' = -x } }*\npost: x^2 + y^2 - 1 = 0\n",
+                     "8cc912aee334375dc802b72404aa6635772a84379a2ab08dc06dff1fc4b620b1",
+                     id="loop-with-ode"),
+        pytest.param("hp-reduce", "vars: x, y\nprogram: { x := x + y ++ y := x - 1 }*\n"
+                     "post: x = 0\n",
+                     "9a2e8f8971924513ed028359364a22c557f55a364bb70673352b0e82c32b0a40",
+                     id="loop-with-choice"),
+        pytest.param("radical", "vars: x, y\node: x' = y, y' = x\npolynomial: x\n",
+                     "cf13889c7b2e91359c71e4ab18a2e3cddfff4eb37b81edc1521aa3af9357f012",
+                     id="radical-rank-2"),
+        pytest.param("radical", "vars: x, y\node: x' = 1, y' = -x*y - 3*x\n"
+                     "polynomial: -2*x*y\n",
+                     "71a5a59a7a1a6ffc5c347ef71c1c081135c34fa19530a7c655f851fee8bef04e",
+                     id="radical-rank-4-unit-ideal"),
+    ])
+    def test_chain_json_digest(self, tmp_path, capsys, command, text, digest):
+        main([command, write(tmp_path, "chain.prob", text), "--json"])
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest

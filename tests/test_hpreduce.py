@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from odecert import (Assign, Choice, InputError, Ode, Polynomial,
-                     ResourceError, Seq, Star, VarTable, oracle_unroll,
-                     reduce_box, render_program)
+                     ResourceError, Seq, Star, VarTable, member_with_witness,
+                     oracle_unroll, reduce_box, render_program)
 from odecert import Test as ProgTest
 from odecert.parser import parse_program, parse_term
 
@@ -52,8 +52,9 @@ class TestReduceBox:
         assert witness == [P("-1", tx)]
 
     def test_star_zero_postcondition(self, tx):
-        q, _ = reduce_box(Star(Assign(0, P("x + 1", tx))), Polynomial.zero(tx))
+        q, trace = reduce_box(Star(Assign(0, P("x + 1", tx))), Polynomial.zero(tx))
         assert q.is_zero()
+        assert list(trace.star_chains()) == [([Polynomial.zero(tx)], [])]
 
     def test_ode_node_rank_one(self, uv, alpha_e):
         q, trace = reduce_box(Ode(alpha_e), P("u^2 + v^2 - 1", uv))
@@ -90,12 +91,21 @@ class TestReduceBox:
         assert chains[0][0] == [p, p * p]
 
     def test_chain_cap_resource_error(self, tx):
-        # x := x^2 + 1 drives an ascending chain that needs several steps;
-        # cap 0 must fail with the partial trace
+        # x := x^2 + 1 drives an ascending chain that needs two steps
+        # (<x, x^2 + 1> = <1>); caps 0 and 1 must fail with the partial
+        # trace, whose chain is q_0..q_cap
         prog = Star(Assign(0, P("x^2 + 1", tx)))
         with pytest.raises(ResourceError) as info:
             reduce_box(prog, P("x", tx), cap=0)
-        assert info.value.partial is not None
+        assert info.value.partial.chain == [P("x", tx)]
+        assert info.value.partial.children == []
+        with pytest.raises(ResourceError, match="loop chain cap 1 exceeded") as info:
+            reduce_box(prog, P("x", tx), cap=1)
+        assert info.value.partial.chain == [P("x", tx), P("x^2 + 1", tx)]
+        assert len(info.value.partial.children) == 1
+        _, trace = reduce_box(prog, P("x", tx), cap=2)
+        assert [c for c, _ in trace.star_chains()] == \
+            [[P("x", tx), P("x^2 + 1", tx), P("(x^2 + 1)^2 + 1", tx)]]
 
 
 class TestOracleUnroll:
@@ -202,6 +212,9 @@ class TestOracleAgreement:
                 for g, qi in zip(witness, chain[:k]):
                     acc = acc + g * qi
                 assert acc == chain[k]
+                # k is the first index that stabilizes, by a from-scratch basis
+                for i in range(1, k):
+                    assert member_with_witness(chain[i], chain[:i]) is None
 
 
 class TestRenderProgram:

@@ -213,6 +213,7 @@ class TestRank:
             for g, q in zip(rr.cofactors, chain[:rr.n]):
                 acc = acc + g * q
             assert acc == chain[rr.n]
+            assert rr.chain == tuple(chain[:rr.n])
             for i in range(1, rr.n):
                 assert member_with_witness(chain[i], chain[:i]) is None
 

@@ -173,14 +173,14 @@ class TestVectorialDarboux:
 class TestDriCompanion:
     def test_rank_one_collapses_to_darboux(self, uv, alpha_e):
         p = P("1 - u^2 - v^2", uv)
-        cert = dri_companion(rank(p, alpha_e), p, alpha_e)
+        cert = dri_companion(rank(p, alpha_e), alpha_e)
         assert cert.G.rows == 1
         assert cert.G.get(0, 0) == P("u^2 + v^2", uv).scale(Fraction(-1, 2))
         assert check_certificate(cert)
 
     def test_swap_companion(self, xy, swap_sys):
         p = P("x", xy)
-        cert = dri_companion(rank(p, swap_sys), p, swap_sys)
+        cert = dri_companion(rank(p, swap_sys), swap_sys)
         assert [[cert.G.get(i, j).render() for j in range(2)] for i in range(2)] == \
             [["0", "1"], ["1", "0"]]
         assert cert.p_vec == (P("x", xy), P("y", xy))
@@ -191,7 +191,7 @@ class TestDriCompanion:
         for _ in range(6):
             p = random_nonzero_polynomial(rng, xy)
             sysr = random_system(rng, xy)
-            cert = dri_companion(rank(p, sysr), p, sysr)
+            cert = dri_companion(rank(p, sysr), sysr)
             assert check_certificate(cert)
 
 
@@ -479,6 +479,14 @@ class TestCertificates:
         assert l2p == lg * p + g * lp
         cert = DriCert(system=alpha_e, p=p, domain=None, rank_result=fake)
         assert not check_certificate(cert)
+        # the true rank 1, and rank 1 of p = 0, replay with a cap-0 chain; a
+        # parsed certificate carries no chain
+        for q in (p, Polynomial.zero(uv)):
+            rr = rank(q, alpha_e)
+            assert rr.n == 1
+            for result in (rr, RankResult(1, rr.cofactors)):
+                assert check_certificate(DriCert(system=alpha_e, p=q, domain=None,
+                                                 rank_result=result))
 
     def test_dri_minimality_replay_on_a_unit_ideal_chain(self, xy):
         # rank 4, and <p, ..., L^3 p> is <1>; lifting the identity one step
@@ -525,7 +533,7 @@ class TestCertificateJson:
         certs = [
             DarbouxCert(system=alpha_e, p=p, g=find_darboux_cofactor(p, alpha_e),
                         relation=">="),
-            dri_companion(rank(P("x", xy), swap_sys), P("x", xy), swap_sys),
+            dri_companion(rank(P("x", xy), swap_sys), swap_sys),
             DriCert(system=alpha_e, p=p, domain=P("u", uv),
                     rank_result=rank(p, alpha_e)),
         ]
