@@ -8,7 +8,16 @@ scale.  S-pairs that reduce to zero leave no record.  When a witness is
 asked for, the records of the rows the final reduction used, and of the
 rows those derive from, are materialised into exact cofactors of the
 original generators, once per row.  Those cofactors are what the
-certificates replay.
+certificates replay; each one returned is first checked to recombine to
+the queried polynomial exactly.
+
+The engine computes in integers.  A row is a primitive integer term map
+with a positive leading coefficient, standing for its monic multiple.  A
+reduction keeps its working map over one common denominator and takes
+fraction-free steps, removing the content whenever the denominator grows;
+it picks the same reducer and monomial, and so reaches the same exact
+remainder and multipliers, as a reduction in ``Fraction`` would.
+``Polynomial`` appears only at the API boundary.
 
 ``stabilize`` is the one ascending-chain loop: it grows q_0, q_1 = step(q_0),
 ... on a single incremental basis until q_k lies in <q_0, ..., q_{k-1}>.
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 import heapq
 from typing import Callable, Optional, Sequence
 
@@ -93,10 +102,11 @@ class RankResult:
     chain: tuple[Polynomial, ...] = field(default=(), compare=False)
 
 
-# Materialised cofactors are (integer term map, positive denominator) pairs:
-# plain int arithmetic avoids the per-operation gcd normalization of Fraction
-# and is what keeps witnesses affordable on degree-8 chains.  Conversion to
-# Polynomial happens only at the API boundary.
+# Every polynomial inside the engine is an integer term map over one
+# positive common denominator: plain int arithmetic avoids the per-operation
+# gcd normalization of Fraction.  Basis rows, the working map of a
+# reduction, its multipliers and the materialised cofactors all use this
+# form; Polynomial is built only at the API boundary.
 _IPoly = tuple[dict, int]
 
 _IP_ZERO: _IPoly = ({}, 1)
@@ -106,28 +116,22 @@ def _ip_unit(mono) -> _IPoly:
     return ({mono: 1}, 1)
 
 
-def _ip_from_poly_terms(terms: dict) -> _IPoly:
-    den = 1
-    for c in terms.values():
-        c = Fraction(c)
-        den = den * c.denominator // gcd(den, c.denominator)
-    return ({m: int(Fraction(c) * den) for m, c in terms.items()}, den)
+def _ip_of(p: Polynomial) -> _IPoly:
+    """The integer form of a polynomial entering the engine."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return ({m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den)
 
 
 def _ip_to_poly(ip: _IPoly, table: VarTable) -> Polynomial:
     terms, den = ip
     return Polynomial(table, {m: Fraction(n, den) for m, n in terms.items() if n},
-                      _normalized=False)
+                      _normalized=True)
 
 
 def _ip_normalize(terms: dict, den: int) -> _IPoly:
     if not terms:
         return ({}, 1)
-    g = den
-    for v in terms.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
+    g = gcd(den, *terms.values())
     if g > 1:
         terms = {m: v // g for m, v in terms.items()}
         den //= g
@@ -187,25 +191,50 @@ def _ip_submul(a: _IPoly, b: _IPoly, mult: _IPoly) -> _IPoly:
     return _ip_normalize(out, den)
 
 
+def _ip_sum(parts: list[tuple]) -> _IPoly:
+    """sum of num/den * x^m over the (m, num, den) triples."""
+    den = lcm(*(d for _, _, d in parts))
+    out: dict = {}
+    for m, num, d in parts:
+        out[m] = out.get(m, 0) + num * (den // d)
+    return _ip_normalize({m: v for m, v in out.items() if v}, den)
+
+
 class _Row:
     """A basis row (or a reducer of ``reduce_mod``) and how it was made.
 
-    ``origin`` is ``("gen", j)`` for a reduced generator or
-    ``("pair", i, mi, j, mj)`` for the S-polynomial x^mi*rows[i] -
-    x^mj*rows[j]; ``mults`` are the multipliers of its reduction, ``scale``
-    the factor that made it monic.  ``cofs`` is the sparse
-    {generator index: _IPoly} cofactor map, filled on first demand.
+    The row stands for the monic polynomial terms / lc: ``terms`` is a
+    primitive integer term map and ``lc`` its positive leading coefficient,
+    at ``lm``.  It is made from a nonzero integer form (t, den); ``scale``
+    is den over the leading coefficient of t, the factor that takes t / den
+    to the monic row.  ``origin`` is ``("gen", j)`` for a reduced generator
+    or ``("pair", i, mi, j, mj)`` for the S-polynomial x^mi*rows[i] -
+    x^mj*rows[j]; ``mults`` are the multipliers of its reduction.  ``cofs``
+    is the sparse {generator index: _IPoly} cofactor map, filled on first
+    demand.
     """
-    __slots__ = ("poly", "lm", "lc", "origin", "mults", "scale", "cofs")
+    __slots__ = ("terms", "lm", "lc", "origin", "mults", "scale", "cofs")
 
-    def __init__(self, poly: Polynomial, order: MonomialOrder, origin=None,
-                 mults: Optional[dict[int, dict]] = None, scale: Fraction = Fraction(1)):
-        self.poly = poly
-        self.lm, self.lc = poly.leading(order)
+    def __init__(self, ip: _IPoly, order: MonomialOrder, origin=None,
+                 mults: Optional[dict[int, _IPoly]] = None):
+        terms, den = ip
+        lm = max(terms, key=order.key)
+        lead = terms[lm]
+        g = gcd(*terms.values())
+        if lead < 0:
+            g = -g
+        if g != 1:
+            terms = {m: v // g for m, v in terms.items()}
+        self.terms = terms
+        self.lm = lm
+        self.lc = lead // g
+        self.scale = Fraction(den, lead)
         self.origin = origin
         self.mults = mults
-        self.scale = scale
         self.cofs: Optional[dict[int, _IPoly]] = None
+
+    def monic(self, table: VarTable) -> Polynomial:
+        return _ip_to_poly((self.terms, self.lc), table)
 
     def parents(self) -> list[int]:
         deps = list(self.mults)
@@ -214,14 +243,23 @@ class _Row:
         return deps
 
 
-def _reduce_terms(terms: dict, rows: Sequence[_Row], order: MonomialOrder,
-                  budget: StepBudget) -> tuple[dict, dict[int, dict]]:
-    """Fully reduce a term map in place against ``rows``.
+def _reduce_terms(terms: dict, den: int, rows: Sequence[_Row], order: MonomialOrder,
+                  budget: StepBudget) -> tuple[_IPoly, dict[int, _IPoly]]:
+    """Fully reduce terms / den against ``rows``, fraction-free.
 
-    Returns (remainder terms, multipliers): multipliers[i] is the term map of
-    the polynomial m_i with  input = remainder + sum_i m_i * rows[i].poly.
-    Mutating one working dict instead of rebuilding polynomials keeps the
-    inner loop linear in the touched terms.
+    ``terms`` is an integer term map, consumed, over the positive common
+    denominator ``den``.  Each step takes the leading term wc*x^w of the
+    working map and the first row R / a (R integer, a > 0) whose leading
+    monomial divides x^w, with x^m = x^w / lm(R) and g = gcd(wc, a), and
+    sets  work <- (a/g)*work - (wc/g)*x^m*R,  den <- (a/g)*den.  That
+    subtracts the same multiple of the monic row as a rational step would,
+    so remainder and multipliers are the same exact rationals.  Whenever
+    the denominator grows, the content common to it and to every
+    coefficient of the working map and of the remainder is divided out.
+
+    Returns (remainder, multipliers): the input equals
+    remainder + sum_i multipliers[i] * (monic rows[i]).  Every step records
+    its multiplier as an integer numerator over that step's denominator.
     """
     key = order.key
     key_cache: dict = {}
@@ -235,43 +273,47 @@ def _reduce_terms(terms: dict, rows: Sequence[_Row], order: MonomialOrder,
 
     work = terms
     rem: dict = {}
-    multipliers: dict[int, dict] = {}
+    steps: dict[int, list] = {}
     while work:
         wm = max(work, key=mono_key)
         wc = work[wm]
         for ridx, row in enumerate(rows):
             if mono_divides(row.lm, wm):
-                c = wc / row.lc
+                a = row.lc
+                g = gcd(wc, a)
+                f, c = a // g, wc // g
+                if f != 1:
+                    work = {mm: v * f for mm, v in work.items()}
+                    rem = {mm: v * f for mm, v in rem.items()}
+                    den *= f
                 m = mono_div(wm, row.lm)
-                for m0, c0 in row.poly.terms.items():
+                for m0, c0 in row.terms.items():
                     mm = mono_mul(m0, m)
-                    s = work.get(mm)
-                    if s is None:
-                        work[mm] = -c0 * c
+                    s = work.get(mm, 0) - c * c0
+                    if s:
+                        work[mm] = s
                     else:
-                        s = s - c0 * c
-                        if s:
-                            work[mm] = s
-                        else:
-                            del work[mm]
-                used = multipliers.setdefault(ridx, {})
-                used[m] = used.get(m, 0) + c
+                        del work[mm]
+                steps.setdefault(ridx, []).append((m, c * a, den))
                 budget.spend()
+                if f != 1:
+                    h = gcd(den, *work.values(), *rem.values())
+                    if h != 1:
+                        work = {mm: v // h for mm, v in work.items()}
+                        rem = {mm: v // h for mm, v in rem.items()}
+                        den //= h
                 break
         else:
             rem[wm] = wc
             del work[wm]
-    return rem, multipliers
+    return (rem, den), {ridx: _ip_sum(parts) for ridx, parts in steps.items()}
 
 
 def _apply_multipliers(cofs: dict[int, _IPoly], rows: Sequence[_Row],
-                       multipliers: dict[int, dict]) -> None:
+                       multipliers: dict[int, _IPoly]) -> None:
     """cofs[j] -= sum_i multipliers[i] * rows[i].cofs[j], in place; the
     cofactors of the rows used must already be materialised."""
-    for ridx, mult_terms in multipliers.items():
-        mult = _ip_from_poly_terms(mult_terms)
-        if not mult[0]:
-            continue
+    for ridx, mult in multipliers.items():
         for j, rj in rows[ridx].cofs.items():
             c = _ip_submul(cofs.get(j, _IP_ZERO), rj, mult)
             if c[0]:
@@ -297,16 +339,15 @@ class BuchbergerState:
         self.order = order
         self.budget = budget if budget is not None else StepBudget()
         self.gens: list[Polynomial] = []
+        self.gen_ips: list[_IPoly] = []  # integer forms of gens
         self.rows: list[_Row] = []
         self._pairs: list[tuple] = []  # heap of (lcm_key, i, j)
 
     # -- internals ---------------------------------------------------------
 
-    def _reduce(self, poly: Polynomial) -> tuple[Polynomial, dict[int, dict]]:
+    def _reduce(self, q: _IPoly) -> tuple[_IPoly, dict[int, _IPoly]]:
         """Full reduction modulo the current rows: (remainder, multipliers)."""
-        rem_terms, multipliers = _reduce_terms(dict(poly.terms), self.rows,
-                                               self.order, self.budget)
-        return Polynomial(self.table, rem_terms, _normalized=True), multipliers
+        return _reduce_terms(dict(q[0]), q[1], self.rows, self.order, self.budget)
 
     def _push_pairs(self, new_index: int) -> None:
         order = self.order
@@ -318,23 +359,21 @@ class BuchbergerState:
             key = order.key(mono_lcm(lm_i, lm_new))
             heapq.heappush(self._pairs, (key, i, new_index))
 
-    def _append_row(self, poly: Polynomial, origin: tuple,
-                    mults: dict[int, dict]) -> None:
-        _, lc = poly.leading(self.order)
-        scale = Fraction(1) / lc
-        if lc != 1:
-            poly = poly.scale(scale)
-        self.rows.append(_Row(poly, self.order, origin, mults, scale))
-        if poly.is_constant():
+    def _append_row(self, rem: _IPoly, origin: tuple, mults: dict[int, _IPoly]) -> None:
+        row = _Row(rem, self.order, origin, mults)
+        self.rows.append(row)
+        if not any(row.lm):
             self._pairs.clear()  # the unit ideal: no pair can add a row
         else:
             self._push_pairs(len(self.rows) - 1)
 
-    def _add_reduced(self, g: Polynomial, rem: Polynomial,
-                     mults: dict[int, dict]) -> None:
-        """Add generator g whose reduction modulo the current rows is given."""
+    def _add_reduced(self, g: Polynomial, g_ip: _IPoly, rem: _IPoly,
+                     mults: dict[int, _IPoly]) -> None:
+        """Add generator g, of integer form g_ip, whose reduction modulo the
+        current rows is given."""
         self.gens.append(g)
-        if not rem.is_zero():
+        self.gen_ips.append(g_ip)
+        if rem[0]:
             self._append_row(rem, ("gen", len(self.gens) - 1), mults)
 
     def _materialise(self, roots) -> None:
@@ -369,43 +408,49 @@ class BuchbergerState:
                 cofs = {k: _ip_scale(c, row.scale) for k, c in cofs.items()}
             row.cofs = cofs
 
-    def _witness(self, mults: dict[int, dict]) -> list[Polynomial]:
+    def _witness(self, mults: dict[int, _IPoly]) -> list[_IPoly]:
         """Cofactors w.r.t. the generators of sum_i mults[i] * rows[i]."""
         self._materialise(mults)
         cofs: dict[int, _IPoly] = {}
         _apply_multipliers(cofs, self.rows, mults)
-        return [-_ip_to_poly(cofs.get(j, _IP_ZERO), self.table)
-                for j in range(len(self.gens))]
+        out = []
+        for j in range(len(self.gens)):
+            terms, den = cofs.get(j, _IP_ZERO)
+            out.append(({m: -v for m, v in terms.items()}, den))
+        return out
 
     # -- public ------------------------------------------------------------
 
     def add_generator(self, g: Polynomial) -> None:
         if g.table != self.table:
             raise InputError("generator over a different variable table")
-        self._add_reduced(g, *self._reduce(g))
+        g_ip = _ip_of(g)
+        self._add_reduced(g, g_ip, *self._reduce(g_ip))
 
     def complete(self) -> None:
         """Run Buchberger's loop to quiescence (normal strategy)."""
+        rows, order = self.rows, self.order
         while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
-            fi, fj = self.rows[i], self.rows[j]
-            lcm = mono_lcm(fi.lm, fj.lm)
-            mi, mj = mono_div(lcm, fi.lm), mono_div(lcm, fj.lm)
-            s = fi.poly.mul_term(Fraction(1), mi) - fj.poly.mul_term(Fraction(1), mj)
+            fi, fj = rows[i], rows[j]
+            lcm_ij = mono_lcm(fi.lm, fj.lm)
+            mi, mj = mono_div(lcm_ij, fi.lm), mono_div(lcm_ij, fj.lm)
+            s, den = _ip_combine((fi.terms, fi.lc), mi, (fj.terms, fj.lc), mj)
             self.budget.spend()
-            rem, mults = self._reduce(s)
-            if not rem.is_zero():
+            rem, mults = _reduce_terms(s, den, rows, order, self.budget)
+            if rem[0]:
                 self._append_row(rem, ("pair", i, mi, j, mj), mults)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the current basis (no witness)."""
-        return self._reduce(p)[0]
+        return _ip_to_poly(self._reduce(_ip_of(p))[0], self.table)
 
     def normal_form_with_witness(self, p: Polynomial) -> tuple[Polynomial, list[Polynomial]]:
         """Reduce p; returns (remainder, cofactors w.r.t. the generators) with
         p == remainder + sum cofactors[j]*generators[j]."""
-        rem, mults = self._reduce(p)
-        return rem, self._witness(mults)
+        rem, mults = self._reduce(_ip_of(p))
+        return (_ip_to_poly(rem, self.table),
+                [_ip_to_poly(c, self.table) for c in self._witness(mults)])
 
     def reduced_basis(self) -> GroebnerBasis:
         """Inter-reduced, monic, deterministic view of the current basis."""
@@ -418,21 +463,18 @@ class BuchbergerState:
             kept.append(self.rows[idx])
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
-            rem_terms, multipliers = _reduce_terms(dict(row.poly.terms), others,
-                                                   order, self.budget)
+            rem, multipliers = _reduce_terms(dict(row.terms), row.lc, others,
+                                             order, self.budget)
             cofs = dict(row.cofs)
             _apply_multipliers(cofs, others, multipliers)
-            rem = Polynomial(self.table, rem_terms, _normalized=True)
-            _, lc = rem.leading(order)
-            if lc != 1:
-                inv = Fraction(1) / lc
-                rem = rem.scale(inv)
-                cofs = {k: _ip_scale(c, inv) for k, c in cofs.items()}
-            kept[idx] = _Row(rem, order)
-            kept[idx].cofs = cofs
+            new = _Row(rem, order)
+            if new.scale != 1:
+                cofs = {k: _ip_scale(c, new.scale) for k, c in cofs.items()}
+            new.cofs = cofs
+            kept[idx] = new
         return GroebnerBasis(
             generators=tuple(self.gens),
-            basis=tuple(r.poly for r in kept),
+            basis=tuple(r.monic(self.table) for r in kept),
             order=order,
             transform=tuple(tuple(_ip_to_poly(r.cofs.get(j, _IP_ZERO), self.table)
                                   for j in range(len(self.gens)))
@@ -472,20 +514,21 @@ def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
     for g in gens:
         state.add_generator(g)
     state.complete()
-    rem, mults = state._reduce(p)
-    if not rem.is_zero():
+    q = _ip_of(p)
+    rem, mults = state._reduce(q)
+    if rem[0]:
         return None
     cofs = state._witness(mults)
-    _assert_recombines(p, cofs, gens)
-    return MembershipWitness(tuple(cofs))
+    _assert_recombines(q, cofs, state.gen_ips)
+    return MembershipWitness(tuple(_ip_to_poly(c, p.table) for c in cofs))
 
 
-def _assert_recombines(p: Polynomial, cofs: Sequence[Polynomial],
-                       gens: Sequence[Polynomial]) -> None:
-    acc = Polynomial.zero(p.table)
+def _assert_recombines(q: _IPoly, cofs: Sequence[_IPoly], gens: Sequence[_IPoly]) -> None:
+    """Exact check q == sum cofs[j] * gens[j] on integer forms."""
+    acc = q
     for h, g in zip(cofs, gens):
-        acc = acc + h * g
-    if acc != p:
+        acc = _ip_submul(acc, g, h)
+    if acc[0]:
         raise AssertionError("witness does not recombine to the queried polynomial")
 
 
@@ -496,9 +539,9 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
     tracking.  With a genuine Groebner basis the result is canonical, so a
     zero remainder decides ideal membership."""
     budget = budget if budget is not None else StepBudget(what="reduction")
-    rows = [_Row(b, order) for b in basis if not b.is_zero()]
-    rem_terms, _ = _reduce_terms(dict(p.terms), rows, order, budget)
-    return Polynomial(p.table, rem_terms, _normalized=True)
+    rows = [_Row(_ip_of(b), order) for b in basis if not b.is_zero()]
+    rem, _ = _reduce_terms(*_ip_of(p), rows, order, budget)
+    return _ip_to_poly(rem, p.table)
 
 
 def stabilize(first: Polynomial, step: Callable[[Polynomial], Polynomial], cap: int,
@@ -515,17 +558,18 @@ def stabilize(first: Polynomial, step: Callable[[Polynomial], Polynomial], cap: 
     """
     state = BuchbergerState(first.table, order, budget)
     chain = [first]
-    rem, mults = state._reduce(first)
+    q = _ip_of(first)
+    rem, mults = state._reduce(q)
     for _ in range(cap):
-        state._add_reduced(chain[-1], rem, mults)
+        state._add_reduced(chain[-1], q, rem, mults)
         state.complete()
-        q = step(chain[-1])
-        chain.append(q)
+        chain.append(step(chain[-1]))
+        q = _ip_of(chain[-1])
         rem, mults = state._reduce(q)
-        if rem.is_zero():
+        if not rem[0]:
             cofs = state._witness(mults)
-            _assert_recombines(q, cofs, chain[:-1])
-            return chain, cofs
+            _assert_recombines(q, cofs, state.gen_ips)
+            return chain, [_ip_to_poly(c, first.table) for c in cofs]
     return chain, None
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError, NonPolynomialError, ResourceError
@@ -89,19 +90,19 @@ def mono_one(n: int) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: Mono, b: Mono) -> bool:
@@ -213,8 +214,8 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and
-                                  next(iter(self.terms)) == mono_one(len(self.table)))
+        return not self.terms or (len(self.terms) == 1
+                                  and not any(next(iter(self.terms))))
 
     def constant_value(self) -> Fraction:
         if self.is_zero():

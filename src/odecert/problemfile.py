@@ -21,6 +21,8 @@ from typing import Optional
 
 from .errors import InputError
 from .hpreduce import HybridProgram
+from .ideals import DEFAULT_RANK_CAP
+from .invariant import DischargeConfig
 from .odecore import OdeSystem
 from .parser import parse_formula, parse_ode, parse_program, parse_term
 from .polyarith import MonomialOrder, Polynomial, VarTable, order_by_name
@@ -41,9 +43,9 @@ class ProblemFile:
     domain: Optional[Formula] = None
     program: Optional[HybridProgram] = None
     post: Optional[Formula] = None
-    seed: int = 0
-    samples: int = 100_000
-    cap: int = 20
+    seed: int = DischargeConfig.seed
+    samples: int = DischargeConfig.samples
+    cap: int = DEFAULT_RANK_CAP
     deg_bound: Optional[int] = None
     order: MonomialOrder = field(default_factory=lambda: order_by_name("grevlex"))
     solver: Optional[str] = None

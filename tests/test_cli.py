@@ -215,6 +215,23 @@ class TestCertCheckCommand:
         bad_path.write_text(json.dumps(doc))
         assert main(["cert-check", str(bad_path)]) == 1
 
+    def test_problem_file_defaults_are_the_cert_check_defaults(self, tmp_path, circle_prob,
+                                                              capsys, monkeypatch):
+        # circle_prob sets none of seed, samples and cap
+        from odecert import cli
+        from odecert.invariant import DischargeConfig
+        args = cli._build_parser().parse_args(["check-alg", circle_prob])
+        config = cli._config(cli._load_problem(circle_prob), args)
+        assert config == DischargeConfig()
+        code, report = run_json(capsys, ["check-alg", circle_prob, "--json"])
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(report["data"]["certificate"]))
+        seen = []
+        monkeypatch.setattr(cli, "check_certificate",
+                            lambda cert, cfg: seen.append(cfg) or True)
+        assert main(["cert-check", str(cert_path)]) == 0
+        assert seen == [config]
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

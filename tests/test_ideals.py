@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 from odecert import (LEX, OdeSystem, Polynomial, ResourceError, VarTable,
                      differential_radical, groebner, higher_lie,
                      member_with_witness, rank, reduce_mod)
+from odecert import ideals
+from odecert.ideals import BuchbergerState
 from odecert.parser import parse_term
+from odecert.polyarith import GREVLEX, mono_div, mono_divides
 
 from conftest import random_nonzero_polynomial, random_system
 
@@ -150,6 +153,109 @@ class TestMembershipProperty:
             for c, g in zip(w.cofactors, gens):
                 acc = acc + c * g
             assert acc == p
+
+
+def _reference_reduce(p, basis, order=GREVLEX):
+    """Term-by-term Fraction reduction: the largest term of the working
+    polynomial is cancelled by the first basis element whose leading
+    monomial divides it, or moved to the remainder."""
+    reducers = [(b.leading(order), b) for b in basis if not b.is_zero()]
+    work, rem = dict(p.terms), {}
+    while work:
+        wm = max(work, key=order.key)
+        wc = work[wm]
+        for (lm, lc), b in reducers:
+            if mono_divides(lm, wm):
+                for m, c in b.mul_term(wc / lc, mono_div(wm, lm)).terms.items():
+                    work[m] = work.get(m, 0) - c
+                    if not work[m]:
+                        del work[m]
+                break
+        else:
+            rem[wm] = work.pop(wm)
+    return Polynomial(p.table, rem)
+
+
+# rational, non-monic coefficients with large numerators and denominators
+_big_rationals = st.builds(Fraction, st.integers(-10**15, 10**15).filter(bool),
+                           st.integers(1, 10**15))
+_rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _big_rationals,
+    min_size=1, max_size=4)
+
+
+class TestIntegerReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(basis=st.lists(_rational_polys, min_size=1, max_size=3), target=_rational_polys)
+    def test_reduce_mod_matches_the_fraction_reference(self, basis, target):
+        xy = VarTable(["x", "y"])
+        basis = [_poly(xy, b) for b in basis]
+        p = _poly(xy, target)
+        rem = reduce_mod(p, basis)
+        assert rem == _reference_reduce(p, basis)
+        # the leading coefficients of the reducers do not change the remainder
+        assert rem == reduce_mod(p, [b.monic() for b in basis])
+
+    @settings(max_examples=40, deadline=None)
+    @given(gens=st.lists(_rational_polys, min_size=1, max_size=2), target=_rational_polys,
+           scales=st.lists(_big_rationals, min_size=8, max_size=8))
+    def test_normal_form_with_witness_recombines(self, gens, target, scales):
+        xy = VarTable(["x", "y"])
+        gens = [_poly(xy, g) for g in gens]
+        p = _poly(xy, target)
+        state = BuchbergerState(xy)
+        for g in gens:
+            state.add_generator(g)
+        state.complete()
+        rem, cofs = state.normal_form_with_witness(p)
+        acc = rem
+        for c, g in zip(cofs, gens):
+            acc = acc + c * g
+        assert acc == p
+        basis = groebner(gens).basis
+        assert rem == reduce_mod(p, basis) == _reference_reduce(p, basis)
+        nonmonic = [b.scale(scales[k % len(scales)]) for k, b in enumerate(basis)]
+        assert reduce_mod(p, nonmonic) == rem
+
+
+def _wrong_scale(monkeypatch):
+    init = ideals._Row.__init__
+
+    def init_then_double(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.scale *= 2
+
+    monkeypatch.setattr(ideals._Row, "__init__", init_then_double)
+
+
+def _wrong_multiplier(monkeypatch):
+    ip_sum = ideals._ip_sum
+
+    def doubled(parts):
+        terms, den = ip_sum(parts)
+        return {m: 2 * v for m, v in terms.items()}, den
+
+    monkeypatch.setattr(ideals, "_ip_sum", doubled)
+
+
+class TestRecombinationGuard:
+    """The exact recombination check must catch a wrong derivation record."""
+
+    @pytest.mark.parametrize("corrupt", [_wrong_scale, _wrong_multiplier])
+    def test_member_with_witness_raises(self, xy, corrupt, monkeypatch):
+        p, gens = P("x^2 + 3*x*y", xy), [P("2*x", xy)]
+        assert member_with_witness(p, gens) is not None
+        corrupt(monkeypatch)
+        with pytest.raises(AssertionError):
+            member_with_witness(p, gens)
+
+    @pytest.mark.parametrize("corrupt", [_wrong_scale, _wrong_multiplier])
+    def test_rank_raises(self, xy, swap_sys, corrupt, monkeypatch):
+        # chain 3*x, 3*y; L(3*y) = 3*x reduces by the row of 3*x
+        assert rank(P("3*x", xy), swap_sys).n == 2
+        corrupt(monkeypatch)
+        with pytest.raises(AssertionError):
+            rank(P("3*x", xy), swap_sys)
 
 
 # (p, [x', y'], rank, rendered cofactors, whether <p, ..., L^{n-1} p> = <1>);

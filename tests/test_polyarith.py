@@ -56,6 +56,18 @@ class TestRingOps:
         p = P("x + y", t3) - P("x", t3) - P("y", t3)
         assert p.is_zero() and p.terms == {}
 
+    @pytest.mark.parametrize("names", [["x"], ["x", "y", "z"]])
+    def test_is_constant(self, names):
+        # a table of 0 variables cannot be built, so 1 and 3 cover the arities
+        t = VarTable(names)
+        with pytest.raises(InputError):
+            VarTable([])
+        assert Polynomial.zero(t).is_constant()
+        assert Polynomial.constant(t, Fraction(-3, 7)).is_constant()
+        assert P("x - x + 5", t).is_constant()
+        for text in ["x", "x + 1", "2*x^3"] + (["z", "y*z - 1"] if len(t) == 3 else []):
+            assert not P(text, t).is_constant()
+
 
 class TestRandomizedAlgebra:
     def test_ring_axioms(self, t3):
