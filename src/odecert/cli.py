@@ -3,7 +3,8 @@
 Each subcommand reads a problem file (except cert-check, which reads a
 certificate JSON) and writes a human summary to stdout, or a deterministic
 JSON report with --json.  Exit codes: 0 invariant/success, 1 not-invariant or
-refuted, 2 unknown, 3 input error, 4 resource error.
+refuted, 2 unknown, 3 input error, 4 resource error, 5 internal error (any
+other exception: a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -38,6 +40,7 @@ EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 _VERDICT_EXIT = {"invariant": EXIT_OK, "not_invariant": EXIT_REFUTED,
                  "unknown": EXIT_UNKNOWN}
@@ -144,8 +147,9 @@ def _run_command(args) -> tuple[dict, int, int]:
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid certificate JSON: {exc}") from None
         cert = certificate_from_json(doc)
-        solver = SolverConfig(args.solver, timeout=args.solver_timeout or 60.0) \
-            if args.solver else None
+        timeout = args.solver_timeout if args.solver_timeout is not None \
+            else SolverConfig.timeout
+        solver = SolverConfig(args.solver, timeout=timeout) if args.solver else None
         given = {"samples": args.samples, "seed": args.seed, "rank_cap": args.cap}
         config = DischargeConfig(solver=solver,  # unset options keep its defaults
                                  **{k: v for k, v in given.items() if v is not None})
@@ -349,6 +353,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OdecertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
     elapsed_ms = int((time.monotonic() - started) * 1000)
     report = {
         "version": 1,

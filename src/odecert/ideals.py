@@ -11,13 +11,17 @@ original generators, once per row.  Those cofactors are what the
 certificates replay; each one returned is first checked to recombine to
 the queried polynomial exactly.
 
-The engine computes in integers.  A row is a primitive integer term map
-with a positive leading coefficient, standing for its monic multiple.  A
-reduction keeps its working map over one common denominator and takes
-fraction-free steps, removing the content whenever the denominator grows;
-it picks the same reducer and monomial, and so reaches the same exact
-remainder and multipliers, as a reduction in ``Fraction`` would.
-``Polynomial`` appears only at the API boundary.
+The engine computes on ``Polynomial``'s own integer form (numerators over
+one common denominator); the one ``Fraction`` it keeps is each row's
+scale.  A monic row is a ``Polynomial`` whose numerators are primitive
+over the denominator ``lc``, their leading one.  A reduction updates a
+copy of the numerator map in place, taking fraction-free steps and
+removing the content whenever the denominator grows; it picks the same
+reducer and monomial, and so reaches the same exact remainder and
+multipliers, as a reduction in ``Fraction`` would.  S-polynomials,
+multipliers, cofactors and the recombination check are ``Polynomial``
+operations, and each materialised cofactor is summed over one
+denominator.
 
 ``stabilize`` is the one ascending-chain loop: it grows q_0, q_1 = step(q_0),
 ... on a single incremental basis until q_k lies in <q_0, ..., q_{k-1}>.
@@ -38,7 +42,7 @@ from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
 from .polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
                         mono_coprime, mono_div, mono_divides, mono_lcm,
-                        mono_mul, mono_one)
+                        mono_mul, sum_of_products)
 
 DEFAULT_STEP_BUDGET = 400_000
 DEFAULT_RANK_CAP = 20
@@ -71,13 +75,8 @@ class GroebnerBasis:
     transform: tuple[tuple[Polynomial, ...], ...]
 
     def recombination_holds(self) -> bool:
-        for b, row in zip(self.basis, self.transform):
-            acc = Polynomial.zero(b.table)
-            for h, g in zip(row, self.generators):
-                acc = acc + h * g
-            if acc != b:
-                return False
-        return True
+        return all(sum_of_products(b.table, zip(row, self.generators)) == b
+                   for b, row in zip(self.basis, self.transform))
 
     def render(self) -> str:
         """Diagnostic dump, one canonical polynomial per line."""
@@ -102,139 +101,29 @@ class RankResult:
     chain: tuple[Polynomial, ...] = field(default=(), compare=False)
 
 
-# Every polynomial inside the engine is an integer term map over one
-# positive common denominator: plain int arithmetic avoids the per-operation
-# gcd normalization of Fraction.  Basis rows, the working map of a
-# reduction, its multipliers and the materialised cofactors all use this
-# form; Polynomial is built only at the API boundary.
-_IPoly = tuple[dict, int]
-
-_IP_ZERO: _IPoly = ({}, 1)
-
-
-def _ip_unit(mono) -> _IPoly:
-    return ({mono: 1}, 1)
-
-
-def _ip_of(p: Polynomial) -> _IPoly:
-    """The integer form of a polynomial entering the engine."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return ({m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}, den)
-
-
-def _ip_to_poly(ip: _IPoly, table: VarTable) -> Polynomial:
-    terms, den = ip
-    return Polynomial(table, {m: Fraction(n, den) for m, n in terms.items() if n},
-                      _normalized=True)
-
-
-def _ip_normalize(terms: dict, den: int) -> _IPoly:
-    if not terms:
-        return ({}, 1)
-    g = gcd(den, *terms.values())
-    if g > 1:
-        terms = {m: v // g for m, v in terms.items()}
-        den //= g
-    return (terms, den)
-
-
-def _ip_scale(ip: _IPoly, c: Fraction) -> _IPoly:
-    if c == 0:
-        return _IP_ZERO
-    terms, den = ip
-    out = {m: v * c.numerator for m, v in terms.items()}
-    return _ip_normalize(out, den * c.denominator)
-
-
-def _ip_combine(a: _IPoly, ma, b: _IPoly, mb) -> _IPoly:
-    """x^ma * a - x^mb * b (the s-pair combination for monic rows)."""
-    (ta, da), (tb, db) = a, b
-    den = da * db // gcd(da, db)
-    fa, fb = den // da, den // db
-    out: dict = {}
-    for m, v in ta.items():
-        out[mono_mul(m, ma)] = v * fa
-    for m, v in tb.items():
-        mm = mono_mul(m, mb)
-        s = out.get(mm, 0) - v * fb
-        if s:
-            out[mm] = s
-        else:
-            out.pop(mm, None)
-    return _ip_normalize(out, den)
-
-
-def _ip_submul(a: _IPoly, b: _IPoly, mult: _IPoly) -> _IPoly:
-    """a - b * mult."""
-    (ta, da), (tb, db), (tm, dm) = a, b, mult
-    if not tb or not tm:
-        return a
-    prod: dict = {}
-    for m1, v1 in tb.items():
-        for m2, v2 in tm.items():
-            mm = mono_mul(m1, m2)
-            s = prod.get(mm, 0) + v1 * v2
-            if s:
-                prod[mm] = s
-            else:
-                prod.pop(mm, None)
-    dp = db * dm
-    den = da * dp // gcd(da, dp)
-    fa, fp = den // da, den // dp
-    out = {m: v * fa for m, v in ta.items()}
-    for m, v in prod.items():
-        s = out.get(m, 0) - v * fp
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return _ip_normalize(out, den)
-
-
-def _ip_sum(parts: list[tuple]) -> _IPoly:
-    """sum of num/den * x^m over the (m, num, den) triples."""
-    den = lcm(*(d for _, _, d in parts))
-    out: dict = {}
-    for m, num, d in parts:
-        out[m] = out.get(m, 0) + num * (den // d)
-    return _ip_normalize({m: v for m, v in out.items() if v}, den)
-
-
 class _Row:
     """A basis row (or a reducer of ``reduce_mod``) and how it was made.
 
-    The row stands for the monic polynomial terms / lc: ``terms`` is a
-    primitive integer term map and ``lc`` its positive leading coefficient,
-    at ``lm``.  It is made from a nonzero integer form (t, den); ``scale``
-    is den over the leading coefficient of t, the factor that takes t / den
-    to the monic row.  ``origin`` is ``("gen", j)`` for a reduced generator
-    or ``("pair", i, mi, j, mj)`` for the S-polynomial x^mi*rows[i] -
-    x^mj*rows[j]; ``mults`` are the multipliers of its reduction.  ``cofs``
-    is the sparse {generator index: _IPoly} cofactor map, filled on first
-    demand.
+    ``poly`` is the monic row: primitive integer numerators over the
+    denominator ``lc``, which is also their positive leading coefficient,
+    at ``lm``.  ``scale`` is the factor that takes the polynomial the row
+    was made from to ``poly``.  ``origin`` is ``("gen", j)`` for a reduced
+    generator or ``("pair", i, mi, j, mj)`` for the S-polynomial
+    x^mi*rows[i] - x^mj*rows[j]; ``mults`` are the multipliers of its
+    reduction.  ``cofs`` is the sparse {generator index: cofactor} map,
+    filled on first demand.
     """
-    __slots__ = ("terms", "lm", "lc", "origin", "mults", "scale", "cofs")
+    __slots__ = ("poly", "lm", "lc", "origin", "mults", "scale", "cofs")
 
-    def __init__(self, ip: _IPoly, order: MonomialOrder, origin=None,
-                 mults: Optional[dict[int, _IPoly]] = None):
-        terms, den = ip
-        lm = max(terms, key=order.key)
-        lead = terms[lm]
-        g = gcd(*terms.values())
-        if lead < 0:
-            g = -g
-        if g != 1:
-            terms = {m: v // g for m, v in terms.items()}
-        self.terms = terms
-        self.lm = lm
-        self.lc = lead // g
-        self.scale = Fraction(den, lead)
+    def __init__(self, p: Polynomial, order: MonomialOrder, origin=None,
+                 mults: Optional[dict[int, Polynomial]] = None):
+        self.lm = max(p.nums, key=order.key)
+        self.scale = Fraction(p.den, p.nums[self.lm])
+        self.poly = p.scale(self.scale)
+        self.lc = self.poly.den
         self.origin = origin
         self.mults = mults
-        self.cofs: Optional[dict[int, _IPoly]] = None
-
-    def monic(self, table: VarTable) -> Polynomial:
-        return _ip_to_poly((self.terms, self.lc), table)
+        self.cofs: Optional[dict[int, Polynomial]] = None
 
     def parents(self) -> list[int]:
         deps = list(self.mults)
@@ -243,23 +132,33 @@ class _Row:
         return deps
 
 
-def _reduce_terms(terms: dict, den: int, rows: Sequence[_Row], order: MonomialOrder,
-                  budget: StepBudget) -> tuple[_IPoly, dict[int, _IPoly]]:
-    """Fully reduce terms / den against ``rows``, fraction-free.
+def _multiplier(table: VarTable, parts: list[tuple]) -> Polynomial:
+    """sum of num/den * x^m over the (m, num, den) steps of one reducer."""
+    den = lcm(*(d for _, _, d in parts))
+    out: dict = {}
+    for m, num, d in parts:
+        out[m] = out.get(m, 0) + num * (den // d)
+    return Polynomial.from_ints(table, {m: v for m, v in out.items() if v}, den)
 
-    ``terms`` is an integer term map, consumed, over the positive common
-    denominator ``den``.  Each step takes the leading term wc*x^w of the
-    working map and the first row R / a (R integer, a > 0) whose leading
-    monomial divides x^w, with x^m = x^w / lm(R) and g = gcd(wc, a), and
-    sets  work <- (a/g)*work - (wc/g)*x^m*R,  den <- (a/g)*den.  That
-    subtracts the same multiple of the monic row as a rational step would,
-    so remainder and multipliers are the same exact rationals.  Whenever
-    the denominator grows, the content common to it and to every
-    coefficient of the working map and of the remainder is divided out.
 
-    Returns (remainder, multipliers): the input equals
-    remainder + sum_i multipliers[i] * (monic rows[i]).  Every step records
-    its multiplier as an integer numerator over that step's denominator.
+def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
+                  budget: StepBudget) -> tuple[Polynomial, dict[int, Polynomial]]:
+    """Fully reduce p against ``rows``, fraction-free.
+
+    The working map starts as p's integer numerators over p's denominator
+    and is updated in place.  Each step takes its leading term wc*x^w and
+    the first row R / a (R the row's numerators, a > 0 its leading one)
+    whose leading monomial divides x^w, with x^m = x^w / lm(R) and
+    g = gcd(wc, a), and sets  work <- (a/g)*work - (wc/g)*x^m*R,
+    den <- (a/g)*den.  That subtracts the same multiple of the monic row as
+    a rational step would, so remainder and multipliers are the same exact
+    rationals.  Whenever the denominator grows, the content common to it
+    and to every coefficient of the working map and of the remainder is
+    divided out.
+
+    Returns (remainder, multipliers): p equals
+    remainder + sum_i multipliers[i] * rows[i].poly.  Every step records its
+    multiplier as an integer numerator over that step's denominator.
     """
     key = order.key
     key_cache: dict = {}
@@ -271,7 +170,8 @@ def _reduce_terms(terms: dict, den: int, rows: Sequence[_Row], order: MonomialOr
             key_cache[m] = k
         return k
 
-    work = terms
+    work = dict(p.nums)
+    den = p.den
     rem: dict = {}
     steps: dict[int, list] = {}
     while work:
@@ -287,7 +187,7 @@ def _reduce_terms(terms: dict, den: int, rows: Sequence[_Row], order: MonomialOr
                     rem = {mm: v * f for mm, v in rem.items()}
                     den *= f
                 m = mono_div(wm, row.lm)
-                for m0, c0 in row.terms.items():
+                for m0, c0 in row.poly.nums.items():
                     mm = mono_mul(m0, m)
                     s = work.get(mm, 0) - c * c0
                     if s:
@@ -306,20 +206,31 @@ def _reduce_terms(terms: dict, den: int, rows: Sequence[_Row], order: MonomialOr
         else:
             rem[wm] = wc
             del work[wm]
-    return (rem, den), {ridx: _ip_sum(parts) for ridx, parts in steps.items()}
+    table = p.table
+    return (Polynomial.from_ints(table, rem, den),
+            {ridx: _multiplier(table, parts) for ridx, parts in steps.items()})
 
 
-def _apply_multipliers(cofs: dict[int, _IPoly], rows: Sequence[_Row],
-                       multipliers: dict[int, _IPoly]) -> None:
-    """cofs[j] -= sum_i multipliers[i] * rows[i].cofs[j], in place; the
-    cofactors of the rows used must already be materialised."""
-    for ridx, mult in multipliers.items():
-        for j, rj in rows[ridx].cofs.items():
-            c = _ip_submul(cofs.get(j, _IP_ZERO), rj, mult)
-            if c[0]:
-                cofs[j] = c
-            else:
-                cofs.pop(j, None)
+def _combine(table: VarTable, parts) -> dict[int, Polynomial]:
+    """{j: sum of h * cofs[j] over the (h, cofs) parts} for every generator
+    index j, each cofactor summed over one denominator."""
+    by_gen: dict[int, list] = {}
+    for h, cofs in parts:
+        for j, c in cofs.items():
+            by_gen.setdefault(j, []).append((h, c))
+    out = {}
+    for j, pairs in by_gen.items():
+        c = sum_of_products(table, pairs)
+        if c:
+            out[j] = c
+    return out
+
+
+def _reduced_parts(rows: Sequence[_Row], mults: dict[int, Polynomial], factor: Fraction):
+    """The parts (-factor * mults[i], rows[i].cofs) that subtract the
+    reducers of a reduction; the cofactors of those rows must already be
+    materialised."""
+    return [(m.scale(-factor), rows[i].cofs) for i, m in mults.items()]
 
 
 class BuchbergerState:
@@ -339,15 +250,14 @@ class BuchbergerState:
         self.order = order
         self.budget = budget if budget is not None else StepBudget()
         self.gens: list[Polynomial] = []
-        self.gen_ips: list[_IPoly] = []  # integer forms of gens
         self.rows: list[_Row] = []
         self._pairs: list[tuple] = []  # heap of (lcm_key, i, j)
 
     # -- internals ---------------------------------------------------------
 
-    def _reduce(self, q: _IPoly) -> tuple[_IPoly, dict[int, _IPoly]]:
+    def _reduce(self, q: Polynomial) -> tuple[Polynomial, dict[int, Polynomial]]:
         """Full reduction modulo the current rows: (remainder, multipliers)."""
-        return _reduce_terms(dict(q[0]), q[1], self.rows, self.order, self.budget)
+        return _reduce_terms(q, self.rows, self.order, self.budget)
 
     def _push_pairs(self, new_index: int) -> None:
         order = self.order
@@ -359,7 +269,8 @@ class BuchbergerState:
             key = order.key(mono_lcm(lm_i, lm_new))
             heapq.heappush(self._pairs, (key, i, new_index))
 
-    def _append_row(self, rem: _IPoly, origin: tuple, mults: dict[int, _IPoly]) -> None:
+    def _append_row(self, rem: Polynomial, origin: tuple,
+                    mults: dict[int, Polynomial]) -> None:
         row = _Row(rem, self.order, origin, mults)
         self.rows.append(row)
         if not any(row.lm):
@@ -367,20 +278,18 @@ class BuchbergerState:
         else:
             self._push_pairs(len(self.rows) - 1)
 
-    def _add_reduced(self, g: Polynomial, g_ip: _IPoly, rem: _IPoly,
-                     mults: dict[int, _IPoly]) -> None:
-        """Add generator g, of integer form g_ip, whose reduction modulo the
-        current rows is given."""
+    def _add_reduced(self, g: Polynomial, rem: Polynomial,
+                     mults: dict[int, Polynomial]) -> None:
+        """Add generator g, whose reduction modulo the current rows is given."""
         self.gens.append(g)
-        self.gen_ips.append(g_ip)
-        if rem[0]:
+        if rem:
             self._append_row(rem, ("gen", len(self.gens) - 1), mults)
 
     def _materialise(self, roots) -> None:
         """Fill ``cofs`` of rows[i] for i in roots and of every row they
         derive from, parents first, without recursion."""
-        rows = self.rows
-        one = _ip_unit(mono_one(len(self.table)))
+        rows, table = self.rows, self.table
+        one = Polynomial.one(table)
         stack = [i for i in roots if rows[i].cofs is None]
         while stack:
             row = rows[stack[-1]]
@@ -392,40 +301,29 @@ class BuchbergerState:
                 stack.extend(missing)
                 continue
             stack.pop()
+            s = row.scale
             if row.origin[0] == "gen":
-                cofs = {row.origin[1]: one}
+                parts = [(Polynomial.constant(table, s), {row.origin[1]: one})]
             else:
-                # rows are monic, so the s-pair cofactors combine with unit scalars
+                # the rows are monic: the S-polynomial is x^mi*rows[i] - x^mj*rows[j]
                 _, i, mi, j, mj = row.origin
-                a, b = rows[i].cofs, rows[j].cofs
-                cofs = {}
-                for k in a.keys() | b.keys():
-                    c = _ip_combine(a.get(k, _IP_ZERO), mi, b.get(k, _IP_ZERO), mj)
-                    if c[0]:
-                        cofs[k] = c
-            _apply_multipliers(cofs, rows, row.mults)
-            if row.scale != 1:
-                cofs = {k: _ip_scale(c, row.scale) for k, c in cofs.items()}
-            row.cofs = cofs
+                parts = [(one.mul_term(s, mi), rows[i].cofs),
+                         (one.mul_term(-s, mj), rows[j].cofs)]
+            row.cofs = _combine(table, parts + _reduced_parts(rows, row.mults, s))
 
-    def _witness(self, mults: dict[int, _IPoly]) -> list[_IPoly]:
+    def _witness(self, mults: dict[int, Polynomial]) -> list[Polynomial]:
         """Cofactors w.r.t. the generators of sum_i mults[i] * rows[i]."""
         self._materialise(mults)
-        cofs: dict[int, _IPoly] = {}
-        _apply_multipliers(cofs, self.rows, mults)
-        out = []
-        for j in range(len(self.gens)):
-            terms, den = cofs.get(j, _IP_ZERO)
-            out.append(({m: -v for m, v in terms.items()}, den))
-        return out
+        cofs = _combine(self.table, _reduced_parts(self.rows, mults, Fraction(-1)))
+        zero = Polynomial.zero(self.table)
+        return [cofs.get(j, zero) for j in range(len(self.gens))]
 
     # -- public ------------------------------------------------------------
 
     def add_generator(self, g: Polynomial) -> None:
         if g.table != self.table:
             raise InputError("generator over a different variable table")
-        g_ip = _ip_of(g)
-        self._add_reduced(g, g_ip, *self._reduce(g_ip))
+        self._add_reduced(g, *self._reduce(g))
 
     def complete(self) -> None:
         """Run Buchberger's loop to quiescence (normal strategy)."""
@@ -435,26 +333,25 @@ class BuchbergerState:
             fi, fj = rows[i], rows[j]
             lcm_ij = mono_lcm(fi.lm, fj.lm)
             mi, mj = mono_div(lcm_ij, fi.lm), mono_div(lcm_ij, fj.lm)
-            s, den = _ip_combine((fi.terms, fi.lc), mi, (fj.terms, fj.lc), mj)
+            s = fi.poly.mul_term(1, mi) - fj.poly.mul_term(1, mj)
             self.budget.spend()
-            rem, mults = _reduce_terms(s, den, rows, order, self.budget)
-            if rem[0]:
+            rem, mults = _reduce_terms(s, rows, order, self.budget)
+            if rem:
                 self._append_row(rem, ("pair", i, mi, j, mj), mults)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the current basis (no witness)."""
-        return _ip_to_poly(self._reduce(_ip_of(p))[0], self.table)
+        return self._reduce(p)[0]
 
     def normal_form_with_witness(self, p: Polynomial) -> tuple[Polynomial, list[Polynomial]]:
         """Reduce p; returns (remainder, cofactors w.r.t. the generators) with
         p == remainder + sum cofactors[j]*generators[j]."""
-        rem, mults = self._reduce(_ip_of(p))
-        return (_ip_to_poly(rem, self.table),
-                [_ip_to_poly(c, self.table) for c in self._witness(mults)])
+        rem, mults = self._reduce(p)
+        return rem, self._witness(mults)
 
     def reduced_basis(self) -> GroebnerBasis:
         """Inter-reduced, monic, deterministic view of the current basis."""
-        order = self.order
+        order, table = self.order, self.table
         kept: list[_Row] = []
         for idx in sorted(range(len(self.rows)), key=lambda i: order.key(self.rows[i].lm)):
             if any(mono_divides(k.lm, self.rows[idx].lm) for k in kept):
@@ -463,21 +360,17 @@ class BuchbergerState:
             kept.append(self.rows[idx])
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
-            rem, multipliers = _reduce_terms(dict(row.terms), row.lc, others,
-                                             order, self.budget)
-            cofs = dict(row.cofs)
-            _apply_multipliers(cofs, others, multipliers)
+            rem, multipliers = _reduce_terms(row.poly, others, order, self.budget)
             new = _Row(rem, order)
-            if new.scale != 1:
-                cofs = {k: _ip_scale(c, new.scale) for k, c in cofs.items()}
-            new.cofs = cofs
+            new.cofs = _combine(table, [(Polynomial.constant(table, new.scale), row.cofs)]
+                                + _reduced_parts(others, multipliers, new.scale))
             kept[idx] = new
+        zero = Polynomial.zero(table)
         return GroebnerBasis(
             generators=tuple(self.gens),
-            basis=tuple(r.monic(self.table) for r in kept),
+            basis=tuple(r.poly for r in kept),
             order=order,
-            transform=tuple(tuple(_ip_to_poly(r.cofs.get(j, _IP_ZERO), self.table)
-                                  for j in range(len(self.gens)))
+            transform=tuple(tuple(r.cofs.get(j, zero) for j in range(len(self.gens)))
                             for r in kept),
         )
 
@@ -514,21 +407,18 @@ def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
     for g in gens:
         state.add_generator(g)
     state.complete()
-    q = _ip_of(p)
-    rem, mults = state._reduce(q)
-    if rem[0]:
+    rem, mults = state._reduce(p)
+    if rem:
         return None
     cofs = state._witness(mults)
-    _assert_recombines(q, cofs, state.gen_ips)
-    return MembershipWitness(tuple(_ip_to_poly(c, p.table) for c in cofs))
+    _assert_recombines(p, cofs, state.gens)
+    return MembershipWitness(tuple(cofs))
 
 
-def _assert_recombines(q: _IPoly, cofs: Sequence[_IPoly], gens: Sequence[_IPoly]) -> None:
-    """Exact check q == sum cofs[j] * gens[j] on integer forms."""
-    acc = q
-    for h, g in zip(cofs, gens):
-        acc = _ip_submul(acc, g, h)
-    if acc[0]:
+def _assert_recombines(q: Polynomial, cofs: Sequence[Polynomial],
+                       gens: Sequence[Polynomial]) -> None:
+    """Exact check q == sum cofs[j] * gens[j]."""
+    if sum_of_products(q.table, zip(cofs, gens)) != q:
         raise AssertionError("witness does not recombine to the queried polynomial")
 
 
@@ -539,9 +429,8 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
     tracking.  With a genuine Groebner basis the result is canonical, so a
     zero remainder decides ideal membership."""
     budget = budget if budget is not None else StepBudget(what="reduction")
-    rows = [_Row(_ip_of(b), order) for b in basis if not b.is_zero()]
-    rem, _ = _reduce_terms(*_ip_of(p), rows, order, budget)
-    return _ip_to_poly(rem, p.table)
+    rows = [_Row(b, order) for b in basis if b]
+    return _reduce_terms(p, rows, order, budget)[0]
 
 
 def stabilize(first: Polynomial, step: Callable[[Polynomial], Polynomial], cap: int,
@@ -558,18 +447,16 @@ def stabilize(first: Polynomial, step: Callable[[Polynomial], Polynomial], cap: 
     """
     state = BuchbergerState(first.table, order, budget)
     chain = [first]
-    q = _ip_of(first)
-    rem, mults = state._reduce(q)
+    rem, mults = state._reduce(first)
     for _ in range(cap):
-        state._add_reduced(chain[-1], q, rem, mults)
+        state._add_reduced(chain[-1], rem, mults)
         state.complete()
         chain.append(step(chain[-1]))
-        q = _ip_of(chain[-1])
-        rem, mults = state._reduce(q)
-        if not rem[0]:
+        rem, mults = state._reduce(chain[-1])
+        if not rem:
             cofs = state._witness(mults)
-            _assert_recombines(q, cofs, state.gen_ips)
-            return chain, [_ip_to_poly(c, first.table) for c in cofs]
+            _assert_recombines(chain[-1], cofs, state.gens)
+            return chain, cofs
     return chain, None
 
 

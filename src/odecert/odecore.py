@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionError, InputError
-from .polyarith import Polynomial, PolyMatrix, VarTable
+from .polyarith import Polynomial, PolyMatrix, VarTable, sum_of_products
 
 
 class OdeSystem:
@@ -44,12 +44,6 @@ class OdeSystem:
     def from_pairs(cls, table: VarTable, pairs: Sequence[tuple[str, Polynomial]]) -> "OdeSystem":
         return cls(table, [table.index(n) for n, _ in pairs], [f for _, f in pairs])
 
-    def rhs_of(self, i: int) -> Polynomial:
-        for k, vi in enumerate(self.var_indices):
-            if vi == i:
-                return self.rhs[k]
-        raise InputError(f"variable {self.table.name(i)} does not evolve in this system")
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, OdeSystem) and self.table == other.table
                 and self.var_indices == other.var_indices and self.rhs == other.rhs)
@@ -81,12 +75,8 @@ def lie_derivative(p: Polynomial, sys: OdeSystem) -> Polynomial:
     """Directional derivative of p along the vector field: sum dp/dx_i * f_i."""
     if p.table != sys.table:
         raise InputError("polynomial and system use different variable tables")
-    acc = Polynomial.zero(sys.table)
-    for i, f in zip(sys.var_indices, sys.rhs):
-        d = p.partial_derivative(i)
-        if not d.is_zero():
-            acc = acc + d * f
-    return acc
+    return sum_of_products(sys.table, [(p.partial_derivative(i), f)
+                                       for i, f in zip(sys.var_indices, sys.rhs)])
 
 
 def higher_lie(p: Polynomial, sys: OdeSystem, i: int) -> Polynomial:

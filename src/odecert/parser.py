@@ -6,7 +6,9 @@ Grammar summary (standard precedence):
   formula  : comparisons  = != >= > <= <  over terms, connectives ! & | ->
   ode      : x' = term, y' = term, ...
   program  : x := e | ? r != 0 | { ode [& r != 0] } | a ; b | a ++ b | { a }*
-Errors carry 1-based line/column positions.
+Errors carry 1-based line/column positions.  Nesting (parentheses, unary
+minus, ``!`` and program braces) deeper than ``MAX_NESTING`` levels is an
+input error, so parsing cannot exhaust the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .hpreduce import (Assign, Choice, HybridProgram, Ode, Seq, Star, Test)
 from .odecore import OdeSystem
 from .polyarith import Polynomial, VarTable
 from .semalg import (FALSE, TRUE, And, Atom, Formula, Implies, Not, Or)
+
+# deepest nesting accepted; each level costs at most six parser frames
+MAX_NESTING = 100
 
 _SYMBOLS = ("++", ":=", "->", "!=", ">=", "<=", "'", "(", ")", "{", "}", ",",
             ";", "?", "+", "-", "*", "/", "^", "&", "|", "!", "=", ">", "<")
@@ -85,6 +90,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.table = table
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -117,6 +123,16 @@ class _Parser:
         tok = self.peek()
         raise InputError(message, tok.line, tok.column)
 
+    def nested(self, parse):
+        """``parse()`` one nesting level deeper."""
+        if self.depth >= MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> Polynomial:
@@ -146,7 +162,7 @@ class _Parser:
     def unary(self) -> Polynomial:
         if self.at_sym("-"):
             self.next()
-            return -self.unary()
+            return -self.nested(self.unary)
         if self.at_sym("+"):
             self.next()
             return self.unary()
@@ -178,7 +194,7 @@ class _Parser:
             return Polynomial.variable(self.table, tok.text)
         if self.at_sym("("):
             self.next()
-            node = self.term()
+            node = self.nested(self.term)
             self.eat_sym(")")
             return node
         self.fail("expected a term")
@@ -209,7 +225,7 @@ class _Parser:
     def negation(self) -> Formula:
         if self.at_sym("!"):
             self.next()
-            return Not(self.negation())
+            return Not(self.nested(self.negation))
         return self.formula_atom()
 
     def formula_atom(self) -> Formula:
@@ -229,7 +245,7 @@ class _Parser:
             except InputError:
                 self.pos = save
             self.next()
-            node = self.formula()
+            node = self.nested(self.formula)
             self.eat_sym(")")
             return node
         return self.comparison()
@@ -298,7 +314,7 @@ class _Parser:
                     r = self.disequation()
                 self.eat_sym("}")
                 return Ode(sys, r)
-            inner = self.program()
+            inner = self.nested(self.program)
             self.eat_sym("}")
             if self.at_sym("*"):
                 self.next()

@@ -1,24 +1,29 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Polynomials are stored sparsely as a map from exponent vectors to nonzero
-`fractions.Fraction` coefficients, so equality of the term maps is equality
-of polynomials (canonical form).  Exponent vectors ("monomials") are plain
-tuples of non-negative ints whose length is the ambient variable count of
-the owning :class:`VarTable`.
+A :class:`Polynomial` is the one exact polynomial type of the package: a
+sparse map from exponent vectors to nonzero integer numerators over one
+positive common denominator, kept in lowest terms, so equality of
+(numerators, denominator) is equality of polynomials (canonical form).
+Exponent vectors ("monomials") are plain tuples of non-negative ints whose
+length is the ambient variable count of the owning :class:`VarTable`.
+Ring operations, derivatives and substitution run in integers, with one gcd
+pass per result; the Groebner engine in ``ideals`` reduces the numerator
+maps directly.  A ``Fraction`` is built only where a caller asks for one:
+``terms``, ``leading``, ``constant_value``, ``evaluate`` and rendering.
 
-Evaluation runs in integers.  A :class:`ScaledPoint` holds a rational point
-as integer numerators over one positive common denominator, and a
-polynomial compiles itself once, on first evaluation, into an
-:class:`IntKernel`: integer coefficients over a positive common
-denominator, homogenised by total degree, so that its value at a scaled
-point is one integer sum whose sign is the sign of the polynomial there.
+Evaluation runs in integers too.  A :class:`ScaledPoint` holds a rational
+point as integer numerators over one positive common denominator, and a
+polynomial caches, on first evaluation, its terms homogenised by total
+degree D, so that den * point.den^D * p(point) is one integer sum whose
+sign is the sign of the polynomial there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError, NonPolynomialError, ResourceError
@@ -156,93 +161,124 @@ def _as_fraction(c) -> Fraction:
 class Polynomial:
     """Canonical sparse multivariate polynomial over Q.
 
-    ``terms`` never stores a zero coefficient, so two polynomials over the
-    same table are equal iff their term maps are equal.  Instances are
-    immutable after construction and safe to share.
+    The polynomial is sum_m nums[m] * x^m / den: ``nums`` maps exponent
+    vectors to nonzero integers and ``den`` is a positive integer with
+    gcd(den, nums) = 1.  That form is unique, so two polynomials over the
+    same table are equal iff their (nums, den) are equal.  Arithmetic runs
+    in integers with one gcd pass per result.  ``terms`` is the same
+    polynomial as a read-only map to ``Fraction`` coefficients, built on
+    first read.  Instances are immutable after construction and safe to
+    share.
     """
 
-    # _kernel and _text are caches that stay unset until first use, so
-    # construction (the Groebner hot path) pays nothing for them
-    __slots__ = ("table", "terms", "_hash", "_kernel", "_text")
+    # _terms, _evals and _text are caches that stay unset until first use,
+    # so arithmetic (the Groebner hot path) pays nothing for them
+    __slots__ = ("table", "nums", "den", "_hash", "_terms", "_evals", "_text")
 
-    def __init__(self, table: VarTable, terms: Mapping[Mono, Fraction] | None = None,
-                 _normalized: bool = False):
+    def __init__(self, table: VarTable, terms: Mapping[Mono, Fraction] | None = None):
+        """From a map of exponent vectors to rationals (``Fraction`` or int);
+        zero coefficients are dropped."""
+        n = len(table)
+        coeffs: dict[Mono, Fraction] = {}
+        for m, c in (terms or {}).items():
+            c = _as_fraction(c)
+            if c == 0:
+                continue
+            if len(m) != n or any(e < 0 for e in m):
+                raise InputError(f"bad exponent vector {m} for table of size {n}")
+            m = tuple(m)
+            coeffs[m] = coeffs.get(m, 0) + c
+        coeffs = {m: c for m, c in coeffs.items() if c}
+        # over the lcm of reduced denominators the form is already canonical
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self._init(table, {m: c.numerator * (den // c.denominator)
+                           for m, c in coeffs.items()}, den)
+
+    def _init(self, table: VarTable, nums: dict, den: int) -> None:
         self.table = table
-        if terms is None:
-            self.terms: dict[Mono, Fraction] = {}
-        elif _normalized:
-            self.terms = dict(terms)
-        else:
-            n = len(table)
-            norm: dict[Mono, Fraction] = {}
-            for m, c in terms.items():
-                c = _as_fraction(c)
-                if c == 0:
-                    continue
-                if len(m) != n or any(e < 0 for e in m):
-                    raise InputError(f"bad exponent vector {m} for table of size {n}")
-                norm[tuple(m)] = norm.get(tuple(m), Fraction(0)) + c
-            self.terms = {m: c for m, c in norm.items() if c != 0}
+        self.nums = nums
+        self.den = den
         self._hash = None
+
+    @classmethod
+    def _canonical(cls, table: VarTable, nums: dict, den: int) -> "Polynomial":
+        """From numerators and denominator already in canonical form."""
+        p = cls.__new__(cls)
+        p._init(table, nums, den)
+        return p
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def from_ints(cls, table: VarTable, nums: dict, den: int = 1) -> "Polynomial":
+        """sum_m nums[m] * x^m / den for nonzero integers ``nums`` and a
+        positive ``den``, brought to lowest terms; ``nums`` is taken over."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {m: v // g for m, v in nums.items()}
+                den //= g
+        return cls._canonical(table, nums, den)
+
+    @classmethod
     def zero(cls, table: VarTable) -> "Polynomial":
-        return cls(table, {}, _normalized=True)
+        return cls._canonical(table, {}, 1)
 
     @classmethod
     def one(cls, table: VarTable) -> "Polynomial":
-        return cls.constant(table, Fraction(1))
+        return cls._canonical(table, {mono_one(len(table)): 1}, 1)
 
     @classmethod
     def constant(cls, table: VarTable, c) -> "Polynomial":
-        c = _as_fraction(c)
-        if c == 0:
-            return cls.zero(table)
-        return cls(table, {mono_one(len(table)): c}, _normalized=True)
+        return cls(table, {mono_one(len(table)): c})
 
     @classmethod
     def variable(cls, table: VarTable, var) -> "Polynomial":
         i = table.index(var) if isinstance(var, str) else var
         m = tuple(1 if j == i else 0 for j in range(len(table)))
-        return cls(table, {m: Fraction(1)}, _normalized=True)
+        return cls._canonical(table, {m: 1}, 1)
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Mono, Fraction]:
+        """Read-only map from exponent vectors to nonzero ``Fraction``s."""
+        try:
+            return self._terms
+        except AttributeError:
+            den = self.den
+            self._terms = MappingProxyType({m: Fraction(v, den)
+                                            for m, v in self.nums.items()})
+            return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1
-                                  and not any(next(iter(self.terms))))
+        return not self.nums or (len(self.nums) == 1 and not any(next(iter(self.nums))))
 
     def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise InputError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(sum(self.nums.values()), self.den)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(map(sum, self.nums), default=-1)
 
     def variables(self) -> set[int]:
         used: set[int] = set()
-        for m in self.terms:
+        for m in self.nums:
             for i, e in enumerate(m):
                 if e:
                     used.add(i)
         return used
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Mono, Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise InputError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        m = max(self.nums, key=order.key)
+        return m, Fraction(self.nums[m], self.den)
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Mono, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
@@ -253,46 +289,34 @@ class Polynomial:
         if self.table is not other.table and self.table != other.table:
             raise InputError("operands use different variable tables")
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
         self._require_same_table(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
-            if s == 0:
-                res.pop(m, None)
-            else:
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        res = {m: v * fa for m, v in self.nums.items()} if fa != 1 else dict(self.nums)
+        fb *= sign
+        for m, v in other.nums.items():
+            s = res.get(m, 0) + v * fb
+            if s:
                 res[m] = s
-        return Polynomial(self.table, res, _normalized=True)
+            else:
+                del res[m]
+        return Polynomial.from_ints(self.table, res, da * fa)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._add(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_table(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) - c
-            if s == 0:
-                res.pop(m, None)
-            else:
-                res[m] = s
-        return Polynomial(self.table, res, _normalized=True)
+        return self._add(other, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.table, {m: -c for m, c in self.terms.items()},
-                          _normalized=True)
+        return Polynomial._canonical(self.table, {m: -v for m, v in self.nums.items()},
+                                     self.den)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_table(other)
-        if not self.terms or not other.terms:
-            return Polynomial.zero(self.table)
-        res: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    res.pop(m, None)
-                else:
-                    res[m] = s
-        return Polynomial(self.table, res, _normalized=True)
+        return sum_of_products(self.table, ((self, other),))
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
@@ -310,25 +334,24 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
+        return self if c == 1 else self.mul_term(c, mono_one(len(self.table)))
+
+    def mul_term(self, c, m: Mono) -> "Polynomial":
+        """Fast multiplication by a single term c*x^m."""
         c = _as_fraction(c)
         if c == 0:
             return Polynomial.zero(self.table)
-        return Polynomial(self.table, {m: v * c for m, v in self.terms.items()},
-                          _normalized=True)
-
-    def mul_term(self, c: Fraction, m: Mono) -> "Polynomial":
-        """Fast multiplication by a single term c*x^m."""
-        if c == 0:
-            return Polynomial.zero(self.table)
-        return Polynomial(self.table,
-                          {mono_mul(m0, m): c0 * c for m0, c0 in self.terms.items()},
-                          _normalized=True)
+        a, b = c.numerator, c.denominator
+        nums = {mono_mul(m0, m): v * a for m0, v in self.nums.items()}
+        if b == 1 and a in (1, -1):
+            return Polynomial._canonical(self.table, nums, self.den)
+        return Polynomial.from_ints(self.table, nums, self.den * b)
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         if self.is_zero():
             return self
-        _, lc = self.leading(order)
-        return self if lc == 1 else self.scale(Fraction(1) / lc)
+        lead = self.nums[max(self.nums, key=order.key)]
+        return self if lead == self.den else self.scale(Fraction(self.den, lead))
 
     # -- calculus / evaluation ------------------------------------------------
 
@@ -336,18 +359,10 @@ class Polynomial:
         i = self.table.index(var) if isinstance(var, str) else var
         if not 0 <= i < len(self.table):
             raise InputError(f"variable index {i} out of range")
-        res: dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            dm = m[:i] + (e - 1,) + m[i + 1:]
-            s = res.get(dm, Fraction(0)) + c * e
-            if s == 0:
-                res.pop(dm, None)
-            else:
-                res[dm] = s
-        return Polynomial(self.table, res, _normalized=True)
+        # m -> m - e_i is injective on the terms with m_i > 0: no collisions
+        return Polynomial.from_ints(
+            self.table, {m[:i] + (m[i] - 1,) + m[i + 1:]: v * m[i]
+                         for m, v in self.nums.items() if m[i]}, self.den)
 
     def substitute(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneously replace variables (by index) with polynomials."""
@@ -357,7 +372,8 @@ class Polynomial:
             self._require_same_table(q)
             if not 0 <= i < len(self.table):
                 raise InputError(f"variable index {i} out of range")
-        n = len(self.table)
+        table = self.table
+        one = Polynomial.one(table)
         pow_cache: dict[tuple[int, int], Polynomial] = {}
 
         def power(i: int, e: int) -> Polynomial:
@@ -366,28 +382,73 @@ class Polynomial:
                 pow_cache[key] = subst[i] ** e
             return pow_cache[key]
 
-        total = Polynomial.zero(self.table)
-        for m, c in self.terms.items():
+        # sum_m (c_m * x^kept) * prod_i subst[i]^m_i, over one denominator
+        pairs = []
+        for m, c in self.nums.items():
             kept = tuple(0 if i in subst else e for i, e in enumerate(m))
-            part = Polynomial(self.table, {kept: c}, _normalized=True)
-            for i in range(n):
-                if i in subst and m[i]:
-                    part = part * power(i, m[i])
-            total = total + part
+            factor = one
+            for i, e in enumerate(m):
+                if e and i in subst:
+                    factor = power(i, e) if factor is one else factor * power(i, e)
+            pairs.append((Polynomial.from_ints(table, {kept: c}, self.den), factor))
+        return sum_of_products(table, pairs)
+
+    def _eval_table(self) -> tuple[int, tuple]:
+        """(D, terms) for the total degree D (0 for zero) and one entry
+        (c_m, D - |m|, ((i, m_i) for each m_i > 0)) per term, built on first
+        use."""
+        try:
+            return self._evals
+        except AttributeError:
+            degree = max(self.total_degree(), 0)
+            self._evals = (degree, tuple(
+                (c, degree - sum(m), tuple((i, e) for i, e in enumerate(m) if e))
+                for m, c in self.nums.items()))
+            return self._evals
+
+    def _powers(self, point: "ScaledPoint") -> tuple[tuple, list[list[int]], list[int]]:
+        degree, terms = self._eval_table()
+        if len(point.nums) != len(self.table):
+            raise DimensionError("point dimension does not match variable count")
+        if len(point.den_pows) <= degree:
+            point.grow(degree)
+        return terms, point.num_pows, point.den_pows
+
+    def scaled_value(self, point: "ScaledPoint") -> int:
+        """den * point.den^D * p(point) for the total degree D: an integer
+        with the sign of p at the point, as both factors are positive.  It
+        is sum_m nums[m] * point.nums^m * point.den^(D - |m|)."""
+        terms, pows, dp = self._powers(point)
+        total = 0
+        for c, pad, factors in terms:
+            v = c * dp[pad]
+            for i, e in factors:
+                v *= pows[i][e]
+            total += v
         return total
 
-    def kernel(self) -> "IntKernel":
-        """The integer form of this polynomial, built on first use."""
-        try:
-            return self._kernel
-        except AttributeError:
-            self._kernel = IntKernel(self)
-            return self._kernel
+    def restrict_to_variable(self, var: int, point: "ScaledPoint") -> dict[int, int]:
+        """Integer coefficients, by power of x_var, of a positive multiple
+        (den * point.den^D) of p with every other variable set to the
+        point's value; zero coefficients dropped.  It has the roots in x_var
+        of the exact restriction."""
+        terms, pows, dp = self._powers(point)
+        out: dict[int, int] = {}
+        for c, pad, factors in terms:
+            v = c
+            k = 0
+            for i, e in factors:
+                if i == var:
+                    k = e
+                else:
+                    v *= pows[i][e]
+            out[k] = out.get(k, 0) + v * dp[pad + k]
+        return {k: v for k, v in out.items() if v}
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        k = self.kernel()
         sp = ScaledPoint.of(point)
-        return Fraction(k.scaled_value(sp), k.scale * sp.den ** k.degree)
+        value = self.scaled_value(sp)
+        return Fraction(value, self.den * sp.den ** self._eval_table()[0])
 
     def lift(self, new_table: VarTable) -> "Polynomial":
         """Reindex into an extended table (old table must be a prefix)."""
@@ -396,22 +457,22 @@ class Polynomial:
         if not self.table.is_prefix_of(new_table):
             raise InputError("lift target table does not extend the current one")
         pad = (0,) * (len(new_table) - len(self.table))
-        return Polynomial(new_table, {m + pad: c for m, c in self.terms.items()},
-                          _normalized=True)
+        return Polynomial._canonical(new_table, {m + pad: v for m, v in self.nums.items()},
+                                     self.den)
 
     # -- equality / ordering helpers ------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.table == other.table
-                and self.terms == other.terms)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.table.names, frozenset(self.terms.items())))
+            self._hash = hash((self.table.names, self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- exact division --------------------------------------------------------
 
@@ -423,11 +484,12 @@ class Polynomial:
         quot = Polynomial.zero(self.table)
         rem = self
         dm, dc = d.leading(order)
+        one = Polynomial.one(self.table)
         while not rem.is_zero():
             rm, rc = rem.leading(order)
             if not mono_divides(dm, rm):
                 raise InputError("inexact polynomial division")
-            t = Polynomial(self.table, {mono_div(rm, dm): rc / dc}, _normalized=True)
+            t = one.mul_term(rc / dc, mono_div(rm, dm))
             quot = quot + t
             rem = rem - d * t
         return quot
@@ -447,7 +509,7 @@ class Polynomial:
             return self._text
 
     def _render(self, order: MonomialOrder) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts: list[str] = []
         for k, (m, c) in enumerate(self.sorted_terms(order)):
@@ -472,6 +534,25 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self.render()}>"
+
+
+def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomial]]
+                    ) -> Polynomial:
+    """sum of a * b over the (a, b) pairs: every product is added into one
+    integer map over a common denominator, with one gcd pass at the end."""
+    pairs = [(a, b) for a, b in pairs if a.nums and b.nums]
+    den = lcm(*(a.den * b.den for a, b in pairs))
+    res: dict = {}
+    get = res.get
+    for a, b in pairs:
+        f = den // (a.den * b.den)
+        bn = b.nums.items()
+        for m1, c1 in a.nums.items():
+            c1 *= f
+            for m2, c2 in bn:
+                m = tuple(map(add, m1, m2))
+                res[m] = get(m, 0) + c1 * c2
+    return Polynomial.from_ints(table, {m: v for m, v in res.items() if v}, den)
 
 
 class ScaledPoint:
@@ -518,63 +599,6 @@ class ScaledPoint:
                 row.append(row[-1] * a)
 
 
-class IntKernel:
-    """A polynomial p of total degree D compiled to integers: with ``scale``
-    the positive lcm of p's coefficient denominators,
-
-        scale * den^D * p(nums / den) = sum_m c_m * nums^m * den^(D - |m|)
-
-    with integer c_m.  The right side is :meth:`scaled_value`; it has the
-    sign of p at the point, as scale and den are positive.  ``terms`` holds
-    (c_m, D - |m|, ((i, m_i) for each m_i > 0)) per term."""
-
-    __slots__ = ("nvars", "scale", "degree", "terms")
-
-    def __init__(self, p: Polynomial):
-        self.nvars = len(p.table)
-        self.scale = lcm(*(c.denominator for c in p.terms.values()))
-        self.degree = max(p.total_degree(), 0)
-        self.terms = tuple(
-            (c.numerator * (self.scale // c.denominator), self.degree - mono_degree(m),
-             tuple((i, e) for i, e in enumerate(m) if e))
-            for m, c in p.terms.items())
-
-    def _powers(self, point: ScaledPoint) -> tuple[list[list[int]], list[int]]:
-        if len(point.nums) != self.nvars:
-            raise DimensionError("point dimension does not match variable count")
-        if len(point.den_pows) <= self.degree:
-            point.grow(self.degree)
-        return point.num_pows, point.den_pows
-
-    def scaled_value(self, point: ScaledPoint) -> int:
-        pows, dp = self._powers(point)
-        total = 0
-        for c, pad, factors in self.terms:
-            v = c * dp[pad]
-            for i, e in factors:
-                v *= pows[i][e]
-            total += v
-        return total
-
-    def restrict_to_variable(self, var: int, point: ScaledPoint) -> dict[int, int]:
-        """Integer coefficients, by power of x_var, of a positive multiple
-        (scale * den^D) of p with every other variable set to the point's
-        value; zero coefficients dropped.  It has the roots in x_var of the
-        exact restriction."""
-        pows, dp = self._powers(point)
-        out: dict[int, int] = {}
-        for c, pad, factors in self.terms:
-            v = c
-            k = 0
-            for i, e in factors:
-                if i == var:
-                    k = e
-                else:
-                    v *= pows[i][e]
-            out[k] = out.get(k, 0) + v * dp[pad + k]
-        return {k: v for k, v in out.items() if v}
-
-
 class PolyMatrix:
     """Dense matrix of polynomials, row-major."""
 
@@ -596,11 +620,6 @@ class PolyMatrix:
         one, zero = Polynomial.one(table), Polynomial.zero(table)
         return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, table: VarTable) -> "PolyMatrix":
-        zero = Polynomial.zero(table)
-        return cls(rows, cols, [zero] * (rows * cols))
-
     @property
     def table(self) -> VarTable:
         if not self.entries:
@@ -620,13 +639,9 @@ class PolyMatrix:
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise DimensionError("matrix dimensions do not match for multiplication")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = Polynomial.zero(self.table)
-                for k in range(self.cols):
-                    acc = acc + self.get(i, k) * other.get(k, j)
-                out.append(acc)
+        out = [sum_of_products(self.table, [(self.get(i, k), other.get(k, j))
+                                            for k in range(self.cols)])
+               for i in range(self.rows) for j in range(other.cols)]
         return PolyMatrix(self.rows, other.cols, out)
 
     def trace(self) -> Polynomial:

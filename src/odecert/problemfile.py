@@ -27,6 +27,7 @@ from .odecore import OdeSystem
 from .parser import parse_formula, parse_ode, parse_program, parse_term
 from .polyarith import MonomialOrder, Polynomial, VarTable, order_by_name
 from .semalg import Atom, Formula, TrueF
+from .smtlib import SolverConfig
 
 _KEYS = ("vars", "ode", "polynomial", "polynomials", "candidate", "domain",
          "program", "post", "seed", "samples", "cap", "deg_bound", "order",
@@ -50,7 +51,7 @@ class ProblemFile:
     order: MonomialOrder = field(default_factory=lambda: order_by_name("grevlex"))
     solver: Optional[str] = None
     solver_args: tuple[str, ...] = ()
-    solver_timeout: float = 60.0
+    solver_timeout: float = SolverConfig.timeout
 
     def domain_polynomial(self) -> Optional[Polynomial]:
         """The r of a disequational domain r != 0; None for a true domain."""

@@ -8,7 +8,7 @@ substitute the sampled values into all but one variable, and replace that
 coordinate by an exact rational root of the resulting univariate
 polynomial (the linear case is plain coordinate solving).  The univariate
 polynomial has integer coefficients (a positive multiple of the
-restriction, from the atom's compiled :class:`~odecert.polyarith.IntKernel`)
+restriction, from :meth:`~odecert.polyarith.Polynomial.restrict_to_variable`)
 and its roots come out as reduced integer pairs, so no ``Fraction`` is built
 here.  Points that the projection cannot fix stay as drawn.  Every
 candidate is used only through exact evaluation, so emitted witnesses are
@@ -137,7 +137,7 @@ def project_to_boundary(point: ScaledPoint, atom: Polynomial,
         return None
     rng.shuffle(candidates)
     for var in candidates:
-        roots = univariate_rational_roots(atom.kernel().restrict_to_variable(var, point))
+        roots = univariate_rational_roots(atom.restrict_to_variable(var, point))
         if roots:
             num, den = roots[rng.randrange(len(roots))]
             return point.with_coordinate(var, num, den)

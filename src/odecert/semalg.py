@@ -166,9 +166,10 @@ class PointEvaluator:
     rationals or as a :class:`~odecert.polyarith.ScaledPoint` (integer
     numerators over a common denominator, as sampling draws them).
 
-    Only signs are computed: each atom's polynomial is evaluated through its
-    compiled integer kernel (built once per polynomial) against the point's
-    shared power tables, giving an integer with the polynomial's sign.  The
+    Only signs are computed: each atom's polynomial gives
+    :meth:`~odecert.polyarith.Polynomial.scaled_value`, an integer with the
+    polynomial's sign, from its cached evaluation table and the point's
+    shared power tables.  The
     integers are memoized by polynomial identity, since progress formulas
     reuse the same Lie derivatives a lot.
     """
@@ -184,7 +185,7 @@ class PointEvaluator:
         key = id(p)
         v = self._cache.get(key)
         if v is None:
-            v = p.kernel().scaled_value(self.point)
+            v = p.scaled_value(self.point)
             self._cache[key] = v
         return v
 
@@ -298,9 +299,6 @@ def render_formula(f: Formula) -> str:
 class Conjunct:
     geqs: tuple[Polynomial, ...]
     gts: tuple[Polynomial, ...]
-
-    def is_tautology(self) -> bool:
-        return not self.geqs and not self.gts
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,36 @@ class TestExitCodes:
                      "candidate: u^2 <= v^2 + 9/2\nsamples: 300\n")
         assert main(["check-inv", prob]) == 2
 
+    @pytest.mark.parametrize("command, body", [
+        ("rank", "polynomial: " + "(" * 1000 + "x" + ")" * 1000),
+        ("lie", "polynomial: " + "(" * 1000 + "x" + ")" * 1000),
+        ("check-inv", "candidate: " + "(" * 1000 + "x > 0" + ")" * 1000),
+        ("hp-reduce", "program: " + "{" * 1000 + "x := 1" + "}" * 1000 + "\npost: x = 0"),
+    ])
+    def test_deep_nesting_is_three(self, tmp_path, capsys, command, body):
+        prob = write(tmp_path, "deep.prob", f"vars: x, y\node: x' = y, y' = -x\n{body}\n")
+        assert main([command, prob]) == 3
+        assert "nesting deeper than" in capsys.readouterr().err
+
+    def test_nesting_at_the_bound_is_accepted(self, tmp_path, capsys):
+        from odecert.parser import MAX_NESTING
+        deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        prob = write(tmp_path, "deep.prob", f"vars: x, y\node: x' = y, y' = -x\n"
+                                            f"polynomial: {deep}\ncandidate: {deep} > 0\n")
+        code, report = run_json(capsys, ["rank", prob, "--json"])
+        assert code == 0 and report["data"]["rank"] == 2
+        assert main(["check-inv", prob, "--samples", "20"]) in (0, 1, 2)
+
+    def test_unexpected_exception_is_five(self, circle_prob, capsys, monkeypatch):
+        from odecert import cli
+
+        def broken(args):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(cli, "_run_command", broken)
+        assert main(["rank", circle_prob]) == cli.EXIT_INTERNAL == 5
+        assert capsys.readouterr().err.startswith("internal error: RuntimeError")
+
 
 class TestCommands:
     def test_rank_zero_polynomial(self, tmp_path, capsys):
@@ -231,6 +261,21 @@ class TestCertCheckCommand:
                             lambda cert, cfg: seen.append(cfg) or True)
         assert main(["cert-check", str(cert_path)]) == 0
         assert seen == [config]
+
+    def test_zero_solver_timeout_is_kept(self, tmp_path, circle_prob, capsys, monkeypatch):
+        from odecert import cli
+        from odecert.smtlib import SolverConfig
+        _, report = run_json(capsys, ["check-alg", circle_prob, "--json"])
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(report["data"]["certificate"]))
+        seen = []
+        monkeypatch.setattr(cli, "check_certificate",
+                            lambda cert, cfg: seen.append(cfg) or True)
+        base = ["cert-check", str(cert_path), "--solver", "z3"]
+        assert main(base + ["--solver-timeout", "0"]) == 0
+        assert main(base) == 0
+        assert [cfg.solver.timeout for cfg in seen] == [0.0, SolverConfig.timeout]
+        assert cli._load_problem(circle_prob).solver_timeout == SolverConfig.timeout
 
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "junk.json"

@@ -229,13 +229,12 @@ def _wrong_scale(monkeypatch):
 
 
 def _wrong_multiplier(monkeypatch):
-    ip_sum = ideals._ip_sum
+    multiplier = ideals._multiplier
 
-    def doubled(parts):
-        terms, den = ip_sum(parts)
-        return {m: 2 * v for m, v in terms.items()}, den
+    def doubled(table, parts):
+        return multiplier(table, parts).scale(2)
 
-    monkeypatch.setattr(ideals, "_ip_sum", doubled)
+    monkeypatch.setattr(ideals, "_multiplier", doubled)
 
 
 class TestRecombinationGuard:

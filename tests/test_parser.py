@@ -99,6 +99,23 @@ class TestProgramParsing:
         assert isinstance(prog, Seq)
 
 
+class TestNestingBound:
+    @pytest.mark.parametrize("parse, opening, inner, closing", [
+        (parse_term, "(", "x", ")"),
+        (parse_term, "-", "x", ""),
+        (parse_formula, "!", "x = 0", ""),
+        (parse_formula, "(", "x = 0 & y > 1", ")"),
+        (parse_program, "{", "x := 1", "}"),
+    ], ids=["parens", "unary-minus", "not", "formula-parens", "braces"])
+    def test_depth_past_the_bound_is_an_input_error(self, xy, parse, opening, inner,
+                                                     closing):
+        from odecert.parser import MAX_NESTING
+        for depth in (MAX_NESTING + 1, 1000, 100_000):
+            with pytest.raises(InputError, match="nesting deeper than"):
+                parse(opening * depth + inner + closing * depth, xy)
+        parse(opening * MAX_NESTING + inner + closing * MAX_NESTING, xy)
+
+
 class TestProblemFile:
     GOOD = """
 # running example

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -264,6 +265,9 @@ _small_terms = st.dictionaries(
 
 
 class TestIntKernel:
+    """Integer evaluation: ``scaled_value`` and ``evaluate`` over the cached
+    evaluation table."""
+
     @settings(max_examples=300, deadline=None)
     @given(terms=_small_terms,
            point=st.tuples(st.one_of(st.just(Fraction(0)), _rationals),
@@ -272,11 +276,11 @@ class TestIntKernel:
         # covers the zero polynomial, constants and rational coefficients
         p = Polynomial(VarTable(["x", "y"]), terms)
         exact = _fraction_value(p, point)
-        k = p.kernel()
+        k = p._eval_table()
         sp = ScaledPoint.of(point)
-        assert _sign(k.scaled_value(sp)) == _sign(exact)
+        assert _sign(p.scaled_value(sp)) == _sign(exact)
         assert p.evaluate(point) == exact
-        assert p.kernel() is k
+        assert p._eval_table() is k
 
     def test_point_dimension_checked(self, t3):
         with pytest.raises(DimensionError):
@@ -302,3 +306,115 @@ class TestDegreeCap:
         with pytest.raises(ResourceError):
             (x * x) ** (MAX_DEGREE // 2 + 1)
         assert (x ** 3).total_degree() == 3
+
+
+# -- the integer representation against a term-by-term Fraction reference ----
+
+def _ref_clean(d) -> dict:
+    return {m: Fraction(c) for m, c in d.items() if c}
+
+
+def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+def _ref_pow(a: dict, k: int, n: int) -> dict:
+    out = {(0,) * n: Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_derivative(a: dict, i: int) -> dict:
+    out: dict = {}
+    for m, c in a.items():
+        if m[i]:
+            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+            out[dm] = out.get(dm, 0) + c * m[i]
+    return _ref_clean(out)
+
+
+def _ref_substitute(a: dict, subst: dict, n: int) -> dict:
+    out: dict = {}
+    for m, c in a.items():
+        part = {tuple(0 if i in subst else e for i, e in enumerate(m)): c}
+        for i, q in subst.items():
+            part = _ref_mul(part, _ref_pow(q, m[i], n))
+        out = _ref_add(out, part)
+    return out
+
+
+_coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=15)
+_rational_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                  _coeffs, max_size=5)
+
+
+def _assert_canonical(p: Polynomial) -> None:
+    assert p.den > 0
+    assert all(v != 0 for v in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.terms == {m: Fraction(v, p.den) for m, v in p.nums.items()}
+
+
+class TestIntegerRepresentation:
+    @settings(max_examples=150, deadline=None)
+    @given(a=_rational_terms, b=_rational_terms, c=_coeffs, k=st.integers(0, 3),
+           which=st.sampled_from([(0,), (1,), (0, 1)]))
+    def test_operations_match_the_fraction_reference(self, a, b, c, k, which):
+        xy = VarTable(["x", "y"])
+        p, q = Polynomial(xy, a), Polynomial(xy, b)
+        ra, rb = _ref_clean(a), _ref_clean(b)
+        assert p.terms == ra and q.terms == rb
+        results = [
+            (p + q, _ref_add(ra, rb)),
+            (p - q, _ref_add(ra, rb, -1)),
+            (-p, _ref_add({}, ra, -1)),
+            (p * q, _ref_mul(ra, rb)),
+            (p.scale(c), _ref_clean({m: v * c for m, v in ra.items()})),
+            (p.mul_term(c, (1, 2)),
+             _ref_clean({(m[0] + 1, m[1] + 2): v * c for m, v in ra.items()})),
+            (p.partial_derivative(0), _ref_derivative(ra, 0)),
+            (p.partial_derivative(1), _ref_derivative(ra, 1)),
+            (p ** k, _ref_pow(ra, k, 2)),
+            (p.substitute({i: q for i in which}),
+             _ref_substitute(ra, {i: rb for i in which}, 2)),
+        ]
+        for got, expected in results:
+            _assert_canonical(got)
+            assert got.terms == expected
+        xyz = xy.extend(["z"])
+        lifted = p.lift(xyz)
+        _assert_canonical(lifted)
+        assert lifted.terms == {m + (0,): v for m, v in ra.items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_rational_terms, b=_rational_terms)
+    def test_equality_and_hash_follow_the_fraction_map(self, a, b):
+        xy = VarTable(["x", "y"])
+        p, q = Polynomial(xy, a), Polynomial(xy, b)
+        _assert_canonical(p)
+        assert (p == q) == (p.terms == q.terms)
+        # the same polynomial reached two ways has the same form and hash
+        same = (p + q) - q
+        assert same == p and hash(same) == hash(p)
+        assert (same.nums, same.den) == (p.nums, p.den)
+        assert p.scale(3).scale(Fraction(1, 3)) == p
+
+    def test_terms_is_read_only_and_cached(self, t3):
+        p = P("x/2 - 3*y", t3)
+        assert p.terms is p.terms
+        with pytest.raises(TypeError):
+            p.terms[(0, 0, 0)] = Fraction(1)
+        assert (p.nums, p.den) == ({(1, 0, 0): 1, (0, 1, 0): -6}, 2)
