@@ -3,7 +3,7 @@
 Buchberger's algorithm runs with the normal selection strategy (smallest
 S-pair lcm in the active order, ties by pair index).  Reductions run
 untracked; each basis row keeps a derivation record instead: the generator
-or S-pair it came from, the multipliers of its reduction and its monic
+or S-pair it came from, the steps of its reduction and its monic
 scale.  S-pairs that reduce to zero leave no record.  When a witness is
 asked for, the records of the rows the final reduction used, and of the
 rows those derive from, are materialised into exact cofactors of the
@@ -18,8 +18,10 @@ over the denominator ``lc``, their leading one.  A reduction updates a
 copy of the numerator map in place, taking fraction-free steps and
 removing the content whenever the denominator grows; it picks the same
 reducer and monomial, and so reaches the same exact remainder and
-multipliers, as a reduction in ``Fraction`` would.  S-polynomials,
-multipliers, cofactors and the recombination check are ``Polynomial``
+multipliers, as a reduction in ``Fraction`` would.  It returns its steps
+raw: a multiplier becomes a ``Polynomial`` only when a witness is
+materialised, so S-pairs that reduce to zero and reductions without a
+witness never build one.  S-polynomials, multipliers, cofactors and the recombination check are ``Polynomial``
 operations, and each materialised cofactor is summed over one
 denominator.
 
@@ -109,24 +111,24 @@ class _Row:
     at ``lm``.  ``scale`` is the factor that takes the polynomial the row
     was made from to ``poly``.  ``origin`` is ``("gen", j)`` for a reduced
     generator or ``("pair", i, mi, j, mj)`` for the S-polynomial
-    x^mi*rows[i] - x^mj*rows[j]; ``mults`` are the multipliers of its
-    reduction.  ``cofs`` is the sparse {generator index: cofactor} map,
-    filled on first demand.
+    x^mi*rows[i] - x^mj*rows[j]; ``steps`` are the steps of its reduction,
+    as ``_reduce_terms`` returns them.  ``cofs`` is the sparse
+    {generator index: cofactor} map, filled on first demand.
     """
-    __slots__ = ("poly", "lm", "lc", "origin", "mults", "scale", "cofs")
+    __slots__ = ("poly", "lm", "lc", "origin", "steps", "scale", "cofs")
 
     def __init__(self, p: Polynomial, order: MonomialOrder, origin=None,
-                 mults: Optional[dict[int, Polynomial]] = None):
+                 steps: Optional[dict[int, list]] = None):
         self.lm = max(p.nums, key=order.key)
         self.scale = Fraction(p.den, p.nums[self.lm])
         self.poly = p.scale(self.scale)
         self.lc = self.poly.den
         self.origin = origin
-        self.mults = mults
+        self.steps = steps
         self.cofs: Optional[dict[int, Polynomial]] = None
 
     def parents(self) -> list[int]:
-        deps = list(self.mults)
+        deps = list(self.steps)
         if self.origin[0] == "pair":
             deps += [self.origin[1], self.origin[3]]
         return deps
@@ -142,7 +144,7 @@ def _multiplier(table: VarTable, parts: list[tuple]) -> Polynomial:
 
 
 def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
-                  budget: StepBudget) -> tuple[Polynomial, dict[int, Polynomial]]:
+                  budget: StepBudget) -> tuple[Polynomial, dict[int, list]]:
     """Fully reduce p against ``rows``, fraction-free.
 
     The working map starts as p's integer numerators over p's denominator
@@ -156,9 +158,11 @@ def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
     and to every coefficient of the working map and of the remainder is
     divided out.
 
-    Returns (remainder, multipliers): p equals
-    remainder + sum_i multipliers[i] * rows[i].poly.  Every step records its
-    multiplier as an integer numerator over that step's denominator.
+    Returns (remainder, steps): steps[i] lists the (m, num, den) steps that
+    used rows[i], each a multiplier num/den * x^m as an integer numerator
+    over that step's denominator, and p equals
+    remainder + sum_i _multiplier(steps[i]) * rows[i].poly.  Multipliers are
+    built only where a witness needs them.
     """
     key = order.key
     key_cache: dict = {}
@@ -206,9 +210,7 @@ def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
         else:
             rem[wm] = wc
             del work[wm]
-    table = p.table
-    return (Polynomial.from_ints(table, rem, den),
-            {ridx: _multiplier(table, parts) for ridx, parts in steps.items()})
+    return Polynomial.from_ints(p.table, rem, den), steps
 
 
 def _combine(table: VarTable, parts) -> dict[int, Polynomial]:
@@ -226,11 +228,13 @@ def _combine(table: VarTable, parts) -> dict[int, Polynomial]:
     return out
 
 
-def _reduced_parts(rows: Sequence[_Row], mults: dict[int, Polynomial], factor: Fraction):
-    """The parts (-factor * mults[i], rows[i].cofs) that subtract the
-    reducers of a reduction; the cofactors of those rows must already be
-    materialised."""
-    return [(m.scale(-factor), rows[i].cofs) for i, m in mults.items()]
+def _reduced_parts(table: VarTable, rows: Sequence[_Row], steps: dict[int, list],
+                   factor: Fraction):
+    """The parts (-factor * multiplier i, rows[i].cofs) that subtract the
+    reducers of a reduction with the given steps; the cofactors of those
+    rows must already be materialised."""
+    return [(_multiplier(table, parts).scale(-factor), rows[i].cofs)
+            for i, parts in steps.items()]
 
 
 class BuchbergerState:
@@ -255,8 +259,8 @@ class BuchbergerState:
 
     # -- internals ---------------------------------------------------------
 
-    def _reduce(self, q: Polynomial) -> tuple[Polynomial, dict[int, Polynomial]]:
-        """Full reduction modulo the current rows: (remainder, multipliers)."""
+    def _reduce(self, q: Polynomial) -> tuple[Polynomial, dict[int, list]]:
+        """Full reduction modulo the current rows: (remainder, steps)."""
         return _reduce_terms(q, self.rows, self.order, self.budget)
 
     def _push_pairs(self, new_index: int) -> None:
@@ -270,8 +274,8 @@ class BuchbergerState:
             heapq.heappush(self._pairs, (key, i, new_index))
 
     def _append_row(self, rem: Polynomial, origin: tuple,
-                    mults: dict[int, Polynomial]) -> None:
-        row = _Row(rem, self.order, origin, mults)
+                    steps: dict[int, list]) -> None:
+        row = _Row(rem, self.order, origin, steps)
         self.rows.append(row)
         if not any(row.lm):
             self._pairs.clear()  # the unit ideal: no pair can add a row
@@ -279,11 +283,11 @@ class BuchbergerState:
             self._push_pairs(len(self.rows) - 1)
 
     def _add_reduced(self, g: Polynomial, rem: Polynomial,
-                     mults: dict[int, Polynomial]) -> None:
+                     steps: dict[int, list]) -> None:
         """Add generator g, whose reduction modulo the current rows is given."""
         self.gens.append(g)
         if rem:
-            self._append_row(rem, ("gen", len(self.gens) - 1), mults)
+            self._append_row(rem, ("gen", len(self.gens) - 1), steps)
 
     def _materialise(self, roots) -> None:
         """Fill ``cofs`` of rows[i] for i in roots and of every row they
@@ -309,13 +313,15 @@ class BuchbergerState:
                 _, i, mi, j, mj = row.origin
                 parts = [(one.mul_term(s, mi), rows[i].cofs),
                          (one.mul_term(-s, mj), rows[j].cofs)]
-            row.cofs = _combine(table, parts + _reduced_parts(rows, row.mults, s))
+            row.cofs = _combine(table, parts + _reduced_parts(table, rows, row.steps, s))
 
-    def _witness(self, mults: dict[int, Polynomial]) -> list[Polynomial]:
-        """Cofactors w.r.t. the generators of sum_i mults[i] * rows[i]."""
-        self._materialise(mults)
-        cofs = _combine(self.table, _reduced_parts(self.rows, mults, Fraction(-1)))
-        zero = Polynomial.zero(self.table)
+    def _witness(self, steps: dict[int, list]) -> list[Polynomial]:
+        """Cofactors w.r.t. the generators of sum_i multiplier_i * rows[i]
+        for the multipliers of a reduction's steps."""
+        self._materialise(steps)
+        table = self.table
+        cofs = _combine(table, _reduced_parts(table, self.rows, steps, Fraction(-1)))
+        zero = Polynomial.zero(table)
         return [cofs.get(j, zero) for j in range(len(self.gens))]
 
     # -- public ------------------------------------------------------------
@@ -335,9 +341,9 @@ class BuchbergerState:
             mi, mj = mono_div(lcm_ij, fi.lm), mono_div(lcm_ij, fj.lm)
             s = fi.poly.mul_term(1, mi) - fj.poly.mul_term(1, mj)
             self.budget.spend()
-            rem, mults = _reduce_terms(s, rows, order, self.budget)
+            rem, steps = _reduce_terms(s, rows, order, self.budget)
             if rem:
-                self._append_row(rem, ("pair", i, mi, j, mj), mults)
+                self._append_row(rem, ("pair", i, mi, j, mj), steps)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the current basis (no witness)."""
@@ -346,8 +352,8 @@ class BuchbergerState:
     def normal_form_with_witness(self, p: Polynomial) -> tuple[Polynomial, list[Polynomial]]:
         """Reduce p; returns (remainder, cofactors w.r.t. the generators) with
         p == remainder + sum cofactors[j]*generators[j]."""
-        rem, mults = self._reduce(p)
-        return rem, self._witness(mults)
+        rem, steps = self._reduce(p)
+        return rem, self._witness(steps)
 
     def reduced_basis(self) -> GroebnerBasis:
         """Inter-reduced, monic, deterministic view of the current basis."""
@@ -360,10 +366,10 @@ class BuchbergerState:
             kept.append(self.rows[idx])
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
-            rem, multipliers = _reduce_terms(row.poly, others, order, self.budget)
+            rem, steps = _reduce_terms(row.poly, others, order, self.budget)
             new = _Row(rem, order)
             new.cofs = _combine(table, [(Polynomial.constant(table, new.scale), row.cofs)]
-                                + _reduced_parts(others, multipliers, new.scale))
+                                + _reduced_parts(table, others, steps, new.scale))
             kept[idx] = new
         zero = Polynomial.zero(table)
         return GroebnerBasis(
@@ -407,10 +413,10 @@ def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
     for g in gens:
         state.add_generator(g)
     state.complete()
-    rem, mults = state._reduce(p)
+    rem, steps = state._reduce(p)
     if rem:
         return None
-    cofs = state._witness(mults)
+    cofs = state._witness(steps)
     _assert_recombines(p, cofs, state.gens)
     return MembershipWitness(tuple(cofs))
 
@@ -447,14 +453,14 @@ def stabilize(first: Polynomial, step: Callable[[Polynomial], Polynomial], cap: 
     """
     state = BuchbergerState(first.table, order, budget)
     chain = [first]
-    rem, mults = state._reduce(first)
+    rem, steps = state._reduce(first)
     for _ in range(cap):
-        state._add_reduced(chain[-1], rem, mults)
+        state._add_reduced(chain[-1], rem, steps)
         state.complete()
         chain.append(step(chain[-1]))
-        rem, mults = state._reduce(chain[-1])
+        rem, steps = state._reduce(chain[-1])
         if not rem:
-            cofs = state._witness(mults)
+            cofs = state._witness(steps)
             _assert_recombines(chain[-1], cofs, state.gens)
             return chain, cofs
     return chain, None

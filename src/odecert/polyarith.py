@@ -148,6 +148,17 @@ def order_by_name(name: str) -> MonomialOrder:
         raise InputError(f"unknown monomial order {name!r} (use grevlex or lex)") from None
 
 
+def check_power(degree: int, k: int) -> None:
+    """Raise ResourceError unless the k-th power of a polynomial of total
+    degree ``degree`` (-1 for zero) stays within ``MAX_DEGREE``, in its
+    degree and in its exponent alike."""
+    if k > 1 and degree * k > MAX_DEGREE:
+        raise ResourceError(f"power of degree {degree} * {k} exceeds "
+                            f"the degree cap {MAX_DEGREE}")
+    if k > MAX_DEGREE:
+        raise ResourceError(f"exponent {k} exceeds the degree cap {MAX_DEGREE}")
+
+
 # ---------------------------------------------------------------------------
 
 def _as_fraction(c) -> Fraction:
@@ -321,9 +332,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise NonPolynomialError("non-polynomial: negative or non-integer exponent")
-        if k > 1 and self.total_degree() * k > MAX_DEGREE:
-            raise ResourceError(f"power of degree {self.total_degree()} * {k} exceeds "
-                                f"the degree cap {MAX_DEGREE}")
+        check_power(self.total_degree(), k)
         result = Polynomial.one(self.table)
         base = self
         while k:

@@ -78,6 +78,31 @@ class TestExitCodes:
         assert time.monotonic() - started < 5
         assert "degree cap" in capsys.readouterr().err
 
+    def test_constant_power_past_the_cap_is_four(self, tmp_path, capsys):
+        prob = write(tmp_path, "const.prob",
+                     "vars: x, y\node: x' = y, y' = -x\npolynomial: 2^1001\n")
+        started = time.monotonic()
+        assert main(["rank", prob]) == 4
+        assert time.monotonic() - started < 0.5
+        assert "exponent 1001 exceeds the degree cap" in capsys.readouterr().err
+        prob = write(tmp_path, "const.prob",
+                     "vars: x, y\node: x' = y, y' = -x\npolynomial: 2^1000\n")
+        code, report = run_json(capsys, ["rank", prob, "--json"])
+        assert code == 0 and report["data"]["rank"] == 1
+
+    @pytest.mark.parametrize("polynomial", ["x^²", "²*x", "x*٣"])
+    def test_non_ascii_digit_is_three(self, tmp_path, capsys, polynomial):
+        prob = write(tmp_path, "digit.prob",
+                     f"vars: x, y\node: x' = y, y' = -x\npolynomial: {polynomial}\n")
+        assert main(["rank", prob]) == 3
+        assert "unexpected character" in capsys.readouterr().err
+
+    def test_unicode_variable_names(self, tmp_path, capsys):
+        prob = write(tmp_path, "accent.prob",
+                     "vars: é, y\node: é' = y, y' = -é\npolynomial: é^2 + y^2\n")
+        code, report = run_json(capsys, ["rank", prob, "--json"])
+        assert code == 0 and report["data"]["rank"] == 1
+
     def test_unknown_is_two(self, tmp_path, capsys):
         prob = write(tmp_path, "green.prob",
                      f"vars: u, v\node: {ALPHA_E_ODE}\n"

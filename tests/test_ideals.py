@@ -257,6 +257,29 @@ class TestRecombinationGuard:
             rank(P("3*x", xy), swap_sys)
 
 
+class TestMultipliersOnDemand:
+    """Reductions return raw steps; a multiplier is built only for a witness."""
+
+    def test_no_multiplier_without_a_witness(self, xy, monkeypatch):
+        built = []
+        multiplier = ideals._multiplier
+        monkeypatch.setattr(ideals, "_multiplier",
+                            lambda table, parts: built.append(1) or multiplier(table, parts))
+        gens = [P("x^2*y - 1", xy), P("x*y^2 - x", xy)]
+        state = BuchbergerState(xy)
+        for g in gens:
+            state.add_generator(g)
+        state.complete()
+        p = P("x^3*y^2 + x*y", xy)
+        rem = state.normal_form(p)
+        basis = [r.poly for r in state.rows]
+        assert reduce_mod(p, basis) == rem
+        assert built == []
+        rem2, cofs = state.normal_form_with_witness(p)
+        assert rem2 == rem and built
+        assert sum((c * g for c, g in zip(cofs, gens)), rem) == p
+
+
 # (p, [x', y'], rank, rendered cofactors, whether <p, ..., L^{n-1} p> = <1>);
 # the cofactors are golden output that the witness engine must reproduce
 # byte for byte.

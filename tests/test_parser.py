@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from odecert import (InputError, Polynomial, VarTable, parse_formula,
-                     parse_ode, parse_problem, parse_term, parse_program,
-                     render_formula)
+from odecert import (GREVLEX, LEX, InputError, NonPolynomialError, Polynomial,
+                     ResourceError, VarTable, parse_formula, parse_ode,
+                     parse_problem, parse_term, parse_program, render_formula)
+from odecert.polyarith import MAX_DEGREE
 from odecert.semalg import And, Atom, Implies, Not, Or, TrueF
 
 
@@ -52,6 +54,151 @@ class TestTermParsing:
     def test_trailing_input_rejected(self, uv):
         with pytest.raises(InputError):
             parse_term("u + v v", uv)
+
+    def test_long_runs_of_unary_plus(self, uv):
+        assert parse_term("+ " * 3000 + "u", uv) == Polynomial.variable(uv, "u")
+        assert parse_term("u - + - + v", uv) == parse_term("u + v", uv)
+
+
+UVW = VarTable(["u", "v", "w"])
+_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(terms=st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), _coefficients,
+                                 max_size=8),
+           order=st.sampled_from([GREVLEX, LEX]))
+    def test_rendered_text_parses_back(self, terms, order):
+        p = Polynomial(UVW, terms)
+        assert parse_term(p.render(order), UVW) == p
+
+
+# (text, precedence level, Polynomial) nodes; a child below the level its
+# position needs is wrapped in parentheses.  Levels: 1 sum, 2 product,
+# 3 unary minus, 4 power, 5 atom.
+def _wrap(node, level: int) -> str:
+    text, own, _ = node
+    return text if own >= level else f"({text})"
+
+
+_atoms = st.one_of(
+    st.integers(0, 12).map(lambda n: (str(n), 5, Polynomial.constant(UVW, n))),
+    st.sampled_from(UVW.names).map(lambda v: (v, 5, Polynomial.variable(UVW, v))))
+
+
+def _composites(children):
+    pairs = st.one_of(st.tuples(children, children), children.map(lambda c: (c, c)))
+    return st.one_of(
+        st.tuples(pairs, st.sampled_from(["+", "-"])).map(
+            lambda t: (f"{_wrap(t[0][0], 1)} {t[1]} {_wrap(t[0][1], 2)}", 1,
+                       t[0][0][2] + t[0][1][2] if t[1] == "+"
+                       else t[0][0][2] - t[0][1][2])),
+        pairs.map(lambda t: (f"{_wrap(t[0], 2)}*{_wrap(t[1], 3)}", 2, t[0][2] * t[1][2])),
+        st.tuples(children, st.integers(1, 9), st.booleans()).map(
+            lambda t: (f"{_wrap(t[0], 2)}/{f'({t[1]})' if t[2] else t[1]}", 2,
+                       t[0][2].scale(Fraction(1, t[1])))),
+        children.map(lambda c: (f"-{_wrap(c, 3)}", 3, -c[2])),
+        st.tuples(children, st.integers(0, 3)).map(
+            lambda t: (f"{_wrap(t[0], 5)}^{t[1]}", 4, t[0][2] ** t[1])),
+    )
+
+
+class TestExpressionProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(node=st.recursive(_atoms, _composites, max_leaves=10))
+    def test_text_parses_to_the_tree_built_from_polynomial_operations(self, node):
+        text, _, expected = node
+        assert parse_term(text, UVW) == expected
+
+
+class TestCharacters:
+    def test_unicode_identifiers(self):
+        t = VarTable(["é", "y_2", "_x"])
+        assert parse_term("é^2 + y_2*_x", t) == \
+            Polynomial.variable(t, "é") ** 2 + \
+            Polynomial.variable(t, "y_2") * Polynomial.variable(t, "_x")
+
+    @pytest.mark.parametrize("text, char, column", [
+        ("u^²", "²", 3), ("²*u", "²", 1), ("u*٣", "٣", 3), ("u + 1٣", "٣", 6),
+        ("u*½", "½", 3),
+    ])
+    def test_non_ascii_digits_are_input_errors(self, uv, text, char, column):
+        with pytest.raises(InputError) as info:
+            parse_term(text, uv)
+        assert str(info.value) == f"1:{column}: unexpected character {char!r}"
+
+    def test_identifiers_may_continue_with_any_digit(self):
+        t = VarTable(["x²", "x٣"])
+        assert parse_term("x² - x٣", t) == \
+            Polynomial.variable(t, "x²") - Polynomial.variable(t, "x٣")
+
+
+class TestExponentCap:
+    @pytest.mark.parametrize("text", ["2^1001", "0^1001", "(1)^1001", "u^1001",
+                                      "(u + 1)^1001", "(u^2)^501"])
+    def test_past_the_cap_is_a_resource_error(self, uv, text):
+        with pytest.raises(ResourceError, match="exceeds the degree cap"):
+            parse_term(text, uv)
+
+    def test_degree_message_is_kept(self, uv):
+        with pytest.raises(ResourceError) as info:
+            parse_term("u^1001", uv)
+        assert str(info.value) == "power of degree 1 * 1001 exceeds the degree cap 1000"
+
+    def test_at_the_cap(self, uv):
+        assert parse_term(f"2^{MAX_DEGREE}", uv) == Polynomial.constant(uv, 2 ** MAX_DEGREE)
+        assert parse_term(f"u^{MAX_DEGREE}", uv).total_degree() == MAX_DEGREE
+
+
+# (parse function, text, error type, message, line, column): golden errors
+# that any rewrite of the parser must reproduce exactly
+ERRORS = [
+    ("term", "u + w", InputError, "1:5: undeclared variable 'w'", 1, 5),
+    ("term", "u +", InputError, "1:4: expected a term", 1, 4),
+    ("term", "u * (v + 1", InputError, "1:11: expected ')', found 'end of input'", 1, 11),
+    ("term", "u ^ v", InputError, "1:5: expected a non-negative integer exponent", 1, 5),
+    ("term", "u @ v", InputError, "1:3: unexpected character '@'", 1, 3),
+    ("term", "u + v v", InputError, "1:7: unexpected trailing input 'v'", 1, 7),
+    ("term", "u +\n  w", InputError, "2:3: undeclared variable 'w'", 2, 3),
+    ("term", "u # note\n + $", InputError, "2:4: unexpected character '$'", 2, 4),
+    ("term", "u + # note", InputError, "1:5: expected a term", 1, 5),
+    ("term", "u : v", InputError, "1:3: unexpected character ':'", 1, 3),
+    ("term", ")", InputError, "1:1: expected a term", 1, 1),
+    ("term", "u / v", InputError, "non-polynomial: division by a non-constant", None, None),
+    ("term", "u / (v - v)", InputError, "division by zero", None, None),
+    ("term", "u^-1", NonPolynomialError, "non-polynomial: negative exponent", None, None),
+    ("term", "2 u", InputError, "1:3: unexpected trailing input 'u'", 1, 3),
+    ("formula", "u > ", InputError, "1:5: expected a term", 1, 5),
+    ("formula", "u + v", InputError, "1:6: expected a comparison operator", 1, 6),
+    ("formula", "(u > 0", InputError, "1:7: expected ')', found 'end of input'", 1, 7),
+    ("formula", "u > 0 &\n\t& v < 1", InputError, "2:2: expected a term", 2, 2),
+    ("formula", "true & w > 0", InputError, "1:8: undeclared variable 'w'", 1, 8),
+    ("ode", "u' = v, 3", InputError, "1:9: expected a variable name", 1, 9),
+    ("ode", "u = v", InputError, "1:3: expected \"'\", found '='", 1, 3),
+    ("ode", "w' = u", InputError, "1:1: undeclared variable 'w'", 1, 1),
+    ("program", "u := ", InputError, "1:6: expected a term", 1, 6),
+    ("program", "{ u := 1 ", InputError, "1:10: expected '}', found 'end of input'", 1, 10),
+    ("program", "? u = 0", InputError, "1:5: expected '!=', found '='", 1, 5),
+    ("program", "u = 1", InputError, "1:3: expected ':=', found '='", 1, 3),
+    ("program", "u := 1 ;\n ;", InputError, "2:2: expected a program", 2, 2),
+    ("program", "{ u := 1 }* ++", InputError, "1:15: expected a program", 1, 15),
+    ("program", "u := 1 # first\n ; w := 2", InputError, "2:4: undeclared variable 'w'",
+     2, 4),
+]
+PARSERS = {"term": parse_term, "formula": parse_formula, "ode": parse_ode,
+           "program": parse_program}
+
+
+class TestPinnedErrors:
+    @pytest.mark.parametrize("kind, text, error, message, line, column", ERRORS,
+                             ids=[f"{k}-{i}" for i, (k, *_) in enumerate(ERRORS)])
+    def test_message_and_position(self, uv, kind, text, error, message, line, column):
+        with pytest.raises(InputError) as info:
+            PARSERS[kind](text, uv)
+        assert type(info.value) is error
+        assert (str(info.value), info.value.line, info.value.column) == \
+            (message, line, column)
 
 
 class TestFormulaParsing:

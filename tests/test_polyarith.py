@@ -307,6 +307,16 @@ class TestDegreeCap:
             (x * x) ** (MAX_DEGREE // 2 + 1)
         assert (x ** 3).total_degree() == 3
 
+    def test_exponent_past_the_cap_is_a_resource_error_for_any_base(self):
+        t = VarTable(["x"])
+        for base in (Polynomial.constant(t, 2), Polynomial.one(t), Polynomial.zero(t)):
+            with pytest.raises(ResourceError, match=f"exponent {MAX_DEGREE + 1} exceeds"):
+                base ** (MAX_DEGREE + 1)
+        assert Polynomial.constant(t, 2) ** MAX_DEGREE == \
+            Polynomial.constant(t, 2 ** MAX_DEGREE)
+        with pytest.raises(ResourceError, match=f"power of degree 1 \\* {MAX_DEGREE + 1}"):
+            P("x", t) ** (MAX_DEGREE + 1)
+
 
 # -- the integer representation against a term-by-term Fraction reference ----
 

@@ -1,0 +1,105 @@
+"""Output digests of odecert over the benchmark's three problem pools.
+
+    python3 tools/pool_digest.py
+
+For each pool of ``bench/workloads.py`` (read, never modified) this writes
+every problem three times, under the identity transform and under two
+seeded transforms (renamed variables, flipped signs, another sampling
+seed), runs the pool's commands on each file with ``--json`` and prints
+one sha256 per pool over every exit code and stdout, in order:
+
+    rank-chains   rank; check-alg + cert-check; radical; emit-smt
+    hp-loops      hp-reduce + cert-check
+    sai-sampling  check-inv + cert-check
+
+``cert-check`` reads the certificate the command before it reported.  Two
+checkouts whose digests agree print byte-identical output on every pool
+problem.  odecert is imported from ``src/`` of the checkout holding this
+file, in this process.  The exit status is 1 when any run exits 5 or
+writes a traceback, and 0 otherwise; no digest is pinned here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+from odecert import cli  # noqa: E402
+
+# per pool: the runs on each problem file; a run's commands after the
+# first are ``cert-check`` of the certificate the run's command reported
+COMMANDS = {
+    "rank-chains": [["rank"], ["check-alg", "cert-check"], ["radical"], ["emit-smt"]],
+    "hp-loops": [["hp-reduce", "cert-check"]],
+    "sai-sampling": [["check-inv", "cert-check"]],
+}
+RENAMINGS = 2
+
+
+def _call(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an escaped exception is a failure, not a verdict
+            print(f"Traceback: {type(exc).__name__}: {exc}", file=err)
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
+                failures: list[str]) -> str:
+    wl = workloads.WORKLOADS[name](params)
+    specs = wl.pool(pool_seed)
+    transforms = [[wl.identity()] * len(specs)]
+    for k in range(1, RENAMINGS + 1):
+        rng = random.Random(f"digest:{name}:{k}")
+        transforms.append([wl.transform(rng) for _ in specs])
+    sha = hashlib.sha256()
+    for k, pass_transforms in enumerate(transforms):
+        for i, (spec, t) in enumerate(zip(specs, pass_transforms)):
+            path = work / f"{name}-{k}-{i:04d}.prob"
+            path.write_text(wl.text(spec, t))
+            for run in COMMANDS[name]:
+                target = str(path)
+                for command in run:
+                    code, out, err = _call([command, target, "--json"])
+                    sha.update(f"{code}\n{out}\0".encode())
+                    if code == 5 or code is None or "Traceback" in err:
+                        failures.append(f"{name} {path.name} {command}: exit {code}\n{err}")
+                    report = json.loads(out) if out.strip() else {}
+                    cert = report.get("data", {}).get("certificate")
+                    if cert is None:
+                        break
+                    target = str(path.with_suffix(".cert.json"))
+                    Path(target).write_text(json.dumps(cert))
+    return sha.hexdigest()
+
+
+def main() -> int:
+    cfg = json.loads((ROOT / "bench" / "workloads.json").read_text())
+    failures: list[str] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COMMANDS:
+            entry = cfg["workloads"][name]
+            digest = pool_digest(name, entry["params"], entry["pool_seed"], Path(tmp),
+                                 failures)
+            print(f"{name} {digest}", flush=True)
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
