@@ -21,6 +21,9 @@ from .polyarith import PolyMatrix, VarTable
 from .semalg import Conjunct, NormalForm, render_formula
 
 FORMAT_VERSION = 1
+# version 2 of ``hpreduce`` certificates records loop chains of generator
+# sets: one chain record per loop member
+HPREDUCE_VERSION = 2
 
 
 def _fraction_parse(s: str) -> Fraction:
@@ -178,7 +181,7 @@ def certificate_to_json(cert: Certificate) -> dict:
         }
     if isinstance(cert, HpReductionCert):
         return {
-            "version": FORMAT_VERSION,
+            "version": HPREDUCE_VERSION,
             "kind": "hpreduce",
             "vars": list(cert.table.names),
             "program": render_program(cert.program),
@@ -197,9 +200,13 @@ def certificate_from_json(d: dict) -> Certificate:
     term) raises InputError."""
     if not isinstance(d, dict) or "kind" not in d:
         raise InputError("certificate JSON must be an object with a 'kind' field")
-    if d.get("version") != FORMAT_VERSION:
-        raise InputError(f"unsupported certificate version {d.get('version')!r}")
     kind = _field(d, "kind")
+    version = d.get("version")
+    if kind == "hpreduce" and version == FORMAT_VERSION:
+        raise InputError("hpreduce certificate version 1 predates generator-set "
+                         "loop chains; run hp-reduce again for a version 2 one")
+    if version != (HPREDUCE_VERSION if kind == "hpreduce" else FORMAT_VERSION):
+        raise InputError(f"unsupported certificate version {version!r}")
     if kind == "hpreduce":
         table = VarTable(_strings(d, "vars"))
         return HpReductionCert(

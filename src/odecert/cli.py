@@ -144,7 +144,7 @@ def _run_command(args) -> tuple[dict, int, int]:
             doc = json.loads(Path(args.file).read_text())
         except OSError as exc:
             raise InputError(f"cannot read {args.file}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer past json's digit limit
             raise InputError(f"invalid certificate JSON: {exc}") from None
         cert = certificate_from_json(doc)
         timeout = args.solver_timeout if args.solver_timeout is not None \

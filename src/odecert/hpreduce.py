@@ -1,25 +1,36 @@
 """The algebraic hybrid-program fragment and its box reduction.
 
 Programs are built from assignments, disequational tests ?r!=0, ODEs with
-optional disequational domains, choice, sequence, and loops.  For a single
+optional disequational domains, choice, sequence, and loops.  For a
 polynomial postcondition p, ``reduce_box`` computes a polynomial q with
-[program] p=0 equivalent to q=0 pointwise, by structural recursion.  ODE
-nodes sum the squares of the rank chain of p.  Star nodes run
-``ideals.stabilize`` with the body's reduction as the step: the chain of
-iterates grows on one incremental Groebner basis until it stabilizes, and
-the membership witness of its last element is recorded.
+[program] p=0 equivalent to q=0 pointwise.
+
+Box distributes over conjunction, so the reduction maps a list of
+generators, whose common zero set is the postcondition, to a list: an
+assignment substitutes into each generator, a test multiplies each by r,
+an ODE node replaces each by its rank chain (each element times r under a
+domain r != 0), a choice concatenates the lists of its branches and a
+sequence composes; ODE and choice nodes keep each distinct generator once.
+A loop runs ``ideals.stabilize`` from its list, with the body's reduction
+as the step: only the generators that are not yet members of the ideal go
+through the body again, and the loop ends when every generator of the next
+list is a member; each member's witness is recorded.  The program's list
+starts as [p], and q is formed once, from the final list: its lone nonzero
+generator, or the sum of the squares of its nonzero generators.  Chains of
+``;`` and of ``++`` are walked without recursion, and a list of more than
+``MAX_GENERATORS`` distinct generators is a resource error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .ideals import DEFAULT_RANK_CAP, StepBudget, rank, stabilize
 from .odecore import OdeSystem
-from .polyarith import Polynomial, VarTable
+from .polyarith import Polynomial, VarTable, sum_of_products
 
 
 # -- program syntax ----------------------------------------------------------
@@ -61,18 +72,35 @@ class Star:
 
 HybridProgram = object  # union of the six node kinds
 
+# most generators one list may hold: a sequence of k choices can make
+# about 1.7^k distinct ones, which no degree cap bounds
+MAX_GENERATORS = 4096
+
+
+def _operands(alpha: HybridProgram) -> list[HybridProgram]:
+    """[a_0, a_1, ..., a_n] for alpha = K(...K(K(a_0, a_1), a_2)..., a_n),
+    where K is alpha's kind (Seq or Choice): the left-nested tree that the
+    parser builds for a_0 ; a_1 ; ... ; a_n (or ++), walked without
+    recursion."""
+    kind, rights = type(alpha), []
+    while type(alpha) is kind:
+        if kind is Seq:
+            alpha, right = alpha.first, alpha.second
+        else:
+            alpha, right = alpha.left, alpha.right
+        rights.append(right)
+    return [alpha] + rights[::-1]
+
 
 def program_table(alpha: HybridProgram) -> VarTable:
+    while isinstance(alpha, (Choice, Seq, Star)):
+        alpha = alpha.body if isinstance(alpha, Star) else _operands(alpha)[0]
     if isinstance(alpha, Assign):
         return alpha.expr.table
     if isinstance(alpha, Test):
         return alpha.r.table
     if isinstance(alpha, Ode):
         return alpha.sys.table
-    if isinstance(alpha, (Choice, Seq)):
-        return program_table(alpha.left if isinstance(alpha, Choice) else alpha.first)
-    if isinstance(alpha, Star):
-        return program_table(alpha.body)
     raise InputError(f"not a hybrid program: {type(alpha).__name__}")
 
 
@@ -100,9 +128,9 @@ def render_program(alpha: HybridProgram) -> str:
                 body += f" & {a.r.render()} != 0"
             return "{ " + body + " }"
         if isinstance(a, Choice):
-            return f"{wrap(a.left, 1)} ++ {wrap(a.right, 1)}"
+            return " ++ ".join(wrap(b, 1) for b in _operands(a))
         if isinstance(a, Seq):
-            return f"{wrap(a.first, 2)} ; {wrap(a.second, 2)}"
+            return " ; ".join(wrap(b, 2) for b in _operands(a))
         if isinstance(a, Star):
             return "{ " + go(a.body) + " }*"
         raise InputError(f"not a hybrid program: {type(a).__name__}")
@@ -114,75 +142,85 @@ def render_program(alpha: HybridProgram) -> str:
 
 @dataclass
 class ReductionTrace:
-    """Per-node record of the structural recursion."""
-    node: str
-    result: Polynomial
-    children: list["ReductionTrace"] = field(default_factory=list)
-    chain: Optional[list[Polynomial]] = None       # Star nodes: q_0 .. q_k
-    witness: Optional[list[Polynomial]] = None     # g_0 .. g_{k-1}
-    rank_n: Optional[int] = None                   # Ode nodes
+    """What ``reduce_box`` derived.
 
-    def star_chains(self) -> Iterator[tuple[list[Polynomial], list[Polynomial]]]:
-        """All (chain, witness) pairs in traversal order."""
-        if self.chain is not None:
-            yield self.chain, self.witness or []
-        for child in self.children:
-            yield from child.star_chains()
+    ``generators`` vanish together exactly where [alpha] p=0 holds.
+    ``chain`` lists the generators the loops kept, in the order kept, and
+    ``witness`` has one record (chain, cofactors) per loop member h:
+    ``chain`` is the generators g_0..g_{k-1} its loop had kept before h,
+    followed by h, and h = sum_{i<k} cofactors[i] * g_i.  A record met more
+    than once is listed once.  Both are None for a program without loops.
+    A loop past the cap raises ResourceError carrying the trace so far: its
+    ``chain`` ends with the generators that loop kept, which are also its
+    ``generators``, and its ``witness`` is None.
+    """
+    generators: list[Polynomial]
+    chain: Optional[list[Polynomial]] = None
+    witness: Optional[list[tuple[list[Polynomial], list[Polynomial]]]] = None
+
+    def star_chains(self) -> list[tuple[list[Polynomial], list[Polynomial]]]:
+        """The loop records, in the order first met."""
+        return list(self.witness or ())
+
+
+def _distinct(gens) -> list[Polynomial]:
+    """The distinct generators of the iterable ``gens`` in first-seen order;
+    ResourceError as soon as there are more than ``MAX_GENERATORS``."""
+    out: dict[Polynomial, None] = {}
+    for g in gens:
+        out[g] = None
+        if len(out) > MAX_GENERATORS:
+            raise ResourceError(f"generator list exceeds the cap {MAX_GENERATORS}")
+    return list(out)
 
 
 def reduce_box(alpha: HybridProgram, p: Polynomial,
                cap: int = DEFAULT_RANK_CAP) -> tuple[Polynomial, ReductionTrace]:
     """Polynomial q with [alpha] p=0 equivalent to q=0 pointwise.
 
-    ``cap`` bounds both ODE ranks and Star chain lengths; exceeding it raises
-    ResourceError carrying the partial trace.
+    ``cap`` bounds both ODE ranks and the rounds of each loop; exceeding it
+    raises ResourceError carrying the partial trace.
     """
-    if isinstance(alpha, Assign):
-        q = p.substitute({alpha.var: alpha.expr})
-        return q, ReductionTrace("assign", q)
-    if isinstance(alpha, Test):
-        q = alpha.r * p
-        return q, ReductionTrace("test", q)
-    if isinstance(alpha, Ode):
-        rr = rank(p, alpha.sys, cap=cap)
-        q = Polynomial.zero(p.table)
-        for lie in rr.chain:
-            q = q + lie * lie
-        if alpha.r is not None:
-            q = alpha.r * q
-        return q, ReductionTrace("ode", q, rank_n=rr.n)
-    if isinstance(alpha, Choice):
-        q1, t1 = reduce_box(alpha.left, p, cap)
-        q2, t2 = reduce_box(alpha.right, p, cap)
-        q = q1 * q1 + q2 * q2
-        return q, ReductionTrace("choice", q, children=[t1, t2])
-    if isinstance(alpha, Seq):
-        q2, t2 = reduce_box(alpha.second, p, cap)
-        q1, t1 = reduce_box(alpha.first, q2, cap)
-        return q1, ReductionTrace("seq", q1, children=[t1, t2])
-    if isinstance(alpha, Star):
-        children: list[ReductionTrace] = []
+    kept: list[Polynomial] = []
+    records: dict[tuple, tuple[list[Polynomial], list[Polynomial]]] = {}
 
-        def body(q: Polynomial) -> Polynomial:
-            q_next, t_next = reduce_box(alpha.body, q, cap)
-            children.append(t_next)
-            return q_next
+    def box(a: HybridProgram, gens: list[Polynomial]) -> list[Polynomial]:
+        if isinstance(a, Assign):
+            return [g.substitute({a.var: a.expr}) for g in gens]
+        if isinstance(a, Test):
+            return [a.r * g for g in gens]
+        if isinstance(a, Ode):
+            chains = (rank(g, a.sys, cap=cap).chain for g in gens)
+            return _distinct(c if a.r is None else a.r * c for chain in chains for c in chain)
+        if isinstance(a, Choice):
+            return _distinct(g for b in _operands(a) for g in box(b, gens))
+        if isinstance(a, Seq):
+            for b in reversed(_operands(a)):
+                gens = box(b, gens)
+            return gens
+        if isinstance(a, Star):
+            if not gens:
+                return gens
+            loop_kept, members = stabilize(gens, lambda new: box(a.body, new), cap,
+                                           StepBudget(what="loop chain"))
+            kept.extend(loop_kept)
+            if members is None:
+                raise ResourceError(f"loop chain cap {cap} exceeded",
+                                    partial=ReductionTrace(loop_kept, kept))
+            for chain, cofs in members:
+                records.setdefault((tuple(chain), tuple(cofs)), (chain, cofs))
+            return loop_kept
+        raise InputError(f"not a hybrid program: {type(a).__name__}")
 
-        if p.is_zero():
-            chain, witness = [p], []  # 0 lies in the zero ideal <> already
-        else:
-            chain, witness = stabilize(p, body, cap, StepBudget(what="loop chain"))
-        if witness is None:
-            trace = ReductionTrace("star", Polynomial.zero(p.table),
-                                   children=children, chain=chain)
-            raise ResourceError(f"loop chain cap {cap} exceeded", partial=trace)
-        q = Polynomial.zero(p.table)
-        for qi in chain[:-1]:
-            q = q + qi * qi
-        trace = ReductionTrace("star", q, children=children,
-                               chain=chain, witness=witness)
-        return q, trace
-    raise InputError(f"not a hybrid program: {type(alpha).__name__}")
+    gens = box(alpha, [p])
+    nonzero = [g for g in gens if g]
+    if len(nonzero) == 1:
+        q = nonzero[0]
+    else:
+        q = sum_of_products(p.table, ((g, g) for g in nonzero))
+    loops = bool(kept or records)
+    return q, ReductionTrace(gens, kept if loops else None,
+                             list(records.values()) if loops else None)
 
 
 # -- discrete oracle ----------------------------------------------------------
@@ -212,12 +250,12 @@ def _run(alpha: HybridProgram, state: tuple[Fraction, ...],
     if isinstance(alpha, Ode):
         raise InputError("oracle_unroll does not support ODE nodes")
     if isinstance(alpha, Choice):
-        return _run(alpha.left, state, depth) | _run(alpha.right, state, depth)
+        return set().union(*(_run(b, state, depth) for b in _operands(alpha)))
     if isinstance(alpha, Seq):
-        out: set[tuple[Fraction, ...]] = set()
-        for mid in _run(alpha.first, state, depth):
-            out |= _run(alpha.second, mid, depth)
-        return out
+        states = {state}
+        for b in _operands(alpha):
+            states = set().union(*(_run(b, s, depth) for s in states))
+        return states
     if isinstance(alpha, Star):
         reached = {state}
         frontier = {state}

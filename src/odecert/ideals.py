@@ -25,11 +25,14 @@ witness never build one.  S-polynomials, multipliers, cofactors and the recombin
 operations, and each materialised cofactor is summed over one
 denominator.
 
-``stabilize`` is the one ascending-chain loop: it grows q_0, q_1 = step(q_0),
-... on a single incremental basis until q_k lies in <q_0, ..., q_{k-1}>.
-``rank`` runs it with the Lie derivative as the step and returns the chain
-it grew; the loop rule of ``hpreduce`` and the rank replay of DRI
-certificates run it too.
+``stabilize`` is the one ascending-chain loop.  It grows the ideal of a
+list of generators on a single incremental basis: each round maps the
+generators the last round kept to a new list, keeps those that are not yet
+members and records a membership witness for every one that is, until a
+round keeps nothing.  ``rank`` is its one-generator case, with the Lie
+derivative as the step, and returns the chain it grew; the rank replay of
+DRI certificates runs that case too, and the loop rule of ``hpreduce`` runs
+it with the loop body's reduction of a generator list as the step.
 """
 
 from __future__ import annotations
@@ -439,38 +442,55 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
     return _reduce_terms(p, rows, order, budget)[0]
 
 
-def stabilize(first: Polynomial, step: Callable[[Polynomial], Polynomial], cap: int,
+def stabilize(first: Sequence[Polynomial],
+              step: Callable[[list[Polynomial]], list[Polynomial]], cap: int,
               budget: StepBudget, order: MonomialOrder = GREVLEX
-              ) -> tuple[list[Polynomial], Optional[list[Polynomial]]]:
-    """Grow q_0 = first, q_{k+1} = step(q_k) until q_k lies in <q_0, ..., q_{k-1}>.
+              ) -> tuple[list[Polynomial], Optional[list[tuple[list[Polynomial],
+                                                                list[Polynomial]]]]]:
+    """Grow the ideal of the generators ``first`` until ``step`` adds nothing.
 
-    Returns (q_0..q_k, cofactors g with q_k = sum_{i<k} g_i q_i) for the
-    smallest such k in 1..cap, or (q_0..q_cap, None) when there is none.  One
-    incremental Buchberger run serves the whole chain: each q_k is reduced
-    once, and a non-member enters the basis through that same reduction.
-    The ascending chain condition makes every chain stop; ``cap`` bounds
-    the wait.  Budget exhaustion raises ResourceError.
+    Round 0 is ``first``; round k+1 is ``step`` of the generators round k
+    kept.  Each round's generators are reduced in turn on one incremental
+    Groebner basis, completed after every generator it takes in.  A
+    non-member of the ideal of the generators kept so far is kept, and
+    enters the basis through that same reduction.  A member h gets the
+    record (g_0..g_{m-1} followed by h, cofactors c) with
+    h = sum_i c_i g_i over the m generators kept before it, checked to
+    recombine exactly.  The ideal is closed under ``step`` once a round
+    keeps nothing; the ascending chain condition makes that happen.
+
+    Returns (kept generators, records) when a round up to ``cap`` kept
+    nothing, and (kept generators, None) when round ``cap`` still kept one.
+    ``first`` must not be empty.  Budget exhaustion raises ResourceError.
     """
-    state = BuchbergerState(first.table, order, budget)
-    chain = [first]
-    rem, steps = state._reduce(first)
-    for _ in range(cap):
-        state._add_reduced(chain[-1], rem, steps)
-        state.complete()
-        chain.append(step(chain[-1]))
-        rem, steps = state._reduce(chain[-1])
-        if not rem:
-            cofs = state._witness(steps)
-            _assert_recombines(chain[-1], cofs, state.gens)
-            return chain, cofs
-    return chain, None
+    state = BuchbergerState(first[0].table, order, budget)
+    records = []
+    gens = first
+    for round_ in range(cap + 1):
+        if round_:
+            gens = step(new)
+        new = []
+        for h in gens:
+            rem, steps = state._reduce(h)
+            if rem:
+                state._add_reduced(h, rem, steps)
+                state.complete()
+                new.append(h)
+            else:
+                cofs = state._witness(steps)
+                _assert_recombines(h, cofs, state.gens)
+                records.append((state.gens + [h], cofs))
+        if not new:
+            return state.gens, records
+    return state.gens, None
 
 
 def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
          order: MonomialOrder = GREVLEX,
          step_budget: Optional[int] = None) -> RankResult:
     """Smallest N >= 1 with L^N p in <p, Lp, ..., L^{N-1}p>, with exact
-    cofactors and the chain p, ..., L^{N-1}p.
+    cofactors and the chain p, ..., L^{N-1}p: ``stabilize`` from [p] with
+    the Lie derivative as the step, so each round holds one generator.
 
     The zero polynomial has rank 1 with cofactor 0.  Exceeding ``cap``
     raises ResourceError carrying the partial Lie chain.
@@ -479,13 +499,15 @@ def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
         raise InputError("rank cap must be >= 1")
     if p.table != sys.table:
         raise InputError("polynomial and system use different variable tables")
+    if p.is_zero():
+        return RankResult(1, (p,), (p,))
     budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET,
                         what="rank")
-    chain, cofs = stabilize(p, lambda q: lie_derivative(q, sys), cap, budget, order)
-    if cofs is None:
+    chain, records = stabilize([p], lambda gens: [lie_derivative(g, sys) for g in gens],
+                               cap, budget, order)
+    if records is None:
         raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
-    n = len(chain) - 1
-    return RankResult(n, tuple(cofs), tuple(chain[:n]))
+    return RankResult(len(chain), tuple(records[0][1]), tuple(chain))
 
 
 def differential_radical(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,

@@ -112,8 +112,8 @@ class SaiCert:
 
 @dataclass(frozen=True)
 class ChainRecord:
-    """One Star node's ideal chain q_0..q_k and the witness for
-    q_k = sum_{i<k} cofactors[i] * q_i."""
+    """One loop member h: ``chain`` is the generators g_0..g_{k-1} the loop
+    had kept before it, followed by h, and h = sum_{i<k} cofactors[i] * g_i."""
     chain: tuple[Polynomial, ...]
     cofactors: tuple[Polynomial, ...]
 
@@ -642,11 +642,13 @@ def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
     rr = cert.rank_result
     if rr.n < 1 or len(rr.cofactors) != rr.n:
         return False
+    if cert.p.is_zero():
+        return rr.n == 1  # L 0 = g * 0 for every cofactor g
 
     def lie(q: Polynomial) -> Polynomial:
         return lie_derivative(q, cert.system)
 
-    chain, smaller = stabilize(cert.p, lie, rr.n - 1,
+    chain, smaller = stabilize([cert.p], lambda gens: [lie(g) for g in gens], rr.n - 1,
                                StepBudget(config.step_budget, "rank replay"))
     if smaller is not None:
         return False  # a smaller rank exists: recorded minimality is wrong

@@ -11,7 +11,8 @@ Text is split into tokens by one compiled regular expression.  Numbers are
 ASCII digits ``[0-9]+``; an identifier is a letter or ``_`` followed by
 letters, digits or ``_`` (any Unicode ones, as ``str.isalnum`` says).  Any
 other character outside a comment (``#`` to end of line), including a
-non-ASCII digit, is an input error.
+non-ASCII digit, is an input error, and so is a number of more than
+``polyarith.MAX_DIGITS`` digits.
 
 Terms are built in integers.  A product whose factors are numbers and
 powers of variables stays one term ``(num, den, exponents)`` with den > 0;
@@ -22,8 +23,9 @@ exponent past ``polyarith.MAX_DEGREE``, or a power whose degree passes it,
 is a resource error, whatever the base.
 
 Errors carry 1-based line/column positions.  Nesting (parentheses, unary
-minus, ``!`` and program braces) deeper than ``MAX_NESTING`` levels is an
-input error, so parsing cannot exhaust the interpreter's recursion limit.
+minus, ``!``, program braces and each ``->`` of a chain, which nests to
+the right) deeper than ``MAX_NESTING`` levels is an input error, so
+parsing cannot exhaust the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from operator import add
 from .errors import InputError, NonPolynomialError
 from .hpreduce import (Assign, Choice, HybridProgram, Ode, Seq, Star, Test)
 from .odecore import OdeSystem
-from .polyarith import Polynomial, VarTable, check_power
+from .polyarith import MAX_DIGITS, Polynomial, VarTable, check_power
 from .semalg import (FALSE, TRUE, And, Atom, Formula, Implies, Not, Or)
 
 # deepest nesting accepted; each level costs at most six parser frames
@@ -72,6 +74,9 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
         word = match.group()
         if kind == "bad" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
             raise InputError(f"unexpected character {word[0]!r}",
+                             *_position(text, match.start()))
+        if kind == "num" and len(word) > MAX_DIGITS:
+            raise InputError(f"integer literal longer than {MAX_DIGITS} digits",
                              *_position(text, match.start()))
         kinds.append(kind)
         texts.append(word)
@@ -256,7 +261,7 @@ class _Parser:
         node = self.disjunction()
         if self.at_sym("->"):
             self.pos += 1
-            return Implies(node, self.formula())
+            return Implies(node, self.nested(self.formula))
         return node
 
     def disjunction(self) -> Formula:

@@ -33,6 +33,12 @@ Mono = tuple  # exponent vector; one entry per VarTable slot
 # largest total degree a power may reach: x^k costs about k^n terms
 MAX_DEGREE = 1000
 
+# most decimal digits of an integer literal or of a rendered numerator or
+# denominator; below CPython's 4300-digit default limit on int/str
+# conversion, so no Python version decides where text stops
+MAX_DIGITS = 4000
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
 
 class VarTable:
     """Bijection between variable names and dense indices 0..n-1.
@@ -146,6 +152,20 @@ def order_by_name(name: str) -> MonomialOrder:
         return _ORDERS[name]
     except KeyError:
         raise InputError(f"unknown monomial order {name!r} (use grevlex or lex)") from None
+
+
+def decimal(n: int) -> str:
+    """``str(n)``; ResourceError when n has more than ``MAX_DIGITS`` digits."""
+    if -_DIGIT_BOUND < n < _DIGIT_BOUND:
+        return str(n)
+    raise ResourceError(f"an integer of more than {MAX_DIGITS} digits exceeds the digit cap")
+
+
+def _decimal_fraction(c: Fraction) -> str:
+    """``str(c)`` within the digit cap."""
+    if c.denominator == 1:
+        return decimal(c.numerator)
+    return decimal(c.numerator) + "/" + decimal(c.denominator)
 
 
 def check_power(degree: int, k: int) -> None:
@@ -530,11 +550,11 @@ class Polynomial:
                     factors.append(f"{self.table.name(i)}^{e}")
             mag = abs(c)
             if not factors:
-                body = str(mag)
+                body = _decimal_fraction(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = str(mag) + "*" + "*".join(factors)
+                body = _decimal_fraction(mag) + "*" + "*".join(factors)
             if k == 0:
                 parts.append(("-" if c < 0 else "") + body)
             else:

@@ -395,17 +395,13 @@ def to_normal_form(phi: Formula, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalF
             conjunctive = isinstance(f, And) != neg  # And stays And unless negated
             branches = [dnf(a, neg) for a in f.args]
             if conjunctive:
+                # the cells of a DNF hold no constant atoms, so no merged
+                # cell folds away: the product has exactly this many cells
                 acc = [Conjunct((), ())]
                 for branch in branches:
-                    merged = []
-                    for left in acc:
-                        for right in branch:
-                            c = _build_conjunct(left.geqs + right.geqs,
-                                                left.gts + right.gts)
-                            if c is not None:
-                                merged.append(c)
-                    _check_disjunct_count(len(merged), limit)
-                    acc = merged
+                    _check_disjunct_count(len(acc) * len(branch), limit)
+                    acc = [_build_conjunct(left.geqs + right.geqs, left.gts + right.gts)
+                           for left in acc for right in branch]
                 return acc
             out: list[Conjunct] = []
             for branch in branches:
@@ -443,19 +439,15 @@ def negate_normal_form(P: NormalForm, limit: int = DEFAULT_DISJUNCT_LIMIT) -> No
     for c in P.disjuncts:
         clause = [("gt", -p) for p in c.geqs] + [("geq", -q) for q in c.gts]
         clauses.append(clause)
+    # a normal form built by to_normal_form has no constant atoms, so no
+    # cell of the product folds away and len(acc) * len(clause) is its size
     acc: list[Conjunct] = [Conjunct((), ())]
     for clause in clauses:
-        merged: list[Conjunct] = []
-        for left in acc:
-            for kind, poly in clause:
-                cell = _build_conjunct(
-                    left.geqs + ((poly,) if kind == "geq" else ()),
-                    left.gts + ((poly,) if kind == "gt" else ()),
-                )
-                if cell is not None:
-                    merged.append(cell)
-        _check_disjunct_count(len(merged), limit)
-        acc = merged
+        _check_disjunct_count(len(acc) * len(clause), limit)
+        cells = (_build_conjunct(left.geqs + ((poly,) if kind == "geq" else ()),
+                                 left.gts + ((poly,) if kind == "gt" else ()))
+                 for left in acc for kind, poly in clause)
+        acc = [cell for cell in cells if cell is not None]
     return NormalForm(tuple(acc))
 
 

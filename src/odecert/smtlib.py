@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import InputError
-from .polyarith import Polynomial
+from .polyarith import Polynomial, decimal
 from .semalg import And, Atom, FalseF, Formula, Implies, Not, Or, TrueF
 
 
@@ -41,8 +41,8 @@ def _rational_sexpr(c: Fraction) -> str:
     if c < 0:
         return f"(- {_rational_sexpr(-c)})"
     if c.denominator == 1:
-        return str(c.numerator)
-    return f"(/ {c.numerator} {c.denominator})"
+        return decimal(c.numerator)
+    return f"(/ {decimal(c.numerator)} {decimal(c.denominator)})"
 
 
 def poly_sexpr(p: Polynomial) -> str:

@@ -129,6 +129,25 @@ class TestExitCodes:
         assert code == 0 and report["data"]["rank"] == 2
         assert main(["check-inv", prob, "--samples", "20"]) in (0, 1, 2)
 
+    def test_long_implication_chain_is_three(self, tmp_path, capsys):
+        chain = " -> ".join(["x > 0"] * 2001)
+        prob = write(tmp_path, "imp.prob", f"vars: x, y\node: x' = y, y' = -x\n"
+                                           f"candidate: {chain}\n")
+        assert main(["check-inv", prob]) == 3
+        assert "nesting deeper than" in capsys.readouterr().err
+
+    def test_long_literal_is_three(self, tmp_path, capsys):
+        prob = write(tmp_path, "lit.prob", "vars: x, y\node: x' = y, y' = -x\n"
+                                           f"polynomial: {'7' * 5000}*x\n")
+        assert main(["rank", prob]) == 3
+        assert "longer than 4000 digits" in capsys.readouterr().err
+
+    def test_long_computed_coefficient_is_four(self, tmp_path, capsys):
+        prob = write(tmp_path, "big.prob", "vars: x, y\node: x' = y, y' = -x\n"
+                                           "polynomial: (2^1000)^1000*x\n")
+        assert main(["lie", prob]) == 4
+        assert "digit cap" in capsys.readouterr().err
+
     def test_unexpected_exception_is_five(self, circle_prob, capsys, monkeypatch):
         from odecert import cli
 
@@ -212,7 +231,7 @@ class TestCommands:
                      "vars: x\nprogram: { x := -x }*\npost: x = 0\n")
         code, report = run_json(capsys, ["hp-reduce", prob, "--json"])
         assert code == 0
-        assert report["data"]["reduced"] == "x^2"
+        assert report["data"]["reduced"] == "x"
         cert = report["data"]["certificate"]
         assert cert["kind"] == "hpreduce"
         assert cert["chains"][0]["chain"] == ["x", "-x"]
@@ -226,6 +245,32 @@ class TestCommands:
         assert code == 0
         # rank of u under the swap system is 2, then u := u+1 substitutes
         assert report["data"]["reduced"] == "u^2 + v^2 + 2*u + 1"
+
+    def test_hp_reduce_loop_with_choice_and_ode_ends_quickly(self, tmp_path, capsys):
+        # this loop combines ++ with an ODE; reduced as one sum of squares it
+        # reached degree 16 by the third iterate and ran past 30 s
+        prob = write(tmp_path, "unbounded.prob",
+                     "vars: x, y\nprogram: { { x := 2*y + 1 ++ y := -y ; "
+                     "y := x + 2*y + 1 } ; { x' = -y + 2, y' = -2*x - 4*y } }*\n"
+                     "post: x = 0\ncap: 20\n")
+        started = time.perf_counter()
+        code, report = run_json(capsys, ["hp-reduce", prob, "--json"])
+        assert code == 0
+        assert report["data"]["reduced"] == "x^2 + 5*y^2 + 5"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(report["data"]["certificate"]))
+        code, report = run_json(capsys, ["cert-check", str(cert), "--json"])
+        assert code == 0 and report["data"]["valid"] is True
+        assert time.perf_counter() - started < 1.0
+
+    def test_hp_reduce_long_sequence(self, tmp_path, capsys):
+        prob = write(tmp_path, "long.prob", "vars: x, y\nprogram: "
+                     + " ; ".join(["x := 1"] * 3000) + "\npost: x = 0\n")
+        code, report = run_json(capsys, ["hp-reduce", prob, "--json"])
+        assert code == 0 and report["data"]["reduced"] == "1"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(report["data"]["certificate"]))
+        assert main(["cert-check", str(cert)]) == 0
 
     def test_emit_smt_files(self, tmp_path, circle_prob, capsys):
         out_dir = tmp_path / "smt"
@@ -307,6 +352,22 @@ class TestCertCheckCommand:
         path.write_text("{not json")
         assert main(["cert-check", str(path)]) == 3
 
+    def test_integer_past_the_json_digit_limit_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"kind": "dri", "version": ' + "1" * 5000 + "}")
+        assert main(["cert-check", str(path)]) == 3
+
+    def test_version_1_hpreduce_certificate_is_input_error(self, tmp_path, capsys):
+        hp = write(tmp_path, "hp.prob", "vars: x\nprogram: { x := -x }*\npost: x = 0\n")
+        _, report = run_json(capsys, ["hp-reduce", hp, "--json"])
+        doc = report["data"]["certificate"]
+        assert doc["version"] == 2
+        doc["version"] = 1
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 3
+        assert "predates generator-set loop chains" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mutate", [
         lambda doc: doc.pop("rank"),
         lambda doc: doc["rank"].update(n="one"),
@@ -372,10 +433,11 @@ class TestPinnedOutputs:
 
     ``check-inv`` on the running-example regions was recorded before sampling
     moved to integers: a change to the sampling rng's call sequence or to the
-    root lists moves the refuting witnesses.  ``hp-reduce`` and ``radical``
-    were recorded while loop chains still ran a from-scratch Groebner basis
-    per membership test: the chains, their cofactors and the rank chains
-    must not move under the incremental chain engine."""
+    root lists moves the refuting witnesses.  ``radical`` was recorded while
+    loop chains still ran a from-scratch Groebner basis per membership test:
+    the rank chains must not move under the incremental chain engine.
+    ``hp-reduce`` was recorded when the reduction moved to generator lists
+    (version 2 certificates, one chain record per loop member)."""
 
     HALF = "u^2 + v^2 < 1/4 | (u^2 + v^2 = 1/4 & u >= 0)"
 
@@ -402,18 +464,18 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("command, text, digest", [
         pytest.param("hp-reduce", "vars: x\nprogram: { x := x^2 + 1 }*\npost: x = 0\n",
-                     "4fb506729bb6540509767741a5356f680ab96cf074c2b0cf040850b2d4327d8b",
+                     "6a3867d3f9c703c1f55a4f742444014a592107eafa0367f2c2db5e880d7cdf82",
                      id="loop-to-unit-ideal"),
         pytest.param("hp-reduce", "vars: x, y\nprogram: { x := x + y }*\npost: x - x = 0\n",
-                     "85b1b53b3cb7945aaf68cb87873e7ddcc9576f40a7edae9644352bd8f1321a74",
+                     "3f6d6628afeafaedbd8b7da6f4eaad3ff6be367edd87c9bd7836ac7fdccee772",
                      id="loop-zero-postcondition"),
         pytest.param("hp-reduce", "vars: x, y\nprogram: x := x + 1 ; "
                      "{ y := 2*y ; { x' = y, y' = -x } }*\npost: x^2 + y^2 - 1 = 0\n",
-                     "8cc912aee334375dc802b72404aa6635772a84379a2ab08dc06dff1fc4b620b1",
+                     "6b2ddd6f17ae06a24fbc52b5d3b03624d0b8c23d1686e908cdc3eb40b2a33ed1",
                      id="loop-with-ode"),
         pytest.param("hp-reduce", "vars: x, y\nprogram: { x := x + y ++ y := x - 1 }*\n"
                      "post: x = 0\n",
-                     "9a2e8f8971924513ed028359364a22c557f55a364bb70673352b0e82c32b0a40",
+                     "209448a4d507ade352e3e0a45b5b7d185fdf20d1c4093640c5be029bc9add7fe",
                      id="loop-with-choice"),
         pytest.param("radical", "vars: x, y\node: x' = y, y' = x\npolynomial: x\n",
                      "cf13889c7b2e91359c71e4ab18a2e3cddfff4eb37b81edc1521aa3af9357f012",

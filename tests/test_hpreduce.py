@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from odecert import (Assign, Choice, InputError, Ode, Polynomial,
-                     ResourceError, Seq, Star, VarTable, member_with_witness,
-                     oracle_unroll, reduce_box, render_program)
+from odecert import (Assign, Choice, ChainRecord, DischargeConfig,
+                     HpReductionCert, InputError, Ode, Polynomial,
+                     ResourceError, Seq, Star, VarTable, check_certificate,
+                     member_with_witness, oracle_unroll, reduce_box,
+                     render_program)
 from odecert import Test as ProgTest
 from odecert.parser import parse_program, parse_term
 
@@ -43,8 +46,9 @@ class TestReduceBox:
         assert q == P("2*x - 2", tx)
 
     def test_star_negation_loop(self, tx):
+        # the loop keeps the lone generator x, so q is x itself
         q, trace = reduce_box(Star(Assign(0, P("-x", tx))), P("x", tx))
-        assert q == P("x^2", tx)
+        assert q == P("x", tx)
         chains = list(trace.star_chains())
         assert len(chains) == 1
         chain, witness = chains[0]
@@ -58,13 +62,13 @@ class TestReduceBox:
 
     def test_ode_node_rank_one(self, uv, alpha_e):
         q, trace = reduce_box(Ode(alpha_e), P("u^2 + v^2 - 1", uv))
-        assert q == P("(u^2 + v^2 - 1)^2", uv)
-        assert trace.rank_n == 1
+        assert q == P("u^2 + v^2 - 1", uv)
+        assert trace.generators == [P("u^2 + v^2 - 1", uv)]
 
     def test_ode_node_with_domain(self, uv, alpha_e):
         r = P("u", uv)
         q, _ = reduce_box(Ode(alpha_e, r), P("u^2 + v^2 - 1", uv))
-        assert q == P("u", uv) * P("(u^2 + v^2 - 1)^2", uv)
+        assert q == P("u", uv) * P("u^2 + v^2 - 1", uv)
 
     def test_ode_rank_two_pointwise_semantics(self, xy, swap_sys):
         # q vanishes iff all chain derivatives vanish (and domain passes)
@@ -72,7 +76,7 @@ class TestReduceBox:
         r = P("x + y - 1", xy)
         p = P("x", xy)
         q, trace = reduce_box(Ode(swap_sys, r), p)
-        assert trace.rank_n == 2
+        assert trace.generators == [r * p, r * P("y", xy)]
         for _ in range(500):
             pt = random_point(rng, 2)
             lhs = q.evaluate(pt) == 0
@@ -86,26 +90,192 @@ class TestReduceBox:
         rot = parse_ode("x' = y, y' = -x", xy)
         p = P("x^2 + y^2 - 1", xy)
         q, trace = reduce_box(Star(Ode(rot)), p)
-        assert q == p * p
+        assert q == p
         chains = list(trace.star_chains())
-        assert chains[0][0] == [p, p * p]
+        assert chains == [([p, p], [Polynomial.one(xy)])]
 
     def test_chain_cap_resource_error(self, tx):
-        # x := x^2 + 1 drives an ascending chain that needs two steps
+        # x := x^2 + 1 drives an ascending chain that needs two rounds
         # (<x, x^2 + 1> = <1>); caps 0 and 1 must fail with the partial
-        # trace, whose chain is q_0..q_cap
+        # trace, which holds the generators kept so far and no records
         prog = Star(Assign(0, P("x^2 + 1", tx)))
         with pytest.raises(ResourceError) as info:
             reduce_box(prog, P("x", tx), cap=0)
         assert info.value.partial.chain == [P("x", tx)]
-        assert info.value.partial.children == []
+        assert info.value.partial.witness is None
         with pytest.raises(ResourceError, match="loop chain cap 1 exceeded") as info:
             reduce_box(prog, P("x", tx), cap=1)
         assert info.value.partial.chain == [P("x", tx), P("x^2 + 1", tx)]
-        assert len(info.value.partial.children) == 1
+        assert info.value.partial.generators == [P("x", tx), P("x^2 + 1", tx)]
         _, trace = reduce_box(prog, P("x", tx), cap=2)
         assert [c for c, _ in trace.star_chains()] == \
             [[P("x", tx), P("x^2 + 1", tx), P("(x^2 + 1)^2 + 1", tx)]]
+
+
+def assert_records_recombine(trace):
+    for chain, cofactors in trace.star_chains():
+        k = len(chain) - 1
+        assert len(cofactors) == k
+        acc = Polynomial.zero(chain[k].table)
+        for g, qi in zip(cofactors, chain[:k]):
+            acc = acc + g * qi
+        assert acc == chain[k]
+
+
+def assert_certificate_replays(prog, p, q, trace):
+    table = p.table
+    chains = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
+    cert = HpReductionCert(table=table, program=prog, p=p, q=q, chains=chains, cap=20)
+    assert check_certificate(cert, DischargeConfig())
+
+
+class TestGeneratorLists:
+    def test_choice_keeps_both_branches_unsquared(self, xy):
+        prog = Choice(Assign(0, P("2*y + 1", xy)), Assign(1, P("-y", xy)))
+        q, trace = reduce_box(prog, P("x", xy))
+        assert trace.generators == [P("2*y + 1", xy), P("x", xy)]
+        assert q == P("(2*y + 1)^2 + x^2", xy)
+        assert trace.chain is None and trace.witness is None
+
+    def test_identical_branches_give_one_generator(self, xy):
+        prog = Choice(Assign(1, P("0", xy)), Assign(1, P("1", xy)))
+        q, trace = reduce_box(prog, P("x - 1", xy))
+        assert trace.generators == [P("x - 1", xy)]
+        assert q == P("x - 1", xy)
+
+    def test_loop_grows_a_set_of_generators(self, xy):
+        # [{x := x + y ++ y := x - 1}*] x = 0: the loop keeps x, x + y and
+        # 2x - 1, which generate <1>: no state satisfies the box
+        prog = parse_program("{ x := x + y ++ y := x - 1 }*", xy)
+        q, trace = reduce_box(prog, P("x", xy))
+        assert trace.chain == [P("x", xy), P("x + y", xy), P("2*x - 1", xy)]
+        assert q == P("x^2 + (x + y)^2 + (2*x - 1)^2", xy)
+        assert_records_recombine(trace)
+        for i in range(1, len(trace.chain)):
+            assert member_with_witness(trace.chain[i], trace.chain[:i]) is None
+
+    def test_identical_records_are_listed_once(self, xy):
+        # the outer loop keeps x + y, then x; the inner loop runs in both of
+        # its rounds on the same generator x and makes the same record
+        prog = parse_program("{ { x := -x }* ; y := 0 }*", xy)
+        q, trace = reduce_box(prog, P("x + y", xy))
+        assert q == P("(x + y)^2 + x^2", xy)
+        assert trace.chain == [P("x", xy), P("x", xy), P("x + y", xy), P("x", xy)]
+        assert trace.star_chains() == [
+            ([P("x", xy), P("-x", xy)], [P("-1", xy)]),
+            ([P("x + y", xy), P("x", xy), P("x", xy)], [P("0", xy), P("1", xy)])]
+
+    def test_long_sequence_and_choice_chains(self, xy):
+        steps = parse_program(" ; ".join(["x := x + 1"] * 3000), xy)
+        q, _ = reduce_box(steps, P("x - 3000", xy))
+        assert q == P("x", xy)
+        assert oracle_unroll(steps, P("x - 3000", xy), 1, (Fraction(0), Fraction(5)))
+        text = render_program(steps)
+        assert "{" not in text
+        assert reduce_box(parse_program(text, xy), P("x - 3000", xy))[0] == q
+        branches = parse_program(" ++ ".join(f"x := {k}" for k in range(3000)), xy)
+        q, trace = reduce_box(branches, P("x", xy))
+        assert len(trace.generators) == 3000
+        assert render_program(branches).count("{") == 0
+
+    def test_generator_list_past_the_cap_is_a_resource_error(self, xy):
+        # each choice doubles x or adds 1: k choices in sequence make
+        # exponentially many distinct generators
+        from odecert.hpreduce import MAX_GENERATORS
+        step = "{ x := 2*x ++ x := x + 1 }"
+        _, trace = reduce_box(parse_program(" ; ".join([step] * 8), xy), P("x", xy))
+        assert 100 < len(trace.generators) <= MAX_GENERATORS
+        with pytest.raises(ResourceError, match=f"exceeds the cap {MAX_GENERATORS}"):
+            reduce_box(parse_program(" ; ".join([step] * 40), xy), P("x", xy))
+
+
+class TestLoopsWithChoiceAndOde:
+    """Loop bodies that combine ++ with an ODE, whose single-polynomial
+    reduction multiplied the degree by four per iteration."""
+
+    def test_known_unbounded_loop(self, xy):
+        prog = parse_program("{ { x := 2*y + 1 ++ y := -y ; y := x + 2*y + 1 } ; "
+                             "{ x' = -y + 2, y' = -2*x - 4*y } }*", xy)
+        p = P("x", xy)
+        q, trace = reduce_box(prog, p)
+        assert trace.chain == [P("x", xy), P("2*y + 1", xy), P("-y + 2", xy)]
+        assert q == P("x^2 + 5*y^2 + 5", xy)
+        assert_records_recombine(trace)
+        assert_certificate_replays(prog, p, q, trace)
+
+    def test_rotation_and_reflections_keep_the_circle(self, xy):
+        prog = parse_program("{ { x := -x ++ y := -y } ; { x' = y, y' = -x } }*", xy)
+        p = P("x^2 + y^2 - 1", xy)
+        q, trace = reduce_box(prog, p)
+        assert q == p
+        assert trace.chain == [p]
+        assert_records_recombine(trace)
+        assert_certificate_replays(prog, p, q, trace)
+
+    def test_choice_inside_the_ode_branch_with_a_domain(self, xy):
+        prog = parse_program("{ { x' = y, y' = x & x - 1 != 0 } ++ x := 2*x }*", xy)
+        p = P("x^2 - y^2", xy)
+        q, trace = reduce_box(prog, p)
+        assert_records_recombine(trace)
+        assert_certificate_replays(prog, p, q, trace)
+        for i in range(1, len(trace.chain)):
+            assert member_with_witness(trace.chain[i], trace.chain[:i]) is None
+        # q vanishes exactly on the common zeros of the generators
+        rng = random.Random(160)
+        points = [random_point(rng, 2, num=3, den=1) for _ in range(100)]
+        points += [(Fraction(1), Fraction(k)) for k in (-1, 0, 1)]
+        for pt in points:
+            assert (q.evaluate(pt) == 0) == all(g.evaluate(pt) == 0
+                                                for g in trace.generators)
+
+
+_coefficient = st.integers(-2, 2)
+
+
+def _affine(table):
+    def build(c):
+        return Polynomial(table, {(0, 0): c[0], (1, 0): c[1], (0, 1): c[2]})
+    return st.tuples(_coefficient, _coefficient, _coefficient).map(build)
+
+
+def _loop_programs(table):
+    """ODE-free programs ``[prefix ;] {body}*`` whose body has a choice."""
+    leaf = st.one_of(st.builds(Assign, st.integers(0, 1), _affine(table)),
+                     st.builds(ProgTest, _affine(table)))
+    part = st.recursive(leaf, lambda kids: st.one_of(st.builds(Seq, kids, kids),
+                                                     st.builds(Choice, kids, kids)),
+                        max_leaves=2)
+    body = st.one_of(st.builds(Choice, part, part),
+                     st.builds(Seq, st.builds(Choice, part, part), part))
+    loop = st.builds(Star, body)
+    prefixed = st.builds(Seq, st.builds(Assign, st.integers(0, 1), _affine(table)), loop)
+    return st.one_of(loop, prefixed)
+
+
+class TestLoopProperty:
+    XY = VarTable(["x", "y"])
+    POINTS = [(Fraction(a), Fraction(b, 2)) for a in range(-1, 3) for b in (-2, 0, 1, 2)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(prog=_loop_programs(XY), p=_affine(XY))
+    def test_q_matches_unrolling_and_records_hold(self, prog, p):
+        try:
+            q, trace = reduce_box(prog, p, cap=8)
+        except ResourceError:
+            return
+        # every round before the last keeps a generator, so the loop ran at
+        # most len(chain) rounds
+        depth = len(trace.chain) + 2
+        for state in self.POINTS:
+            assert (q.evaluate(state) == 0) == oracle_unroll(prog, p, depth, state)
+        assert_records_recombine(trace)
+        for i in range(1, len(trace.chain)):
+            assert member_with_witness(trace.chain[i], trace.chain[:i]) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(prog=_loop_programs(XY))
+    def test_rendered_program_parses_back(self, prog):
+        assert parse_program(render_program(prog), self.XY) == prog
 
 
 class TestOracleUnroll:

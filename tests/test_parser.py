@@ -262,6 +262,32 @@ class TestNestingBound:
                 parse(opening * depth + inner + closing * depth, xy)
         parse(opening * MAX_NESTING + inner + closing * MAX_NESTING, xy)
 
+    def test_each_implication_of_a_chain_counts_as_a_level(self, xy):
+        from odecert.parser import MAX_NESTING
+        chain = parse_formula(" -> ".join(["x > 0"] * (MAX_NESTING + 1)), xy)
+        links = 0
+        while isinstance(chain, Implies):
+            chain, links = chain.concl, links + 1
+        assert links == MAX_NESTING
+        for links in (MAX_NESTING + 1, 2000):
+            with pytest.raises(InputError, match="nesting deeper than"):
+                parse_formula(" -> ".join(["x > 0"] * (links + 1)), xy)
+
+
+class TestDigitCap:
+    def test_literal_at_the_cap_is_read(self, xy):
+        from odecert.polyarith import MAX_DIGITS
+        assert parse_term("9" * MAX_DIGITS, xy) == \
+            Polynomial.constant(xy, 10 ** MAX_DIGITS - 1)
+
+    def test_longer_literal_is_an_input_error(self, xy):
+        from odecert.polyarith import MAX_DIGITS
+        with pytest.raises(InputError, match=f"longer than {MAX_DIGITS} digits") as info:
+            parse_term("x + " + "7" * (MAX_DIGITS + 1) + "*y", xy)
+        assert (info.value.line, info.value.column) == (1, 5)
+        with pytest.raises(InputError, match="digits"):
+            parse_term("x^" + "1" * 5000, xy)
+
 
 class TestProblemFile:
     GOOD = """

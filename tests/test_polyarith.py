@@ -298,6 +298,22 @@ class TestIntKernel:
         assert p.render(LEX) == p.render() == "u^2 - 1/2*v"
 
 
+class TestDigitCap:
+    def test_render_within_the_cap(self):
+        from odecert.polyarith import MAX_DIGITS
+        t = VarTable(["x"])
+        c = Fraction(10 ** MAX_DIGITS - 1, 10 ** MAX_DIGITS - 2)
+        assert Polynomial(t, {(1,): c}).render() == f"{c}*x"
+
+    @pytest.mark.parametrize("coefficient", [Fraction(10 ** 4000), Fraction(1, 10 ** 4000),
+                                             Fraction(-(2 ** 1000) ** 1000)])
+    def test_longer_computed_coefficient_is_a_resource_error(self, coefficient):
+        t = VarTable(["x"])
+        for p in (Polynomial.constant(t, coefficient), Polynomial(t, {(1,): coefficient})):
+            with pytest.raises(ResourceError, match="digit cap"):
+                p.render()
+
+
 class TestDegreeCap:
     def test_power_past_the_cap_is_a_resource_error(self):
         x = P("x + 1", VarTable(["x"]))

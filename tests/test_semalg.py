@@ -262,6 +262,28 @@ class TestDisjunctLimits:
             negate_normal_form(nf, limit=32)
 
 
+    @pytest.mark.filterwarnings("ignore:normal form has")
+    def test_limit_is_checked_before_the_product_is_built(self, xy, monkeypatch):
+        from odecert import ResourceError, semalg
+        built = []
+        real = semalg._build_conjunct
+        monkeypatch.setattr(semalg, "_build_conjunct",
+                            lambda *args: built.append(1) or real(*args))
+        f = make_and([parse_formula(f"x - {k} > 0 | y - {k} > 0", xy)
+                      for k in range(13)])  # 8192 disjuncts
+        with pytest.raises(ResourceError, match=r"\(8192 > 4096\)"):
+            to_normal_form(f)
+        # 26 atom cells and the products of 2, 4, ..., 4096 cells; building
+        # the failing product as well would take 8192 more
+        assert len(built) == 26 + 8190
+        built.clear()
+        nf = NormalForm(tuple(Conjunct((P(f"x - {k}", xy),), (P(f"y - {k}", xy),))
+                              for k in range(13)))
+        with pytest.raises(ResourceError, match=r"\(8192 > 4096\)"):
+            negate_normal_form(nf)
+        assert len(built) == 8190
+
+
 class TestFormulaUtilities:
     def test_fold_constants(self, xy):
         f = F("1 > 0 & x >= 0", xy)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from odecert import Polynomial, VarTable
+import pytest
+
+from odecert import Polynomial, ResourceError, VarTable
 from odecert.parser import parse_formula, parse_term
 from odecert.smtlib import emit_smtlib, formula_sexpr, parse_model, poly_sexpr
 
@@ -11,6 +13,12 @@ class TestEmission:
         s = poly_sexpr(p)
         assert "(/ 1 2)" in s and "(- " in s  # -1/2 as (- (/ 1 2))
         assert "." not in s  # never decimal notation
+
+    def test_numerals_past_the_digit_cap_are_resource_errors(self, uv):
+        for c in (Fraction(10 ** 4000), Fraction(-1, 10 ** 4000)):
+            with pytest.raises(ResourceError, match="digit cap"):
+                poly_sexpr(Polynomial.constant(uv, c))
+        assert poly_sexpr(Polynomial.constant(uv, 10 ** 4000 - 1)) == "9" * 4000
 
     def test_zero_and_units(self, uv):
         assert poly_sexpr(Polynomial.zero(uv)) == "0"
