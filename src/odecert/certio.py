@@ -20,10 +20,13 @@ from .parser import parse_formula, parse_program, parse_term
 from .polyarith import PolyMatrix, VarTable
 from .semalg import Conjunct, NormalForm, render_formula
 
-FORMAT_VERSION = 1
-# version 2 of ``hpreduce`` certificates records loop chains of generator
-# sets: one chain record per loop member
-HPREDUCE_VERSION = 2
+# the current format version of each certificate kind, and why earlier
+# versions of a kind cannot be replayed
+VERSIONS = {"darboux": 1, "vdbx": 1, "dri": 1, "sai": 2, "hpreduce": 2}
+SUPERSEDED = {
+    "hpreduce": "predates generator-set loop chains; run hp-reduce again",
+    "sai": "predates backward conditions that negate progress formulas; run check-inv again",
+}
 
 
 def _fraction_parse(s: str) -> Fraction:
@@ -140,38 +143,30 @@ def _condition_parse(d: dict, table: VarTable) -> SideCondition:
 
 def certificate_to_json(cert: Certificate) -> dict:
     if isinstance(cert, DarbouxCert):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "darboux",
+        body = {
             "system": _system_json(cert.system),
             "p": cert.p.render(),
             "g": cert.g.render(),
             "relation": cert.relation,
             "domain": None if cert.domain is None else render_formula(cert.domain),
         }
-    if isinstance(cert, VdbxCert):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "vdbx",
+    elif isinstance(cert, VdbxCert):
+        body = {
             "system": _system_json(cert.system),
             "p_vec": [p.render() for p in cert.p_vec],
             "G": [[cert.G.get(i, j).render() for j in range(cert.G.cols)]
                   for i in range(cert.G.rows)],
         }
-    if isinstance(cert, DriCert):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "dri",
+    elif isinstance(cert, DriCert):
+        body = {
             "system": _system_json(cert.system),
             "p": cert.p.render(),
             "domain": None if cert.domain is None else cert.domain.render(),
             "rank": {"n": cert.rank_result.n,
                      "cofactors": [g.render() for g in cert.rank_result.cofactors]},
         }
-    if isinstance(cert, SaiCert):
-        return {
-            "version": FORMAT_VERSION,
-            "kind": "sai",
+    elif isinstance(cert, SaiCert):
+        body = {
             "system": _system_json(cert.system),
             "P": _nf_json(cert.P),
             "Q": _nf_json(cert.Q),
@@ -179,10 +174,8 @@ def certificate_to_json(cert: Certificate) -> dict:
             "backward": render_formula(cert.backward),
             "conditions": [condition_json(c) for c in cert.conditions],
         }
-    if isinstance(cert, HpReductionCert):
-        return {
-            "version": HPREDUCE_VERSION,
-            "kind": "hpreduce",
+    elif isinstance(cert, HpReductionCert):
+        body = {
             "vars": list(cert.table.names),
             "program": render_program(cert.program),
             "p": cert.p.render(),
@@ -192,7 +185,9 @@ def certificate_to_json(cert: Certificate) -> dict:
                         "cofactors": [g.render() for g in rec.cofactors]}
                        for rec in cert.chains],
         }
-    raise InputError(f"cannot serialize certificate of type {type(cert).__name__}")
+    else:
+        raise InputError(f"cannot serialize certificate of type {type(cert).__name__}")
+    return {"version": VERSIONS[cert.kind], "kind": cert.kind, **body}
 
 
 def certificate_from_json(d: dict) -> Certificate:
@@ -201,11 +196,13 @@ def certificate_from_json(d: dict) -> Certificate:
     if not isinstance(d, dict) or "kind" not in d:
         raise InputError("certificate JSON must be an object with a 'kind' field")
     kind = _field(d, "kind")
-    version = d.get("version")
-    if kind == "hpreduce" and version == FORMAT_VERSION:
-        raise InputError("hpreduce certificate version 1 predates generator-set "
-                         "loop chains; run hp-reduce again for a version 2 one")
-    if version != (HPREDUCE_VERSION if kind == "hpreduce" else FORMAT_VERSION):
+    if kind not in VERSIONS:
+        raise InputError(f"unknown certificate kind {kind!r}")
+    version, current = d.get("version"), VERSIONS[kind]
+    if kind in SUPERSEDED and type(version) is int and 0 < version < current:
+        raise InputError(f"{kind} certificate version {version} {SUPERSEDED[kind]} "
+                         f"for a version {current} one")
+    if version != current:
         raise InputError(f"unsupported certificate version {version!r}")
     if kind == "hpreduce":
         table = VarTable(_strings(d, "vars"))
@@ -248,14 +245,13 @@ def certificate_from_json(d: dict) -> Certificate:
             domain=None if domain is None else parse_term(domain, table),
             rank_result=RankResult(_field(rank, "n", int), _terms(rank, "cofactors", table)),
         )
-    if kind == "sai":
-        return SaiCert(
-            system=system,
-            P=_nf_parse(_field(d, "P", dict), table),
-            Q=_nf_parse(_field(d, "Q", dict), table),
-            forward=parse_formula(_field(d, "forward"), table),
-            backward=parse_formula(_field(d, "backward"), table),
-            conditions=tuple(_condition_parse(c, table)
-                             for c in _field(d, "conditions", list)),
-        )
-    raise InputError(f"unknown certificate kind {kind!r}")
+    # kind == "sai"
+    return SaiCert(
+        system=system,
+        P=_nf_parse(_field(d, "P", dict), table),
+        Q=_nf_parse(_field(d, "Q", dict), table),
+        forward=parse_formula(_field(d, "forward"), table),
+        backward=parse_formula(_field(d, "backward"), table),
+        conditions=tuple(_condition_parse(c, table)
+                         for c in _field(d, "conditions", list)),
+    )

@@ -209,7 +209,7 @@ def _run_command(args) -> tuple[dict, int, int]:
             data["gt_backward"] = render_formula(progress_gt(p, rsys, cap=config.rank_cap))
             data["geq_backward"] = render_formula(progress_geq(p, rsys, cap=config.rank_cap))
         if pf.candidate is not None:
-            nf = to_normal_form(pf.candidate, limit=config.dnf_limit)
+            nf = to_normal_form(pf.candidate)
             data["semialg_forward"] = render_formula(
                 semialg_progress(nf, sys_, cap=config.rank_cap))
             data["semialg_backward"] = render_formula(
@@ -234,8 +234,8 @@ def _run_command(args) -> tuple[dict, int, int]:
     if args.command == "check-inv":
         sys_ = _require(pf, "ode", "ode")
         candidate = _require(pf, "candidate", "candidate")
-        P = to_normal_form(candidate, limit=config.dnf_limit)
-        Q = to_normal_form(pf.domain, limit=config.dnf_limit) \
+        P = to_normal_form(candidate)
+        Q = to_normal_form(pf.domain) \
             if pf.domain is not None else NormalForm.true()
         verdict = check_semialgebraic_invariance(P, Q, sys_, config)
         data = _verdict_report(verdict)
@@ -277,7 +277,7 @@ def _run_command(args) -> tuple[dict, int, int]:
     if args.command == "hp-reduce":
         program = _require(pf, "program", "program")
         post = _require(pf, "post", "post")
-        nf = to_normal_form(post, limit=config.dnf_limit)
+        nf = to_normal_form(post)
         p = algebraic_combine(nf, table=pf.table)
         q, trace = reduce_box(program, p, cap=config.rank_cap)
         chains = tuple(ChainRecord(tuple(c), tuple(w))
@@ -300,8 +300,8 @@ def _run_command(args) -> tuple[dict, int, int]:
         sys_ = _require(pf, "ode", "ode")
         conditions: list[SideCondition] = []
         if pf.candidate is not None:
-            P = to_normal_form(pf.candidate, limit=config.dnf_limit)
-            Q = to_normal_form(pf.domain, limit=config.dnf_limit) \
+            P = to_normal_form(pf.candidate)
+            Q = to_normal_form(pf.domain) \
                 if pf.domain is not None else NormalForm.true()
             conditions.extend(sai_side_conditions(P, Q, sys_, config))
         elif pf.polynomial is not None:

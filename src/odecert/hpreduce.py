@@ -14,9 +14,10 @@ sequence composes; ODE and choice nodes keep each distinct generator once.
 A loop runs ``ideals.stabilize`` from its list, with the body's reduction
 as the step: only the generators that are not yet members of the ideal go
 through the body again, and the loop ends when every generator of the next
-list is a member; each member's witness is recorded.  The program's list
-starts as [p], and q is formed once, from the final list: its lone nonzero
-generator, or the sum of the squares of its nonzero generators.  Chains of
+list is a member; each member's witness is recorded, and all loops of one
+reduction spend one step budget.  The program's list starts as [p], and q
+is formed once, from the final list: its lone nonzero generator, or the
+sum of the squares of its nonzero generators.  Chains of
 ``;`` and of ``++`` are walked without recursion, and a list of more than
 ``MAX_GENERATORS`` distinct generators is a resource error.
 """
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, ResourceError
-from .ideals import DEFAULT_RANK_CAP, StepBudget, rank, stabilize
+from .ideals import DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, StepBudget, rank, stabilize
 from .odecore import OdeSystem
 from .polyarith import Polynomial, VarTable, sum_of_products
 
@@ -179,8 +180,12 @@ def reduce_box(alpha: HybridProgram, p: Polynomial,
     """Polynomial q with [alpha] p=0 equivalent to q=0 pointwise.
 
     ``cap`` bounds both ODE ranks and the rounds of each loop; exceeding it
-    raises ResourceError carrying the partial trace.
+    raises ResourceError carrying the partial trace.  All loops, nested ones
+    included, spend one step budget of ``DEFAULT_STEP_BUDGET`` reduction
+    steps, so an inner loop that reruns for every round of an outer one
+    cannot run unbounded.
     """
+    budget = StepBudget(DEFAULT_STEP_BUDGET, "loop chain")
     kept: list[Polynomial] = []
     records: dict[tuple, tuple[list[Polynomial], list[Polynomial]]] = {}
 
@@ -201,8 +206,7 @@ def reduce_box(alpha: HybridProgram, p: Polynomial,
         if isinstance(a, Star):
             if not gens:
                 return gens
-            loop_kept, members = stabilize(gens, lambda new: box(a.body, new), cap,
-                                           StepBudget(what="loop chain"))
+            loop_kept, members = stabilize(gens, lambda new: box(a.body, new), cap, budget)
             kept.extend(loop_kept)
             if members is None:
                 raise ResourceError(f"loop chain cap {cap} exceeded",

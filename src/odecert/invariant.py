@@ -12,17 +12,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
 from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, RankResult,
                      StepBudget, groebner, rank, reduce_mod, stabilize)
 from .odecore import OdeSystem, lie_derivative, reverse
-from .polyarith import GREVLEX, Polynomial, PolyMatrix, VarTable, mono_degree
+from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree
 from .sampling import sample_points
-from .semalg import (Atom, Conjunct, Formula, NormalForm, PointEvaluator,
-                     TrueF, fold_constants, make_and, negate_normal_form,
-                     radical_of_chain, semialg_progress, to_normal_form)
+from .semalg import (Atom, Conjunct, FalseF, Formula, NormalForm, Not,
+                     PointEvaluator, TrueF, fold_constants, formula_atoms,
+                     make_and, pair_equalities, radical_of_chain,
+                     semialg_progress, to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib, run_solver
 
 # status kinds
@@ -32,6 +34,11 @@ SMT_VALID = "smt_valid"
 REFUTED = "refuted"
 UNKNOWN = "unknown"
 _PROVED_KINDS = (PROVED_IDENTITY, PROVED_IDEAL, SMT_VALID)
+
+# ideal tier: most sign-split cases per hypothesis disjunct, and the step
+# budget of each case's Groebner basis
+SPLIT_LIMIT = 64
+CASE_STEP_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,6 @@ class DischargeConfig:
     solver: Optional[SolverConfig] = None
     rank_cap: int = DEFAULT_RANK_CAP
     step_budget: int = DEFAULT_STEP_BUDGET
-    tier1_budget: int = 100_000
-    split_limit: int = 64
-    dnf_limit: int = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +288,6 @@ def dri_companion(rank_result: RankResult, sys: OdeSystem) -> VdbxCert:
 # discharge tiers
 
 def _formula_table(*formulas: Formula) -> Optional[VarTable]:
-    from .semalg import formula_atoms
     for f in formulas:
         for a in formula_atoms(f):
             return a.poly.table
@@ -295,37 +298,23 @@ def _try_identity(cond: SideCondition) -> Optional[DischargeStatus]:
     concl = fold_constants(cond.conclusion)
     if isinstance(concl, TrueF):
         return DischargeStatus(PROVED_IDENTITY, detail="conclusion is identically true")
-    from .semalg import FalseF
     hyp = fold_constants(cond.hypothesis)
     if isinstance(hyp, FalseF):
         return DischargeStatus(PROVED_IDENTITY, detail="hypothesis is identically false")
     return None
 
 
-def _split_cases(c: Conjunct, split_limit: int) -> Optional[list[tuple[list[Polynomial], list[Polynomial]]]]:
+def _split_cases(c: Conjunct) -> Optional[list[tuple[list[Polynomial], list[Polynomial]]]]:
     """Sign-split a hypothesis conjunct into (equalities, stricts) cases.
 
     Paired atoms p>=0, -p>=0 go straight to the equality side; each leftover
-    p>=0 splits into p=0 | p>0.  None when the split would exceed the limit.
+    p>=0 splits into p=0 | p>0.  None when the split would exceed
+    ``SPLIT_LIMIT`` cases.
     """
-    geqs = list(c.geqs)
-    available = set(geqs)
-    eqs: list[Polynomial] = []
-    used: set[Polynomial] = set()
-    loose: list[Polynomial] = []
-    for p in geqs:
-        if p in used:
-            continue
-        if -p in available:
-            used.add(p)
-            used.add(-p)
-            eqs.append(p)
-        else:
-            used.add(p)
-            loose.append(p)
-    if 2 ** len(loose) > split_limit:
+    eqs, loose = pair_equalities(c.geqs)
+    if 2 ** len(loose) > SPLIT_LIMIT:
         return None
-    cases = [(list(eqs), list(c.gts))]
+    cases = [(eqs, list(c.gts))]
     for p in loose:
         nxt = []
         for (e, s) in cases:
@@ -335,20 +324,23 @@ def _split_cases(c: Conjunct, split_limit: int) -> Optional[list[tuple[list[Poly
     return cases
 
 
-def _case_basis(eqs: list[Polynomial], budget: int) -> Optional[list[Polynomial]]:
+def _case_basis(eqs: list[Polynomial]) -> list[Polynomial]:
     nonzero = [e for e in eqs if not e.is_zero()]
     if not nonzero:
         return []
-    gb = groebner(nonzero, step_budget=budget)
-    return list(gb.basis)
+    return list(groebner(nonzero, step_budget=CASE_STEP_BUDGET).basis)
+
+
+def _ray(p: Polynomial) -> frozenset:
+    """Key shared by exactly the positive multiples of a nonzero p: its
+    integer numerators divided by their positive gcd."""
+    g = gcd(*p.nums.values())
+    return frozenset((m, c // g) for m, c in p.nums.items())
 
 
 def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
-                  concl_nf: NormalForm, budget: int) -> bool:
-    try:
-        basis = _case_basis(eqs, budget)
-    except ResourceError:
-        return False
+                  concl_nf: NormalForm) -> bool:
+    basis = _case_basis(eqs)
     if basis and basis[0].is_constant():
         return True  # 1 in the ideal: no real point satisfies the equalities
     cache: dict[Polynomial, Polynomial] = {}
@@ -368,55 +360,33 @@ def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
     for r in red_stricts:
         if -r in strict_set:
             return True
+    # a nonconstant r is forced positive when a positive multiple of it is
+    # a reduced strict; constants are decided before the lookup
+    strict_rays = {_ray(r) for r in red_stricts}
 
-    def forced_strict(q: Polynomial) -> bool:
+    def forced(q: Polynomial, strict: bool) -> bool:
         r = red(q)
         if r.is_constant():
-            return r.constant_value() > 0
-        return _positive_multiple(r, red_stricts)
+            return r.constant_value() > 0 if strict else r.constant_value() >= 0
+        return _ray(r) in strict_rays
 
-    def forced_nonstrict(q: Polynomial) -> bool:
-        r = red(q)
-        if r.is_zero():
-            return True
-        if r.is_constant():
-            return r.constant_value() >= 0
-        return _positive_multiple(r, red_stricts)
-
-    for disjunct in concl_nf.disjuncts:
-        if all(forced_nonstrict(p) for p in disjunct.geqs) and \
-           all(forced_strict(q) for q in disjunct.gts):
-            return True
-    return False
+    return any(all(forced(p, False) for p in disjunct.geqs) and
+               all(forced(q, True) for q in disjunct.gts)
+               for disjunct in concl_nf.disjuncts)
 
 
-def _positive_multiple(r: Polynomial, candidates: list[Polynomial]) -> bool:
-    if r.is_zero():
-        return False
-    _, rc = r.leading(GREVLEX)
-    for s in candidates:
-        if s.is_zero() or s.is_constant():
-            continue
-        _, sc = s.leading(GREVLEX)
-        lam = rc / sc
-        if lam > 0 and r == s.scale(lam):
-            return True
-    return False
-
-
-def _try_ideal(cond: SideCondition, config: DischargeConfig,
-               hyp_nf: NormalForm) -> Optional[DischargeStatus]:
+def _try_ideal(cond: SideCondition, hyp_nf: NormalForm) -> Optional[DischargeStatus]:
     try:
-        concl_nf = to_normal_form(cond.conclusion, limit=config.dnf_limit)
+        concl_nf = to_normal_form(cond.conclusion)
     except ResourceError:
         return None
     for disjunct in hyp_nf.disjuncts:
-        cases = _split_cases(disjunct, config.split_limit)
+        cases = _split_cases(disjunct)
         if cases is None:
             return None
         for eqs, stricts in cases:
             try:
-                if not _case_entails(eqs, stricts, concl_nf, config.tier1_budget):
+                if not _case_entails(eqs, stricts, concl_nf):
                     return None
             except ResourceError:
                 return None
@@ -424,16 +394,16 @@ def _try_ideal(cond: SideCondition, config: DischargeConfig,
                            detail="conclusion forced modulo hypothesis equalities")
 
 
-def _boundary_atoms(hyp_nf: NormalForm) -> list[Polynomial]:
-    seen: dict[Polynomial, None] = {}
-    for c in hyp_nf.disjuncts:
-        for p in c.geqs:
-            seen.setdefault(p)
-    return list(seen)
+def _boundary_atoms(hyp_nf: Optional[NormalForm]) -> list[Polynomial]:
+    """The distinct non-strict atoms of the hypothesis normal form; none
+    without one (past the disjunct limit)."""
+    if hyp_nf is None:
+        return []
+    return list(dict.fromkeys(p for c in hyp_nf.disjuncts for p in c.geqs))
 
 
 def _try_sampling(cond: SideCondition, config: DischargeConfig,
-                  hyp_nf: NormalForm) -> Optional[DischargeStatus]:
+                  hyp_nf: Optional[NormalForm]) -> Optional[DischargeStatus]:
     table = _formula_table(cond.hypothesis, cond.conclusion)
     if table is None or config.samples <= 0:
         return None
@@ -470,18 +440,23 @@ def _try_smt(cond: SideCondition, config: DischargeConfig) -> DischargeStatus:
 
 def discharge(cond: SideCondition, config: Optional[DischargeConfig] = None) -> SideCondition:
     """Fill the condition's status via the tiers: identity, ideal reduction,
-    rational sampling (refutation only), then the optional external solver."""
+    rational sampling (refutation only), then the optional external solver.
+
+    The ideal tier works on the hypothesis normal form; a hypothesis whose
+    normal form passes the disjunct limit skips it, and sampling then
+    evaluates the formulas exactly with no boundary atoms to project onto."""
     config = config if config is not None else DischargeConfig()
     status = _try_identity(cond)
     if status is not None:
         return cond.with_status(status)
     try:
-        hyp_nf = to_normal_form(cond.hypothesis, limit=config.dnf_limit)
-    except ResourceError as exc:
-        return cond.with_status(DischargeStatus(UNKNOWN, detail=str(exc)))
-    status = _try_ideal(cond, config, hyp_nf)
-    if status is not None:
-        return cond.with_status(status)
+        hyp_nf = to_normal_form(cond.hypothesis)
+    except ResourceError:
+        hyp_nf = None
+    if hyp_nf is not None:
+        status = _try_ideal(cond, hyp_nf)
+        if status is not None:
+            return cond.with_status(status)
     status = _try_sampling(cond, config, hyp_nf)
     if status is not None:
         return cond.with_status(status)
@@ -562,10 +537,13 @@ def check_semialgebraic_invariance(P: NormalForm, Q: NormalForm, sys: OdeSystem,
 def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
                         config: Optional[DischargeConfig] = None) -> tuple[SideCondition, SideCondition]:
     """The two premises of the domain-aware semialgebraic invariance rule,
-    with the open/closed shortcut statuses pre-filled."""
+    with the open/closed shortcut statuses pre-filled.
+
+    Forward: P & Q & Q^(*) -> P^(*).  Backward, over the reversed system:
+    !P & Q & Q^(*) -> !(P^(*)), since progress into the complement of P is
+    the negation of progress into P (see ``semalg``)."""
     config = config if config is not None else DischargeConfig()
     cap = config.rank_cap
-    neg_p = negate_normal_form(P, limit=config.dnf_limit)
     rsys = reverse(sys)
     fwd_cache: dict = {}
     bwd_cache: dict = {}
@@ -577,9 +555,9 @@ def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
         provenance="sai-forward",
     )
     backward = SideCondition(
-        hypothesis=make_and([neg_p.to_formula(), Q.to_formula(),
+        hypothesis=make_and([Not(P.to_formula()), Q.to_formula(),
                              semialg_progress(Q, rsys, cap=cap, _cache=bwd_cache)]),
-        conclusion=semialg_progress(neg_p, rsys, cap=cap, _cache=bwd_cache),
+        conclusion=Not(semialg_progress(P, rsys, cap=cap, _cache=bwd_cache)),
         universal_vars=sys.table.names,
         provenance="sai-backward",
     )

@@ -4,6 +4,17 @@ progress-formula construction.
 Atoms always compare a polynomial against 0.  A :class:`NormalForm` denotes
 a disjunction of conjunctions of non-strict (>= 0) and strict (> 0) atoms;
 an empty disjunct list is false, a disjunct with empty atom lists is true.
+
+A progress formula P^(*) holds at a state x exactly when the solution
+through x satisfies P on some open interval (0, eps) of future times.
+Solutions of polynomial ODEs are analytic, so every atom has a constant sign
+on some such interval; "P holds on (0, eps)" is therefore a Boolean
+homomorphism: (P & R)^(*) = P^(*) & R^(*), (P | R)^(*) = P^(*) | R^(*) and
+(!P)^(*) = !(P^(*)).  The progress formula of the complement of P is thus
+the negation of P's progress formula, with no normal form of the complement
+needed.  For one atom, !progress_gt(p) is progress_geq(-p), because the rank
+chain of -p is minus the chain of p.  Progress into the past is progress
+over the reversed system.
 """
 
 from __future__ import annotations
@@ -278,7 +289,7 @@ def render_formula(f: Formula) -> str:
         if isinstance(g, Atom):
             return f"{g.poly.render()} {g.op} 0"
         if isinstance(g, Not):
-            return "!" + wrap(g.arg, 4)
+            return f"!({go(g.arg)})"
         if isinstance(g, And):
             return " & ".join(wrap(a, 3) for a in g.args)
         if isinstance(g, Or):
@@ -432,23 +443,31 @@ def to_normal_form(phi: Formula, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalF
 
 
 def negate_normal_form(P: NormalForm, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalForm:
-    """Normal form for the complement, by the syntactic route that keeps the
-    progress-formula duality exact: flip every atom (p>=0 into -p>0, q>0 into
-    -q>=0), then distribute the resulting CNF back to DNF."""
-    clauses: list[list[tuple[str, Polynomial]]] = []
-    for c in P.disjuncts:
-        clause = [("gt", -p) for p in c.geqs] + [("geq", -q) for q in c.gts]
-        clauses.append(clause)
-    # a normal form built by to_normal_form has no constant atoms, so no
-    # cell of the product folds away and len(acc) * len(clause) is its size
-    acc: list[Conjunct] = [Conjunct((), ())]
-    for clause in clauses:
-        _check_disjunct_count(len(acc) * len(clause), limit)
-        cells = (_build_conjunct(left.geqs + ((poly,) if kind == "geq" else ()),
-                                 left.gts + ((poly,) if kind == "gt" else ()))
-                 for left in acc for kind, poly in clause)
-        acc = [cell for cell in cells if cell is not None]
-    return NormalForm(tuple(acc))
+    """Normal form of the complement of P: ``to_normal_form`` of !P.  Nothing
+    in the package needs it (progress formulas negate without it); it keeps
+    the public name that ``bench/tracing.py`` traces."""
+    return to_normal_form(Not(P.to_formula()), limit)
+
+
+def pair_equalities(geqs: Sequence[Polynomial]) -> tuple[list[Polynomial], list[Polynomial]]:
+    """Split non-strict atoms into (equalities, unpaired): p>=0 met together
+    with -p>=0 is the equality p=0, listed once as the first of the pair met;
+    every other p>=0 is unpaired.  Both lists keep the order of ``geqs``."""
+    available = set(geqs)
+    used: set[Polynomial] = set()
+    eqs: list[Polynomial] = []
+    unpaired: list[Polynomial] = []
+    for p in geqs:
+        if p in used:
+            continue
+        used.add(p)
+        neg = -p
+        if neg in available:
+            used.add(neg)
+            eqs.append(p)
+        else:
+            unpaired.append(p)
+    return eqs, unpaired
 
 
 def algebraic_combine(P: NormalForm, table: Optional[VarTable] = None) -> Polynomial:
@@ -473,20 +492,11 @@ def algebraic_combine(P: NormalForm, table: Optional[VarTable] = None) -> Polyno
     for c in P.disjuncts:
         if c.gts:
             raise InputError("normal form is not algebraic: strict atom present")
-        available = set(c.geqs)
-        reps: list[Polynomial] = []
-        used: set[Polynomial] = set()
-        for p in c.geqs:
-            if p in used:
-                continue
-            neg = -p
-            if neg not in available:
-                raise InputError("normal form is not algebraic: unpaired "
-                                 f"inequality {p.render()} >= 0")
-            used.add(p)
-            used.add(neg)
-            if not p.is_zero():
-                reps.append(p)
+        eqs, unpaired = pair_equalities(c.geqs)
+        if unpaired:
+            raise InputError("normal form is not algebraic: unpaired "
+                             f"inequality {unpaired[0].render()} >= 0")
+        reps = [p for p in eqs if not p.is_zero()]
         if not reps:
             e = Polynomial.zero(table)
         elif len(reps) == 1:
@@ -567,7 +577,8 @@ def semialg_progress(P: NormalForm, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
     """Disjunction over P's disjuncts of the conjunction of atom progress
     formulas (progress_geq for >= atoms, progress_gt for > atoms).
 
-    The backward variant is this function applied to reverse(sys)."""
+    Progress into the past is this function over reverse(sys); progress into
+    the complement of P is its negation (see the module docstring)."""
     cache = {} if _cache is None else _cache
     disjuncts: list[Formula] = []
     for c in P.disjuncts:

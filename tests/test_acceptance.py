@@ -14,7 +14,7 @@ from odecert import (DarbouxCert, DischargeConfig, DriCert,
                      check_certificate, check_semialgebraic_invariance,
                      dri_companion, emit_smtlib, find_darboux_cofactor,
                      higher_lie, lie_derivative, liouville_check,
-                     member_with_witness, negate_normal_form, oracle_unroll,
+                     member_with_witness, oracle_unroll,
                      progress_gt, radical_formula, rank, reduce_box,
                      sai_side_conditions, semialg_progress, to_normal_form)
 from odecert.invariant import PROVED_IDENTITY, REFUTED, UNKNOWN, ChainRecord
@@ -26,6 +26,7 @@ from conftest import (random_nonzero_polynomial, random_normal_form,
                       random_point, random_system)
 from test_hpreduce import (random_loop_free_program, random_loop_program,
                            _linear_expr)
+from test_semalg import reference_negation
 
 
 def P(text, table):
@@ -120,7 +121,7 @@ class TestAcceptance:
             nf = random_normal_form(rng, xy)
             sysr = random_system(rng, xy)
             sp = semialg_progress(nf, sysr)
-            spn = semialg_progress(negate_normal_form(nf), sysr)
+            spn = semialg_progress(reference_negation(nf), sysr)
             for _ in range(1000):
                 ev = PointEvaluator(random_point(rng, 2))
                 assert ev(sp) != ev(spn), f"duality violated at trial {trial}"

@@ -193,6 +193,24 @@ class TestCommands:
         assert report["data"]["verdict"] == "not_invariant"
         assert report["data"]["witness"] is not None
 
+    @pytest.mark.filterwarnings("ignore:normal form has")
+    def test_check_inv_decides_past_the_complement_disjunct_limit(self, tmp_path, capsys):
+        # the complement of this candidate has 3^8 = 6561 > 4096 normal-form
+        # cells; the backward condition negates progress formulas instead,
+        # and sampling refutes it although its hypothesis has no normal form
+        prob = write(tmp_path, "cells.prob",
+                     "vars: x, y\node: x' = 1, y' = -2*x*y + y^2 - 2\n"
+                     "candidate: (2*x^2 + 2 > 0 | y - 1 > 0) & (-2*x^2 + x >= 0 | 4*y^2 > 0)"
+                     " & (x^2 >= 0 | -2*x*y - 2*x > 0)\nsamples: 2000\n")
+        code, report = run_json(capsys, ["check-inv", prob, "--json"])
+        assert code == 1
+        data = report["data"]
+        assert data["verdict"] == "not_invariant"
+        backward = data["conditions"][1]
+        assert backward["provenance"] == "sai-backward"
+        assert backward["status"]["kind"] == "refuted"
+        assert backward["status"]["witness"] == data["witness"] == ["-17", "0"]
+
     def test_darboux_scalar_and_vectorial(self, tmp_path, circle_prob, capsys):
         code, report = run_json(capsys, ["darboux", circle_prob, "--json"])
         assert code == 0 and report["data"]["cofactor"] == "-1/2*u^2 - 1/2*v^2"
@@ -368,6 +386,19 @@ class TestCertCheckCommand:
         assert main(["cert-check", str(path)]) == 3
         assert "predates generator-set loop chains" in capsys.readouterr().err
 
+    def test_version_1_sai_certificate_is_input_error(self, tmp_path, disk_prob, capsys):
+        _, report = run_json(capsys, ["check-inv", disk_prob, "--json", "--samples", "50"])
+        doc = report["data"]["certificate"]
+        assert doc["version"] == 2
+        path = tmp_path / "sai.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 0
+        doc["version"] = 1
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 3
+        assert ("sai certificate version 1 predates backward conditions that "
+                "negate progress formulas") in capsys.readouterr().err
+
     @pytest.mark.parametrize("mutate", [
         lambda doc: doc.pop("rank"),
         lambda doc: doc["rank"].update(n="one"),
@@ -431,9 +462,11 @@ class TestDeterminism:
 class TestPinnedOutputs:
     """sha256 of ``--json`` output on fixed problems.
 
-    ``check-inv`` on the running-example regions was recorded before sampling
-    moved to integers: a change to the sampling rng's call sequence or to the
-    root lists moves the refuting witnesses.  ``radical`` was recorded while
+    ``check-inv`` on the running-example regions was recorded when the
+    backward condition came to negate progress formulas (version 2 ``sai``
+    certificates); its sampling draws and refuting witnesses are those
+    recorded before sampling moved to integers: a change to the sampling
+    rng's call sequence or to the root lists moves the witnesses.  ``radical`` was recorded while
     loop chains still ran a from-scratch Groebner basis per membership test:
     the rank chains must not move under the incremental chain engine.
     ``hp-reduce`` was recorded when the reduction moved to generator lists
@@ -443,16 +476,16 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("candidate, extra, digest", [
         pytest.param("1 - u^2 - v^2 > 0", [],
-                     "7786b82712e60696c3e1fb0ee121db7b0778c76f3d358dd8a190562a0ba49348",
+                     "7feaad6f0013eb8124c9c5d13cb383b3735d025079d02ccf2eaf686425dd4f60",
                      id="open-disk"),
         pytest.param("u^2 <= v^2 + 9/2\nsamples: 2000", [],
-                     "c77a6a49d7cccba9ed89d441ae9b1bbabee461f661e0166b3cc33bc6175f9337",
+                     "bb955c1027da34487b56e2a2d9701716d68119357a7676aacfa73c515329f8c4",
                      id="green-region"),
         pytest.param(HALF, [],
-                     "77514421d4231f2efee6089083e18b22f658cb6c1174e22e8962c6ce07d99ec3",
+                     "78b424fdb956875fa38e7222962cfdace45709dace04034e3dad4c8330ff46b3",
                      id="half-open-disk"),
         pytest.param(HALF, ["--seed", "5"],
-                     "aadaac51e2e79dc80383723bf91f83e6a893cdb5bae8b77918accc379576eb8f",
+                     "38017be24114e50f64409864460f2455a57520b29f19582f02dc64618e8bd78b",
                      id="half-open-disk-seed-5"),
     ])
     def test_check_inv_json_digest(self, tmp_path, capsys, candidate, extra, digest):

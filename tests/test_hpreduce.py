@@ -188,6 +188,24 @@ class TestGeneratorLists:
         with pytest.raises(ResourceError, match=f"exceeds the cap {MAX_GENERATORS}"):
             reduce_box(parse_program(" ; ".join([step] * 40), xy), P("x", xy))
 
+    def test_nested_loops_share_one_step_budget(self, xy, monkeypatch):
+        # an inner loop reruns for every round of the loop around it, so the
+        # steps of the whole reduction double with each level of nesting
+        from odecert import hpreduce
+
+        def nest(depth):
+            body = "x := x + y ; y := y + 1"
+            for _ in range(depth):
+                body = "{ " + body + " }*"
+            return parse_program(body, xy)
+
+        monkeypatch.setattr(hpreduce, "DEFAULT_STEP_BUDGET", 1000)
+        q, _ = reduce_box(nest(4), P("x", xy))  # about 150 steps in all
+        assert q == P("3*x^2 + 6*x*y + 5*y^2 + 2*x + 4*y + 1", xy)
+        # about 2600 steps in all, though no single loop spends 1000
+        with pytest.raises(ResourceError, match="loop chain step budget exhausted"):
+            reduce_box(nest(8), P("x", xy))
+
 
 class TestLoopsWithChoiceAndOde:
     """Loop bodies that combine ++ with an ODE, whose single-polynomial

@@ -4,8 +4,9 @@ import stat
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from odecert import (Conjunct, DischargeConfig, NormalForm, OdeSystem,
+from odecert import (Conjunct, DischargeConfig, DischargeStatus, NormalForm, OdeSystem,
                      Polynomial, SideCondition, VarTable,
                      certificate_from_json, certificate_to_json,
                      check_algebraic_invariance, check_certificate,
@@ -15,9 +16,11 @@ from odecert import (Conjunct, DischargeConfig, NormalForm, OdeSystem,
                      to_normal_form)
 from odecert.invariant import (PROVED_IDEAL, PROVED_IDENTITY, REFUTED,
                                SMT_VALID, UNKNOWN, DarbouxCert, DriCert,
-                               SaiCert, VdbxCert)
+                               SaiCert, VdbxCert, _ray)
+from odecert.odecore import reverse
 from odecert.parser import parse_formula, parse_term
-from odecert.semalg import Atom, TrueF
+from odecert.polyarith import GREVLEX
+from odecert.semalg import Atom, Not, TrueF, make_and, semialg_progress
 from odecert.smtlib import SolverConfig
 
 from conftest import random_nonzero_polynomial, random_system
@@ -242,6 +245,49 @@ class TestDischarge:
         out = discharge(cond, DischargeConfig(samples=500, seed=0))
         assert out.status.kind == UNKNOWN
 
+    @pytest.mark.filterwarnings("ignore:normal form has")
+    def test_hypothesis_past_the_disjunct_limit_is_still_sampled(self, xy):
+        # 2^13 = 8192 > 4096 cells: the ideal tier is skipped, and sampling
+        # evaluates the formulas themselves
+        hyp = make_and([F(f"x - {k} > 0 | y - {k} > 0", xy) for k in range(13)])
+        refutable = discharge(SideCondition(hyp, F("x < 20", xy), xy.names, "test"), QUICK)
+        assert refutable.status.kind == REFUTED
+        x, y = refutable.status.witness
+        assert x >= 20 and all(x > k or y > k for k in range(13))
+        valid = discharge(SideCondition(hyp, F("x > 0 | y > 0", xy), xy.names, "test"),
+                          QUICK)
+        assert valid.status == DischargeStatus(UNKNOWN, detail="no solver configured")
+
+    def test_positive_multiples_of_a_strict_atom_are_forced(self, xy):
+        for concl, kind in [("3*x - 3*y > 0", PROVED_IDEAL), ("x/2 - y/2 >= 0", PROVED_IDEAL),
+                            ("y - x > 0", UNKNOWN), ("2*x - y > 0", UNKNOWN)]:
+            cond = SideCondition(F("x - y > 0", xy), F(concl, xy), xy.names, "test")
+            assert discharge(cond, DischargeConfig(samples=0)).status.kind == kind, concl
+
+
+def _reference_positive_multiple(r: Polynomial, s: Polynomial) -> bool:
+    """r = lambda*s for some lambda > 0, by the leading coefficients."""
+    lam = r.leading(GREVLEX)[1] / s.leading(GREVLEX)[1]
+    return lam > 0 and r == s.scale(lam)
+
+
+_small_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                               st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
+
+
+class TestRayKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(s_terms=_small_terms, other_terms=_small_terms, num=st.integers(-20, 20),
+           den=st.integers(1, 30))
+    def test_equal_keys_exactly_for_positive_multiples(self, s_terms, other_terms, num, den):
+        xy = VarTable(["x", "y"])
+        s = Polynomial(xy, {m: Fraction(c, 7) for m, c in s_terms.items()})
+        other = Polynomial(xy, {m: Fraction(c) for m, c in other_terms.items()})
+        for r in (s.scale(Fraction(num, den)), -s, other, s + s * s):
+            if r.is_zero():
+                continue
+            assert (_ray(r) == _ray(s)) == _reference_positive_multiple(r, s)
+
 
 def _write_script(path, body):
     path.write_text("#!/bin/sh\n" + body)
@@ -364,6 +410,15 @@ class TestCheckAlgebraic:
 
 
 class TestCheckSemialgebraic:
+    def test_backward_condition_negates_progress(self, uv, alpha_e):
+        P_nf = to_normal_form(F("u^2 + v^2 < 1/4 | (u^2 + v^2 = 1/4 & u >= 0)", uv))
+        Q_nf = to_normal_form(F("u - 2 != 0", uv))
+        rsys = reverse(alpha_e)
+        _, backward = sai_side_conditions(P_nf, Q_nf, alpha_e)
+        assert backward.hypothesis == make_and([Not(P_nf.to_formula()), Q_nf.to_formula(),
+                                                semialg_progress(Q_nf, rsys)])
+        assert backward.conclusion == Not(semialg_progress(P_nf, rsys))
+
     def test_open_disk_invariant(self, uv, alpha_e):
         P_nf = to_normal_form(F("1 - u^2 - v^2 > 0", uv))
         verdict = check_semialgebraic_invariance(P_nf, NormalForm.true(), alpha_e,

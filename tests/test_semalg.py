@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odecert import (Conjunct, InputError, NormalForm, Polynomial, VarTable,
-                     algebraic_combine, eval_formula, negate_normal_form,
-                     progress_geq, progress_gt, radical_formula,
-                     render_formula, semialg_progress, to_normal_form)
+                     algebraic_combine, eval_formula, progress_geq,
+                     progress_gt, radical_formula, render_formula,
+                     reverse, semialg_progress, semalg, to_normal_form)
 from odecert.parser import parse_formula, parse_term
-from odecert.semalg import (And, Atom, Implies, Or, PointEvaluator, TrueF,
-                            FalseF, fold_constants, make_and, make_or)
+from odecert.sampling import sample_points
+from odecert.semalg import (DEFAULT_DISJUNCT_LIMIT, And, Atom, Implies, Not,
+                            Or, PointEvaluator, TrueF, FalseF, fold_constants,
+                            make_and, make_or, pair_equalities)
 
 from conftest import (random_nonzero_polynomial, random_normal_form,
                       random_point, random_system)
@@ -21,6 +24,27 @@ def P(text, table):
 
 def F(text, table):
     return parse_formula(text, table)
+
+
+def reference_negation(P: NormalForm, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalForm:
+    """Normal form of the complement of P by the syntactic route the
+    backward invariance condition took before it negated progress formulas:
+    flip every atom (p>=0 into -p>0, q>0 into -q>=0), then distribute the
+    resulting CNF back to DNF.  Kept here as the reference construction."""
+    clauses: list[list[tuple[str, Polynomial]]] = []
+    for c in P.disjuncts:
+        clause = [("gt", -p) for p in c.geqs] + [("geq", -q) for q in c.gts]
+        clauses.append(clause)
+    # a normal form built by to_normal_form has no constant atoms, so no
+    # cell of the product folds away and len(acc) * len(clause) is its size
+    acc: list[Conjunct] = [Conjunct((), ())]
+    for clause in clauses:
+        semalg._check_disjunct_count(len(acc) * len(clause), limit)
+        cells = (semalg._build_conjunct(left.geqs + ((poly,) if kind == "geq" else ()),
+                                        left.gts + ((poly,) if kind == "gt" else ()))
+                 for left in acc for kind, poly in clause)
+        acc = [cell for cell in cells if cell is not None]
+    return NormalForm(tuple(acc))
 
 
 class TestToNormalForm:
@@ -74,18 +98,18 @@ class TestToNormalForm:
 class TestNegateNormalForm:
     def test_single_nonstrict(self, xy):
         nf = NormalForm((Conjunct((P("x", xy),), ()),))
-        neg = negate_normal_form(nf)
+        neg = reference_negation(nf)
         assert neg.disjuncts == (Conjunct((), (P("-x", xy),)),)
 
     def test_true_false(self, xy):
-        assert negate_normal_form(NormalForm.true()).is_false()
-        assert negate_normal_form(NormalForm.false()) == NormalForm.true()
+        assert reference_negation(NormalForm.true()).is_false()
+        assert reference_negation(NormalForm.false()) == NormalForm.true()
 
     def test_pointwise_complement(self, xy):
         rng = random.Random(22)
         for _ in range(30):
             nf = random_normal_form(rng, xy)
-            neg = negate_normal_form(nf)
+            neg = reference_negation(nf)
             for _ in range(100):
                 pt = random_point(rng, 2)
                 assert nf.evaluate(pt) != neg.evaluate(pt)
@@ -93,19 +117,45 @@ class TestNegateNormalForm:
     def test_double_negation_pointwise(self, uv):
         rng = random.Random(23)
         nf = to_normal_form(F("u^2 <= v^2 + 9/2", uv))
-        back = negate_normal_form(negate_normal_form(nf))
+        back = reference_negation(reference_negation(nf))
         for _ in range(1000):
             pt = random_point(rng, 2)
             assert nf.evaluate(pt) == back.evaluate(pt)
 
     def test_golden_halfplane(self, uv):
         nf = to_normal_form(F("u^2 <= v^2 + 9/2", uv))
-        neg = negate_normal_form(nf)
+        neg = reference_negation(nf)
         rng = random.Random(24)
         strict = to_normal_form(F("u^2 > v^2 + 9/2", uv))
         for _ in range(1000):
             pt = random_point(rng, 2)
             assert neg.evaluate(pt) == strict.evaluate(pt)
+
+
+class TestComplementNormalForm:
+    """``semalg.negate_normal_form`` (``to_normal_form`` of the negation)
+    builds exactly the reference construction."""
+
+    @pytest.mark.filterwarnings("ignore:normal form has")
+    def test_equals_the_reference_on_random_normal_forms(self, xy):
+        rng = random.Random(30)
+        for _ in range(40):
+            nf = random_normal_form(rng, xy)
+            assert semalg.negate_normal_form(nf) == reference_negation(nf)
+        for nf in (NormalForm.true(), NormalForm.false()):
+            assert semalg.negate_normal_form(nf) == reference_negation(nf)
+
+
+class TestPairEqualities:
+    def test_pairs_keep_the_first_met_and_the_order(self, xy):
+        x, y, z = P("x", xy), P("y", xy), P("x + y", xy)
+        zero = Polynomial.zero(xy)
+        eqs, unpaired = pair_equalities([y, -x, z, x, zero, y])
+        assert eqs == [-x, zero]
+        assert unpaired == [y, z]
+
+    def test_empty(self, xy):
+        assert pair_equalities([]) == ([], [])
 
 
 class TestAlgebraicCombine:
@@ -224,11 +274,29 @@ class TestNegationDuality:
             nf = random_normal_form(rng, xy)
             sysr = random_system(rng, xy)
             sp = semialg_progress(nf, sysr)
-            sp_neg = semialg_progress(negate_normal_form(nf), sysr)
+            sp_neg = semialg_progress(reference_negation(nf), sysr)
             for _ in range(300):
                 pt = random_point(rng, 2)
                 ev = PointEvaluator(pt)
                 assert ev(sp) != ev(sp_neg)
+
+
+class TestNegatedProgressMatchesTheReference:
+    """Progress into the complement as the negated progress formula agrees
+    with progress into the reference normal form of the complement."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_negated_progress_is_progress_of_the_complement(self, rng):
+        xy = VarTable(["x", "y"])
+        nf = random_normal_form(rng, xy)
+        rsys = reverse(random_system(rng, xy))
+        negated = Not(semialg_progress(nf, rsys))
+        reference = semialg_progress(reference_negation(nf), rsys)
+        boundary = [p for c in nf.disjuncts for p in c.geqs + c.gts]
+        for point in sample_points(rng, 2, 60, boundary):
+            ev = PointEvaluator(point)
+            assert ev(negated) == ev(reference)
 
 
 class TestDisjunctLimits:
@@ -257,9 +325,9 @@ class TestDisjunctLimits:
             Conjunct((parse_term(f"x - {k}", xy),), (parse_term(f"y - {k}", xy),))
             for k in range(6))
         nf = NormalForm(conjuncts)  # negation has 2^6 = 64 disjuncts
-        assert len(negate_normal_form(nf).disjuncts) == 64
+        assert len(reference_negation(nf).disjuncts) == 64
         with pytest.raises(ResourceError):
-            negate_normal_form(nf, limit=32)
+            reference_negation(nf, limit=32)
 
 
     @pytest.mark.filterwarnings("ignore:normal form has")
@@ -280,7 +348,7 @@ class TestDisjunctLimits:
         nf = NormalForm(tuple(Conjunct((P(f"x - {k}", xy),), (P(f"y - {k}", xy),))
                               for k in range(13)))
         with pytest.raises(ResourceError, match=r"\(8192 > 4096\)"):
-            negate_normal_form(nf)
+            reference_negation(nf)
         assert len(built) == 8190
 
 
