@@ -5,6 +5,13 @@ that re-checks exactly; NotInvariant only with a rational witness point that
 re-verifies by exact evaluation; everything else is Unknown.  The discharge
 tiers run in order: syntactic identity, ideal reduction, rational sampling,
 then (opt-in) an external SMT solver whose answers are re-verified.
+
+The identity tier folds constant atoms over ``semalg.nnf_fold``.  The ideal
+tier sign-splits the cells of the hypothesis normal form into cases and, in
+each case, walks the conclusion's formula with the same fold: the
+conclusion is forced when some cell of its DNF has every literal forced,
+which the fold reads off the formula without building a cell.  Only the
+hypothesis normal form is bounded by the disjunct limit.
 """
 
 from __future__ import annotations
@@ -21,10 +28,9 @@ from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, RankResult,
 from .odecore import OdeSystem, lie_derivative, reverse
 from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree
 from .sampling import sample_points
-from .semalg import (Atom, Conjunct, FalseF, Formula, NormalForm, Not,
-                     PointEvaluator, TrueF, fold_constants, formula_atoms,
-                     make_and, pair_equalities, radical_of_chain,
-                     semialg_progress, to_normal_form)
+from .semalg import (Atom, Conjunct, Formula, NormalForm, Not, PointEvaluator,
+                     TrueF, formula_atoms, make_and, nnf_fold, pair_equalities,
+                     radical_of_chain, semialg_progress, to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib, run_solver
 
 # status kinds
@@ -211,24 +217,12 @@ def _monomials_up_to(table: VarTable, deg: int) -> list[tuple[int, ...]]:
 
 def find_darboux_cofactor(p: Polynomial, sys: OdeSystem,
                           deg_bound: Optional[int] = None) -> Optional[Polynomial]:
-    """Polynomial g with lie(p) = g*p exactly, with deg(g) <= deg_bound,
-    found by an exact linear solve in g's unknown coefficients."""
+    """Polynomial g with lie(p) = g*p exactly, with deg(g) <= deg_bound: the
+    1x1 case of ``find_vectorial_darboux``."""
     if p.is_zero():
         raise InputError("Darboux cofactor search needs a nonzero polynomial")
-    lp = lie_derivative(p, sys)
-    if deg_bound is None:
-        deg_bound = max(0, lp.total_degree() - p.total_degree())
-    monos = _monomials_up_to(sys.table, deg_bound)
-    columns = [p.mul_term(Fraction(1), m) for m in monos]
-    row_monos = sorted({mm for col in columns for mm in col.terms} | set(lp.terms))
-    rows = [[col.terms.get(mm, Fraction(0)) for col in columns] for mm in row_monos]
-    rhs = [lp.terms.get(mm, Fraction(0)) for mm in row_monos]
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        return None
-    g = Polynomial(sys.table, {m: c for m, c in zip(monos, sol)})
-    assert (lp - g * p).is_zero()
-    return g
+    G = find_vectorial_darboux([p], sys, deg_bound)
+    return None if G is None else G.get(0, 0)
 
 
 def find_vectorial_darboux(p_vec: Sequence[Polynomial], sys: OdeSystem,
@@ -294,12 +288,16 @@ def _formula_table(*formulas: Formula) -> Optional[VarTable]:
     return None
 
 
+def _constant(p: Polynomial, strict: bool) -> bool:
+    """The literal p > 0 (strict) or p >= 0 holds by constant folding alone."""
+    return p.is_constant() and (p.constant_value() > 0 if strict
+                                else p.constant_value() >= 0)
+
+
 def _try_identity(cond: SideCondition) -> Optional[DischargeStatus]:
-    concl = fold_constants(cond.conclusion)
-    if isinstance(concl, TrueF):
+    if nnf_fold(cond.conclusion, _constant, all, any):
         return DischargeStatus(PROVED_IDENTITY, detail="conclusion is identically true")
-    hyp = fold_constants(cond.hypothesis)
-    if isinstance(hyp, FalseF):
+    if nnf_fold(cond.hypothesis, _constant, all, any, neg=True):
         return DischargeStatus(PROVED_IDENTITY, detail="hypothesis is identically false")
     return None
 
@@ -339,7 +337,10 @@ def _ray(p: Polynomial) -> frozenset:
 
 
 def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
-                  concl_nf: NormalForm) -> bool:
+                  conclusion: Formula) -> bool:
+    """The equalities and strict atoms of one hypothesis case force the
+    conclusion: some cell of its DNF has every literal forced, read off the
+    formula by ``nnf_fold`` without building the DNF."""
     basis = _case_basis(eqs)
     if basis and basis[0].is_constant():
         return True  # 1 in the ideal: no real point satisfies the equalities
@@ -366,30 +367,20 @@ def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
 
     def forced(q: Polynomial, strict: bool) -> bool:
         r = red(q)
-        if r.is_constant():
-            return r.constant_value() > 0 if strict else r.constant_value() >= 0
-        return _ray(r) in strict_rays
+        return _constant(r, strict) if r.is_constant() else _ray(r) in strict_rays
 
-    return any(all(forced(p, False) for p in disjunct.geqs) and
-               all(forced(q, True) for q in disjunct.gts)
-               for disjunct in concl_nf.disjuncts)
+    return nnf_fold(conclusion, forced, all, any)
 
 
 def _try_ideal(cond: SideCondition, hyp_nf: NormalForm) -> Optional[DischargeStatus]:
     try:
-        concl_nf = to_normal_form(cond.conclusion)
+        for disjunct in hyp_nf.disjuncts:
+            cases = _split_cases(disjunct)
+            if cases is None or not all(_case_entails(eqs, stricts, cond.conclusion)
+                                        for eqs, stricts in cases):
+                return None
     except ResourceError:
         return None
-    for disjunct in hyp_nf.disjuncts:
-        cases = _split_cases(disjunct)
-        if cases is None:
-            return None
-        for eqs, stricts in cases:
-            try:
-                if not _case_entails(eqs, stricts, concl_nf):
-                    return None
-            except ResourceError:
-                return None
     return DischargeStatus(PROVED_IDEAL,
                            detail="conclusion forced modulo hypothesis equalities")
 

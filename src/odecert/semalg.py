@@ -5,6 +5,14 @@ Atoms always compare a polynomial against 0.  A :class:`NormalForm` denotes
 a disjunction of conjunctions of non-strict (>= 0) and strict (> 0) atoms;
 an empty disjunct list is false, a disjunct with empty atom lists is true.
 
+:func:`nnf_fold` is the one walk of a quantifier-free formula through its
+negation normal form over the literals p >= 0 and p > 0.
+:func:`to_normal_form` folds it into DNF cells and is the only place the
+disjunct limit applies: to hypothesis normal forms and to the normal forms
+of user-written formulas.  The identity and ideal tiers of discharge fold
+the same walk into booleans, so a side condition's conclusion is never
+expanded into cells.
+
 A progress formula P^(*) holds at a state x exactly when the solution
 through x satisfies P on some open interval (0, eps) of future times.
 Solutions of polynomial ODEs are analytic, so every atom has a constant sign
@@ -19,9 +27,8 @@ over the reversed system.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import InputError, ResourceError
 from .ideals import DEFAULT_RANK_CAP, differential_radical
@@ -29,10 +36,11 @@ from .odecore import OdeSystem
 from .polyarith import Polynomial, ScaledPoint, VarTable
 
 DEFAULT_DISJUNCT_LIMIT = 4096
-DISJUNCT_WARN_AT = 256
 
 ATOM_OPS = ("=", "!=", ">=", ">", "<=", "<")
 _NEGATED = {"=": "!=", "!=": "=", ">=": "<", "<": ">=", ">": "<=", "<=": ">"}
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +129,6 @@ def make_or(args: Iterable[Formula]) -> Formula:
     if len(out) == 1:
         return out[0]
     return Or(tuple(out))
-
-
-def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, (TrueF, FalseF, Atom)):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.arg)
-    if isinstance(f, (And, Or)):
-        return all(is_quantifier_free(a) for a in f.args)
-    if isinstance(f, Implies):
-        return is_quantifier_free(f.hyp) and is_quantifier_free(f.concl)
-    return False
 
 
 def formula_atoms(f: Formula) -> list[Atom]:
@@ -232,35 +228,45 @@ def eval_formula(f: Formula, point) -> bool:
     return PointEvaluator(point)(f)
 
 
-def fold_constants(f: Formula) -> Formula:
-    """Decide atoms whose polynomial is a rational constant; simplify
-    connectives over the resulting true/false leaves."""
-    if isinstance(f, Atom):
-        if f.poly.is_constant():
-            return TRUE if _atom_truth(f.op, f.poly.constant_value()) else FALSE
-        return f
-    if isinstance(f, Not):
-        a = fold_constants(f.arg)
-        if isinstance(a, TrueF):
-            return FALSE
-        if isinstance(a, FalseF):
-            return TRUE
-        return Not(a)
-    if isinstance(f, And):
-        return make_and([fold_constants(a) for a in f.args])
-    if isinstance(f, Or):
-        return make_or([fold_constants(a) for a in f.args])
-    if isinstance(f, Implies):
-        h = fold_constants(f.hyp)
-        c = fold_constants(f.concl)
-        if isinstance(h, FalseF) or isinstance(c, TrueF):
-            return TRUE
-        if isinstance(h, TrueF):
-            return c
-        if isinstance(c, FalseF):
-            return Not(h)
-        return Implies(h, c)
-    return f
+def nnf_fold(f: Formula, literal: Callable[[Polynomial, bool], T],
+             conj: Callable[[list[T]], T], disj: Callable[[list[T]], T],
+             neg: bool = False) -> T:
+    """Fold the negation normal form of a quantifier-free formula (of its
+    negation when ``neg``) over the literals p >= 0 and p > 0.
+
+    ``literal(p, strict)`` is the value of p > 0 when strict and of p >= 0
+    otherwise; ``conj`` and ``disj`` combine the list of their operands'
+    values.  Negations are pushed onto the atoms, h -> c is !h | c, true is
+    conj([]) and false is disj([]); p = 0 is p >= 0 & -p >= 0, p != 0 is
+    p > 0 | -p > 0, and <= and < flip the sign of p.  A quantifier raises
+    InputError."""
+
+    def go(g: Formula, neg: bool) -> T:
+        t = type(g)
+        if t is Atom:
+            op = _NEGATED[g.op] if neg else g.op
+            p = g.poly
+            if op == "=":
+                return conj([literal(p, False), literal(-p, False)])
+            if op == "!=":
+                return disj([literal(p, True), literal(-p, True)])
+            if op == ">=" or op == ">":
+                return literal(p, op == ">")
+            return literal(-p, op == "<")
+        if t is Not:
+            return go(g.arg, not neg)
+        if t is And or t is Or:
+            parts = [go(a, neg) for a in g.args]
+            return conj(parts) if (t is And) != neg else disj(parts)
+        if t is Implies:
+            parts = [go(g.hyp, not neg), go(g.concl, neg)]
+            return conj(parts) if neg else disj(parts)
+        if t is TrueF or t is FalseF:
+            return conj([]) if (t is TrueF) != neg else disj([])
+        raise InputError("quantified input is unsupported here; "
+                         "quantified goals go to SMT export only")
+
+    return go(f, neg)
 
 
 def render_formula(f: Formula) -> str:
@@ -373,73 +379,35 @@ def _build_conjunct(geqs: Iterable[Polynomial], gts: Iterable[Polynomial]) -> Op
 def _check_disjunct_count(n: int, limit: int) -> None:
     if n > limit:
         raise ResourceError(f"normal form exceeds the disjunct limit ({n} > {limit})")
-    if n > DISJUNCT_WARN_AT:
-        warnings.warn(f"normal form has {n} disjuncts; expect slow downstream steps",
-                      RuntimeWarning, stacklevel=3)
 
 
 def to_normal_form(phi: Formula, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalForm:
-    """Equivalent NormalForm of a quantifier-free formula.
+    """Equivalent NormalForm of a quantifier-free formula: the ``nnf_fold``
+    of phi into lists of cells, one cell per literal, the cell product for
+    a conjunction and concatenation for a disjunction, with duplicate-atom
+    pruning and constant folding per cell.  The limit is checked before
+    each product is built."""
 
-    Route: negation normal form, atom rewriting into >= / > atoms
-    (p=0 into p>=0 and -p>=0, p!=0 into p>0 or -p>0, sign flips for <= and <),
-    distribution to DNF, duplicate-atom pruning per conjunct.
-    """
-    if not is_quantifier_free(phi):
-        raise InputError("quantified input is unsupported here; "
-                         "quantified goals go to SMT export only")
+    def literal(p: Polynomial, strict: bool) -> list[Conjunct]:
+        cell = _build_conjunct((), (p,)) if strict else _build_conjunct((p,), ())
+        return [cell] if cell is not None else []
 
-    def dnf(f, neg: bool) -> list[Conjunct]:
-        if isinstance(f, TrueF):
-            f = FALSE if neg else TRUE
-        elif isinstance(f, FalseF):
-            f = TRUE if neg else FALSE
-        if isinstance(f, TrueF):
-            return [Conjunct((), ())]
-        if isinstance(f, FalseF):
-            return []
-        if isinstance(f, Not):
-            return dnf(f.arg, not neg)
-        if isinstance(f, Implies):
-            return dnf(Or((Not(f.hyp), f.concl)), neg)
-        if isinstance(f, And) or isinstance(f, Or):
-            conjunctive = isinstance(f, And) != neg  # And stays And unless negated
-            branches = [dnf(a, neg) for a in f.args]
-            if conjunctive:
-                # the cells of a DNF hold no constant atoms, so no merged
-                # cell folds away: the product has exactly this many cells
-                acc = [Conjunct((), ())]
-                for branch in branches:
-                    _check_disjunct_count(len(acc) * len(branch), limit)
-                    acc = [_build_conjunct(left.geqs + right.geqs, left.gts + right.gts)
-                           for left in acc for right in branch]
-                return acc
-            out: list[Conjunct] = []
-            for branch in branches:
-                out.extend(branch)
-            _check_disjunct_count(len(out), limit)
-            return out
-        if isinstance(f, Atom):
-            op = _NEGATED[f.op] if neg else f.op
-            p = f.poly
-            if op == "=":
-                cell = _build_conjunct([p, -p], [])
-                return [cell] if cell is not None else []
-            if op == "!=":
-                cells = [_build_conjunct([], [p]), _build_conjunct([], [-p])]
-                return [c for c in cells if c is not None]
-            if op == ">=":
-                cell = _build_conjunct([p], [])
-            elif op == "<=":
-                cell = _build_conjunct([-p], [])
-            elif op == ">":
-                cell = _build_conjunct([], [p])
-            else:  # "<"
-                cell = _build_conjunct([], [-p])
-            return [cell] if cell is not None else []
-        raise InputError(f"cannot normalize {type(f).__name__}")
+    def product(branches: list[list[Conjunct]]) -> list[Conjunct]:
+        # the cells of a DNF hold no constant atoms, so no merged
+        # cell folds away: the product has exactly this many cells
+        acc = [Conjunct((), ())]
+        for branch in branches:
+            _check_disjunct_count(len(acc) * len(branch), limit)
+            acc = [_build_conjunct(left.geqs + right.geqs, left.gts + right.gts)
+                   for left in acc for right in branch]
+        return acc
 
-    return NormalForm(tuple(dnf(phi, False)))
+    def union(branches: list[list[Conjunct]]) -> list[Conjunct]:
+        out = [cell for branch in branches for cell in branch]
+        _check_disjunct_count(len(out), limit)
+        return out
+
+    return NormalForm(tuple(nnf_fold(phi, literal, product, union)))
 
 
 def negate_normal_form(P: NormalForm, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalForm:

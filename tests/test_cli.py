@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import odecert
 from odecert.cli import main
 
 ALPHA_E_ODE = "u' = -v + u/4*(1-u^2-v^2), v' = u + v/4*(1-u^2-v^2)"
@@ -193,7 +198,6 @@ class TestCommands:
         assert report["data"]["verdict"] == "not_invariant"
         assert report["data"]["witness"] is not None
 
-    @pytest.mark.filterwarnings("ignore:normal form has")
     def test_check_inv_decides_past_the_complement_disjunct_limit(self, tmp_path, capsys):
         # the complement of this candidate has 3^8 = 6561 > 4096 normal-form
         # cells; the backward condition negates progress formulas instead,
@@ -210,6 +214,40 @@ class TestCommands:
         assert backward["provenance"] == "sai-backward"
         assert backward["status"]["kind"] == "refuted"
         assert backward["status"]["witness"] == data["witness"] == ["-17", "0"]
+
+    def test_check_inv_with_large_hypothesis_normal_forms_writes_no_stderr(self, tmp_path):
+        # problem 75 of the sai-sampling pool: discharge builds hypothesis
+        # normal forms of hundreds of cells, and none of them writes to stderr
+        prob = write(tmp_path, "pool75.prob",
+                     "vars: x, y\node: x' = 1, y' = -2*x*y + y^2 - 2\n"
+                     "candidate: (2*x^2 + 2 > 0 | y - 1 > 0) & (-2*x^2 + x >= 0 | 4*y^2 > 0)"
+                     " & (x^2 >= 0 | -2*x*y - 2*x > 0)\nsamples: 2000\nseed: 0\ncap: 20\n")
+        src = str(Path(odecert.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "odecert", "check-inv", prob, "--json"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert json.loads(done.stdout)["data"]["verdict"] == "not_invariant"
+        assert done.stderr == ""
+
+    def test_ideal_tier_proves_a_conclusion_past_the_disjunct_limit(self, tmp_path, capsys):
+        # problem 98 of the sai-sampling pool: the forward conclusion has
+        # 12600 normal-form cells; the ideal tier reads it off the formula
+        prob = write(tmp_path, "pool98.prob",
+                     "vars: x, y\node: x' = -1, y' = x^2 + 2\n"
+                     "candidate: -y >= 0 & -2*x + 2 >= 0 | 2*y + 2 > 0 & -2*y^2 + y + 1 > 0"
+                     " | -3*x*y + 2*y^2 > 0 & 2*x^2 + x*y > 0\n"
+                     "samples: 2000\nseed: 0\ncap: 20\n")
+        code, report = run_json(capsys, ["check-inv", prob, "--json"])
+        assert code == 1
+        data = report["data"]
+        assert data["verdict"] == "not_invariant"
+        forward, backward = data["conditions"]
+        assert forward["provenance"] == "sai-forward"
+        assert forward["status"]["kind"] == "proved_by_ideal_reduction"
+        assert backward["status"]["kind"] == "refuted"
+        assert backward["status"]["witness"] == data["witness"] == ["15/4", "1"]
 
     def test_darboux_scalar_and_vectorial(self, tmp_path, circle_prob, capsys):
         code, report = run_json(capsys, ["darboux", circle_prob, "--json"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odecert import (Conjunct, DischargeConfig, DischargeStatus, NormalForm, OdeSystem,
-                     Polynomial, SideCondition, VarTable,
+                     Polynomial, ResourceError, SideCondition, VarTable,
                      certificate_from_json, certificate_to_json,
                      check_algebraic_invariance, check_certificate,
                      check_semialgebraic_invariance, discharge, dri_companion,
@@ -245,7 +245,6 @@ class TestDischarge:
         out = discharge(cond, DischargeConfig(samples=500, seed=0))
         assert out.status.kind == UNKNOWN
 
-    @pytest.mark.filterwarnings("ignore:normal form has")
     def test_hypothesis_past_the_disjunct_limit_is_still_sampled(self, xy):
         # 2^13 = 8192 > 4096 cells: the ideal tier is skipped, and sampling
         # evaluates the formulas themselves
@@ -263,6 +262,16 @@ class TestDischarge:
                             ("y - x > 0", UNKNOWN), ("2*x - y > 0", UNKNOWN)]:
             cond = SideCondition(F("x - y > 0", xy), F(concl, xy), xy.names, "test")
             assert discharge(cond, DischargeConfig(samples=0)).status.kind == kind, concl
+
+    def test_ideal_tier_proves_a_conclusion_past_the_disjunct_limit(self, xy):
+        # the conclusion's normal form has 2^13 = 8192 > 4096 cells; the
+        # ideal tier reads the forced literal x + y > 0 off the formula
+        concl = make_and([F(f"x + y > 0 | x - {k} > 0", xy) for k in range(13)])
+        cond = SideCondition(F("x = 0 & y > 0", xy), concl, xy.names, "test")
+        with pytest.raises(ResourceError):
+            to_normal_form(concl)
+        assert discharge(cond, DischargeConfig(samples=0)).status == DischargeStatus(
+            PROVED_IDEAL, detail="conclusion forced modulo hypothesis equalities")
 
 
 def _reference_positive_multiple(r: Polynomial, s: Polynomial) -> bool:

@@ -10,7 +10,6 @@ from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from odecert import Conjunct, NormalForm, OdeSystem, Polynomial, VarTable
@@ -18,8 +17,6 @@ from odecert.cli import main
 from odecert.semalg import render_formula
 
 from conftest import random_normal_form, random_system
-
-pytestmark = pytest.mark.filterwarnings("ignore:normal form has")
 
 XY = VarTable(["x", "y"])
 OPPOSITE = {"invariant": "not_invariant", "not_invariant": "invariant"}

@@ -10,9 +10,10 @@ from odecert import (Conjunct, InputError, NormalForm, Polynomial, VarTable,
                      reverse, semialg_progress, semalg, to_normal_form)
 from odecert.parser import parse_formula, parse_term
 from odecert.sampling import sample_points
-from odecert.semalg import (DEFAULT_DISJUNCT_LIMIT, And, Atom, Implies, Not,
-                            Or, PointEvaluator, TrueF, FalseF, fold_constants,
-                            make_and, make_or, pair_equalities)
+from odecert.invariant import SideCondition, _try_identity
+from odecert.semalg import (ATOM_OPS, DEFAULT_DISJUNCT_LIMIT, And, Atom, Formula,
+                            Implies, Not, Or, PointEvaluator, TrueF, FalseF,
+                            make_and, make_or, nnf_fold, pair_equalities)
 
 from conftest import (random_nonzero_polynomial, random_normal_form,
                       random_point, random_system)
@@ -45,6 +46,40 @@ def reference_negation(P: NormalForm, limit: int = DEFAULT_DISJUNCT_LIMIT) -> No
                  for left in acc for kind, poly in clause)
         acc = [cell for cell in cells if cell is not None]
     return NormalForm(tuple(acc))
+
+
+def reference_fold(f: Formula) -> Formula:
+    """Decide atoms whose polynomial is a rational constant; simplify
+    connectives over the resulting true/false leaves.  The identity tier
+    decided by this fold before it read the same answer off ``nnf_fold``;
+    kept here as the reference construction."""
+    if isinstance(f, Atom):
+        if f.poly.is_constant():
+            truth = semalg._atom_truth(f.op, f.poly.constant_value())
+            return TrueF() if truth else FalseF()
+        return f
+    if isinstance(f, Not):
+        a = reference_fold(f.arg)
+        if isinstance(a, TrueF):
+            return FalseF()
+        if isinstance(a, FalseF):
+            return TrueF()
+        return Not(a)
+    if isinstance(f, And):
+        return make_and([reference_fold(a) for a in f.args])
+    if isinstance(f, Or):
+        return make_or([reference_fold(a) for a in f.args])
+    if isinstance(f, Implies):
+        h = reference_fold(f.hyp)
+        c = reference_fold(f.concl)
+        if isinstance(h, FalseF) or isinstance(c, TrueF):
+            return TrueF()
+        if isinstance(h, TrueF):
+            return c
+        if isinstance(c, FalseF):
+            return Not(h)
+        return Implies(h, c)
+    return f
 
 
 class TestToNormalForm:
@@ -95,6 +130,50 @@ class TestToNormalForm:
         assert nf.disjuncts == (Conjunct((P("x", xy),), (P("x", xy),)),)
 
 
+_XY = VarTable(["x", "y"])
+_POLYS = [parse_term(t, _XY) for t in ("x", "-x", "y", "x - y", "x*y - 1", "0", "1", "-2")]
+_NONCONSTANT = [p for p in dict.fromkeys(_POLYS + [-p for p in _POLYS])
+                if not p.is_constant()]
+_formulas = st.recursive(
+    st.one_of(st.builds(Atom, st.sampled_from(ATOM_OPS), st.sampled_from(_POLYS)),
+              st.just(TrueF()), st.just(FalseF())),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Implies, sub, sub),
+        st.lists(sub, min_size=1, max_size=3).map(lambda args: And(tuple(args))),
+        st.lists(sub, min_size=1, max_size=3).map(lambda args: Or(tuple(args)))),
+    max_leaves=10)
+
+
+class TestNnfFold:
+    """``nnf_fold`` over random formulas with all six comparisons, ``!``,
+    ``->``, true and false (at most 10 leaves: at most 1024 cells)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_formulas, forced_set=st.frozensets(
+        st.tuples(st.sampled_from(_NONCONSTANT), st.booleans())))
+    def test_fold_decides_whether_some_cell_is_forced(self, f, forced_set):
+        # an oracle that forces a random set of nonconstant literals and
+        # decides constant ones by their sign, as the ideal tier does
+        def forced(p: Polynomial, strict: bool) -> bool:
+            if p.is_constant():
+                return semalg._atom_truth(">" if strict else ">=", p.constant_value())
+            return (p, strict) in forced_set
+
+        some_cell = any(all(forced(p, False) for p in c.geqs) and
+                        all(forced(q, True) for q in c.gts)
+                        for c in to_normal_form(f).disjuncts)
+        assert nnf_fold(f, forced, all, any) == some_cell
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_formulas)
+    def test_identity_tier_matches_the_reference_fold(self, f):
+        as_conclusion = SideCondition(TrueF(), f, _XY.names, "test")
+        as_hypothesis = SideCondition(f, FalseF(), _XY.names, "test")
+        assert (_try_identity(as_conclusion) is not None) == (reference_fold(f) == TrueF())
+        assert (_try_identity(as_hypothesis) is not None) == (reference_fold(f) == FalseF())
+
+
 class TestNegateNormalForm:
     def test_single_nonstrict(self, xy):
         nf = NormalForm((Conjunct((P("x", xy),), ()),))
@@ -136,7 +215,6 @@ class TestComplementNormalForm:
     """``semalg.negate_normal_form`` (``to_normal_form`` of the negation)
     builds exactly the reference construction."""
 
-    @pytest.mark.filterwarnings("ignore:normal form has")
     def test_equals_the_reference_on_random_normal_forms(self, xy):
         rng = random.Random(30)
         for _ in range(40):
@@ -310,14 +388,14 @@ class TestDisjunctLimits:
         with pytest.raises(ResourceError):
             to_normal_form(f, limit=16)
 
-    def test_warning_threshold(self, xy):
+    def test_no_warning_below_the_limit(self, xy):
+        # 512 cells are within the limit: built with no warning
         import warnings as warnings_mod
         f = make_and([parse_formula(f"x - {k} > 0 | y - {k} > 0", xy)
                       for k in range(9)])  # 512 disjuncts
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            to_normal_form(f)
-        assert any("disjuncts" in str(w.message) for w in caught)
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("error")
+            assert len(to_normal_form(f).disjuncts) == 512
 
     def test_negate_respects_limit(self, xy):
         from odecert import ResourceError
@@ -329,8 +407,6 @@ class TestDisjunctLimits:
         with pytest.raises(ResourceError):
             reference_negation(nf, limit=32)
 
-
-    @pytest.mark.filterwarnings("ignore:normal form has")
     def test_limit_is_checked_before_the_product_is_built(self, xy, monkeypatch):
         from odecert import ResourceError, semalg
         built = []
@@ -355,9 +431,9 @@ class TestDisjunctLimits:
 class TestFormulaUtilities:
     def test_fold_constants(self, xy):
         f = F("1 > 0 & x >= 0", xy)
-        assert fold_constants(f) == Atom(">=", P("x", xy))
-        assert fold_constants(F("0 = 0", xy)) == TrueF()
-        assert fold_constants(F("2 < 1", xy)) == FalseF()
+        assert reference_fold(f) == Atom(">=", P("x", xy))
+        assert reference_fold(F("0 = 0", xy)) == TrueF()
+        assert reference_fold(F("2 < 1", xy)) == FalseF()
 
     def test_render_round_trip(self, xy):
         texts = [
