@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .errors import InputError, ResourceError
 from .ideals import DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, StepBudget, rank, stabilize
 from .odecore import OdeSystem
-from .polyarith import Polynomial, VarTable, sum_of_products
+from .polyarith import Polynomial, sum_of_products
 
 
 # -- program syntax ----------------------------------------------------------
@@ -91,18 +91,6 @@ def _operands(alpha: HybridProgram) -> list[HybridProgram]:
             alpha, right = alpha.left, alpha.right
         rights.append(right)
     return [alpha] + rights[::-1]
-
-
-def program_table(alpha: HybridProgram) -> VarTable:
-    while isinstance(alpha, (Choice, Seq, Star)):
-        alpha = alpha.body if isinstance(alpha, Star) else _operands(alpha)[0]
-    if isinstance(alpha, Assign):
-        return alpha.expr.table
-    if isinstance(alpha, Test):
-        return alpha.r.table
-    if isinstance(alpha, Ode):
-        return alpha.sys.table
-    raise InputError(f"not a hybrid program: {type(alpha).__name__}")
 
 
 def render_program(alpha: HybridProgram) -> str:

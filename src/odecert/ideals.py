@@ -9,7 +9,10 @@ asked for, the records of the rows the final reduction used, and of the
 rows those derive from, are materialised into exact cofactors of the
 original generators, once per row.  Those cofactors are what the
 certificates replay; each one returned is first checked to recombine to
-the queried polynomial exactly.
+the queried polynomial exactly.  Witnesses come with membership answers
+(``member_with_witness``, ``normal_form_with_witness``) and with the
+chains of ``stabilize``, for rank and for loops; ``groebner`` returns the
+reduced basis alone and materialises no cofactor.
 
 The engine computes on ``Polynomial``'s own integer form (numerators over
 one common denominator); the one ``Fraction`` it keeps is each row's
@@ -70,18 +73,10 @@ class StepBudget:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis plus the transform back to the generators.
-
-    ``basis[k] == sum_j transform[k][j] * generators[j]`` exactly.
-    """
-    generators: tuple[Polynomial, ...]
+    """Reduced Groebner basis: monic, inter-reduced, in increasing order of
+    leading monomial."""
     basis: tuple[Polynomial, ...]
     order: MonomialOrder
-    transform: tuple[tuple[Polynomial, ...], ...]
-
-    def recombination_holds(self) -> bool:
-        return all(sum_of_products(b.table, zip(row, self.generators)) == b
-                   for b, row in zip(self.basis, self.transform))
 
     def render(self) -> str:
         """Diagnostic dump, one canonical polynomial per line."""
@@ -360,28 +355,15 @@ class BuchbergerState:
 
     def reduced_basis(self) -> GroebnerBasis:
         """Inter-reduced, monic, deterministic view of the current basis."""
-        order, table = self.order, self.table
+        order = self.order
         kept: list[_Row] = []
-        for idx in sorted(range(len(self.rows)), key=lambda i: order.key(self.rows[i].lm)):
-            if any(mono_divides(k.lm, self.rows[idx].lm) for k in kept):
-                continue
-            self._materialise([idx])
-            kept.append(self.rows[idx])
+        for row in sorted(self.rows, key=lambda r: order.key(r.lm)):
+            if not any(mono_divides(k.lm, row.lm) for k in kept):
+                kept.append(row)
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
-            rem, steps = _reduce_terms(row.poly, others, order, self.budget)
-            new = _Row(rem, order)
-            new.cofs = _combine(table, [(Polynomial.constant(table, new.scale), row.cofs)]
-                                + _reduced_parts(table, others, steps, new.scale))
-            kept[idx] = new
-        zero = Polynomial.zero(table)
-        return GroebnerBasis(
-            generators=tuple(self.gens),
-            basis=tuple(r.poly for r in kept),
-            order=order,
-            transform=tuple(tuple(r.cofs.get(j, zero) for j in range(len(self.gens)))
-                            for r in kept),
-        )
+            kept[idx] = _Row(_reduce_terms(row.poly, others, order, self.budget)[0], order)
+        return GroebnerBasis(basis=tuple(r.poly for r in kept), order=order)
 
 
 def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -511,8 +493,7 @@ def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
 
 
 def differential_radical(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-                         order: MonomialOrder = GREVLEX,
-                         step_budget: Optional[int] = None) -> list[Polynomial]:
+                         order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """The chain [L^0 p, ..., L^{N-1} p] whose zero-conjunction is the
     differential radical formula of p."""
-    return list(rank(p, sys, cap=cap, order=order, step_budget=step_budget).chain)
+    return list(rank(p, sys, cap=cap, order=order).chain)

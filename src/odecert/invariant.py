@@ -23,13 +23,13 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
-from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, RankResult,
-                     StepBudget, groebner, rank, reduce_mod, stabilize)
+from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, groebner, rank,
+                     reduce_mod, stabilize)
 from .odecore import OdeSystem, lie_derivative, reverse
 from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree
 from .sampling import sample_points
 from .semalg import (Atom, Conjunct, Formula, NormalForm, Not, PointEvaluator,
-                     TrueF, formula_atoms, make_and, nnf_fold, pair_equalities,
+                     TrueF, make_and, nnf_fold, pair_equalities,
                      radical_of_chain, semialg_progress, to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib, run_solver
 
@@ -76,7 +76,6 @@ class DischargeConfig:
     seed: int = 0
     solver: Optional[SolverConfig] = None
     rank_cap: int = DEFAULT_RANK_CAP
-    step_budget: int = DEFAULT_STEP_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +280,6 @@ def dri_companion(rank_result: RankResult, sys: OdeSystem) -> VdbxCert:
 # ---------------------------------------------------------------------------
 # discharge tiers
 
-def _formula_table(*formulas: Formula) -> Optional[VarTable]:
-    for f in formulas:
-        for a in formula_atoms(f):
-            return a.poly.table
-    return None
-
-
 def _constant(p: Polynomial, strict: bool) -> bool:
     """The literal p > 0 (strict) or p >= 0 holds by constant folding alone."""
     return p.is_constant() and (p.constant_value() > 0 if strict
@@ -395,12 +387,11 @@ def _boundary_atoms(hyp_nf: Optional[NormalForm]) -> list[Polynomial]:
 
 def _try_sampling(cond: SideCondition, config: DischargeConfig,
                   hyp_nf: Optional[NormalForm]) -> Optional[DischargeStatus]:
-    table = _formula_table(cond.hypothesis, cond.conclusion)
-    if table is None or config.samples <= 0:
+    if config.samples <= 0:
         return None
     rng = random.Random(config.seed)
     boundary = _boundary_atoms(hyp_nf)
-    for point in sample_points(rng, len(table), config.samples, boundary):
+    for point in sample_points(rng, len(cond.universal_vars), config.samples, boundary):
         ev = PointEvaluator(point)
         if ev(cond.hypothesis) and not ev(cond.conclusion):
             return DischargeStatus(REFUTED, witness=point.fractions(),
@@ -417,9 +408,8 @@ def _try_smt(cond: SideCondition, config: DischargeConfig) -> DischargeStatus:
     if answer.result == "unsat":
         return DischargeStatus(SMT_VALID, detail="solver reports unsat")
     if answer.result == "sat":
-        table = _formula_table(cond.hypothesis, cond.conclusion)
-        if answer.model is not None and table is not None:
-            point = tuple(answer.model.get(n, Fraction(0)) for n in table.names)
+        if answer.model is not None:
+            point = tuple(answer.model.get(n, Fraction(0)) for n in cond.universal_vars)
             ev = PointEvaluator(point)
             if ev(cond.hypothesis) and not ev(cond.conclusion):
                 return DischargeStatus(REFUTED, witness=point,
@@ -476,7 +466,7 @@ def check_algebraic_invariance(p: Polynomial, sys: OdeSystem,
     forall x (p=0 and Q -> differential radical of p)."""
     config = config if config is not None else DischargeConfig()
     try:
-        rr = rank(p, sys, cap=config.rank_cap, step_budget=config.step_budget)
+        rr = rank(p, sys, cap=config.rank_cap)
     except ResourceError as exc:
         return Verdict.unknown(diagnostics=f"rank computation failed: {exc}")
     cond = discharge(algebraic_invariance_condition(rr.chain, sys, domain), config)
@@ -618,7 +608,7 @@ def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
         return lie_derivative(q, cert.system)
 
     chain, smaller = stabilize([cert.p], lambda gens: [lie(g) for g in gens], rr.n - 1,
-                               StepBudget(config.step_budget, "rank replay"))
+                               StepBudget(what="rank replay"))
     if smaller is not None:
         return False  # a smaller rank exists: recorded minimality is wrong
     acc = Polynomial.zero(cert.p.table)

@@ -27,7 +27,7 @@ from .odecore import OdeSystem
 from .parser import parse_formula, parse_ode, parse_program, parse_term
 from .polyarith import MonomialOrder, Polynomial, VarTable, order_by_name
 from .semalg import Atom, Formula, TrueF
-from .smtlib import SolverConfig
+from .smtlib import SolverConfig, check_timeout
 
 _KEYS = ("vars", "ode", "polynomial", "polynomials", "candidate", "domain",
          "program", "post", "seed", "samples", "cap", "deg_bound", "order",
@@ -135,7 +135,11 @@ def parse_problem(text: str) -> ProblemFile:
             elif key == "solver_args":
                 pf.solver_args = tuple(value.split())
             elif key == "solver_timeout":
-                pf.solver_timeout = float(value)
+                try:
+                    seconds = float(value)
+                except ValueError:
+                    raise InputError(f"not a number: {value!r}") from None
+                pf.solver_timeout = check_timeout(seconds)
         except InputError as exc:
             if exc.line is None:
                 raise InputError(f"in {key!r}: {exc}", lineno, 1) from None

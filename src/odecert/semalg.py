@@ -131,27 +131,6 @@ def make_or(args: Iterable[Formula]) -> Formula:
     return Or(tuple(out))
 
 
-def formula_atoms(f: Formula) -> list[Atom]:
-    out: list[Atom] = []
-
-    def walk(g):
-        if isinstance(g, Atom):
-            out.append(g)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or)):
-            for a in g.args:
-                walk(a)
-        elif isinstance(g, Implies):
-            walk(g.hyp)
-            walk(g.concl)
-        elif isinstance(g, Forall):
-            walk(g.body)
-
-    walk(f)
-    return out
-
-
 def _atom_truth(op: str, value) -> bool:
     """Truth of ``value op 0``; ``value`` may be any number with the sign of
     the atom's polynomial."""
@@ -229,40 +208,41 @@ def eval_formula(f: Formula, point) -> bool:
 
 
 def nnf_fold(f: Formula, literal: Callable[[Polynomial, bool], T],
-             conj: Callable[[list[T]], T], disj: Callable[[list[T]], T],
+             conj: Callable[[Iterable[T]], T], disj: Callable[[Iterable[T]], T],
              neg: bool = False) -> T:
     """Fold the negation normal form of a quantifier-free formula (of its
     negation when ``neg``) over the literals p >= 0 and p > 0.
 
     ``literal(p, strict)`` is the value of p > 0 when strict and of p >= 0
-    otherwise; ``conj`` and ``disj`` combine the list of their operands'
-    values.  Negations are pushed onto the atoms, h -> c is !h | c, true is
-    conj([]) and false is disj([]); p = 0 is p >= 0 & -p >= 0, p != 0 is
-    p > 0 | -p > 0, and <= and < flip the sign of p.  A quantifier raises
-    InputError."""
+    otherwise; ``conj`` and ``disj`` combine a lazy iterable of their
+    operands' values, so ``all`` and ``any`` stop at the first operand that
+    decides them.  Negations are pushed onto the atoms, h -> c is !h | c,
+    true is conj of nothing and false is disj of nothing; p = 0 is
+    p >= 0 & -p >= 0, p != 0 is p > 0 | -p > 0, and <= and < flip the sign
+    of p.  A quantifier raises InputError."""
 
     def go(g: Formula, neg: bool) -> T:
         t = type(g)
         if t is Atom:
             op = _NEGATED[g.op] if neg else g.op
             p = g.poly
-            if op == "=":
-                return conj([literal(p, False), literal(-p, False)])
-            if op == "!=":
-                return disj([literal(p, True), literal(-p, True)])
+            if op == "=" or op == "!=":
+                strict = op == "!="
+                parts = (literal(q, strict) for q in (p, -p))
+                return disj(parts) if strict else conj(parts)
             if op == ">=" or op == ">":
                 return literal(p, op == ">")
             return literal(-p, op == "<")
         if t is Not:
             return go(g.arg, not neg)
         if t is And or t is Or:
-            parts = [go(a, neg) for a in g.args]
+            parts = (go(a, neg) for a in g.args)
             return conj(parts) if (t is And) != neg else disj(parts)
         if t is Implies:
-            parts = [go(g.hyp, not neg), go(g.concl, neg)]
+            parts = (go(h, n) for h, n in ((g.hyp, not neg), (g.concl, neg)))
             return conj(parts) if neg else disj(parts)
         if t is TrueF or t is FalseF:
-            return conj([]) if (t is TrueF) != neg else disj([])
+            return conj(()) if (t is TrueF) != neg else disj(())
         raise InputError("quantified input is unsupported here; "
                          "quantified goals go to SMT export only")
 
@@ -392,17 +372,18 @@ def to_normal_form(phi: Formula, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalF
         cell = _build_conjunct((), (p,)) if strict else _build_conjunct((p,), ())
         return [cell] if cell is not None else []
 
-    def product(branches: list[list[Conjunct]]) -> list[Conjunct]:
-        # the cells of a DNF hold no constant atoms, so no merged
-        # cell folds away: the product has exactly this many cells
+    def product(branches: Iterable[list[Conjunct]]) -> list[Conjunct]:
+        # every branch is built, and checked against the limit, before the
+        # first product; the cells of a DNF hold no constant atoms, so no
+        # merged cell folds away: the product has exactly this many cells
         acc = [Conjunct((), ())]
-        for branch in branches:
+        for branch in list(branches):
             _check_disjunct_count(len(acc) * len(branch), limit)
             acc = [_build_conjunct(left.geqs + right.geqs, left.gts + right.gts)
                    for left in acc for right in branch]
         return acc
 
-    def union(branches: list[list[Conjunct]]) -> list[Conjunct]:
+    def union(branches: Iterable[list[Conjunct]]) -> list[Conjunct]:
         out = [cell for branch in branches for cell in branch]
         _check_disjunct_count(len(out), limit)
         return out

@@ -22,12 +22,23 @@ from .polyarith import Polynomial, decimal
 from .semalg import And, Atom, FalseF, Formula, Implies, Not, Or, TrueF
 
 
+def check_timeout(seconds: float) -> float:
+    """``seconds`` if it is from 0 to 10^6, else InputError (nan included);
+    subprocess overflows on a wait much past 2^31 milliseconds."""
+    if not 0 <= seconds <= 1e6:
+        raise InputError(f"solver timeout must be from 0 to 1e6 seconds, got {seconds}")
+    return seconds
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """External solver invocation: ``path [args...] query.smt2``."""
     path: str
     args: tuple[str, ...] = ()
     timeout: float = 60.0
+
+    def __post_init__(self):
+        check_timeout(self.timeout)
 
 
 @dataclass
@@ -134,28 +145,28 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse_sexprs(tokens: list[str]):
-    pos = 0
+# deepest list nesting read from solver output; deeper output is
+# unparseable, which bounds the recursion of the readers below
+MAX_SEXPR_DEPTH = 100
 
-    def parse():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
+
+def _parse_sexprs(tokens: list[str]) -> Optional[list]:
+    """The top-level s-expressions of the tokens, read with an explicit
+    stack: a stray ")" is skipped and lists still open at the end are
+    closed.  None when lists nest deeper than ``MAX_SEXPR_DEPTH``."""
+    stack: list[list] = [[]]
+    for tok in tokens:
         if tok == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(parse())
-            pos += 1  # closing paren
-            return items
-        return tok
-
-    exprs = []
-    while pos < len(tokens):
-        if tokens[pos] == ")":
-            pos += 1
-            continue
-        exprs.append(parse())
-    return exprs
+            if len(stack) > MAX_SEXPR_DEPTH:
+                return None
+            stack.append([])
+        elif tok != ")":
+            stack[-1].append(tok)
+        elif len(stack) > 1:
+            stack[-2].append(stack.pop())
+    while len(stack) > 1:
+        stack[-2].append(stack.pop())
+    return stack[0]
 
 
 def _value_to_fraction(v) -> Optional[Fraction]:
@@ -186,9 +197,8 @@ def parse_model(text: str, variables: tuple[str, ...]) -> Optional[dict[str, Fra
     """Extract rational assignments from solver output containing
     ``(define-fun v () Real <value>)`` entries; None when any needed value
     fails to parse as an exact rational."""
-    try:
-        exprs = _parse_sexprs(_tokenize(text))
-    except IndexError:
+    exprs = _parse_sexprs(_tokenize(text))
+    if exprs is None:
         return None
     assigns: dict[str, Fraction] = {}
 

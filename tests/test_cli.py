@@ -403,6 +403,29 @@ class TestCertCheckCommand:
         assert [cfg.solver.timeout for cfg in seen] == [0.0, SolverConfig.timeout]
         assert cli._load_problem(circle_prob).solver_timeout == SolverConfig.timeout
 
+    @pytest.mark.parametrize("timeout", ["abc", "nan", "inf", "-1", "1e9"])
+    def test_bad_solver_timeout_is_input_error(self, tmp_path, circle_prob, capsys,
+                                               timeout):
+        # in the problem file it is an error at its line; as a flag, of
+        # problem-file commands and of cert-check alike
+        solver = tmp_path / "unknown.sh"
+        solver.write_text("#!/bin/sh\necho unknown\n")
+        solver.chmod(0o755)
+        prob = write(tmp_path, "timeout.prob", Path(circle_prob).read_text()
+                     + f"solver: {solver}\nsolver_timeout: {timeout}\n")
+        assert main(["check-alg", prob]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: 5:1: ") and "Traceback" not in err
+        if timeout == "abc":
+            return  # argparse rejects a flag value that is not a number
+        _, report = run_json(capsys, ["check-alg", circle_prob, "--json"])
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(report["data"]["certificate"]))
+        flag = ["--solver", str(solver), "--solver-timeout", timeout]
+        assert main(["check-alg", circle_prob] + flag) == 3
+        assert main(["cert-check", str(cert_path)] + flag) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

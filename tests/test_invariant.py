@@ -14,13 +14,14 @@ from odecert import (Conjunct, DischargeConfig, DischargeStatus, NormalForm, Ode
                      find_darboux_cofactor, find_vectorial_darboux,
                      lie_derivative, rank, sai_side_conditions,
                      to_normal_form)
+from odecert.cli import main
 from odecert.invariant import (PROVED_IDEAL, PROVED_IDENTITY, REFUTED,
                                SMT_VALID, UNKNOWN, DarbouxCert, DriCert,
                                SaiCert, VdbxCert, _ray)
 from odecert.odecore import reverse
 from odecert.parser import parse_formula, parse_term
 from odecert.polyarith import GREVLEX
-from odecert.semalg import Atom, Not, TrueF, make_and, semialg_progress
+from odecert.semalg import Atom, Implies, Not, TrueF, make_and, semialg_progress
 from odecert.smtlib import SolverConfig
 
 from conftest import random_nonzero_polynomial, random_system
@@ -325,6 +326,17 @@ def irrational_solver(tmp_path):
         "(define-fun y () Real 0.0))'\n")
 
 
+@pytest.fixture(params=["(" * 100_000,
+                        "(model (define-fun x () Real " + "(- " * 5_000 + "1" + ")" * 5_000
+                        + ") (define-fun y () Real 0.0))"],
+                ids=["parentheses", "negations"])
+def nested_solver(tmp_path, request):
+    # sat, then a model nested far past any real solver's output
+    out = tmp_path / "nested.out"
+    out.write_text(request.param)
+    return _write_script(tmp_path / "nested.sh", f"echo sat\ncat '{out}'\n")
+
+
 class TestSolverContract:
     """The external solver is untrusted: answers only count after exact
     re-verification, and failures degrade to Unknown."""
@@ -358,6 +370,17 @@ class TestSolverContract:
         out = discharge(self._hard_condition(xy),
                         DischargeConfig(samples=0, solver=SolverConfig(irrational_solver)))
         assert out.status.kind == UNKNOWN
+
+    def test_deeply_nested_model_is_unknown(self, xy, nested_solver, tmp_path, capsys):
+        out = discharge(self._hard_condition(xy),
+                        DischargeConfig(samples=0, solver=SolverConfig(nested_solver)))
+        assert out.status.kind == UNKNOWN
+        prob = tmp_path / "green.prob"
+        prob.write_text("vars: u, v\n"
+                        "ode: u' = -v + u/4*(1-u^2-v^2), v' = u + v/4*(1-u^2-v^2)\n"
+                        "candidate: u^2 <= v^2 + 9/2\nsamples: 300\n")
+        assert main(["check-inv", str(prob), "--solver", nested_solver]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_binary_is_unknown_not_crash(self, xy):
         out = discharge(self._hard_condition(xy),
@@ -456,8 +479,17 @@ class TestCheckSemialgebraic:
         Q_nf = to_normal_form(F("u != 1", uv))
         fwd, _ = sai_side_conditions(P_nf, Q_nf, alpha_e, QUICK)
         # hypothesis must mention P, Q and the progress of Q
-        from odecert.semalg import formula_atoms
-        assert len(formula_atoms(fwd.hypothesis)) >= 3
+
+        def atoms(g):
+            if isinstance(g, Atom):
+                return [g]
+            if isinstance(g, Not):
+                return atoms(g.arg)
+            if isinstance(g, Implies):
+                return atoms(g.hyp) + atoms(g.concl)
+            return [a for h in getattr(g, "args", ()) for a in atoms(h)]
+
+        assert len(atoms(fwd.hypothesis)) >= 3
 
     def test_true_candidate_invariant(self, uv, alpha_e):
         verdict = check_semialgebraic_invariance(NormalForm.true(),

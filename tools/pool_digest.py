@@ -1,6 +1,6 @@
 """Output digests of odecert over the benchmark's three problem pools.
 
-    python3 tools/pool_digest.py
+    python3 tools/pool_digest.py [--check tools/pool_digests.txt]
 
 For each pool of ``bench/workloads.py`` (read, never modified) this writes
 every problem three times, under the identity transform and under two
@@ -16,11 +16,17 @@ one sha256 per pool over every exit code and stdout, in order:
 checkouts whose digests agree print byte-identical output on every pool
 problem.  odecert is imported from ``src/`` of the checkout holding this
 file, in this process.  The exit status is 1 when any run exits 5 or
-writes a traceback, and 0 otherwise; no digest is pinned here.
+writes a traceback, and 0 otherwise.
+
+``--check FILE`` compares each digest with the one pinned in FILE, which
+holds lines in the printed ``pool digest`` form; every pool whose digest
+differs, or that FILE lacks, is named on stderr and the exit status is 1.
+A change that means to change output re-pins FILE and says why.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -88,6 +94,14 @@ def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the digests pinned in FILE")
+    args = parser.parse_args()
+    pinned = None
+    if args.check is not None:
+        pinned = dict(line.split() for line in Path(args.check).read_text().splitlines()
+                      if line.strip())
     cfg = json.loads((ROOT / "bench" / "workloads.json").read_text())
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,6 +110,9 @@ def main() -> int:
             digest = pool_digest(name, entry["params"], entry["pool_seed"], Path(tmp),
                                  failures)
             print(f"{name} {digest}", flush=True)
+            if pinned is not None and pinned.get(name) != digest:
+                failures.append(f"{name}: digest differs from the one pinned in "
+                                f"{args.check} ({pinned.get(name, 'none pinned')})")
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0
