@@ -3,8 +3,8 @@
 Each subcommand reads a problem file (except cert-check, which reads a
 certificate JSON) and writes a human summary to stdout, or a deterministic
 JSON report with --json.  Exit codes: 0 invariant/success, 1 not-invariant or
-refuted, 2 unknown, 3 input error, 4 resource error, 5 internal error (any
-other exception: a bug, never a verdict).
+refuted, 2 unknown, 3 input error (usage errors included), 4 resource error,
+5 internal error (any other exception: a bug, never a verdict).
 """
 
 from __future__ import annotations
@@ -46,11 +46,20 @@ _VERDICT_EXIT = {"invariant": EXIT_OK, "not_invariant": EXIT_REFUTED,
                  "unknown": EXIT_UNKNOWN}
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error is an input error (exit 3):
+    argparse's own 2 is the code of an ``unknown`` verdict."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="odecert",
-                                  description="Exact invariance checking and "
-                                              "certification for polynomial ODEs")
+    top = _ArgumentParser(prog="odecert",
+                          description="Exact invariance checking and "
+                                      "certification for polynomial ODEs")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, cert_input: bool = False):

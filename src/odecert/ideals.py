@@ -1,15 +1,20 @@
 """Groebner bases with membership witnesses, rank, and differential radicals.
 
 Buchberger's algorithm runs with the normal selection strategy (smallest
-S-pair lcm in the active order, ties by pair index).  Reductions run
-untracked; each basis row keeps a derivation record instead: the generator
-or S-pair it came from, the steps of its reduction and its monic
-scale.  S-pairs that reduce to zero leave no record.  When a witness is
-asked for, the records of the rows the final reduction used, and of the
-rows those derive from, are materialised into exact cofactors of the
-original generators, once per row.  Those cofactors are what the
-certificates replay; each one returned is first checked to recombine to
-the queried polynomial exactly.  Witnesses come with membership answers
+S-pair lcm in the active order, ties by pair index) and two criteria that
+skip S-pairs the basis does not need: the product criterion (coprime
+leading monomials) when pairs are made, and Buchberger's chain criterion
+when a pair is popped (another row's leading monomial divides the lcm and
+its pairs with both rows are no longer pending).  A skipped pair builds no
+S-polynomial and spends no budget step.  Reductions run untracked; each
+basis row keeps a derivation record instead: the generator or S-pair it
+came from, the steps of its reduction and its monic scale.  S-pairs that
+reduce to zero leave no record.  When a witness is asked for, the records
+of the rows the final reduction used, and of the rows those derive from,
+are materialised into exact cofactors of the original generators, once
+per row.  Those cofactors are what the certificates replay; each one
+returned is first checked to recombine to the queried polynomial
+exactly.  Witnesses come with membership answers
 (``member_with_witness``, ``normal_form_with_witness``) and with the
 chains of ``stabilize``, for rank and for loops; ``groebner`` returns the
 reduced basis alone and materialises no cofactor.
@@ -254,6 +259,7 @@ class BuchbergerState:
         self.gens: list[Polynomial] = []
         self.rows: list[_Row] = []
         self._pairs: list[tuple] = []  # heap of (lcm_key, i, j)
+        self._pending: set[tuple[int, int]] = set()  # the (i, j) in the heap
 
     # -- internals ---------------------------------------------------------
 
@@ -270,6 +276,7 @@ class BuchbergerState:
                 continue  # product criterion
             key = order.key(mono_lcm(lm_i, lm_new))
             heapq.heappush(self._pairs, (key, i, new_index))
+            self._pending.add((i, new_index))
 
     def _append_row(self, rem: Polynomial, origin: tuple,
                     steps: dict[int, list]) -> None:
@@ -277,6 +284,7 @@ class BuchbergerState:
         self.rows.append(row)
         if not any(row.lm):
             self._pairs.clear()  # the unit ideal: no pair can add a row
+            self._pending.clear()
         else:
             self._push_pairs(len(self.rows) - 1)
 
@@ -330,12 +338,25 @@ class BuchbergerState:
         self._add_reduced(g, *self._reduce(g))
 
     def complete(self) -> None:
-        """Run Buchberger's loop to quiescence (normal strategy)."""
-        rows, order = self.rows, self.order
+        """Run Buchberger's loop to quiescence (normal strategy).
+
+        Chain criterion: a popped pair (i, j) is skipped when some other
+        row k has lm_k | lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is
+        still pending; both have then been treated (or were never needed),
+        so S(i, j) has a standard representation through them.  A skip
+        rests only on pairs popped before it, never on a later one.
+        """
+        rows, order, pending = self.rows, self.order, self._pending
         while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
+            pending.discard((i, j))
             fi, fj = rows[i], rows[j]
             lcm_ij = mono_lcm(fi.lm, fj.lm)
+            if any(k != i and k != j and mono_divides(rk.lm, lcm_ij)
+                   and (min(i, k), max(i, k)) not in pending
+                   and (min(j, k), max(j, k)) not in pending
+                   for k, rk in enumerate(rows)):
+                continue
             mi, mj = mono_div(lcm_ij, fi.lm), mono_div(lcm_ij, fj.lm)
             s = fi.poly.mul_term(1, mi) - fj.poly.mul_term(1, mj)
             self.budget.spend()

@@ -33,6 +33,10 @@ Mono = tuple  # exponent vector; one entry per VarTable slot
 # largest total degree a power may reach: x^k costs about k^n terms
 MAX_DEGREE = 1000
 
+# most term pairs (len(a) * len(b), summed over the pairs) one
+# ``sum_of_products`` may multiply; checked before each product is built
+MAX_TERM_PRODUCTS = 250_000
+
 # most decimal digits of an integer literal or of a rendered numerator or
 # denominator; below CPython's 4300-digit default limit on int/str
 # conversion, so no Python version decides where text stops
@@ -568,12 +572,23 @@ class Polynomial:
 def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomial]]
                     ) -> Polynomial:
     """sum of a * b over the (a, b) pairs: every product is added into one
-    integer map over a common denominator, with one gcd pass at the end."""
+    integer map over a common denominator, with one gcd pass at the end.
+
+    ResourceError before the product of a pair is built when the term
+    pairs (len(a) * len(b)) summed over it and the pairs before it pass
+    ``MAX_TERM_PRODUCTS``, so no call multiplies more term pairs than
+    that; every ``*`` and each squaring or multiply of ``**`` comes
+    through here."""
     pairs = [(a, b) for a, b in pairs if a.nums and b.nums]
     den = lcm(*(a.den * b.den for a, b in pairs))
     res: dict = {}
     get = res.get
+    products = 0
     for a, b in pairs:
+        products += len(a.nums) * len(b.nums)
+        if products > MAX_TERM_PRODUCTS:
+            raise ResourceError(f"a product of {products} term pairs exceeds "
+                                f"the term cap {MAX_TERM_PRODUCTS}")
         f = den // (a.den * b.den)
         bn = b.nums.items()
         for m1, c1 in a.nums.items():

@@ -86,11 +86,11 @@ def _collect_entries(text: str) -> list[tuple[str, str, int]]:
     return entries
 
 
-def _int_option(value: str, key: str, lineno: int) -> int:
+def _int_option(value: str, key: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise InputError(f"{key} must be an integer, got {value!r}", lineno, 1) from None
+        raise InputError(f"{key} must be an integer, got {value!r}") from None
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -121,13 +121,13 @@ def parse_problem(text: str) -> ProblemFile:
             elif key == "post":
                 pf.post = parse_formula(value, table)
             elif key == "seed":
-                pf.seed = _int_option(value, key, lineno)
+                pf.seed = _int_option(value, key)
             elif key == "samples":
-                pf.samples = _int_option(value, key, lineno)
+                pf.samples = _int_option(value, key)
             elif key == "cap":
-                pf.cap = _int_option(value, key, lineno)
+                pf.cap = _int_option(value, key)
             elif key == "deg_bound":
-                pf.deg_bound = _int_option(value, key, lineno)
+                pf.deg_bound = _int_option(value, key)
             elif key == "order":
                 pf.order = order_by_name(value)
             elif key == "solver":

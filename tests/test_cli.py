@@ -53,17 +53,45 @@ class TestExitCodes:
     def test_not_invariant_is_one(self, half_prob, capsys):
         assert main(["check-inv", half_prob]) == 1
 
-    def test_usage_error_is_two_on_every_call(self, capsys):
+    def test_usage_error_is_three_on_every_call(self, capsys):
         # the parser is built once per process; a reused parser must still
-        # reject bad usage with argparse's exit code and text
+        # reject bad usage with exit code 3 and argparse's text
         texts = []
         for argv in (["rank"], ["frobnicate", "x.prob"], ["rank"]):
             with pytest.raises(SystemExit) as info:
                 main(argv)
-            assert info.value.code == 2
+            assert info.value.code == 3
             texts.append(capsys.readouterr().err)
         assert texts[0] == texts[2] and texts[0].startswith("usage: odecert")
         assert "invalid choice: 'frobnicate'" in texts[1]
+
+    def test_bad_flag_value_is_three_and_help_is_zero(self, circle_prob, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["rank", circle_prob, "--solver-timeout", "abc"])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: odecert rank")
+        assert err.endswith("odecert rank: error: argument --solver-timeout: "
+                            "invalid float value: 'abc'\n")
+        with pytest.raises(SystemExit) as info:
+            main(["rank", "--help"])
+        assert info.value.code == 0
+
+    @pytest.mark.parametrize("key", ["seed", "samples", "cap", "deg_bound"])
+    def test_bad_integer_option_names_its_line_once(self, tmp_path, capsys, key):
+        prob = write(tmp_path, "int.prob", "vars: x, y\node: x' = y, y' = -x\n"
+                     f"polynomial: x\n{key}: abc\n")
+        assert main(["rank", prob]) == 3
+        assert capsys.readouterr().err == (f"input error: 4:1: in '{key}': {key} "
+                                           "must be an integer, got 'abc'\n")
+
+    def test_power_past_the_term_cap_is_four(self, tmp_path, capsys):
+        prob = write(tmp_path, "terms.prob", "vars: x, y, z\n"
+                     "ode: x' = y, y' = z, z' = x\npolynomial: (x+y+z+1)^90\n")
+        started = time.monotonic()
+        assert main(["lie", prob]) == 4
+        assert time.monotonic() - started < 1
+        assert "exceeds the term cap" in capsys.readouterr().err
 
     def test_input_error_is_three(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.prob", "vars: x\npolynomial: x + y\n")

@@ -10,9 +10,10 @@ from odecert import (LEX, OdeSystem, Polynomial, ResourceError, VarTable,
 from odecert import ideals
 from odecert.ideals import BuchbergerState
 from odecert.parser import parse_term
-from odecert.polyarith import GREVLEX, mono_div, mono_divides
+from odecert.polyarith import (GREVLEX, mono_div, mono_divides, mono_lcm,
+                               sum_of_products)
 
-from conftest import random_nonzero_polynomial, random_system
+from conftest import random_nonzero_polynomial, random_polynomial, random_system
 
 
 def P(text, table):
@@ -343,6 +344,70 @@ class TestMultipliersOnDemand:
         rem2, cofs = state.normal_form_with_witness(p)
         assert rem2 == rem and built
         assert sum((c * g for c, g in zip(cofs, gens)), rem) == p
+
+
+def _plain_reduced_basis(gens, order):
+    """Textbook Buchberger with no criterion: every S-pair is reduced (by
+    ``_reference_reduce``), first made first; then the basis is made
+    minimal, inter-reduced and monic.  Reduced bases are unique, so the
+    engine's must equal this one."""
+    def lm(b):
+        return b.leading(order)[0]
+
+    basis = [g.monic(order) for g in gens if g]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        m = mono_lcm(lm(basis[i]), lm(basis[j]))
+        s = (basis[i].mul_term(1, mono_div(m, lm(basis[i])))
+             - basis[j].mul_term(1, mono_div(m, lm(basis[j]))))
+        rem = _reference_reduce(s, basis, order)
+        if rem:
+            pairs += [(k, len(basis)) for k in range(len(basis))]
+            basis.append(rem.monic(order))
+    minimal = []
+    for b in sorted(basis, key=lambda b: order.key(lm(b))):
+        if not any(mono_divides(lm(k), lm(b)) for k in minimal):
+            minimal.append(b)
+    return tuple(_reference_reduce(b, minimal[:k] + minimal[k + 1:], order).monic(order)
+                 for k, b in enumerate(minimal))
+
+
+class TestChainCriterion:
+    """Pairs the chain criterion skips change neither the basis nor the
+    witnesses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), three=st.booleans(),
+           order=st.sampled_from([GREVLEX, LEX]))
+    def test_basis_equals_plain_buchberger(self, seed, three, order):
+        rng = random.Random(seed)
+        table = VarTable(["x", "y", "z"] if three else ["x", "y"])
+        gens = [random_nonzero_polynomial(rng, table, 2 if three else 3, 3)
+                for _ in range(rng.randint(2, 3))]
+        assert groebner(gens, order=order).basis == _plain_reduced_basis(gens, order)
+        combine = [random_polynomial(rng, table, 2, 2) for _ in gens]
+        p = sum_of_products(table, zip(combine, gens))
+        w = member_with_witness(p, gens, order=order)
+        assert w is not None
+        assert sum_of_products(table, zip(w.cofactors, gens)) == p
+
+    def test_fewer_reductions_than_pops(self, xy, monkeypatch):
+        rng = random.Random(18)
+        gens = [random_nonzero_polynomial(rng, xy, 3, 3) for _ in range(3)]
+        state = BuchbergerState(xy)
+        for g in gens:
+            state.add_generator(g)
+        reduced, popped = [], []
+        reduce_terms, heappop = ideals._reduce_terms, ideals.heapq.heappop
+        monkeypatch.setattr(ideals, "_reduce_terms",
+                            lambda *args: reduced.append(1) or reduce_terms(*args))
+        monkeypatch.setattr(ideals.heapq, "heappop",
+                            lambda heap: popped.append(1) or heappop(heap))
+        state.complete()
+        monkeypatch.undo()
+        assert len(reduced) < len(popped)
+        assert state.reduced_basis().basis == _plain_reduced_basis(gens, GREVLEX)
 
 
 # (p, [x', y'], rank, rendered cofactors, whether <p, ..., L^{n-1} p> = <1>);

@@ -9,7 +9,8 @@ from odecert import (GREVLEX, LEX, DimensionError, InputError,
                      NonPolynomialError, PolyMatrix, Polynomial, ResourceError,
                      VarTable)
 from odecert.parser import parse_term
-from odecert.polyarith import MAX_DEGREE, ScaledPoint
+from odecert import polyarith
+from odecert.polyarith import MAX_DEGREE, ScaledPoint, sum_of_products
 
 from conftest import random_point, random_polynomial
 
@@ -332,6 +333,28 @@ class TestDegreeCap:
             Polynomial.constant(t, 2 ** MAX_DEGREE)
         with pytest.raises(ResourceError, match=f"power of degree 1 \\* {MAX_DEGREE + 1}"):
             P("x", t) ** (MAX_DEGREE + 1)
+
+
+class TestTermCap:
+    def test_cap_is_checked_before_the_product_is_built(self, t3, monkeypatch):
+        monkeypatch.setattr(polyarith, "MAX_TERM_PRODUCTS", 12)
+        a, b = P("x + y + z", t3), P("x + y + z + 1", t3)
+        assert a * b == P("x^2 + 2*x*y + 2*x*z + y^2 + 2*y*z + z^2 + x + y + z", t3)
+        with pytest.raises(ResourceError, match="product of 15 term pairs exceeds "
+                                                "the term cap 12"):
+            sum_of_products(t3, [(a, b), (a, P("x", t3))])
+        # every squaring and multiply of a power is one product
+        assert (a ** 2).nums == (a * a).nums
+        with pytest.raises(ResourceError, match="term cap"):
+            b ** 2
+        # pairs with a zero factor multiply nothing
+        assert sum_of_products(t3, [(a, b), (Polynomial.zero(t3), b)]) == a * b
+
+    def test_huge_power_stops_at_once(self, t3):
+        base = P("x + y + z + 1", t3)
+        with pytest.raises(ResourceError, match="term cap"):
+            base ** 90
+        assert len((base ** 20).nums) == 1771
 
 
 # -- the integer representation against a term-by-term Fraction reference ----

@@ -1,6 +1,6 @@
 """Output digests of odecert over the benchmark's three problem pools.
 
-    python3 tools/pool_digest.py [--check tools/pool_digests.txt]
+    python3 tools/pool_digest.py [--check tools/pool_digests.txt] [--pool NAME ...]
 
 For each pool of ``bench/workloads.py`` (read, never modified) this writes
 every problem three times, under the identity transform and under two
@@ -22,6 +22,10 @@ writes a traceback, and 0 otherwise.
 holds lines in the printed ``pool digest`` form; every pool whose digest
 differs, or that FILE lacks, is named on stderr and the exit status is 1.
 A change that means to change output re-pins FILE and says why.
+
+``--pool NAME`` (repeatable) runs only the named pools, in the order
+above; with ``--check`` only their digests are compared, and a pinned
+pool that was not run is not reported.
 """
 
 from __future__ import annotations
@@ -97,6 +101,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE",
                         help="compare with the digests pinned in FILE")
+    parser.add_argument("--pool", action="append", choices=list(COMMANDS),
+                        help="run only this pool (repeatable; default: all)")
     args = parser.parse_args()
     pinned = None
     if args.check is not None:
@@ -106,6 +112,8 @@ def main() -> int:
     failures: list[str] = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in COMMANDS:
+            if args.pool and name not in args.pool:
+                continue
             entry = cfg["workloads"][name]
             digest = pool_digest(name, entry["params"], entry["pool_seed"], Path(tmp),
                                  failures)
