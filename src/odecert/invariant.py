@@ -400,10 +400,10 @@ def _try_sampling(cond: SideCondition, config: DischargeConfig,
 
 
 def _try_smt(cond: SideCondition, config: DischargeConfig) -> DischargeStatus:
-    query = emit_smtlib(cond.hypothesis, cond.conclusion, cond.universal_vars,
-                        comment=f"side condition: {cond.provenance}")
     if config.solver is None:
         return DischargeStatus(UNKNOWN, detail="no solver configured")
+    query = emit_smtlib(cond.hypothesis, cond.conclusion, cond.universal_vars,
+                        comment=f"side condition: {cond.provenance}")
     answer = run_solver(query, config.solver, cond.universal_vars)
     if answer.result == "unsat":
         return DischargeStatus(SMT_VALID, detail="solver reports unsat")
@@ -522,12 +522,15 @@ def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
 
     Forward: P & Q & Q^(*) -> P^(*).  Backward, over the reversed system:
     !P & Q & Q^(*) -> !(P^(*)), since progress into the complement of P is
-    the negation of progress into P (see ``semalg``)."""
+    the negation of progress into P (see ``semalg``).
+
+    Both premises meet the same atoms, and L_{-f} q = -L_f q, so an atom's
+    chain over the reversed system is its forward chain with every odd
+    entry negated, of the same rank; the backward chains are taken from the
+    forward ones instead of being ranked again."""
     config = config if config is not None else DischargeConfig()
     cap = config.rank_cap
-    rsys = reverse(sys)
     fwd_cache: dict = {}
-    bwd_cache: dict = {}
     forward = SideCondition(
         hypothesis=make_and([P.to_formula(), Q.to_formula(),
                              semialg_progress(Q, sys, cap=cap, _cache=fwd_cache)]),
@@ -535,6 +538,9 @@ def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
         universal_vars=sys.table.names,
         provenance="sai-forward",
     )
+    rsys = reverse(sys)
+    bwd_cache = {p: [-q if k % 2 else q for k, q in enumerate(chain)]
+                 for p, chain in fwd_cache.items()}
     backward = SideCondition(
         hypothesis=make_and([Not(P.to_formula()), Q.to_formula(),
                              semialg_progress(Q, rsys, cap=cap, _cache=bwd_cache)]),

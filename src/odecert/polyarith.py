@@ -15,7 +15,9 @@ Evaluation runs in integers too.  A :class:`ScaledPoint` holds a rational
 point as integer numerators over one positive common denominator, and a
 polynomial caches, on first evaluation, its terms homogenised by total
 degree D, so that den * point.den^D * p(point) is one integer sum whose
-sign is the sign of the polynomial there.
+sign is the sign of the polynomial there.  Each term raises the point's
+integers to its own exponents; no power tables are kept, since a sampled
+point meets only a few low-degree polynomials.
 """
 
 from __future__ import annotations
@@ -439,24 +441,19 @@ class Polynomial:
                 for m, c in self.nums.items()))
             return self._evals
 
-    def _powers(self, point: "ScaledPoint") -> tuple[tuple, list[list[int]], list[int]]:
-        degree, terms = self._eval_table()
-        if len(point.nums) != len(self.table):
-            raise DimensionError("point dimension does not match variable count")
-        if len(point.den_pows) <= degree:
-            point.grow(degree)
-        return terms, point.num_pows, point.den_pows
-
     def scaled_value(self, point: "ScaledPoint") -> int:
         """den * point.den^D * p(point) for the total degree D: an integer
         with the sign of p at the point, as both factors are positive.  It
         is sum_m nums[m] * point.nums^m * point.den^(D - |m|)."""
-        terms, pows, dp = self._powers(point)
+        nums, den = point.nums, point.den
+        if len(nums) != len(self.table.names):
+            raise DimensionError("point dimension does not match variable count")
+        terms = self._eval_table()[1]
         total = 0
         for c, pad, factors in terms:
-            v = c * dp[pad]
+            v = c * den ** pad
             for i, e in factors:
-                v *= pows[i][e]
+                v *= nums[i] ** e
             total += v
         return total
 
@@ -465,7 +462,10 @@ class Polynomial:
         (den * point.den^D) of p with every other variable set to the
         point's value; zero coefficients dropped.  It has the roots in x_var
         of the exact restriction."""
-        terms, pows, dp = self._powers(point)
+        nums, den = point.nums, point.den
+        if len(nums) != len(self.table.names):
+            raise DimensionError("point dimension does not match variable count")
+        terms = self._eval_table()[1]
         out: dict[int, int] = {}
         for c, pad, factors in terms:
             v = c
@@ -474,8 +474,8 @@ class Polynomial:
                 if i == var:
                     k = e
                 else:
-                    v *= pows[i][e]
-            out[k] = out.get(k, 0) + v * dp[pad + k]
+                    v *= nums[i] ** e
+            out[k] = out.get(k, 0) + v * den ** (pad + k)
         return {k: v for k, v in out.items() if v}
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
@@ -601,17 +601,13 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomia
 
 class ScaledPoint:
     """A rational point x_i = nums[i] / den over one positive common
-    denominator.  The power tables ``num_pows[i][e] = nums[i]^e`` and
-    ``den_pows[e] = den^e`` grow on demand (:meth:`grow`) and are shared by
-    every polynomial evaluated at the point."""
+    denominator, with no power tables (see the module docstring)."""
 
-    __slots__ = ("nums", "den", "num_pows", "den_pows")
+    __slots__ = ("nums", "den")
 
     def __init__(self, nums: Sequence[int], den: int):
         self.nums = tuple(nums)
         self.den = den
-        self.num_pows = [[1] for _ in self.nums]
-        self.den_pows = [1]
 
     @classmethod
     def of(cls, point) -> "ScaledPoint":
@@ -632,15 +628,6 @@ class ScaledPoint:
         nums = [a * up for a in self.nums]
         nums[i] = num * (common // den)
         return ScaledPoint(nums, common)
-
-    def grow(self, degree: int) -> None:
-        """Extend the power tables to cover exponents up to ``degree``."""
-        dp = self.den_pows
-        while len(dp) <= degree:
-            dp.append(dp[-1] * self.den)
-        for a, row in zip(self.nums, self.num_pows):
-            while len(row) <= degree:
-                row.append(row[-1] * a)
 
 
 class PolyMatrix:

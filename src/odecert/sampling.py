@@ -13,6 +13,11 @@ and its roots come out as reduced integer pairs, so no ``Fraction`` is built
 here.  Points that the projection cannot fix stay as drawn.  Every
 candidate is used only through exact evaluation, so emitted witnesses are
 sound by construction.
+
+Every random int comes from one draw, ``_below``: ``getrandbits`` of the
+bound's bit length, repeated until below the bound, which is the loop that
+``randint``, ``randrange`` and ``shuffle`` run on CPython 3.10 to 3.13; so
+a seed's points rest only on ``getrandbits`` and are the points those gave.
 """
 
 from __future__ import annotations
@@ -32,8 +37,18 @@ _MAX_DIVISORS = 128
 Root = tuple[int, int]  # num/den in lowest terms, den > 0
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n) for n >= 1: getrandbits(n.bit_length())
+    drawn until below n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_point(rng: random.Random, nvars: int) -> ScaledPoint:
-    pairs = [(rng.randint(-NUM_RANGE, NUM_RANGE), rng.randint(1, DEN_RANGE))
+    pairs = [(_below(rng, 2 * NUM_RANGE + 1) - NUM_RANGE, 1 + _below(rng, DEN_RANGE))
              for _ in range(nvars)]
     den = lcm(*(d for _, d in pairs))
     return ScaledPoint([n * (den // d) for n, d in pairs], den)
@@ -96,19 +111,33 @@ def univariate_rational_roots(coeffs: dict[int, int]) -> list[Root]:
             for num in (-b + sq, -b - sq):
                 _add_root(roots, _root(num, 2 * a))
         return _sorted(roots)
-    # rational root theorem on the primitive part
+    # rational root theorem on the primitive part: a root num/den in lowest
+    # terms makes den*x - num a factor over Z (Gauss's lemma), so den - num
+    # divides p(1) and den + num divides p(-1)
     g = 0
     for v in coeffs.values():
         g = gcd(g, v)
     iofs = {e: v // g for e, v in coeffs.items()}
-    const = iofs.get(0, 0)
-    if const == 0:  # x factored out above, so const != 0 unless poly was x^k * c
-        return _sorted(roots)
-    for num in _divisors(const):
-        for den in _divisors(iofs[deg]):
-            for cand in (_root(num, den), _root(-num, den)):
-                if cand not in roots and _vanishes(iofs, deg, cand):
-                    roots.append(cand)
+    at_one = sum(iofs.values())
+    at_minus_one = sum(-v if e % 2 else v for e, v in iofs.items())
+    dens = _divisors(iofs[deg])
+    seen: set[Root] = set()
+    for num in _divisors(iofs[0]):  # nonzero: x was factored out above
+        for den in dens:
+            g = gcd(num, den)
+            n, d = pair = num // g, den // g
+            if pair in seen:
+                continue
+            seen.add(pair)
+            # candidates n/d and -n/d; b > 0, and a = 0 only for 1/1, which
+            # _vanishes alone decides
+            a, b = d - n, d + n
+            if at_minus_one % b == 0 and (not a or at_one % a == 0) and \
+                    _vanishes(iofs, deg, n, d):
+                roots.append(pair)
+            if at_one % b == 0 and (not a or at_minus_one % a == 0) and \
+                    _vanishes(iofs, deg, -n, d):
+                roots.append((-n, d))
     return _sorted(roots)
 
 
@@ -121,10 +150,9 @@ def _sorted(roots: list[Root]) -> list[Root]:
     return sorted(roots, key=cmp_to_key(_compare))
 
 
-def _vanishes(coeffs: dict[int, int], deg: int, root: Root) -> bool:
+def _vanishes(coeffs: dict[int, int], deg: int, num: int, den: int) -> bool:
     """Whether sum coeffs[e] * (num/den)^e is zero, from the integer
     den^deg times it."""
-    num, den = root
     return sum(c * num ** e * den ** (deg - e) for e, c in coeffs.items()) == 0
 
 
@@ -135,11 +163,13 @@ def project_to_boundary(point: ScaledPoint, atom: Polynomial,
     candidates = sorted(atom.variables())
     if not candidates:
         return None
-    rng.shuffle(candidates)
+    for i in range(len(candidates) - 1, 0, -1):  # Fisher-Yates shuffle
+        j = _below(rng, i + 1)
+        candidates[i], candidates[j] = candidates[j], candidates[i]
     for var in candidates:
         roots = univariate_rational_roots(atom.restrict_to_variable(var, point))
         if roots:
-            num, den = roots[rng.randrange(len(roots))]
+            num, den = roots[_below(rng, len(roots))]
             return point.with_coordinate(var, num, den)
     return None
 
@@ -151,7 +181,7 @@ def sample_points(rng: random.Random, nvars: int, count: int,
     for k in range(count):
         point = random_point(rng, nvars)
         if boundary_atoms and k % 2 == 1:
-            atom = boundary_atoms[rng.randrange(len(boundary_atoms))]
+            atom = boundary_atoms[_below(rng, len(boundary_atoms))]
             projected = project_to_boundary(point, atom, rng)
             if projected is not None:
                 point = projected

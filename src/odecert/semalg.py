@@ -155,9 +155,8 @@ class PointEvaluator:
     Only signs are computed: each atom's polynomial gives
     :meth:`~odecert.polyarith.Polynomial.scaled_value`, an integer with the
     polynomial's sign, from its cached evaluation table and the point's
-    shared power tables.  The
-    integers are memoized by polynomial identity, since progress formulas
-    reuse the same Lie derivatives a lot.
+    integers.  The integers are memoized by polynomial identity, since
+    progress formulas reuse the same Lie derivatives a lot.
     """
 
     __slots__ = ("point", "_cache")

@@ -21,10 +21,11 @@ from odecert.invariant import (PROVED_IDEAL, PROVED_IDENTITY, REFUTED,
 from odecert.odecore import reverse
 from odecert.parser import parse_formula, parse_term
 from odecert.polyarith import GREVLEX
+from odecert.ideals import differential_radical
 from odecert.semalg import Atom, Implies, Not, TrueF, make_and, semialg_progress
 from odecert.smtlib import SolverConfig
 
-from conftest import random_nonzero_polynomial, random_system
+from conftest import random_nonzero_polynomial, random_normal_form, random_system
 
 QUICK = DischargeConfig(samples=3000, seed=0)
 
@@ -526,6 +527,52 @@ class TestCheckSemialgebraic:
             hyp_nf = to_normal_form(cond.hypothesis)
             assert _try_sampling(cond, DischargeConfig(samples=400, seed=2),
                                  hyp_nf) is None
+
+
+_TABLES = {n: VarTable(["x", "y", "z"][:n]) for n in (2, 3)}
+
+
+class TestBackwardChains:
+    """The chain of an atom over the reversed system is its forward chain
+    with every odd entry negated (L_{-f} q = -L_f q)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nvars=st.sampled_from([2, 3]))
+    def test_reversed_chain_negates_odd_entries(self, seed, nvars):
+        rng = random.Random(seed)
+        table = _TABLES[nvars]
+        sys = random_system(rng, table)
+        p = random_nonzero_polynomial(rng, table)
+        try:
+            forward = differential_radical(p, sys, cap=6)
+        except ResourceError:
+            with pytest.raises(ResourceError):
+                differential_radical(p, reverse(sys), cap=6)
+            return
+        assert differential_radical(p, reverse(sys), cap=6) == \
+            [-q if k % 2 else q for k, q in enumerate(forward)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nvars=st.sampled_from([2, 3]))
+    def test_backward_condition_matches_a_fresh_rank(self, seed, nvars):
+        rng = random.Random(seed)
+        table = _TABLES[nvars]
+        sys = random_system(rng, table)
+        P_nf = random_normal_form(rng, table, max_disjuncts=2)
+        Q_nf = random_normal_form(rng, table, max_disjuncts=1, max_atoms=1)
+        config = DischargeConfig(rank_cap=6)
+        rsys = reverse(sys)
+        try:  # the reference: progress over reverse(sys), every chain ranked anew
+            hyp = make_and([Not(P_nf.to_formula()), Q_nf.to_formula(),
+                            semialg_progress(Q_nf, rsys, cap=6)])
+            concl = Not(semialg_progress(P_nf, rsys, cap=6))
+        except ResourceError:
+            with pytest.raises(ResourceError):
+                sai_side_conditions(P_nf, Q_nf, sys, config)
+            return
+        _, backward = sai_side_conditions(P_nf, Q_nf, sys, config)
+        assert backward.hypothesis == hyp
+        assert backward.conclusion == concl
 
 
 def _random_one_sided_nf(rng, table):

@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from functools import cmp_to_key
+from math import gcd, isqrt, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from odecert import Polynomial, VarTable
+from odecert.parser import parse_term
 from odecert.polyarith import ScaledPoint
-from odecert.sampling import (project_to_boundary, sample_points,
+from odecert.sampling import (DEN_RANGE, NUM_RANGE, _below, _compare, _divisors,
+                              _root, project_to_boundary, sample_points,
                               univariate_rational_roots)
 
 
@@ -87,3 +91,119 @@ class TestProjection:
         fixed = project_to_boundary(ScaledPoint.of((Fraction(3, 2), Fraction(7))),
                                     atom, random.Random(0))
         assert fixed is not None and atom.evaluate(fixed.fractions()) == 0
+
+
+# ---------------------------------------------------------------------------
+# references: the root search that tests every candidate, and the sampler
+# that draws through randint, randrange and shuffle
+
+def _reference_roots(coeffs: dict[int, int]) -> list[tuple[int, int]]:
+    """Every rational-root-theorem candidate tested by exact evaluation,
+    with no pruning; the linear and quadratic cases solve directly."""
+    coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    if not coeffs:
+        return []
+    roots = []
+    low = min(coeffs)
+    if low > 0:
+        roots.append((0, 1))
+        coeffs = {e - low: c for e, c in coeffs.items()}
+    deg = max(coeffs)
+    if deg == 1:
+        roots.append(_root(-coeffs.get(0, 0), coeffs[1]))
+    elif deg == 2:
+        a, b, c = coeffs[2], coeffs.get(1, 0), coeffs.get(0, 0)
+        disc = b * b - 4 * a * c
+        sq = isqrt(disc) if disc >= 0 else -1
+        if sq >= 0 and sq * sq == disc:
+            roots += [_root(num, 2 * a) for num in (-b + sq, -b - sq)]
+    elif deg > 2:
+        g = 0
+        for v in coeffs.values():
+            g = gcd(g, v)
+        iofs = {e: v // g for e, v in coeffs.items()}
+        for num in _divisors(iofs[0]):
+            for den in _divisors(iofs[deg]):
+                for n, d in (_root(num, den), _root(-num, den)):
+                    if sum(c * n ** e * d ** (deg - e) for e, c in iofs.items()) == 0:
+                        roots.append((n, d))
+    return sorted(set(roots), key=cmp_to_key(_compare))
+
+
+def _reference_sample_points(rng, nvars, count, boundary_atoms):
+    for k in range(count):
+        pairs = [(rng.randint(-NUM_RANGE, NUM_RANGE), rng.randint(1, DEN_RANGE))
+                 for _ in range(nvars)]
+        den = lcm(*(d for _, d in pairs))
+        point = ScaledPoint([n * (den // d) for n, d in pairs], den)
+        if boundary_atoms and k % 2 == 1:
+            atom = boundary_atoms[rng.randrange(len(boundary_atoms))]
+            candidates = sorted(atom.variables())
+            rng.shuffle(candidates)
+            for var in candidates:
+                roots = _reference_roots(atom.restrict_to_variable(var, point))
+                if roots:
+                    num, rden = roots[rng.randrange(len(roots))]
+                    point = point.with_coordinate(var, num, rden)
+                    break
+        yield point
+
+
+_NAMES = ("x", "y", "z")
+# per variable count: no boundary atom, one, and several; the atoms
+# x^2 - 1/4, x^2 - y^2 and (x - 1)(x - 2)(x + 3) have two or more rational
+# roots in x, and x*y*z - 1 cannot be fixed in a variable set to zero
+_ATOMS = {
+    1: ["x^2 - 1/4", "(x - 1)*(x - 2)*(x + 3)", "3*x - 2", "x^2 + 1"],
+    2: ["x^2 - y^2", "x*y - 1", "(x - y)*(x + 2*y)*(x - 3)", "x^2 + y^2 - 25"],
+    3: ["x^2 + y^2 - z^2", "x*y*z - 1", "(x - z)*(y + 2)*(z - 1/3)", "z^3 - 2*z"],
+}
+
+
+class TestSampleStream:
+    def test_below_matches_randrange(self):
+        for n in range(1, 301):
+            ours, theirs = random.Random(n), random.Random(n)
+            assert [_below(ours, n) for _ in range(20)] == \
+                [theirs.randrange(n) for _ in range(20)]
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @pytest.mark.parametrize("atoms", [0, 1, 4])
+    def test_points_match_the_randint_sampler(self, nvars, atoms):
+        table = VarTable(_NAMES[:nvars])
+        boundary = [parse_term(t, table) for t in _ATOMS[nvars][:atoms]]
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = [(p.nums, p.den) for p in sample_points(ours, nvars, 40, boundary)]
+            want = [(p.nums, p.den)
+                    for p in _reference_sample_points(theirs, nvars, 40, boundary)]
+            assert got == want
+            assert ours.getstate() == theirs.getstate()
+
+
+def _linear_product(factors, cofactor):
+    """Integer coefficients of prod (den*x - num) times the cofactor."""
+    coeffs = list(cofactor)
+    for num, den in factors:
+        out = [0] * (len(coeffs) + 1)
+        for e, c in enumerate(coeffs):
+            out[e + 1] += den * c
+            out[e] -= num * c
+        coeffs = out
+    return {e: c for e, c in enumerate(coeffs) if c}
+
+
+class TestRootSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(factors=st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 12)),
+                            min_size=1, max_size=5),
+           cofactor=st.lists(st.integers(-9, 9), min_size=0, max_size=3)
+           .map(lambda cs: cs + [1]),
+           lead=st.integers(-6, 6).filter(bool))
+    def test_matches_the_unpruned_search(self, factors, cofactor, lead):
+        coeffs = _linear_product(factors, [lead * c for c in cofactor])
+        roots = univariate_rational_roots(coeffs)
+        assert roots == _reference_roots(coeffs)
+        if max(abs(c) for c in coeffs.values()) <= 10 ** 6:
+            assert {Fraction(n, d) for n, d in factors} <= \
+                {Fraction(n, d) for n, d in roots}

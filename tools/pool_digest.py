@@ -23,6 +23,9 @@ holds lines in the printed ``pool digest`` form; every pool whose digest
 differs, or that FILE lacks, is named on stderr and the exit status is 1.
 A change that means to change output re-pins FILE and says why.
 
+Each pool's wall seconds and its slowest run (command, problem file,
+seconds) go to stderr as the pool finishes; stdout holds only the digests.
+
 ``--pool NAME`` (repeatable) runs only the named pools, in the order
 above; with ``--check`` only their digests are compared, and a pinned
 pool that was not run is not reported.
@@ -37,6 +40,7 @@ import json
 import random
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -69,7 +73,8 @@ def _call(argv: list[str]) -> tuple[int, str, str]:
 
 
 def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
-                failures: list[str]) -> str:
+                failures: list[str]) -> tuple[str, tuple[float, str, str]]:
+    """The pool's digest, and its slowest run as (seconds, file, command)."""
     wl = workloads.WORKLOADS[name](params)
     specs = wl.pool(pool_seed)
     transforms = [[wl.identity()] * len(specs)]
@@ -77,6 +82,7 @@ def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
         rng = random.Random(f"digest:{name}:{k}")
         transforms.append([wl.transform(rng) for _ in specs])
     sha = hashlib.sha256()
+    slowest = (0.0, "", "")
     for k, pass_transforms in enumerate(transforms):
         for i, (spec, t) in enumerate(zip(specs, pass_transforms)):
             path = work / f"{name}-{k}-{i:04d}.prob"
@@ -84,7 +90,9 @@ def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
             for run in COMMANDS[name]:
                 target = str(path)
                 for command in run:
+                    start = time.perf_counter()
                     code, out, err = _call([command, target, "--json"])
+                    slowest = max(slowest, (time.perf_counter() - start, path.name, command))
                     sha.update(f"{code}\n{out}\0".encode())
                     if code == 5 or code is None or "Traceback" in err:
                         failures.append(f"{name} {path.name} {command}: exit {code}\n{err}")
@@ -94,7 +102,7 @@ def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
                         break
                     target = str(path.with_suffix(".cert.json"))
                     Path(target).write_text(json.dumps(cert))
-    return sha.hexdigest()
+    return sha.hexdigest(), slowest
 
 
 def main() -> int:
@@ -115,9 +123,12 @@ def main() -> int:
             if args.pool and name not in args.pool:
                 continue
             entry = cfg["workloads"][name]
-            digest = pool_digest(name, entry["params"], entry["pool_seed"], Path(tmp),
-                                 failures)
+            start = time.perf_counter()
+            digest, (worst, where, command) = pool_digest(
+                name, entry["params"], entry["pool_seed"], Path(tmp), failures)
             print(f"{name} {digest}", flush=True)
+            print(f"{name}: {time.perf_counter() - start:.1f} s; slowest run "
+                  f"{command} {where} {worst:.2f} s", file=sys.stderr, flush=True)
             if pinned is not None and pinned.get(name) != digest:
                 failures.append(f"{name}: digest differs from the one pinned in "
                                 f"{args.check} ({pinned.get(name, 'none pinned')})")
