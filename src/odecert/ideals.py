@@ -9,15 +9,16 @@ its pairs with both rows are no longer pending).  A skipped pair builds no
 S-polynomial and spends no budget step.  Reductions run untracked; each
 basis row keeps a derivation record instead: the generator or S-pair it
 came from, the steps of its reduction and its monic scale.  S-pairs that
-reduce to zero leave no record.  When a witness is asked for, the records
-of the rows the final reduction used, and of the rows those derive from,
-are materialised into exact cofactors of the original generators, once
-per row.  Those cofactors are what the certificates replay; each one
-returned is first checked to recombine to the queried polynomial
-exactly.  Witnesses come with membership answers
-(``member_with_witness``, ``normal_form_with_witness``) and with the
-chains of ``stabilize``, for rank and for loops; ``groebner`` returns the
-reduced basis alone and materialises no cofactor.
+reduce to zero leave no record.  A witness is one linear combination of
+rows, so it is built by reverse accumulation over those records: one
+backward pass from the rows the final reduction used, through the rows
+they derive from, to exact cofactors of the original generators.  Those
+cofactors are what the certificates replay; each one returned is first
+checked to recombine to the queried polynomial exactly.  Witnesses come
+with membership answers (``member_with_witness``,
+``normal_form_with_witness``) and with the chains of ``stabilize``, for
+rank and for loops; ``groebner`` returns the reduced basis alone and
+builds no cofactor.
 
 The engine computes on ``Polynomial``'s own integer form (numerators over
 one common denominator); the one ``Fraction`` it keeps is each row's
@@ -26,12 +27,13 @@ over the denominator ``lc``, their leading one.  A reduction updates a
 copy of the numerator map in place, taking fraction-free steps and
 removing the content whenever the denominator grows; it picks the same
 reducer and monomial, and so reaches the same exact remainder and
-multipliers, as a reduction in ``Fraction`` would.  It returns its steps
-raw: a multiplier becomes a ``Polynomial`` only when a witness is
-materialised, so S-pairs that reduce to zero and reductions without a
-witness never build one.  S-polynomials, multipliers, cofactors and the recombination check are ``Polynomial``
-operations, and each materialised cofactor is summed over one
-denominator.
+multipliers, as a reduction in ``Fraction`` would, and a denominator past
+the digit cap ends it with ``ResourceError``.  It returns its steps raw:
+a multiplier becomes a ``Polynomial`` only when a witness is built, so
+S-pairs that reduce to zero and reductions without a witness never build
+one.  S-polynomials, multipliers, cofactors and the recombination check
+are ``Polynomial`` operations, and each coefficient of the backward pass
+is summed over one denominator.
 
 ``stabilize`` is the one ascending-chain loop.  It grows the ideal of a
 list of generators on a single incremental basis: each round maps the
@@ -55,7 +57,7 @@ from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
 from .polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
                         mono_coprime, mono_div, mono_divides, mono_lcm,
-                        mono_mul, sum_of_products)
+                        mono_mul, sum_of_products, within_digit_cap)
 
 DEFAULT_STEP_BUDGET = 400_000
 DEFAULT_RANK_CAP = 20
@@ -115,10 +117,10 @@ class _Row:
     was made from to ``poly``.  ``origin`` is ``("gen", j)`` for a reduced
     generator or ``("pair", i, mi, j, mj)`` for the S-polynomial
     x^mi*rows[i] - x^mj*rows[j]; ``steps`` are the steps of its reduction,
-    as ``_reduce_terms`` returns them.  ``cofs`` is the sparse
-    {generator index: cofactor} map, filled on first demand.
+    as ``_reduce_terms`` returns them.  Those records are all a witness
+    reads.
     """
-    __slots__ = ("poly", "lm", "lc", "origin", "steps", "scale", "cofs")
+    __slots__ = ("poly", "lm", "lc", "origin", "steps", "scale")
 
     def __init__(self, p: Polynomial, order: MonomialOrder, origin=None,
                  steps: Optional[dict[int, list]] = None):
@@ -128,13 +130,6 @@ class _Row:
         self.lc = self.poly.den
         self.origin = origin
         self.steps = steps
-        self.cofs: Optional[dict[int, Polynomial]] = None
-
-    def parents(self) -> list[int]:
-        deps = list(self.steps)
-        if self.origin[0] == "pair":
-            deps += [self.origin[1], self.origin[3]]
-        return deps
 
 
 def _multiplier(table: VarTable, parts: list[tuple]) -> Polynomial:
@@ -159,7 +154,8 @@ def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
     a rational step would, so remainder and multipliers are the same exact
     rationals.  Whenever the denominator grows, the content common to it
     and to every coefficient of the working map and of the remainder is
-    divided out.
+    divided out; a denominator past the digit cap raises ResourceError, so
+    coefficient growth ends a reduction instead of running on unbounded.
 
     Returns (remainder, steps): steps[i] lists the (m, num, den) steps that
     used rows[i], each a multiplier num/den * x^m as an integer numerator
@@ -209,6 +205,7 @@ def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
                         work = {mm: v // h for mm, v in work.items()}
                         rem = {mm: v // h for mm, v in rem.items()}
                         den //= h
+                    within_digit_cap(den)
                 break
         else:
             rem[wm] = wc
@@ -216,37 +213,14 @@ def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
     return Polynomial.from_ints(p.table, rem, den), steps
 
 
-def _combine(table: VarTable, parts) -> dict[int, Polynomial]:
-    """{j: sum of h * cofs[j] over the (h, cofs) parts} for every generator
-    index j, each cofactor summed over one denominator."""
-    by_gen: dict[int, list] = {}
-    for h, cofs in parts:
-        for j, c in cofs.items():
-            by_gen.setdefault(j, []).append((h, c))
-    out = {}
-    for j, pairs in by_gen.items():
-        c = sum_of_products(table, pairs)
-        if c:
-            out[j] = c
-    return out
-
-
-def _reduced_parts(table: VarTable, rows: Sequence[_Row], steps: dict[int, list],
-                   factor: Fraction):
-    """The parts (-factor * multiplier i, rows[i].cofs) that subtract the
-    reducers of a reduction with the given steps; the cofactors of those
-    rows must already be materialised."""
-    return [(_multiplier(table, parts).scale(-factor), rows[i].cofs)
-            for i, parts in steps.items()]
-
-
 class BuchbergerState:
     """Incremental Buchberger engine; generators may be added between runs,
     which is how rank computations warm-start each chain step.
 
-    Reductions are untracked.  Every row records its derivation, and
-    witnesses materialise cofactors from those records for just the rows
-    a reduction used.  Once a constant row appears the ideal is <1>: every
+    Reductions are untracked.  Every row records its derivation, and a
+    witness is built from those records by one backward pass over just the
+    rows a reduction used and the rows they derive from; nothing is cached
+    between witnesses.  Once a constant row appears the ideal is <1>: every
     later reduction ends at zero through it, so the pending S-pairs are
     dropped.
     """
@@ -295,40 +269,43 @@ class BuchbergerState:
         if rem:
             self._append_row(rem, ("gen", len(self.gens) - 1), steps)
 
-    def _materialise(self, roots) -> None:
-        """Fill ``cofs`` of rows[i] for i in roots and of every row they
-        derive from, parents first, without recursion."""
+    def _witness(self, steps: dict[int, list]) -> list[Polynomial]:
+        """Cofactors w.r.t. the generators of sum_k multiplier_k * rows[k]
+        for the multipliers of a reduction's steps, in one backward pass
+        over the derivation records (reverse accumulation).
+
+        Each row used gets one coefficient; the reducers start with their
+        multipliers.  A row with coefficient a and scale s is
+        s * (its origin - sum_k multiplier_k * rows[k]) over the rows k that
+        reduced it, so it sends a * -s*multiplier_k to each such row k, and
+        a * s*x^mi and a * -s*x^mj to the rows i and j of its S-pair, or
+        gives a*s to its generator as the cofactor.  A row is made after
+        every row it comes from, so by decreasing index each coefficient is
+        summed once, after all it receives.
+        """
         rows, table = self.rows, self.table
         one = Polynomial.one(table)
-        stack = [i for i in roots if rows[i].cofs is None]
-        while stack:
-            row = rows[stack[-1]]
-            if row.cofs is not None:
-                stack.pop()
+        sent = {k: [(_multiplier(table, parts), one)] for k, parts in steps.items()}
+        cofs = [Polynomial.zero(table)] * len(self.gens)
+        for r in range(max(sent, default=-1), -1, -1):
+            incoming = sent.pop(r, None)
+            if incoming is None:
                 continue
-            missing = [k for k in row.parents() if rows[k].cofs is None]
-            if missing:
-                stack.extend(missing)
+            a = sum_of_products(table, incoming)
+            if not a:
                 continue
-            stack.pop()
+            row = rows[r]
             s = row.scale
+            for k, parts in row.steps.items():
+                sent.setdefault(k, []).append((a, _multiplier(table, parts).scale(-s)))
             if row.origin[0] == "gen":
-                parts = [(Polynomial.constant(table, s), {row.origin[1]: one})]
+                cofs[row.origin[1]] = a.scale(s)
             else:
                 # the rows are monic: the S-polynomial is x^mi*rows[i] - x^mj*rows[j]
                 _, i, mi, j, mj = row.origin
-                parts = [(one.mul_term(s, mi), rows[i].cofs),
-                         (one.mul_term(-s, mj), rows[j].cofs)]
-            row.cofs = _combine(table, parts + _reduced_parts(table, rows, row.steps, s))
-
-    def _witness(self, steps: dict[int, list]) -> list[Polynomial]:
-        """Cofactors w.r.t. the generators of sum_i multiplier_i * rows[i]
-        for the multipliers of a reduction's steps."""
-        self._materialise(steps)
-        table = self.table
-        cofs = _combine(table, _reduced_parts(table, self.rows, steps, Fraction(-1)))
-        zero = Polynomial.zero(table)
-        return [cofs.get(j, zero) for j in range(len(self.gens))]
+                sent.setdefault(i, []).append((a, one.mul_term(s, mi)))
+                sent.setdefault(j, []).append((a, one.mul_term(-s, mj)))
+        return cofs
 
     # -- public ------------------------------------------------------------
 

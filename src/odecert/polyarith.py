@@ -160,11 +160,16 @@ def order_by_name(name: str) -> MonomialOrder:
         raise InputError(f"unknown monomial order {name!r} (use grevlex or lex)") from None
 
 
-def decimal(n: int) -> str:
-    """``str(n)``; ResourceError when n has more than ``MAX_DIGITS`` digits."""
+def within_digit_cap(n: int) -> int:
+    """n; ResourceError when n has more than ``MAX_DIGITS`` digits."""
     if -_DIGIT_BOUND < n < _DIGIT_BOUND:
-        return str(n)
+        return n
     raise ResourceError(f"an integer of more than {MAX_DIGITS} digits exceeds the digit cap")
+
+
+def decimal(n: int) -> str:
+    """``str(n)`` within the digit cap."""
+    return str(within_digit_cap(n))
 
 
 def _decimal_fraction(c: Fraction) -> str:

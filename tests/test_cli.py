@@ -93,6 +93,24 @@ class TestExitCodes:
         assert time.monotonic() - started < 1
         assert "exceeds the term cap" in capsys.readouterr().err
 
+    # reduction steps of this chain grow coefficients past the digit cap
+    # long before the term cap or the step budget is reached
+    COEF_PROBLEM = "vars: x, y\node: x' = x^999*y - 1, y' = 2*x - 1\n"
+
+    def test_rank_past_the_digit_cap_is_four(self, tmp_path, capsys):
+        prob = write(tmp_path, "coef.prob", self.COEF_PROBLEM + "polynomial: 2*x + 2*y^2\n")
+        started = time.monotonic()
+        assert main(["rank", prob]) == 4
+        assert time.monotonic() - started < 2
+        assert "exceeds the digit cap" in capsys.readouterr().err
+
+    def test_check_inv_past_the_digit_cap_is_unknown(self, tmp_path, capsys):
+        prob = write(tmp_path, "coef.prob", self.COEF_PROBLEM +
+                     "candidate: 2*x + 2*y^2 >= 0 & -x >= 0 | 2*x^2 >= 0 & -2 > 0\n")
+        started = time.monotonic()
+        assert main(["check-inv", prob]) == 2
+        assert time.monotonic() - started < 2
+
     def test_input_error_is_three(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.prob", "vars: x\npolynomial: x + y\n")
         assert main(["rank", bad]) == 3

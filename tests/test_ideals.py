@@ -346,6 +346,90 @@ class TestMultipliersOnDemand:
         assert sum((c * g for c, g in zip(cofs, gens)), rem) == p
 
 
+def _forward_witness(state, steps):
+    """Forward-mode reference for ``BuchbergerState._witness``: every row's
+    {generator index: cofactor} map is built from the maps of the rows it
+    was made from, first row first, and the reducers of ``steps`` are
+    combined from those maps."""
+    table = state.table
+    one, zero = Polynomial.one(table), Polynomial.zero(table)
+
+    def multiplier(parts):
+        return sum((one.mul_term(Fraction(num, den), m) for m, num, den in parts), zero)
+
+    def combine(parts):
+        by_gen = {}
+        for h, cofs in parts:
+            for j, c in cofs.items():
+                by_gen.setdefault(j, []).append((h, c))
+        return {j: sum_of_products(table, pairs) for j, pairs in by_gen.items()}
+
+    def reducers(steps, factor):
+        return [(multiplier(parts).scale(-factor), row_cofs[k]) for k, parts in steps.items()]
+
+    row_cofs = []
+    for row in state.rows:
+        s = row.scale
+        if row.origin[0] == "gen":
+            parts = [(Polynomial.constant(table, s), {row.origin[1]: one})]
+        else:
+            _, i, mi, j, mj = row.origin
+            parts = [(one.mul_term(s, mi), row_cofs[i]), (one.mul_term(-s, mj), row_cofs[j])]
+        row_cofs.append(combine(parts + reducers(row.steps, s)))
+    cofs = combine(reducers(steps, -1))
+    return [cofs.get(j, zero) for j in range(len(state.gens))]
+
+
+class TestBackwardWitness:
+    """The backward pass gives exactly the cofactors that forward
+    accumulation over the same derivation records gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), three=st.booleans(),
+           order=st.sampled_from([GREVLEX, LEX]))
+    def test_witnesses_equal_forward_accumulation(self, seed, three, order):
+        rng = random.Random(seed)
+        table = VarTable(["x", "y", "z"] if three else ["x", "y"])
+        deg = 2 if three else 3
+
+        def combination(gens):
+            return sum_of_products(table, ((random_polynomial(rng, table, 2, 2), g)
+                                           for g in gens))
+
+        gens = [random_nonzero_polynomial(rng, table, deg, 3)
+                for _ in range(rng.randint(2, 3))]
+        p = combination(gens)
+        witnesses = []
+        backward = BuchbergerState._witness
+
+        def compared(state, steps):
+            cofs = backward(state, steps)
+            witnesses.append((cofs, _forward_witness(state, steps)))
+            return cofs
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(BuchbergerState, "_witness", compared)
+            assert member_with_witness(p, gens, order=order) is not None
+            state = BuchbergerState(table, order)
+            for g in gens:
+                state.add_generator(g)
+            state.complete()
+            # two witnesses from one state: a non-member's and a member's
+            state.normal_form_with_witness(random_nonzero_polynomial(rng, table, deg, 4))
+            assert not state.normal_form_with_witness(p)[0]
+            # round 1 records two members and keeps a new generator, round 2
+            # records two members of the grown ideal
+            fresh = iter([[random_nonzero_polynomial(rng, table, deg, 3)]])
+
+            def step(kept):
+                return [combination(kept), *next(fresh, []), combination(kept)]
+
+            ideals.stabilize(gens, step, 2, ideals.StepBudget(), order)
+        assert len(witnesses) >= 5
+        for cofs, expected in witnesses:
+            assert cofs == expected
+
+
 def _plain_reduced_basis(gens, order):
     """Textbook Buchberger with no criterion: every S-pair is reduced (by
     ``_reference_reduce``), first made first; then the basis is made
