@@ -4,17 +4,22 @@ Each subcommand reads a problem file (except cert-check, which reads a
 certificate JSON) and writes a human summary to stdout, or a deterministic
 JSON report with --json.  Exit codes: 0 invariant/success, 1 not-invariant or
 refuted, 2 unknown, 3 input error (usage errors included), 4 resource error,
-5 internal error (any other exception: a bug, never a verdict).
+5 internal error (any other exception: a bug, never a verdict).  Output goes
+to stdout once the command is done; a reader that has gone by then (as in
+``| head -c 1``) leaves the exit code as it is, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
+import os
 import sys
 import time
 import traceback
+from contextlib import redirect_stdout
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +34,7 @@ from .invariant import (ChainRecord, DischargeConfig, HpReductionCert,
                         find_darboux_cofactor, find_vectorial_darboux,
                         sai_side_conditions)
 from .odecore import higher_lie, reverse
-from .problemfile import ProblemFile, parse_problem
+from .problemfile import ProblemFile, parse_int, parse_problem
 from .semalg import (NormalForm, algebraic_combine, progress_geq, progress_gt,
                      radical_of_chain, render_formula, semialg_progress,
                      to_normal_form)
@@ -55,6 +60,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag, spelled as the problem file spells one."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = _ArgumentParser(prog="odecert",
@@ -68,17 +81,17 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--json", action="store_true", help="emit a JSON report")
         cmd.add_argument("--timing", action="store_true",
                          help="include wall time in the report")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--samples", type=int, default=None)
-        cmd.add_argument("--cap", type=int, default=None)
-        cmd.add_argument("--deg-bound", type=int, default=None, dest="deg_bound")
+        cmd.add_argument("--seed", type=_int_arg, default=None)
+        cmd.add_argument("--samples", type=_int_arg, default=None)
+        cmd.add_argument("--cap", type=_int_arg, default=None)
+        cmd.add_argument("--deg-bound", type=_int_arg, default=None, dest="deg_bound")
         cmd.add_argument("--solver", default=None)
         cmd.add_argument("--solver-timeout", type=float, default=None,
                          dest="solver_timeout")
         return cmd
 
     add("lie", "print higher Lie derivatives of the polynomial").add_argument(
-        "--max", type=int, default=1, help="highest derivative order to print")
+        "--max", type=_int_arg, default=1, help="highest derivative order to print")
     add("rank", "rank of the polynomial with its cofactors")
     add("radical", "differential radical formula of the polynomial")
     add("progress", "progress formulas (atom or semialgebraic, forward and backward)")
@@ -351,8 +364,10 @@ def _run_command(args) -> tuple[dict, int, int]:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
+    out = io.StringIO()  # the human summary, written once the verdict is in
     try:
-        data, code, seed = _run_command(args)
+        with redirect_stdout(out):
+            data, code, seed = _run_command(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -377,10 +392,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.timing:
         report["timing_ms"] = elapsed_ms
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
+        print(json.dumps(report, indent=2, sort_keys=True), file=out)
+    _write_stdout(out.getvalue())
+    if not args.json:
         print(f"elapsed: {elapsed_ms} ms", file=sys.stderr)
     return code
+
+
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text``; if stdout's reader has gone (``| head``),
+    drop it quietly: the verdict's exit code stands, and stdout is pointed
+    at the null device so the interpreter's own flush at exit fails no
+    more."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 if __name__ == "__main__":

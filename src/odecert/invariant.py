@@ -28,8 +28,8 @@ from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, groebner, rank,
 from .odecore import OdeSystem, lie_derivative, reverse
 from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree
 from .sampling import sample_points
-from .semalg import (Atom, Conjunct, Formula, NormalForm, Not, PointEvaluator,
-                     TrueF, make_and, nnf_fold, pair_equalities,
+from .semalg import (Atom, Conjunct, Formula, Implies, NormalForm, Not,
+                     PointEvaluator, TrueF, make_and, nnf_fold, pair_equalities,
                      radical_of_chain, semialg_progress, to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib, run_solver
 
@@ -391,9 +391,9 @@ def _try_sampling(cond: SideCondition, config: DischargeConfig,
         return None
     rng = random.Random(config.seed)
     boundary = _boundary_atoms(hyp_nf)
+    implication = Implies(cond.hypothesis, cond.conclusion)
     for point in sample_points(rng, len(cond.universal_vars), config.samples, boundary):
-        ev = PointEvaluator(point)
-        if ev(cond.hypothesis) and not ev(cond.conclusion):
+        if not PointEvaluator(point)(implication):
             return DischargeStatus(REFUTED, witness=point.fractions(),
                                    detail="exact rational counterexample")
     return None
@@ -410,8 +410,7 @@ def _try_smt(cond: SideCondition, config: DischargeConfig) -> DischargeStatus:
     if answer.result == "sat":
         if answer.model is not None:
             point = tuple(answer.model.get(n, Fraction(0)) for n in cond.universal_vars)
-            ev = PointEvaluator(point)
-            if ev(cond.hypothesis) and not ev(cond.conclusion):
+            if not PointEvaluator(point)(Implies(cond.hypothesis, cond.conclusion)):
                 return DischargeStatus(REFUTED, witness=point,
                                        detail="solver model re-verified exactly")
         return DischargeStatus(UNKNOWN,

@@ -213,9 +213,11 @@ class Polynomial:
     share.
     """
 
-    # _terms, _evals and _text are caches that stay unset until first use,
-    # so arithmetic (the Groebner hot path) pays nothing for them
-    __slots__ = ("table", "nums", "den", "_hash", "_terms", "_evals", "_text")
+    # _terms, _evals, _vars, _restricts and _text are caches that stay
+    # unset until first use, so arithmetic (the Groebner hot path) pays
+    # nothing for them
+    __slots__ = ("table", "nums", "den", "_hash", "_terms", "_evals", "_vars",
+                 "_restricts", "_text")
 
     def __init__(self, table: VarTable, terms: Mapping[Mono, Fraction] | None = None):
         """From a map of exponent vectors to rationals (``Fraction`` or int);
@@ -315,6 +317,15 @@ class Polynomial:
                 if e:
                     used.add(i)
         return used
+
+    def sorted_variables(self) -> tuple[int, ...]:
+        """The indices of the variables p depends on, increasing; built on
+        first use."""
+        try:
+            return self._vars
+        except AttributeError:
+            self._vars = tuple(sorted(self.variables()))
+            return self._vars
 
     def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Mono, Fraction]:
         if not self.nums:
@@ -470,18 +481,31 @@ class Polynomial:
         nums, den = point.nums, point.den
         if len(nums) != len(self.table.names):
             raise DimensionError("point dimension does not match variable count")
-        terms = self._eval_table()[1]
         out: dict[int, int] = {}
-        for c, pad, factors in terms:
-            v = c
-            k = 0
+        for c, k, pad, factors in self._restriction_table(var):
+            v = c * den ** pad
             for i, e in factors:
-                if i == var:
-                    k = e
-                else:
-                    v *= nums[i] ** e
-            out[k] = out.get(k, 0) + v * den ** (pad + k)
+                v *= nums[i] ** e
+            out[k] = out.get(k, 0) + v
         return {k: v for k, v in out.items() if v}
+
+    def _restriction_table(self, var: int) -> tuple:
+        """One entry (c_m, m_var, D - |m| + m_var, ((i, m_i) for each other
+        m_i > 0)) per term, from the evaluation table; built on first use
+        for each var."""
+        try:
+            tables = self._restricts
+        except AttributeError:
+            tables = self._restricts = {}
+        table = tables.get(var)
+        if table is None:
+            rows = []
+            for c, pad, factors in self._eval_table()[1]:
+                k = next((e for i, e in factors if i == var), 0)
+                rows.append((c, k, pad + k,
+                             tuple((i, e) for i, e in factors if i != var)))
+            table = tables[var] = tuple(rows)
+        return table
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         sp = ScaledPoint.of(point)

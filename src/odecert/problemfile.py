@@ -16,6 +16,7 @@ Recognized keys:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -86,9 +87,21 @@ def _collect_entries(text: str) -> list[tuple[str, str, int]]:
     return entries
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer an ASCII ``[+-]?[0-9]+`` spells; ValueError for anything
+    else, where ``int`` would also take other Unicode digits, underscores
+    and surrounding spaces, which the term grammar rejects."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _int_option(value: str, key: str) -> int:
     try:
-        return int(value)
+        return parse_int(value)
     except ValueError:
         raise InputError(f"{key} must be an integer, got {value!r}") from None
 

@@ -18,6 +18,10 @@ Every random int comes from one draw, ``_below``: ``getrandbits`` of the
 bound's bit length, repeated until below the bound, which is the loop that
 ``randint``, ``randrange`` and ``shuffle`` run on CPython 3.10 to 3.13; so
 a seed's points rest only on ``getrandbits`` and are the points those gave.
+``random_point`` runs the same loops written out, the same draws in the
+same order.  A boundary atom keeps its sorted variable tuple and, per
+variable, the table its restrictions are summed from, both built on the
+first projection onto it.
 """
 
 from __future__ import annotations
@@ -47,11 +51,28 @@ def _below(rng: random.Random, n: int) -> int:
     return r
 
 
+_NUM_SPAN = 2 * NUM_RANGE + 1
+_NUM_BITS = _NUM_SPAN.bit_length()
+_DEN_BITS = DEN_RANGE.bit_length()
+
+
 def random_point(rng: random.Random, nvars: int) -> ScaledPoint:
-    pairs = [(_below(rng, 2 * NUM_RANGE + 1) - NUM_RANGE, 1 + _below(rng, DEN_RANGE))
-             for _ in range(nvars)]
-    den = lcm(*(d for _, d in pairs))
-    return ScaledPoint([n * (den // d) for n, d in pairs], den)
+    """Per coordinate, the draws ``_below(rng, 2 * NUM_RANGE + 1)`` for the
+    numerator and ``_below(rng, DEN_RANGE)`` for the denominator, in that
+    order, with the loops written out."""
+    bits = rng.getrandbits
+    nums, dens = [], []
+    for _ in range(nvars):
+        n = bits(_NUM_BITS)
+        while n >= _NUM_SPAN:
+            n = bits(_NUM_BITS)
+        d = bits(_DEN_BITS)
+        while d >= DEN_RANGE:
+            d = bits(_DEN_BITS)
+        nums.append(n - NUM_RANGE)
+        dens.append(d + 1)
+    den = lcm(*dens)
+    return ScaledPoint([n * (den // d) for n, d in zip(nums, dens)], den)
 
 
 def _divisors(n: int) -> list[int]:
@@ -160,7 +181,7 @@ def project_to_boundary(point: ScaledPoint, atom: Polynomial,
                         rng: random.Random) -> Optional[ScaledPoint]:
     """One exact correction step: replaces one coordinate of ``point`` so
     that ``atom`` vanishes, when a rational root exists."""
-    candidates = sorted(atom.variables())
+    candidates = list(atom.sorted_variables())
     if not candidates:
         return None
     for i in range(len(candidates) - 1, 0, -1):  # Fisher-Yates shuffle

@@ -13,6 +13,12 @@ of user-written formulas.  The identity and ideal tiers of discharge fold
 the same walk into booleans, so a side condition's conclusion is never
 expanded into cells.
 
+:class:`PointEvaluator` is the one evaluator of a formula at a rational
+point: sampling, the solver's model check, :func:`eval_formula` and
+:meth:`NormalForm.evaluate` all use it.  It compiles a formula, on its
+first evaluation, into closures cached on the formula object, whose atoms
+share one integer sign value per polynomial object at each point.
+
 A progress formula P^(*) holds at a state x exactly when the solution
 through x satisfies P on some open interval (0, eps) of future times.
 Solutions of polynomial ODEs are analytic, so every atom has a constant sign
@@ -147,59 +153,100 @@ def _atom_truth(op: str, value) -> bool:
     return value < 0
 
 
+# an atom's truth by the sign of its polynomial's value, indexed by sign
+_BY_SIGN = {op: tuple(_atom_truth(op, s) for s in (0, 1, -1)) for op in ATOM_OPS}
+
+
 class PointEvaluator:
     """Evaluates formulas at one rational point, given as a sequence of
     rationals or as a :class:`~odecert.polyarith.ScaledPoint` (integer
     numerators over a common denominator, as sampling draws them).
 
-    Only signs are computed: each atom's polynomial gives
-    :meth:`~odecert.polyarith.Polynomial.scaled_value`, an integer with the
-    polynomial's sign, from its cached evaluation table and the point's
-    integers.  The integers are memoized by polynomial identity, since
-    progress formulas reuse the same Lie derivatives a lot.
+    Only signs are computed.  A formula is compiled on its first evaluation
+    into closures, one per node, and the program is cached on the formula
+    object.  Each polynomial object of the formula gets a slot in a list
+    made fresh for every evaluation; an atom fills its slot on first need
+    with :meth:`~odecert.polyarith.Polynomial.scaled_value`, an integer with
+    the polynomial's sign, and atoms sharing the polynomial read it from
+    there.  Progress formulas share their Lie derivatives as objects, so
+    evaluate ``Implies(h, c)`` once, rather than h and c apart, for h and c
+    to share their values.  Slots are keyed by identity, not equality:
+    hashing fresh polynomials doubles the cost of compiling, and on the
+    sampling conditions of the benchmark it merges no further values.
     """
 
-    __slots__ = ("point", "_cache")
+    __slots__ = ("point",)
 
     def __init__(self, point):
         self.point = ScaledPoint.of(point)
-        self._cache: dict[int, int] = {}
-
-    def sign_value(self, p: Polynomial) -> int:
-        """An integer with the sign of p at the point."""
-        key = id(p)
-        v = self._cache.get(key)
-        if v is None:
-            v = p.scaled_value(self.point)
-            self._cache[key] = v
-        return v
 
     def __call__(self, f: Formula) -> bool:
-        return self._truth(f)
+        try:
+            run, size = f._program
+        except AttributeError:
+            run, size = _compile(f)
+        return run(self.point, [None] * size)
 
-    def _truth(self, f: Formula) -> bool:
-        t = type(f)
+
+def _compile(f: Formula) -> tuple[Callable, int]:
+    """(run, slot count) for formula f, cached on f as ``_program``;
+    run(point, slots) is f's truth at the point.  A quantifier anywhere in f
+    raises InputError, and nothing is cached."""
+    slots: dict[int, int] = {}
+
+    def go(g: Formula) -> Callable:
+        t = type(g)
         if t is Atom:
-            return _atom_truth(f.op, self.sign_value(f.poly))
-        if t is And:
-            for a in f.args:
-                if not self._truth(a):
-                    return False
-            return True
-        if t is Or:
-            for a in f.args:
-                if self._truth(a):
-                    return True
-            return False
+            k = slots.setdefault(id(g.poly), len(slots))
+            return _atom_test(k, g.poly.scaled_value, _BY_SIGN[g.op])
+        if t is And or t is Or:
+            return _junction([go(a) for a in g.args], t is Or)
         if t is Implies:
-            return not self._truth(f.hyp) or self._truth(f.concl)
+            return _implication(go(g.hyp), go(g.concl))
         if t is Not:
-            return not self._truth(f.arg)
-        if t is TrueF:
-            return True
-        if t is FalseF:
-            return False
+            return _negation(go(g.arg))
+        if t is TrueF or t is FalseF:
+            return _constant(t is TrueF)
         raise InputError("cannot evaluate a quantified formula at a point")
+
+    program = (go(f), len(slots))
+    object.__setattr__(f, "_program", program)
+    return program
+
+
+# The closures of _compile, one factory per node type: a closure made inside
+# ``go`` would give every call of ``go`` the cells of every kind of node.
+
+def _atom_test(k: int, value: Callable, by_sign: tuple) -> Callable:
+    def test(pt, vals):
+        v = vals[k]
+        if v is None:
+            v = vals[k] = value(pt)
+        return by_sign[(v > 0) - (v < 0)]
+    return test
+
+
+def _junction(parts: list, decides: bool) -> Callable:
+    """And when ``decides`` is False, Or when True: the first operand with
+    that value decides."""
+    def junction(pt, vals):
+        for part in parts:
+            if part(pt, vals) is decides:
+                return decides
+        return not decides
+    return junction
+
+
+def _implication(hyp: Callable, concl: Callable) -> Callable:
+    return lambda pt, vals: not hyp(pt, vals) or concl(pt, vals)
+
+
+def _negation(arg: Callable) -> Callable:
+    return lambda pt, vals: not arg(pt, vals)
+
+
+def _constant(truth: bool) -> Callable:
+    return lambda pt, vals: truth
 
 
 def eval_formula(f: Formula, point) -> bool:
@@ -319,12 +366,7 @@ class NormalForm:
         ])
 
     def evaluate(self, point) -> bool:
-        ev = PointEvaluator(point)
-        for c in self.disjuncts:
-            if all(ev.sign_value(p) >= 0 for p in c.geqs) and \
-               all(ev.sign_value(q) > 0 for q in c.gts):
-                return True
-        return False
+        return PointEvaluator(point)(self.to_formula())
 
     def all_strict(self) -> bool:
         """Every atom strict: the denoted set is open."""

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import odecert
+from odecert import cli
 from odecert.cli import main
 
 ALPHA_E_ODE = "u' = -v + u/4*(1-u^2-v^2), v' = u + v/4*(1-u^2-v^2)"
@@ -84,6 +85,36 @@ class TestExitCodes:
         assert main(["rank", prob]) == 3
         assert capsys.readouterr().err == (f"input error: 4:1: in '{key}': {key} "
                                            "must be an integer, got 'abc'\n")
+
+    # int() takes other Unicode digits, underscores and spaces; the term
+    # grammar does not, and neither does an integer option
+    NOT_ASCII_INTEGERS = ["\u0662\u0660\u0660", "1_2", "\u0663", "\uff15", "+-3", "2 0"]
+
+    @pytest.mark.parametrize("value", NOT_ASCII_INTEGERS)
+    @pytest.mark.parametrize("key", ["seed", "samples", "cap", "deg_bound"])
+    def test_integer_option_takes_ascii_digits_only(self, tmp_path, capsys, key, value):
+        prob = write(tmp_path, "int.prob", "vars: x, y\node: x' = y, y' = -x\n"
+                     f"polynomial: x\n{key}: {value}\n")
+        assert main(["rank", prob]) == 3
+        assert capsys.readouterr().err == (f"input error: 4:1: in '{key}': {key} "
+                                           f"must be an integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("value", NOT_ASCII_INTEGERS)
+    @pytest.mark.parametrize("flag", ["--seed", "--samples", "--cap", "--deg-bound", "--max"])
+    def test_integer_flag_takes_ascii_digits_only(self, circle_prob, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["lie", circle_prob, flag, value])
+        assert info.value.code == 3
+        assert capsys.readouterr().err.endswith(
+            f"odecert lie: error: argument {flag}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("key, value, seen", [
+        ("seed", "+7", 7), ("seed", "-3", -3), ("samples", "0020", 20), ("cap", "5", 5)])
+    def test_ascii_integer_options_are_read(self, tmp_path, key, value, seen):
+        prob = write(tmp_path, "int.prob", f"vars: x\n{key}: {value}\n")
+        assert getattr(cli._load_problem(prob), key) == seen
+        assert getattr(cli._build_parser().parse_args(
+            ["rank", prob, "--" + key, value]), key) == seen
 
     def test_power_past_the_term_cap_is_four(self, tmp_path, capsys):
         prob = write(tmp_path, "terms.prob", "vars: x, y, z\n"
@@ -208,6 +239,50 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_run_command", broken)
         assert main(["rank", circle_prob]) == cli.EXIT_INTERNAL == 5
         assert capsys.readouterr().err.startswith("internal error: RuntimeError")
+
+
+def _run_into_closed_pipe(argv):
+    """``python -m odecert argv`` with stdout a pipe whose reader has gone,
+    as in ``odecert ... | head -c 1`` once head has exited."""
+    src = str(Path(odecert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "odecert", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    """A closed stdout ends the run quietly, with the exit code of its
+    verdict: no traceback, and not exit 5."""
+
+    ROTATION = "vars: x, y\node: x' = y, y' = -x\n"
+
+    @pytest.mark.parametrize("candidate, flags, code", [
+        ("x^2 + y^2 <= 1", ["--json"], 0),
+        ("x^2 + y^2 <= 1", [], 0),
+        ("x <= 0", ["--json"], 1),
+        ("x <= 0", [], 1),
+    ])
+    def test_check_inv_into_a_closed_pipe(self, tmp_path, candidate, flags, code):
+        prob = write(tmp_path, "p.prob", self.ROTATION + f"candidate: {candidate}\n")
+        done = _run_into_closed_pipe(["check-inv", prob, *flags])
+        assert done.returncode == code
+        if flags:
+            assert done.stderr == ""
+        else:
+            assert done.stderr.startswith("elapsed: ") and done.stderr.count("\n") == 1
+
+    def test_long_human_summary_into_a_closed_pipe(self, tmp_path):
+        # about 40 kB of Lie derivatives: more than a pipe's buffer holds
+        prob = write(tmp_path, "p.prob", self.ROTATION + "polynomial: x^5*y^5 + 3*x^2*y - 7\n")
+        done = _run_into_closed_pipe(["lie", prob, "--max", "100"])
+        assert done.returncode == 0
+        assert done.stderr.startswith("elapsed: ") and done.stderr.count("\n") == 1
 
 
 class TestCommands:

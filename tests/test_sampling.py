@@ -10,8 +10,10 @@ from odecert import Polynomial, VarTable
 from odecert.parser import parse_term
 from odecert.polyarith import ScaledPoint
 from odecert.sampling import (DEN_RANGE, NUM_RANGE, _below, _compare, _divisors,
-                              _root, project_to_boundary, sample_points,
+                              _root, project_to_boundary, random_point, sample_points,
                               univariate_rational_roots)
+
+from conftest import random_polynomial
 
 
 def _mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -207,3 +209,52 @@ class TestRootSearch:
         if max(abs(c) for c in coeffs.values()) <= 10 ** 6:
             assert {Fraction(n, d) for n, d in factors} <= \
                 {Fraction(n, d) for n, d in roots}
+
+
+def _reference_random_point(rng, nvars):
+    """random_point as it was written before its draws were inlined: one
+    ``_below`` per numerator, then one per denominator."""
+    pairs = [(_below(rng, 2 * NUM_RANGE + 1) - NUM_RANGE, 1 + _below(rng, DEN_RANGE))
+             for _ in range(nvars)]
+    den = lcm(*(d for _, d in pairs))
+    return ScaledPoint([n * (den // d) for n, d in pairs], den)
+
+
+def _fraction_restriction(p, var, point):
+    """Coefficients, by power of x_var, of p with every other variable set
+    to the point's value, in Fractions from p's terms."""
+    values = point.fractions()
+    out: dict[int, Fraction] = {}
+    for m, c in p.terms.items():
+        v = c
+        for i, e in enumerate(m):
+            if i != var:
+                v *= values[i] ** e
+        out[m[var]] = out.get(m[var], 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+class TestDrawingTables:
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_random_point_matches_the_below_draws(self, nvars):
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(40):
+                got, want = random_point(ours, nvars), _reference_random_point(theirs, nvars)
+                assert (got.nums, got.den) == (want.nums, want.den)
+            assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), nvars=st.integers(1, 3))
+    def test_restriction_matches_the_fraction_restriction(self, rng, nvars):
+        table = VarTable(["x", "y", "z"][:nvars])
+        p = random_polynomial(rng, table, max_degree=3, terms=rng.randint(1, 6), bound=5)
+        degree = max(p.total_degree(), 0)
+        for _ in range(25):  # one polynomial, its tables built once, many points
+            point = random_point(rng, nvars)
+            scale = p.den * point.den ** degree  # the positive multiple returned
+            for var in range(nvars):
+                want = _fraction_restriction(p, var, point)
+                assert p.restrict_to_variable(var, point) == \
+                    {k: v * scale for k, v in want.items()}
+        assert p.sorted_variables() == tuple(sorted(p.variables()))

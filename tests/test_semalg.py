@@ -11,12 +11,14 @@ from odecert import (Conjunct, InputError, NormalForm, Polynomial, VarTable,
 from odecert.parser import parse_formula, parse_term
 from odecert.sampling import sample_points
 from odecert.invariant import SideCondition, _try_identity
-from odecert.semalg import (ATOM_OPS, DEFAULT_DISJUNCT_LIMIT, And, Atom, Formula,
-                            Implies, Not, Or, PointEvaluator, TrueF, FalseF,
-                            make_and, make_or, nnf_fold, pair_equalities)
+from odecert.errors import DimensionError
+from odecert.polyarith import ScaledPoint
+from odecert.semalg import (ATOM_OPS, DEFAULT_DISJUNCT_LIMIT, FALSE, TRUE, And, Atom,
+                            Forall, Formula, Implies, Not, Or, PointEvaluator, TrueF,
+                            FalseF, make_and, make_or, nnf_fold, pair_equalities)
 
 from conftest import (random_nonzero_polynomial, random_normal_form,
-                      random_point, random_system)
+                      random_point, random_polynomial, random_system)
 
 
 def P(text, table):
@@ -453,3 +455,119 @@ class TestFormulaUtilities:
         assert make_or([FalseF(), a]) == a
         assert make_and([FalseF(), a]) == FalseF()
         assert make_or([TrueF(), a]) == TrueF()
+
+
+class _ReferenceEvaluator:
+    """The evaluator the compiled one replaced, kept as an oracle: a walk of
+    the formula tree by type dispatch, with one value per polynomial object
+    at the point."""
+
+    def __init__(self, point):
+        self.point = ScaledPoint.of(point)
+        self.cache: dict[int, int] = {}
+
+    def value(self, p: Polynomial) -> int:
+        if id(p) not in self.cache:
+            self.cache[id(p)] = p.scaled_value(self.point)
+        return self.cache[id(p)]
+
+    def __call__(self, f) -> bool:
+        t = type(f)
+        if t is Atom:
+            return semalg._atom_truth(f.op, self.value(f.poly))
+        if t is And:
+            return all(self(a) for a in f.args)
+        if t is Or:
+            return any(self(a) for a in f.args)
+        if t is Implies:
+            return not self(f.hyp) or self(f.concl)
+        if t is Not:
+            return not self(f.arg)
+        if t is TrueF:
+            return True
+        if t is FalseF:
+            return False
+        raise InputError("cannot evaluate a quantified formula at a point")
+
+
+def _outcome(evaluate, f):
+    try:
+        return evaluate(f)
+    except (InputError, DimensionError) as exc:
+        return type(exc)
+
+
+_XY = VarTable(["x", "y"])
+# coordinates from a few values, so that the atoms' polynomials (degree at
+# most 2, coefficients -1, 0 and 1) vanish at about a third of the points
+# and every comparison meets all three signs
+_COORDS = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2),
+                           Fraction(-3, 2)])
+
+
+def _formulas(polys):
+    atom = st.builds(Atom, st.sampled_from(ATOM_OPS), st.sampled_from(polys))
+    leaves = st.one_of(atom, atom, atom, st.sampled_from([TRUE, FALSE]))
+    operands = lambda kids: st.lists(kids, min_size=1, max_size=4).map(tuple)
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Not, kids), st.builds(And, operands(kids)),
+        st.builds(Or, operands(kids)), st.builds(Implies, kids, kids)), max_leaves=16)
+
+
+@st.composite
+def _formula_and_points(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    # a few polynomial objects, each shared by every atom drawn on it
+    polys = [random_polynomial(rng, _XY, terms=rng.randint(1, 3), bound=1)
+             for _ in range(rng.randint(1, 4))]
+    f = draw(_formulas(polys))
+    points = draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=20, max_size=30))
+    return f, points
+
+
+class TestCompiledEvaluatorMatchesTheTreeWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(case=_formula_and_points())
+    def test_same_truth_at_every_point(self, case):
+        f, points = case
+        for point in points:  # one compiled program, many points in a row
+            want = _ReferenceEvaluator(point)(f)
+            assert PointEvaluator(point)(f) is want
+            assert PointEvaluator(ScaledPoint.of(point))(f) is want
+            assert eval_formula(f, point) is want
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_formula_and_points(), extra=_COORDS)
+    def test_wrong_dimension_raises_where_the_walk_does(self, case, extra):
+        f, points = case
+        for point in points[:5]:
+            long_point = point + (extra,)
+            want = _outcome(_ReferenceEvaluator(long_point), f)
+            assert _outcome(PointEvaluator(long_point), f) == want
+            assert _outcome(PointEvaluator(point[:1]), f) == \
+                _outcome(_ReferenceEvaluator(point[:1]), f)
+
+    def test_every_comparison_at_every_sign(self, xy):
+        x = P("x", xy)
+        for op in ATOM_OPS:
+            f = Or((Atom(op, x), FALSE))
+            for value in (-1, 0, 1):
+                point = (Fraction(value), Fraction(5))
+                assert PointEvaluator(point)(f) is _ReferenceEvaluator(point)(f) \
+                    is semalg._atom_truth(op, value)
+
+    def test_quantified_formula_raises_input_error(self, xy):
+        x_pos = Atom(">", P("x", xy))
+        for f in (Forall(("x",), x_pos), And((x_pos, Forall(("y",), x_pos))),
+                  Implies(FALSE, Forall(("x",), x_pos))):
+            for _ in range(2):  # a failed compilation leaves nothing cached
+                with pytest.raises(InputError):
+                    PointEvaluator((Fraction(1), Fraction(2)))(f)
+
+    def test_normal_form_evaluates_as_its_formula(self, xy):
+        rng = random.Random(41)
+        for _ in range(20):
+            nf = random_normal_form(rng, xy)
+            for _ in range(30):
+                pt = random_point(rng, 2, num=3, den=2)
+                assert nf.evaluate(pt) is _ReferenceEvaluator(pt)(nf.to_formula())
