@@ -5,8 +5,9 @@ certificate JSON) and writes a human summary to stdout, or a deterministic
 JSON report with --json.  Exit codes: 0 invariant/success, 1 not-invariant or
 refuted, 2 unknown, 3 input error (usage errors included), 4 resource error,
 5 internal error (any other exception: a bug, never a verdict).  Output goes
-to stdout once the command is done; a reader that has gone by then (as in
-``| head -c 1``) leaves the exit code as it is, with no traceback.
+to stdout once the command is done; a reader of stdout or stderr that has
+gone by then (as in ``| head -c 1``) leaves the exit code as it is, with
+no traceback.
 """
 
 from __future__ import annotations
@@ -369,17 +370,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         with redirect_stdout(out):
             data, code, seed = _run_command(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"input error: {exc}\n")
         return EXIT_INPUT
     except ResourceError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"resource error: {exc}\n")
         return EXIT_RESOURCE
     except OdecertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}\n")
         return EXIT_INPUT
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc(file=sys.stderr)
+        _write(sys.stderr, f"internal error: {type(exc).__name__}: {exc}\n"
+                           + traceback.format_exc())
         return EXIT_INTERNAL
     elapsed_ms = int((time.monotonic() - started) * 1000)
     report = {
@@ -393,23 +394,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         report["timing_ms"] = elapsed_ms
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
-    _write_stdout(out.getvalue())
+    _write(sys.stdout, out.getvalue())
     if not args.json:
-        print(f"elapsed: {elapsed_ms} ms", file=sys.stderr)
+        _write(sys.stderr, f"elapsed: {elapsed_ms} ms\n")
     return code
 
 
-def _write_stdout(text: str) -> None:
-    """Write and flush ``text``; if stdout's reader has gone (``| head``),
-    drop it quietly: the verdict's exit code stands, and stdout is pointed
-    at the null device so the interpreter's own flush at exit fails no
-    more."""
+def _write(stream, text: str) -> None:
+    """Write and flush ``text``; if the stream's reader has gone (``| head``,
+    or a closed stderr), drop it quietly: the verdict's exit code stands,
+    and the stream is pointed at the null device so the interpreter's own
+    flush at exit fails no more."""
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except BrokenPipeError:
         null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
+        os.dup2(null, stream.fileno())
         os.close(null)
 
 

@@ -12,6 +12,10 @@ each case, walks the conclusion's formula with the same fold: the
 conclusion is forced when some cell of its DNF has every literal forced,
 which the fold reads off the formula without building a cell.  Only the
 hypothesis normal form is bounded by the disjunct limit.
+
+A refutation of either semialgebraic side condition settles the verdict,
+so once the forward one fails its exact tiers, the two are sampled in
+lockstep, a point of each in turn, up to the first refutation.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
 from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, groebner, rank,
@@ -364,7 +368,9 @@ def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
     return nnf_fold(conclusion, forced, all, any)
 
 
-def _try_ideal(cond: SideCondition, hyp_nf: NormalForm) -> Optional[DischargeStatus]:
+def _try_ideal(cond: SideCondition, hyp_nf: Optional[NormalForm]) -> Optional[DischargeStatus]:
+    if hyp_nf is None:
+        return None  # past the disjunct limit
     try:
         for disjunct in hyp_nf.disjuncts:
             cases = _split_cases(disjunct)
@@ -377,6 +383,14 @@ def _try_ideal(cond: SideCondition, hyp_nf: NormalForm) -> Optional[DischargeSta
                            detail="conclusion forced modulo hypothesis equalities")
 
 
+def _hypothesis_nf(cond: SideCondition) -> Optional[NormalForm]:
+    """The hypothesis normal form; None past the disjunct limit."""
+    try:
+        return to_normal_form(cond.hypothesis)
+    except ResourceError:
+        return None
+
+
 def _boundary_atoms(hyp_nf: Optional[NormalForm]) -> list[Polynomial]:
     """The distinct non-strict atoms of the hypothesis normal form; none
     without one (past the disjunct limit)."""
@@ -385,18 +399,25 @@ def _boundary_atoms(hyp_nf: Optional[NormalForm]) -> list[Polynomial]:
     return list(dict.fromkeys(p for c in hyp_nf.disjuncts for p in c.geqs))
 
 
-def _try_sampling(cond: SideCondition, config: DischargeConfig,
-                  hyp_nf: Optional[NormalForm]) -> Optional[DischargeStatus]:
-    if config.samples <= 0:
-        return None
+def _sample_stream(cond: SideCondition, config: DischargeConfig,
+                   hyp_nf: Optional[NormalForm]) -> Iterator[Optional[DischargeStatus]]:
+    """The sampling tier, one item per point of the condition's own stream,
+    seeded by ``config.seed``: None where the implication holds, and a
+    refutation at the first point where it fails, which ends the stream."""
     rng = random.Random(config.seed)
     boundary = _boundary_atoms(hyp_nf)
     implication = Implies(cond.hypothesis, cond.conclusion)
     for point in sample_points(rng, len(cond.universal_vars), config.samples, boundary):
         if not PointEvaluator(point)(implication):
-            return DischargeStatus(REFUTED, witness=point.fractions(),
-                                   detail="exact rational counterexample")
-    return None
+            yield DischargeStatus(REFUTED, witness=point.fractions(),
+                                  detail="exact rational counterexample")
+            return
+        yield None
+
+
+def _try_sampling(cond: SideCondition, config: DischargeConfig,
+                  hyp_nf: Optional[NormalForm]) -> Optional[DischargeStatus]:
+    return next(filter(None, _sample_stream(cond, config, hyp_nf)), None)
 
 
 def _try_smt(cond: SideCondition, config: DischargeConfig) -> DischargeStatus:
@@ -427,20 +448,12 @@ def discharge(cond: SideCondition, config: Optional[DischargeConfig] = None) -> 
     evaluates the formulas exactly with no boundary atoms to project onto."""
     config = config if config is not None else DischargeConfig()
     status = _try_identity(cond)
-    if status is not None:
-        return cond.with_status(status)
-    try:
-        hyp_nf = to_normal_form(cond.hypothesis)
-    except ResourceError:
-        hyp_nf = None
-    if hyp_nf is not None:
-        status = _try_ideal(cond, hyp_nf)
-        if status is not None:
-            return cond.with_status(status)
-    status = _try_sampling(cond, config, hyp_nf)
-    if status is not None:
-        return cond.with_status(status)
-    return cond.with_status(_try_smt(cond, config))
+    if status is None:
+        hyp_nf = _hypothesis_nf(cond)
+        status = (_try_ideal(cond, hyp_nf)
+                  or _try_sampling(cond, config, hyp_nf)
+                  or _try_smt(cond, config))
+    return cond.with_status(status)
 
 
 # ---------------------------------------------------------------------------
@@ -484,23 +497,23 @@ def check_semialgebraic_invariance(P: NormalForm, Q: NormalForm, sys: OdeSystem,
                                    config: Optional[DischargeConfig] = None) -> Verdict:
     """Decide P -> [x'=f & Q] P for semialgebraic P, Q via the two progress
     side conditions (forward, and backward over the reversed system), with
-    the topological open/closed shortcuts."""
+    the topological open/closed shortcuts.
+
+    Once the forward condition fails its exact tiers, the backward identity
+    tier runs, then both sample streams in lockstep, forward first, up to
+    the first refutation, which leaves the other condition undecided.  With
+    no refutation, the forward solver tier runs, then, unless it refutes,
+    the backward ideal and solver tiers."""
     config = config if config is not None else DischargeConfig()
     try:
-        conditions = sai_side_conditions(P, Q, sys, config)
+        forward, backward = sai_side_conditions(P, Q, sys, config)
     except ResourceError as exc:
         return Verdict.unknown(diagnostics=f"progress construction failed: {exc}")
-    forward, backward = conditions
-    if not forward.status.is_proved():
-        forward = discharge(forward, config)
-    if forward.status.kind == REFUTED:
-        return Verdict.not_invariant(forward.status.witness, forward,
-                                     conditions=(forward, backward))
-    if not backward.status.is_proved():
-        backward = discharge(backward, config)
-    if backward.status.kind == REFUTED:
-        return Verdict.not_invariant(backward.status.witness, backward,
-                                     conditions=(forward, backward))
+    forward, backward = _discharge_sai(forward, backward, config)
+    for cond in (forward, backward):
+        if cond.status.kind == REFUTED:
+            return Verdict.not_invariant(cond.status.witness, cond,
+                                         conditions=(forward, backward))
     if forward.status.is_proved() and backward.status.is_proved():
         cert = SaiCert(system=sys, P=P, Q=Q,
                        forward=forward.conclusion, backward=backward.conclusion,
@@ -512,6 +525,39 @@ def check_semialgebraic_invariance(P: NormalForm, Q: NormalForm, sys: OdeSystem,
     pending = tuple(c for c in (forward, backward) if not c.status.is_proved())
     detail = "; ".join(f"{c.provenance}: {c.status.detail or 'undecided'}" for c in pending)
     return Verdict.unknown(diagnostics=detail, conditions=(forward, backward))
+
+
+def _discharge_sai(forward: SideCondition, backward: SideCondition,
+                   config: DischargeConfig) -> tuple[SideCondition, SideCondition]:
+    """The two SAI conditions discharged in the order that
+    ``check_semialgebraic_invariance`` describes."""
+    fwd_nf = None
+    status = forward.status if forward.status.is_proved() else _try_identity(forward)
+    if status is None:
+        fwd_nf = _hypothesis_nf(forward)
+        status = _try_ideal(forward, fwd_nf)
+    if status is not None:
+        return forward.with_status(status), (
+            backward if backward.status.is_proved() else discharge(backward, config))
+    status = backward.status if backward.status.is_proved() else _try_identity(backward)
+    if status is not None:  # the forward condition is left alone
+        return (forward.with_status(_try_sampling(forward, config, fwd_nf)
+                                    or _try_smt(forward, config)),
+                backward.with_status(status))
+    bwd_nf = _hypothesis_nf(backward)
+    fwd_points = _sample_stream(forward, config, fwd_nf)
+    bwd_points = _sample_stream(backward, config, bwd_nf)
+    for status in fwd_points:
+        if status is not None:
+            return forward.with_status(status), backward
+        status = next(bwd_points, None)
+        if status is not None:
+            return forward, backward.with_status(status)
+    forward = forward.with_status(_try_smt(forward, config))
+    if forward.status.kind != REFUTED:
+        backward = backward.with_status(_try_ideal(backward, bwd_nf)
+                                        or _try_smt(backward, config))
+    return forward, backward
 
 
 def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,

@@ -407,19 +407,23 @@ def to_normal_form(phi: Formula, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalF
     of phi into lists of cells, one cell per literal, the cell product for
     a conjunction and concatenation for a disjunction, with duplicate-atom
     pruning and constant folding per cell.  The limit is checked before
-    each product is built."""
+    any cell of a product is built."""
 
     def literal(p: Polynomial, strict: bool) -> list[Conjunct]:
         cell = _build_conjunct((), (p,)) if strict else _build_conjunct((p,), ())
         return [cell] if cell is not None else []
 
     def product(branches: Iterable[list[Conjunct]]) -> list[Conjunct]:
-        # every branch is built, and checked against the limit, before the
-        # first product; the cells of a DNF hold no constant atoms, so no
-        # merged cell folds away: the product has exactly this many cells
+        # the cells of a DNF hold no constant atoms, so no merged cell folds
+        # away: the prefix products of the branch sizes are the sizes of the
+        # partial products, all checked before the first is built
+        branches = list(branches)
+        size = 1
+        for branch in branches:
+            size *= len(branch)
+            _check_disjunct_count(size, limit)
         acc = [Conjunct((), ())]
-        for branch in list(branches):
-            _check_disjunct_count(len(acc) * len(branch), limit)
+        for branch in branches:
             acc = [_build_conjunct(left.geqs + right.geqs, left.gts + right.gts)
                    for left in acc for right in branch]
         return acc

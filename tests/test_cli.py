@@ -241,17 +241,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("internal error: RuntimeError")
 
 
-def _run_into_closed_pipe(argv):
-    """``python -m odecert argv`` with stdout a pipe whose reader has gone,
-    as in ``odecert ... | head -c 1`` once head has exited."""
+def _run_into_closed_pipe(argv, closed="stdout"):
+    """``python -m odecert argv`` with the ``closed`` stream a pipe whose
+    reader has gone, as in ``odecert ... | head -c 1`` once head has exited;
+    the other stream is captured."""
     src = str(Path(odecert.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     read_end, write_end = os.pipe()
     os.close(read_end)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write_end}
     try:
-        return subprocess.run([sys.executable, "-m", "odecert", *argv], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        return subprocess.run([sys.executable, "-m", "odecert", *argv], **streams,
+                              text=True, env=env, timeout=120)
     finally:
         os.close(write_end)
 
@@ -283,6 +285,30 @@ class TestClosedStdout:
         done = _run_into_closed_pipe(["lie", prob, "--max", "100"])
         assert done.returncode == 0
         assert done.stderr.startswith("elapsed: ") and done.stderr.count("\n") == 1
+
+
+class TestClosedStderr:
+    """A closed stderr loses the ``elapsed:`` and error lines, and nothing
+    else: stdout and the exit code are those of an open stderr."""
+
+    ROTATION = TestClosedStdout.ROTATION
+
+    @pytest.mark.parametrize("candidate, code", [("x^2 + y^2 <= 1", 0), ("x <= 0", 1)])
+    def test_check_inv_with_a_closed_stderr(self, tmp_path, candidate, code):
+        prob = write(tmp_path, "p.prob", self.ROTATION + f"candidate: {candidate}\n")
+        done = _run_into_closed_pipe(["check-inv", prob], closed="stderr")
+        assert done.returncode == code
+        assert done.stdout.startswith("verdict: ")
+
+    @pytest.mark.parametrize("text, code", [
+        ("vars: x\npolynomial: x + y\n", 3),
+        (TestExitCodes.COEF_PROBLEM + "polynomial: 2*x + 2*y^2\n", 4),
+    ])
+    def test_error_line_into_a_closed_stderr(self, tmp_path, text, code):
+        prob = write(tmp_path, "p.prob", text)
+        done = _run_into_closed_pipe(["rank", prob], closed="stderr")
+        assert done.returncode == code
+        assert done.stdout == ""
 
 
 class TestCommands:

@@ -17,12 +17,14 @@ from odecert import (Conjunct, DischargeConfig, DischargeStatus, NormalForm, Ode
 from odecert.cli import main
 from odecert.invariant import (PROVED_IDEAL, PROVED_IDENTITY, REFUTED,
                                SMT_VALID, UNKNOWN, DarbouxCert, DriCert,
-                               SaiCert, VdbxCert, _ray)
+                               SaiCert, VdbxCert, _hypothesis_nf, _ray,
+                               _sample_stream)
 from odecert.odecore import reverse
 from odecert.parser import parse_formula, parse_term
 from odecert.polyarith import GREVLEX
 from odecert.ideals import differential_radical
-from odecert.semalg import Atom, Implies, Not, TrueF, make_and, semialg_progress
+from odecert.semalg import (Atom, Implies, Not, PointEvaluator, TrueF, make_and,
+                            semialg_progress)
 from odecert.smtlib import SolverConfig
 
 from conftest import random_nonzero_polynomial, random_normal_form, random_system
@@ -530,6 +532,101 @@ class TestCheckSemialgebraic:
 
 
 _TABLES = {n: VarTable(["x", "y", "z"][:n]) for n in (2, 3)}
+
+
+def _sequential_sai(P_nf, Q_nf, sys, config):
+    """The two SAI conditions discharged one after the other, forward
+    first, the backward one only when the forward one is not refuted: the
+    order ``check_semialgebraic_invariance`` kept before it sampled the two
+    in lockstep.  Kept here as the reference."""
+    forward, backward = sai_side_conditions(P_nf, Q_nf, sys, config)
+    if not forward.status.is_proved():
+        forward = discharge(forward, config)
+    if forward.status.kind != REFUTED and not backward.status.is_proved():
+        backward = discharge(backward, config)
+    return forward, backward
+
+
+def _reference_verdict(conditions):
+    if any(c.status.kind == REFUTED for c in conditions):
+        return "not_invariant"
+    return "invariant" if all(c.status.is_proved() for c in conditions) else "unknown"
+
+
+def _reference_failed(conditions):
+    return next(c for c in conditions if c.status.kind == REFUTED)
+
+
+class TestSaiRace:
+    """Once the forward condition fails its exact tiers, the two conditions
+    are sampled in lockstep up to the first refutation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), sample_seed=st.integers(0, 50))
+    def test_race_agrees_with_the_sequential_order(self, seed, sample_seed):
+        rng = random.Random(seed)
+        table = _TABLES[2]
+        sys = random_system(rng, table)
+        P_nf = random_normal_form(rng, table, max_disjuncts=2)
+        Q_nf = (NormalForm.true() if rng.random() < 0.5 else
+                random_normal_form(rng, table, max_disjuncts=1, max_atoms=1))
+        config = DischargeConfig(samples=300, seed=sample_seed, rank_cap=6)
+        verdict = check_semialgebraic_invariance(P_nf, Q_nf, sys, config)
+        try:
+            reference = _sequential_sai(P_nf, Q_nf, sys, config)
+        except ResourceError:
+            assert verdict.kind == "unknown" and not verdict.conditions
+            return
+        assert verdict.kind == _reference_verdict(reference)
+        if verdict.kind != "not_invariant":
+            assert verdict.conditions == reference
+            return
+        failed = verdict.failed_condition
+        # the witness is the one discharge gives the refuted condition alone
+        alone = discharge(failed.with_status(DischargeStatus()), config)
+        assert alone.status == failed.status
+        assert verdict.witness == failed.status.witness
+        assert not PointEvaluator(verdict.witness)(Implies(failed.hypothesis,
+                                                           failed.conclusion))
+        # the other condition is proved, or was cut short and stays undecided
+        other, = (c for c in verdict.conditions if c.provenance != failed.provenance)
+        assert other.status.is_proved() or other.status == DischargeStatus()
+        if failed.provenance != _reference_failed(reference).provenance:
+            assert other.status == DischargeStatus()
+        # of two refutable conditions, the one refuted at the earlier point
+        # of its own stream fails, the forward one on a tie
+        if not other.status.is_proved() and \
+                discharge(other, config).status.kind == REFUTED:
+            drawn = {c.provenance: len(list(_sample_stream(c, config, _hypothesis_nf(c))))
+                     for c in verdict.conditions}
+            first = min(("sai-forward", "sai-backward"), key=drawn.__getitem__)
+            assert failed.provenance == first
+
+    def test_an_early_backward_refutation_ends_the_sampling(self, xy, monkeypatch):
+        # the forward condition is undecidable by sampling, and the backward
+        # one is refuted within a few points: sampled one after the other,
+        # the forward condition would draw all 2000 of its points first
+        from odecert import sampling
+        from odecert.parser import parse_ode
+        sys = parse_ode("x' = 1, y' = 2*x*y + x", xy)
+        P_nf = to_normal_form(F("-3*y + 2 >= 0 | 2*x*y + 2*y^2 > 0 | "
+                                "x + 1 >= 0 & -2*x*y - 2*y^2 + y > 0", xy))
+        config = DischargeConfig(samples=2000, seed=0)
+        drawn = []
+        real = sampling.random_point
+        monkeypatch.setattr(sampling, "random_point",
+                            lambda *args: drawn.append(1) or real(*args))
+        verdict = check_semialgebraic_invariance(P_nf, NormalForm.true(), sys, config)
+        assert verdict.kind == "not_invariant"
+        assert verdict.failed_condition.provenance == "sai-backward"
+        assert len(drawn) < 100
+        forward, backward = verdict.conditions
+        assert forward.status == DischargeStatus()
+        drawn.clear()
+        reference = _sequential_sai(P_nf, NormalForm.true(), sys, config)
+        assert len(drawn) > 2000
+        assert reference[0].status.kind == UNKNOWN
+        assert reference[1].status == backward.status
 
 
 class TestBackwardChains:

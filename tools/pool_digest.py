@@ -1,6 +1,7 @@
 """Output digests of odecert over the benchmark's three problem pools.
 
     python3 tools/pool_digest.py [--check tools/pool_digests.txt] [--pool NAME ...]
+                                 [--dump DIR]
 
 For each pool of ``bench/workloads.py`` (read, never modified) this writes
 every problem three times, under the identity transform and under two
@@ -29,6 +30,12 @@ seconds) go to stderr as the pool finishes; stdout holds only the digests.
 ``--pool NAME`` (repeatable) runs only the named pools, in the order
 above; with ``--check`` only their digests are compared, and a pinned
 pool that was not run is not reported.
+
+``--dump DIR`` also writes every run's stdout to DIR, one file per pool,
+transform, problem and command (``sai-sampling-1-0042-check-inv.out`` is
+``check-inv`` on problem 42 under the first seeded transform), so that
+the dumps of two checkouts can be compared problem by problem with
+``diff -r``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -72,8 +80,8 @@ def _call(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
-                failures: list[str]) -> tuple[str, tuple[float, str, str]]:
+def pool_digest(name: str, params: dict, pool_seed: int, work: Path, failures: list[str],
+                dump: Optional[Path] = None) -> tuple[str, tuple[float, str, str]]:
     """The pool's digest, and its slowest run as (seconds, file, command)."""
     wl = workloads.WORKLOADS[name](params)
     specs = wl.pool(pool_seed)
@@ -94,6 +102,8 @@ def pool_digest(name: str, params: dict, pool_seed: int, work: Path,
                     code, out, err = _call([command, target, "--json"])
                     slowest = max(slowest, (time.perf_counter() - start, path.name, command))
                     sha.update(f"{code}\n{out}\0".encode())
+                    if dump is not None:
+                        (dump / f"{path.stem}-{command}.out").write_text(out)
                     if code == 5 or code is None or "Traceback" in err:
                         failures.append(f"{name} {path.name} {command}: exit {code}\n{err}")
                     report = json.loads(out) if out.strip() else {}
@@ -111,6 +121,8 @@ def main() -> int:
                         help="compare with the digests pinned in FILE")
     parser.add_argument("--pool", action="append", choices=list(COMMANDS),
                         help="run only this pool (repeatable; default: all)")
+    parser.add_argument("--dump", metavar="DIR", type=Path,
+                        help="write every run's stdout to a file in DIR")
     args = parser.parse_args()
     pinned = None
     if args.check is not None:
@@ -118,6 +130,8 @@ def main() -> int:
                       if line.strip())
     cfg = json.loads((ROOT / "bench" / "workloads.json").read_text())
     failures: list[str] = []
+    if args.dump is not None:
+        args.dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in COMMANDS:
             if args.pool and name not in args.pool:
@@ -125,7 +139,7 @@ def main() -> int:
             entry = cfg["workloads"][name]
             start = time.perf_counter()
             digest, (worst, where, command) = pool_digest(
-                name, entry["params"], entry["pool_seed"], Path(tmp), failures)
+                name, entry["params"], entry["pool_seed"], Path(tmp), failures, args.dump)
             print(f"{name} {digest}", flush=True)
             print(f"{name}: {time.perf_counter() - start:.1f} s; slowest run "
                   f"{command} {where} {worst:.2f} s", file=sys.stderr, flush=True)
