@@ -6,12 +6,17 @@ re-verifies by exact evaluation; everything else is Unknown.  The discharge
 tiers run in order: syntactic identity, ideal reduction, rational sampling,
 then (opt-in) an external SMT solver whose answers are re-verified.
 
-The identity tier folds constant atoms over ``semalg.nnf_fold``.  The ideal
-tier sign-splits the cells of the hypothesis normal form into cases and, in
-each case, walks the conclusion's formula with the same fold: the
+The identity tier folds constant and univariate sign-definite literals
+(``realalg.definite``, an exact Sturm count) over ``semalg.nnf_fold``.  The
+ideal tier sign-splits the cells of the hypothesis normal form into cases
+and, in each case, walks the conclusion's formula with the same fold: the
 conclusion is forced when some cell of its DNF has every literal forced,
-which the fold reads off the formula without building a cell.  Only the
-hypothesis normal form is bounded by the disjunct limit.
+which the fold reads off the formula without building a cell.  A case is
+vacuous when a basis element of its equalities has no real root or a
+reduced strict atom holds nowhere, by the same test.  Only the hypothesis
+normal form is bounded by the disjunct limit.  What these tiers leave
+undecided needs reasoning in several variables at once or a
+counterexample with an irrational coordinate.
 
 A refutation of either semialgebraic side condition settles the verdict,
 so once the forward one fails its exact tiers, the two are sampled in
@@ -31,6 +36,7 @@ from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, groebner, rank,
                      reduce_mod, stabilize)
 from .odecore import OdeSystem, lie_derivative, reverse
 from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree
+from .realalg import definite
 from .sampling import sample_points
 from .semalg import (Atom, Conjunct, Formula, Implies, NormalForm, Not,
                      PointEvaluator, TrueF, make_and, nnf_fold, pair_equalities,
@@ -284,16 +290,10 @@ def dri_companion(rank_result: RankResult, sys: OdeSystem) -> VdbxCert:
 # ---------------------------------------------------------------------------
 # discharge tiers
 
-def _constant(p: Polynomial, strict: bool) -> bool:
-    """The literal p > 0 (strict) or p >= 0 holds by constant folding alone."""
-    return p.is_constant() and (p.constant_value() > 0 if strict
-                                else p.constant_value() >= 0)
-
-
 def _try_identity(cond: SideCondition) -> Optional[DischargeStatus]:
-    if nnf_fold(cond.conclusion, _constant, all, any):
+    if nnf_fold(cond.conclusion, definite, all, any):
         return DischargeStatus(PROVED_IDENTITY, detail="conclusion is identically true")
-    if nnf_fold(cond.hypothesis, _constant, all, any, neg=True):
+    if nnf_fold(cond.hypothesis, definite, all, any, neg=True):
         return DischargeStatus(PROVED_IDENTITY, detail="hypothesis is identically false")
     return None
 
@@ -338,8 +338,8 @@ def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
     conclusion: some cell of its DNF has every literal forced, read off the
     formula by ``nnf_fold`` without building the DNF."""
     basis = _case_basis(eqs)
-    if basis and basis[0].is_constant():
-        return True  # 1 in the ideal: no real point satisfies the equalities
+    if any(definite(b, True) or definite(-b, True) for b in basis):
+        return True  # a basis element with no real root: the case is vacuous
     cache: dict[Polynomial, Polynomial] = {}
 
     def red(q: Polynomial) -> Polynomial:
@@ -351,19 +351,19 @@ def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
 
     red_stricts = [red(s) for s in stricts]
     for r in red_stricts:
-        if r.is_zero() or (r.is_constant() and r.constant_value() <= 0):
-            return True  # contradictory case is vacuously entailing
+        if definite(-r, False):
+            return True  # r > 0 holds nowhere: the case is vacuous
     strict_set = set(red_stricts)
     for r in red_stricts:
         if -r in strict_set:
             return True
-    # a nonconstant r is forced positive when a positive multiple of it is
-    # a reduced strict; constants are decided before the lookup
+    # a literal is forced when it holds everywhere, or when its nonconstant
+    # r has a positive multiple among the reduced stricts
     strict_rays = {_ray(r) for r in red_stricts}
 
     def forced(q: Polynomial, strict: bool) -> bool:
         r = red(q)
-        return _constant(r, strict) if r.is_constant() else _ray(r) in strict_rays
+        return definite(r, strict) or (not r.is_constant() and _ray(r) in strict_rays)
 
     return nnf_fold(conclusion, forced, all, any)
 

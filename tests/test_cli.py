@@ -653,6 +653,32 @@ class TestCertCheckCommand:
             assert main(["cert-check", str(path)]) == 3, k
 
 
+class TestUnivariateSignTests:
+    """Candidates whose side conditions need a literal in one variable shown
+    sign-definite by a Sturm count: both are invariant, with a certificate
+    that ``cert-check`` replays."""
+
+    @pytest.mark.parametrize("text, forward", [
+        # an empty candidate: -x^2 - 3 >= 0 has no real point
+        pytest.param("vars: x, y\node: x' = -x^2 + 2*x*y, y' = -3*x + 2*y\n"
+                     "candidate: -x^2 - 3 >= 0\n", "proved_identity", id="empty-region"),
+        # on the case q = -2p the conclusion reduces to 8p^2 - 6p + 2 >= 0
+        pytest.param("vars: p, q\node: p' = -2*p^2 + p*q + p, q' = -2*q - 2\n"
+                     "candidate: -2*p - q >= 0\n", "proved_by_ideal_reduction",
+                     id="half-plane"),
+    ])
+    def test_check_inv_and_cert_check(self, tmp_path, capsys, text, forward):
+        code, report = run_json(capsys, ["check-inv", write(tmp_path, "sign.prob", text),
+                                         "--json"])
+        assert code == 0 and report["data"]["verdict"] == "invariant"
+        kinds = {c["provenance"]: c["status"]["kind"] for c in report["data"]["conditions"]}
+        assert kinds == {"sai-forward": forward, "sai-backward": "proved_identity"}
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(report["data"]["certificate"]))
+        code, checked = run_json(capsys, ["cert-check", str(cert_path), "--json"])
+        assert code == 0 and checked["data"] == {"kind": "sai", "valid": True}
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, half_prob, capsys):
         code1 = main(["check-inv", half_prob, "--json", "--seed", "0"])

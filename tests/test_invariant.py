@@ -1,6 +1,7 @@
 import json
 import random
 import stat
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from odecert.cli import main
 from odecert.invariant import (PROVED_IDEAL, PROVED_IDENTITY, REFUTED,
                                SMT_VALID, UNKNOWN, DarbouxCert, DriCert,
                                SaiCert, VdbxCert, _hypothesis_nf, _ray,
-                               _sample_stream)
+                               _sample_stream, _try_identity)
 from odecert.odecore import reverse
 from odecert.parser import parse_formula, parse_term
 from odecert.polyarith import GREVLEX
@@ -243,11 +244,43 @@ class TestDischarge:
         assert x * x + y * y == Fraction(1, 4) and x >= 0 and y <= x
 
     def test_unknown_without_solver(self, xy):
-        # valid (x^2 >= 0 always) but neither an identity, ideal-forced,
-        # nor refutable; no solver configured
-        cond = SideCondition(F("x >= 0", xy), F("x^2 + 1 > 0", xy), xy.names, "test")
+        # valid (x^2 + y^2 >= 0 always) but neither an identity (the literal
+        # has two variables), ideal-forced, nor refutable; no solver configured
+        cond = SideCondition(F("x >= 0", xy), F("x^2 + y^2 + 1 > 0", xy), xy.names, "test")
         out = discharge(cond, DischargeConfig(samples=500, seed=0))
         assert out.status.kind == UNKNOWN
+
+    def test_univariate_definite_conclusion_is_an_identity(self, xy):
+        # x^2 + 1 has no real root and is positive at 0
+        cond = SideCondition(F("x >= 0", xy), F("x^2 + 1 > 0", xy), xy.names, "test")
+        assert discharge(cond, DischargeConfig(samples=0)).status == DischargeStatus(
+            PROVED_IDENTITY, detail="conclusion is identically true")
+
+    def test_univariate_definite_negated_hypothesis_is_an_identity(self, xy):
+        cond = SideCondition(F("y > 0 & x^2 - x + 1 <= 0", xy), F("y < 0", xy),
+                             xy.names, "test")
+        assert discharge(cond, DischargeConfig(samples=0)).status == DischargeStatus(
+            PROVED_IDENTITY, detail="hypothesis is identically false")
+
+    @pytest.mark.parametrize("hyp, concl", [
+        ("x - y = 0", "x*y + 1 > 0"),             # forced: reduces to y^2 + 1 > 0
+        ("x - y = 0 & x*y + 1 < 0", "x > 5"),    # a strict that holds nowhere
+        ("x - y = 0 & x*y + 1 = 0", "x > 5"),    # a basis element with no real root
+    ])
+    def test_ideal_tier_decides_univariate_reductions(self, xy, hyp, concl):
+        cond = SideCondition(F(hyp, xy), F(concl, xy), xy.names, "test")
+        assert _try_identity(cond) is None
+        assert discharge(cond, DischargeConfig(samples=0)).status.kind == PROVED_IDEAL
+
+    def test_literal_past_the_sturm_bound_falls_through(self, xy):
+        # positive everywhere, but of degree 998: past STURM_SIZE_LIMIT the
+        # literal is left to sampling, which cannot refute it
+        concl = F("x^998 + 2*x^400 - 5*x^3 + x^2 + 7 > 0", xy)
+        cond = SideCondition(F("y >= 0", xy), concl, xy.names, "test")
+        start = time.perf_counter()
+        out = discharge(cond, DischargeConfig(samples=200, seed=0))
+        assert time.perf_counter() - start < 1.0
+        assert out.status == DischargeStatus(UNKNOWN, detail="no solver configured")
 
     def test_hypothesis_past_the_disjunct_limit_is_still_sampled(self, xy):
         # 2^13 = 8192 > 4096 cells: the ideal tier is skipped, and sampling
