@@ -7,6 +7,7 @@ canonical text form, so `cert-check` can replay them from the file alone.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import InputError
@@ -131,10 +132,10 @@ def condition_json(cond: SideCondition) -> dict:
     }
 
 
-def _condition_parse(d: dict, table: VarTable) -> SideCondition:
+def _condition_parse(d: dict, formula) -> SideCondition:
     return SideCondition(
-        hypothesis=parse_formula(_field(d, "hypothesis"), table),
-        conclusion=parse_formula(_field(d, "conclusion"), table),
+        hypothesis=formula(_field(d, "hypothesis")),
+        conclusion=formula(_field(d, "conclusion")),
         universal_vars=tuple(_strings(d, "universal_vars")),
         provenance=_field(d, "provenance"),
         status=_status_parse(_field(d, "status", dict)),
@@ -245,13 +246,15 @@ def certificate_from_json(d: dict) -> Certificate:
             domain=None if domain is None else parse_term(domain, table),
             rank_result=RankResult(_field(rank, "n", int), _terms(rank, "cofactors", table)),
         )
-    # kind == "sai"
+    # kind == "sai": forward and backward repeat the conditions'
+    # conclusions, so each distinct formula text is parsed once
+    formula = functools.cache(lambda text: parse_formula(text, table))
     return SaiCert(
         system=system,
         P=_nf_parse(_field(d, "P", dict), table),
         Q=_nf_parse(_field(d, "Q", dict), table),
-        forward=parse_formula(_field(d, "forward"), table),
-        backward=parse_formula(_field(d, "backward"), table),
-        conditions=tuple(_condition_parse(c, table)
+        forward=formula(_field(d, "forward")),
+        backward=formula(_field(d, "backward")),
+        conditions=tuple(_condition_parse(c, formula)
                          for c in _field(d, "conditions", list)),
     )

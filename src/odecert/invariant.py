@@ -82,10 +82,14 @@ class SideCondition:
 
 @dataclass(frozen=True)
 class DischargeConfig:
-    samples: int = 100_000
+    samples: int = 100_000  # 0 turns sampling off
     seed: int = 0
     solver: Optional[SolverConfig] = None
     rank_cap: int = DEFAULT_RANK_CAP
+
+    def __post_init__(self):
+        if self.samples < 0:
+            raise InputError("samples must be >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ length is the ambient variable count of the owning :class:`VarTable`.
 Ring operations, derivatives and substitution run in integers, with one gcd
 pass per result; the Groebner engine in ``ideals`` reduces the numerator
 maps directly.  A ``Fraction`` is built only where a caller asks for one:
-``terms``, ``leading``, ``constant_value``, ``evaluate`` and rendering.
+``terms``, ``leading``, ``constant_value`` and ``evaluate``; rendering
+reads each numerator over ``den``, in lowest terms by one gcd.
 
 Evaluation runs in integers too.  A :class:`ScaledPoint` holds a rational
 point as integer numerators over one positive common denominator, and a
@@ -170,13 +171,6 @@ def within_digit_cap(n: int) -> int:
 def decimal(n: int) -> str:
     """``str(n)`` within the digit cap."""
     return str(within_digit_cap(n))
-
-
-def _decimal_fraction(c: Fraction) -> str:
-    """``str(c)`` within the digit cap."""
-    if c.denominator == 1:
-        return decimal(c.numerator)
-    return decimal(c.numerator) + "/" + decimal(c.denominator)
 
 
 def check_power(degree: int, k: int) -> None:
@@ -571,28 +565,24 @@ class Polynomial:
             return self._text
 
     def _render(self, order: MonomialOrder) -> str:
+        """Each coefficient is its numerator over ``den``, brought to lowest
+        terms by one gcd."""
         if not self.nums:
             return "0"
+        names, nums, den = self.table.names, self.nums, self.den
         parts: list[str] = []
-        for k, (m, c) in enumerate(self.sorted_terms(order)):
-            factors = []
-            for i, e in enumerate(m):
-                if e == 1:
-                    factors.append(self.table.name(i))
-                elif e > 1:
-                    factors.append(f"{self.table.name(i)}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = _decimal_fraction(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = _decimal_fraction(mag) + "*" + "*".join(factors)
-            if k == 0:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+        for m in sorted(nums, key=order.key, reverse=True):
+            v = nums[m]
+            g = gcd(v, den)
+            num, d = abs(v) // g, den // g
+            body = "*".join([name if e == 1 else f"{name}^{e}"
+                             for name, e in zip(names, m) if e])
+            if not body or num != d:  # d == 1 == num is the coefficient 1
+                coef = decimal(num) if d == 1 else decimal(num) + "/" + decimal(d)
+                body = coef + "*" + body if body else coef
+            parts.append((" - " if v < 0 else " + ") + body)
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return f"<poly {self.render()}>"

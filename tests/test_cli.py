@@ -116,6 +116,26 @@ class TestExitCodes:
         assert getattr(cli._build_parser().parse_args(
             ["rank", prob, "--" + key, value]), key) == seen
 
+    def test_negative_samples_is_input_error(self, tmp_path, half_prob, capsys):
+        # a count below 0 would draw no point and answer unknown; 0 turns
+        # sampling off.  The same check holds in the problem file and for
+        # the flag of a problem-file command and of cert-check.
+        error = "input error: samples must be >= 0\n"
+        prob = write(tmp_path, "neg.prob", Path(half_prob).read_text() + "samples: -5\n")
+        assert main(["check-inv", prob]) == 3
+        assert capsys.readouterr().err == error
+        assert main(["check-inv", half_prob, "--samples", "-1"]) == 3
+        assert capsys.readouterr().err == error
+        assert main(["check-inv", half_prob, "--samples", "0"]) == 2
+        assert main(["check-inv", half_prob]) == 1
+        capsys.readouterr()
+        hp = write(tmp_path, "hp.prob", "vars: x\nprogram: { x := -x }*\npost: x = 0\n")
+        _, report = run_json(capsys, ["hp-reduce", hp, "--json"])
+        cert = write(tmp_path, "cert.json", json.dumps(report["data"]["certificate"]))
+        assert main(["cert-check", cert, "--samples", "-1"]) == 3
+        assert capsys.readouterr().err == error
+        assert main(["cert-check", cert, "--samples", "0"]) == 0
+
     def test_power_past_the_term_cap_is_four(self, tmp_path, capsys):
         prob = write(tmp_path, "terms.prob", "vars: x, y, z\n"
                      "ode: x' = y, y' = z, z' = x\npolynomial: (x+y+z+1)^90\n")
@@ -606,6 +626,27 @@ class TestCertCheckCommand:
         assert main(["cert-check", str(path)]) == 3
         assert ("sai certificate version 1 predates backward conditions that "
                 "negate progress formulas") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(forward=doc["forward"].replace("+ 1", "+ 2")),
+        lambda doc: doc["conditions"][0].update(
+            conclusion=doc["conditions"][0]["conclusion"].replace("+ 1", "+ 2")),
+    ], ids=["forward", "first-conclusion"])
+    def test_sai_formula_edited_in_one_place_is_rejected(self, tmp_path, disk_prob,
+                                                         capsys, edit):
+        # forward and backward repeat the conditions' texts, and each
+        # distinct text is parsed once; an edit to one copy must still count
+        _, report = run_json(capsys, ["check-inv", disk_prob, "--json", "--samples", "50"])
+        doc = report["data"]["certificate"]
+        path = tmp_path / "sai.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 0
+        assert doc["forward"] == doc["conditions"][0]["conclusion"]
+        edit(doc)
+        assert doc["forward"] != doc["conditions"][0]["conclusion"]
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 1
+        assert capsys.readouterr().out.endswith("certificate sai: REJECTED\n")
 
     @pytest.mark.parametrize("mutate", [
         lambda doc: doc.pop("rank"),

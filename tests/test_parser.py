@@ -64,6 +64,35 @@ UVW = VarTable(["u", "v", "w"])
 _coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 
 
+# large numerators and denominators, and the coefficients 1 and -1 that
+# render without a number
+_wide_coefficients = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
+
+
+def _reference_render(p: Polynomial, order) -> str:
+    """The canonical text built from ``Fraction`` coefficients, as
+    ``Polynomial.render`` built it before it read the integer numerators."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for k, (m, c) in enumerate(sorted(p.terms.items(), key=lambda t: order.key(t[0]),
+                                      reverse=True)):
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(p.table.names, m) if e]
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        sign = ("-" if c < 0 else "") if k == 0 else (" - " if c < 0 else " + ")
+        parts.append(sign + body)
+    return "".join(parts)
+
+
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(terms=st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), _coefficients,
@@ -72,6 +101,16 @@ class TestRoundTrip:
     def test_rendered_text_parses_back(self, terms, order):
         p = Polynomial(UVW, terms)
         assert parse_term(p.render(order), UVW) == p
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _wide_coefficients,
+                                 max_size=6))
+    def test_render_matches_the_fraction_reference(self, terms):
+        p = Polynomial(UVW, terms)
+        for order in (GREVLEX, LEX):
+            text = p.render(order)
+            assert text == _reference_render(p, order)
+            assert parse_term(text, UVW) == p
 
 
 # (text, precedence level, Polynomial) nodes; a child below the level its
@@ -185,6 +224,31 @@ ERRORS = [
     ("program", "{ u := 1 }* ++", InputError, "1:15: expected a program", 1, 15),
     ("program", "u := 1 # first\n ; w := 2", InputError, "2:4: undeclared variable 'w'",
      2, 4),
+    # errors inside a "(" that was read as a term first, then as a formula
+    ("formula", "(u > 0 & (v + 1 >= ))", InputError, "1:20: expected a term", 1, 20),
+    ("formula", "(u > 0 & w > 0)", InputError, "1:10: undeclared variable 'w'", 1, 10),
+    ("formula", "((u) > 0 | v @ 1)", InputError, "1:14: unexpected character '@'", 1, 14),
+    ("formula", "(u + 1 > 0) & (u ^ )", InputError,
+     "1:20: expected a non-negative integer exponent", 1, 20),
+    ("formula", "(u > 0) -> (v + > 0)", InputError, "1:17: expected a term", 1, 17),
+    ("formula", "((u > 0)", InputError, "1:9: expected ')', found 'end of input'", 1, 9),
+    ("formula", "(u > 0 # note", InputError, "1:8: expected ')', found 'end of input'",
+     1, 8),
+    # a bad token on a later line, after a comment
+    ("formula", "u > 0 # note\n & v > $", InputError, "2:8: unexpected character '$'",
+     2, 8),
+    ("formula", "u > 0 # c\n & v ! 1", InputError, "2:6: expected a comparison operator",
+     2, 6),
+    ("term", "u # c\n + " + "7" * 4001, InputError,
+     "2:4: integer literal longer than 4000 digits", 2, 4),
+    # the factor rule: signs, an atom, an exponent
+    ("term", "u^", InputError, "1:3: expected a non-negative integer exponent", 1, 3),
+    ("term", "--u^", InputError, "1:5: expected a non-negative integer exponent", 1, 5),
+    ("term", "(u)^(2)", InputError, "1:5: expected a non-negative integer exponent", 1, 5),
+    ("term", "u^1 ^ 2", InputError, "1:5: unexpected trailing input '^'", 1, 5),
+    ("term", "-(u + 1", InputError, "1:8: expected ')', found 'end of input'", 1, 8),
+    ("term", "u^-", NonPolynomialError, "non-polynomial: negative exponent", None, None),
+    ("program", "{ u' = v & v }", InputError, "1:14: expected '!=', found '}'", 1, 14),
 ]
 PARSERS = {"term": parse_term, "formula": parse_formula, "ode": parse_ode,
            "program": parse_program}
