@@ -207,14 +207,17 @@ def certificate_from_json(d: dict) -> Certificate:
         raise InputError(f"unsupported certificate version {version!r}")
     if kind == "hpreduce":
         table = VarTable(_strings(d, "vars"))
+        # each record's chain repeats the generators its loop kept before,
+        # so each distinct term text is parsed once
+        term = functools.cache(lambda text: parse_term(text, table))
         return HpReductionCert(
             table=table,
             program=parse_program(_field(d, "program"), table),
-            p=parse_term(_field(d, "p"), table),
-            q=parse_term(_field(d, "q"), table),
+            p=term(_field(d, "p")),
+            q=term(_field(d, "q")),
             cap=_field(d, "cap", int, default=DEFAULT_RANK_CAP),
-            chains=tuple(ChainRecord(_terms(rec, "chain", table),
-                                     _terms(rec, "cofactors", table))
+            chains=tuple(ChainRecord(tuple(map(term, _strings(rec, "chain"))),
+                                     tuple(map(term, _strings(rec, "cofactors"))))
                          for rec in _field(d, "chains", list)),
         )
     system = _system_parse(_field(d, "system", dict))

@@ -15,21 +15,25 @@ A loop runs ``ideals.stabilize`` from its list, with the body's reduction
 as the step: only the generators that are not yet members of the ideal go
 through the body again, and the loop ends when every generator of the next
 list is a member; each member's witness is recorded, and all loops of one
-reduction spend one step budget.  The program's list starts as [p], and q
-is formed once, from the final list: its lone nonzero generator, or the
-sum of the squares of its nonzero generators.  Chains of
-``;`` and of ``++`` are walked without recursion, and a list of more than
-``MAX_GENERATORS`` distinct generators is a resource error.
+reduction spend one step budget.  The decider tests membership on a
+Groebner basis; the certificate check replays the same walk and takes
+each membership from the certificate's recombination-checked records
+instead, so it builds no basis for a loop.  The program's list starts as
+[p], and q is formed once, from the final list: its lone nonzero
+generator, or the sum of the squares of its nonzero generators.  Chains
+of ``;`` and of ``++`` are walked without recursion, and a list of more
+than ``MAX_GENERATORS`` distinct generators is a resource error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceError
-from .ideals import DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, StepBudget, rank, stabilize
+from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, StepBudget,
+                     member_with_witness, rank, stabilize)
 from .odecore import OdeSystem
 from .polyarith import Polynomial, sum_of_products
 
@@ -163,19 +167,46 @@ def _distinct(gens) -> list[Polynomial]:
     return list(out)
 
 
-def reduce_box(alpha: HybridProgram, p: Polynomial,
-               cap: int = DEFAULT_RANK_CAP) -> tuple[Polynomial, ReductionTrace]:
+def _recorded_member(witnesses: Mapping[tuple, Sequence[Polynomial]],
+                     budget: StepBudget) -> Callable:
+    """Loop membership read off ``witnesses``, which map a chain
+    g_0..g_{k-1}, h to cofactors checked to give h = sum_i c_i g_i: h is a
+    member exactly when its loop has kept g_0..g_{k-1}, and is kept
+    otherwise.  Each decision spends one budget step.  A loop that has kept
+    as many generators as the longest chain can meet no record, and the
+    reduction that made the records kept only non-members there (it closed
+    on an empty round), so there a member, found on a basis, is a missing
+    record and raises InputError, whatever the ``cap``."""
+    longest = max(map(len, witnesses), default=0)
+
+    def member(kept: list[Polynomial], h: Polynomial) -> Optional[Sequence[Polynomial]]:
+        budget.spend()
+        if len(kept) < longest:
+            return witnesses.get((*kept, h))
+        if member_with_witness(h, kept) if kept else not h:
+            raise InputError("a loop member has no record")
+        return None
+
+    return member
+
+
+def reduce_box(alpha: HybridProgram, p: Polynomial, cap: int = DEFAULT_RANK_CAP,
+               witnesses: Optional[Mapping[tuple, Sequence[Polynomial]]] = None
+               ) -> tuple[Polynomial, ReductionTrace]:
     """Polynomial q with [alpha] p=0 equivalent to q=0 pointwise.
 
     ``cap`` bounds both ODE ranks and the rounds of each loop; exceeding it
     raises ResourceError carrying the partial trace.  All loops, nested ones
     included, spend one step budget of ``DEFAULT_STEP_BUDGET`` reduction
     steps, so an inner loop that reruns for every round of an outer one
-    cannot run unbounded.
+    cannot run unbounded.  With ``witnesses`` (a record's chain mapped to
+    its checked cofactors), loops look memberships up instead of testing
+    them on a Groebner basis.
     """
     budget = StepBudget(DEFAULT_STEP_BUDGET, "loop chain")
+    member = None if witnesses is None else _recorded_member(witnesses, budget)
     kept: list[Polynomial] = []
-    records: dict[tuple, tuple[list[Polynomial], list[Polynomial]]] = {}
+    records: dict[tuple, tuple[list[Polynomial], Sequence[Polynomial]]] = {}
 
     def box(a: HybridProgram, gens: list[Polynomial]) -> list[Polynomial]:
         if isinstance(a, Assign):
@@ -194,7 +225,8 @@ def reduce_box(alpha: HybridProgram, p: Polynomial,
         if isinstance(a, Star):
             if not gens:
                 return gens
-            loop_kept, members = stabilize(gens, lambda new: box(a.body, new), cap, budget)
+            loop_kept, members = stabilize(gens, lambda new: box(a.body, new), cap, budget,
+                                           member=member)
             kept.extend(loop_kept)
             if members is None:
                 raise ResourceError(f"loop chain cap {cap} exceeded",

@@ -36,13 +36,15 @@ are ``Polynomial`` operations, and each coefficient of the backward pass
 is summed over one denominator.
 
 ``stabilize`` is the one ascending-chain loop.  It grows the ideal of a
-list of generators on a single incremental basis: each round maps the
-generators the last round kept to a new list, keeps those that are not yet
-members and records a membership witness for every one that is, until a
-round keeps nothing.  ``rank`` is its one-generator case, with the Lie
-derivative as the step, and returns the chain it grew; the rank replay of
-DRI certificates runs that case too, and the loop rule of ``hpreduce`` runs
-it with the loop body's reduction of a generator list as the step.
+list of generators: each round maps the generators the last round kept to
+a new list, keeps those that are not yet members and records a membership
+witness for every one that is, until a round keeps nothing.  Membership is
+an argument: by default a test on a single incremental basis, while the
+``hpreduce`` certificate check looks each one up in the certificate's
+records.  ``rank`` is its one-generator case, with the Lie derivative as
+the step, and returns the chain it grew; the rank replay of DRI
+certificates runs that case too, and the loop rule of ``hpreduce`` runs it
+with the loop body's reduction of a generator list as the step.
 """
 
 from __future__ import annotations
@@ -422,28 +424,50 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
     return _reduce_terms(p, rows, order, budget)[0]
 
 
+def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget) -> Callable:
+    """Membership on one incremental Groebner basis: a remainder sends h
+    into the basis, which is completed at once, so every h this returns
+    None for must be kept; a zero remainder gives cofactors of h, checked
+    to recombine exactly."""
+    state = BuchbergerState(table, order, budget)
+
+    def member(kept: list[Polynomial], h: Polynomial) -> Optional[list[Polynomial]]:
+        rem, steps = state._reduce(h)
+        if rem:
+            state._add_reduced(h, rem, steps)
+            state.complete()
+            return None
+        cofs = state._witness(steps)
+        _assert_recombines(h, cofs, state.gens)
+        return cofs
+
+    return member
+
+
 def stabilize(first: Sequence[Polynomial],
               step: Callable[[list[Polynomial]], list[Polynomial]], cap: int,
-              budget: StepBudget, order: MonomialOrder = GREVLEX
+              budget: StepBudget, order: MonomialOrder = GREVLEX,
+              member: Optional[Callable] = None
               ) -> tuple[list[Polynomial], Optional[list[tuple[list[Polynomial],
-                                                                list[Polynomial]]]]]:
+                                                                Sequence[Polynomial]]]]]:
     """Grow the ideal of the generators ``first`` until ``step`` adds nothing.
 
     Round 0 is ``first``; round k+1 is ``step`` of the generators round k
-    kept.  Each round's generators are reduced in turn on one incremental
-    Groebner basis, completed after every generator it takes in.  A
-    non-member of the ideal of the generators kept so far is kept, and
-    enters the basis through that same reduction.  A member h gets the
-    record (g_0..g_{m-1} followed by h, cofactors c) with
-    h = sum_i c_i g_i over the m generators kept before it, checked to
-    recombine exactly.  The ideal is closed under ``step`` once a round
-    keeps nothing; the ascending chain condition makes that happen.
+    kept.  Each round's generators are decided in turn by
+    ``member(kept, h)``: cofactors c with h = sum_i c_i g_i over the m
+    generators g_0..g_{m-1} kept so far, or None, and h is then kept.  A
+    member h gets the record (g_0..g_{m-1} followed by h, c).  The ideal is
+    closed under ``step`` once a round keeps nothing; the ascending chain
+    condition makes that happen.  The default decision is a Groebner test
+    on one incremental basis that spends ``budget``.
 
     Returns (kept generators, records) when a round up to ``cap`` kept
     nothing, and (kept generators, None) when round ``cap`` still kept one.
     ``first`` must not be empty.  Budget exhaustion raises ResourceError.
     """
-    state = BuchbergerState(first[0].table, order, budget)
+    if member is None:
+        member = _groebner_member(first[0].table, order, budget)
+    kept: list[Polynomial] = []
     records = []
     gens = first
     for round_ in range(cap + 1):
@@ -451,18 +475,15 @@ def stabilize(first: Sequence[Polynomial],
             gens = step(new)
         new = []
         for h in gens:
-            rem, steps = state._reduce(h)
-            if rem:
-                state._add_reduced(h, rem, steps)
-                state.complete()
+            cofs = member(kept, h)
+            if cofs is None:
+                kept.append(h)
                 new.append(h)
             else:
-                cofs = state._witness(steps)
-                _assert_recombines(h, cofs, state.gens)
-                records.append((state.gens + [h], cofs))
+                records.append((kept + [h], cofs))
         if not new:
-            return state.gens, records
-    return state.gens, None
+            return kept, records
+    return kept, None
 
 
 def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,

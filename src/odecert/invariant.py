@@ -35,7 +35,7 @@ from .errors import DimensionError, InputError, ResourceError
 from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, groebner, rank,
                      reduce_mod, stabilize)
 from .odecore import OdeSystem, lie_derivative, reverse
-from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree
+from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree, sum_of_products
 from .realalg import definite
 from .sampling import sample_points
 from .semalg import (Atom, Conjunct, Formula, Implies, NormalForm, Not,
@@ -691,18 +691,20 @@ def _check_sai(cert: SaiCert, config: DischargeConfig) -> bool:
 
 
 def _check_hpreduce(cert: HpReductionCert) -> bool:
+    """Check that every record recombines, then replay ``reduce_box`` with
+    each loop membership taken from the records (only ODE nodes rank): the
+    replayed q and the records used, each listed once in the order first
+    met, must equal ``q`` and ``chains``."""
     from .hpreduce import reduce_box
 
     for record in cert.chains:
         k = len(record.chain) - 1
         if k < 0 or len(record.cofactors) != k:
             return False
-        acc = Polynomial.zero(cert.p.table)
-        for g, q in zip(record.cofactors, record.chain[:k]):
-            acc = acc + g * q
-        if acc != record.chain[k]:
+        if sum_of_products(cert.table, zip(record.cofactors, record.chain)) != record.chain[k]:
             return False
-    q, trace = reduce_box(cert.program, cert.p, cap=cert.cap)
+    q, trace = reduce_box(cert.program, cert.p, cap=cert.cap,
+                          witnesses={tuple(r.chain): r.cofactors for r in cert.chains})
     if q != cert.q:
         return False
     replayed = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())

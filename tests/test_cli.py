@@ -538,6 +538,27 @@ class TestCertCheckCommand:
         bad_path.write_text(json.dumps(doc))
         assert main(["cert-check", str(bad_path)]) == 1
 
+    def test_hpreduce_certificate_without_records_is_rejected_at_once(self, tmp_path,
+                                                                      capsys):
+        # with no record, the replay keeps x, meets x again and finds it a
+        # member with no record: rejected in round 1, not after 10^9 rounds
+        hp = write(tmp_path, "hp.prob", "vars: x\nprogram: { x := x }*\npost: x = 0\n")
+        _, report = run_json(capsys, ["hp-reduce", hp, "--json"])
+        doc = report["data"]["certificate"]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 0
+        assert doc["chains"]
+        doc.update(chains=[], cap=10 ** 9)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        started = time.monotonic()
+        assert main(["cert-check", str(path)]) == 1
+        assert time.monotonic() - started < 1
+        out, err = capsys.readouterr()
+        assert out == "certificate hpreduce: REJECTED\n"
+        assert "Traceback" not in err and "error" not in err
+
     def test_problem_file_defaults_are_the_cert_check_defaults(self, tmp_path, circle_prob,
                                                               capsys, monkeypatch):
         # circle_prob sets none of seed, samples and cap

@@ -1,14 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from odecert import (Assign, Choice, ChainRecord, DischargeConfig,
-                     HpReductionCert, InputError, Ode, Polynomial,
+                     HpReductionCert, InputError, Ode, OdeSystem, Polynomial,
                      ResourceError, Seq, Star, VarTable, check_certificate,
                      member_with_witness, oracle_unroll, reduce_box,
                      render_program)
+from odecert.certio import certificate_from_json, certificate_to_json
 from odecert import Test as ProgTest
 from odecert.parser import parse_program, parse_term
 
@@ -294,6 +296,191 @@ class TestLoopProperty:
     @given(prog=_loop_programs(XY))
     def test_rendered_program_parses_back(self, prog):
         assert parse_program(render_program(prog), self.XY) == prog
+
+
+def reference_check(cert):
+    """The checker that reran the decider: every record must recombine, and
+    the reduction rerun with Groebner membership tests must give ``q`` and
+    ``chains`` again."""
+    try:
+        for record in cert.chains:
+            k = len(record.chain) - 1
+            if k < 0 or len(record.cofactors) != k:
+                return False
+            acc = Polynomial.zero(cert.p.table)
+            for g, qi in zip(record.cofactors, record.chain[:k]):
+                acc = acc + g * qi
+            if acc != record.chain[k]:
+                return False
+        q, trace = reduce_box(cert.program, cert.p, cap=cert.cap)
+    except (InputError, ResourceError):
+        return False
+    replayed = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
+    return q == cert.q and replayed == cert.chains
+
+
+def emitted_certificate(prog, p, cap=20):
+    """The certificate hp-reduce writes, read back from its JSON."""
+    q, trace = reduce_box(prog, p, cap=cap)
+    chains = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
+    cert = HpReductionCert(table=p.table, program=prog, p=p, q=q, chains=chains, cap=cap)
+    return certificate_from_json(certificate_to_json(cert))
+
+
+def _systems(table):
+    return [OdeSystem.from_pairs(table, [("x", P(fx, table)), ("y", P(fy, table))])
+            for fx, fy in (("y", "-x"), ("-x", "2*y"), ("y", "x"), ("1", "0"))]
+
+
+def _nested_loop_programs(table):
+    """Loops around bodies made of assignments, tests ?r != 0 (r may be 0),
+    ODEs with or without a domain, choices, sequences and inner loops."""
+    leaf = st.one_of(st.builds(Assign, st.integers(0, 1), _affine(table)),
+                     st.builds(ProgTest, _affine(table)),
+                     st.builds(Ode, st.sampled_from(_systems(table)),
+                               st.none() | _affine(table)))
+    part = st.recursive(leaf, lambda kids: st.one_of(st.builds(Seq, kids, kids),
+                                                     st.builds(Choice, kids, kids),
+                                                     st.builds(Star, kids)),
+                        max_leaves=3)
+    return st.builds(Star, part) | st.builds(Seq, part, st.builds(Star, part))
+
+
+def _tampers(cert):
+    """Certificates that differ from ``cert`` in one field."""
+    one = Polynomial.one(cert.p.table)
+    out = [replace(cert, q=cert.q + one), replace(cert, p=cert.p + one),
+           replace(cert, cap=1), replace(cert, cap=2)]
+    chains = cert.chains
+    for i, rec in enumerate(chains):
+        out.append(replace(cert, chains=chains[:i] + chains[i + 1:]))
+        out.append(replace(cert, chains=chains[:i + 1] + chains[i:]))
+        if rec.cofactors:
+            other = (rec.cofactors[0] + one,) + rec.cofactors[1:]
+            out.append(replace(cert, chains=chains[:i] + (ChainRecord(rec.chain, other),)
+                               + chains[i + 1:]))
+        if i:
+            out.append(replace(cert, chains=chains[:i - 1] + (rec, chains[i - 1])
+                               + chains[i + 1:]))
+    out.append(replace(cert, chains=chains + (ChainRecord((one, one), (one,)),)))
+    return out
+
+
+class TestCertificateReplay:
+    """``cert-check`` replays a reduction with every loop membership taken
+    from the certificate's records instead of from a Groebner basis."""
+
+    XY = VarTable(["x", "y"])
+    # { x := x + y ++ y := x - 1 }* with post x keeps x, x + y, 2x - 1 and
+    # makes four records
+    LOOP = "{ x := x + y ++ y := x - 1 }*"
+
+    def loop_certificate(self):
+        return emitted_certificate(parse_program(self.LOOP, self.XY), P("x", self.XY))
+
+    def test_loop_certificate_replays(self):
+        cert = self.loop_certificate()
+        assert len(cert.chains) == 4
+        assert check_certificate(cert) and reference_check(cert)
+
+    def test_a_dropped_record_is_rejected(self):
+        cert = self.loop_certificate()
+        for i in range(len(cert.chains)):
+            assert not check_certificate(
+                replace(cert, chains=cert.chains[:i] + cert.chains[i + 1:])), i
+
+    def test_an_unused_record_is_rejected(self):
+        cert = self.loop_certificate()
+        x, y = P("x", self.XY), P("y", self.XY)
+        unused = ChainRecord((x, y, x + y), (Polynomial.one(self.XY),) * 2)
+        for i in range(len(cert.chains) + 1):
+            chains = cert.chains[:i] + (unused,) + cert.chains[i:]
+            assert not check_certificate(replace(cert, chains=chains)), i
+
+    def test_swapped_records_are_rejected(self):
+        cert = self.loop_certificate()
+        c = cert.chains
+        for i in range(1, len(c)):
+            assert not check_certificate(
+                replace(cert, chains=c[:i - 1] + (c[i], c[i - 1]) + c[i + 1:])), i
+
+    def test_a_record_with_another_prefix_is_rejected(self):
+        # (x + y, x, x + 2y) recombines like (x, x + y, x + 2y), but the
+        # loop has kept x before x + y
+        cert = self.loop_certificate()
+        rec = cert.chains[1]
+        assert [g.render() for g in rec.chain] == ["x", "x + y", "x + 2*y"]
+        permuted = ChainRecord((rec.chain[1], rec.chain[0], rec.chain[2]),
+                               (rec.cofactors[1], rec.cofactors[0]))
+        chains = cert.chains[:1] + (permuted,) + cert.chains[2:]
+        assert not check_certificate(replace(cert, chains=chains))
+
+    def test_a_record_duplicated_with_other_cofactors_is_rejected(self):
+        # adding the syzygy (x + y)*x - x*(x + y) keeps the recombination
+        cert = self.loop_certificate()
+        rec = cert.chains[1]
+        g0, g1 = rec.chain[0], rec.chain[1]
+        other = ChainRecord(rec.chain, (rec.cofactors[0] + g1, rec.cofactors[1] - g0))
+        assert other.cofactors[0] * g0 + other.cofactors[1] * g1 == rec.chain[2]
+        for chains in (cert.chains[:2] + (other,) + cert.chains[2:],
+                       cert.chains[:1] + (other,) + cert.chains[1:]):
+            assert not check_certificate(replace(cert, chains=chains))
+
+    def test_a_loop_that_closes_on_an_empty_round_replays(self):
+        # the inner loop gets [0] in the outer loop's third round and keeps
+        # nothing, so the outer loop closes having kept more generators (x, y)
+        # than any record holds before its last element
+        t = VarTable(["x", "y", "z"])
+        cert = emitted_certificate(parse_program("{ { z := z }* ; x := y ; y := 0 }*", t),
+                                   P("x", t))
+        assert max(len(rec.chain) for rec in cert.chains) - 1 < 2
+        assert check_certificate(cert) and reference_check(cert)
+
+    def test_the_replay_builds_no_groebner_basis_for_a_loop(self, monkeypatch):
+        from odecert import ideals
+        built = []
+
+        class Counting(ideals.BuchbergerState):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ideals, "BuchbergerState", Counting)
+        cert = self.loop_certificate()
+        assert built
+        built.clear()
+        assert check_certificate(cert)
+        assert not built
+
+    def test_missing_records_are_rejected_whatever_the_cap(self):
+        # past the longest record, a member of the ideal kept so far is a
+        # record the certificate lacks: { x := x + 1 }* keeps x, then x + 1,
+        # and x + 2 rejects; a certificate that ran on for its cap of 10^9
+        # rounds would never end
+        tx = VarTable(["x"])
+        for body in ("x := x", "x := x + 1", "x := -x", "x := x^2 + 1"):
+            prog = parse_program("{ %s }*" % body, tx)
+            cert = emitted_certificate(prog, P("x", tx))
+            assert check_certificate(cert)
+            for chains in ((), cert.chains[:-1]):
+                with pytest.raises(InputError, match="a loop member has no record"):
+                    reduce_box(prog, cert.p, cap=10 ** 9,
+                               witnesses={r.chain: r.cofactors for r in chains})
+                assert not check_certificate(replace(cert, chains=chains, cap=10 ** 9))
+
+    @settings(max_examples=50, deadline=None)
+    @given(prog=_nested_loop_programs(XY), p=_affine(XY), data=st.data())
+    def test_emitted_certificates_replay_and_tampers_agree(self, prog, p, data):
+        try:
+            cert = emitted_certificate(prog, p, cap=6)
+        except ResourceError:
+            return
+        assert check_certificate(cert)
+        assert reference_check(cert)
+        tampers = _tampers(cert)
+        picks = data.draw(st.lists(st.sampled_from(tampers), min_size=1, max_size=4))
+        for tampered in picks:
+            assert check_certificate(tampered) == reference_check(tampered)
 
 
 class TestOracleUnroll:
