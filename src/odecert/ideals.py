@@ -22,18 +22,35 @@ builds no cofactor.
 
 The engine computes on ``Polynomial``'s own integer form (numerators over
 one common denominator); the one ``Fraction`` it keeps is each row's
-scale.  A monic row is a ``Polynomial`` whose numerators are primitive
-over the denominator ``lc``, their leading one.  A reduction updates a
-copy of the numerator map in place, taking fraction-free steps and
-removing the content whenever the denominator grows; it picks the same
-reducer and monomial, and so reaches the same exact remainder and
-multipliers, as a reduction in ``Fraction`` would, and a denominator past
-the digit cap ends it with ``ResourceError``.  It returns its steps raw:
-a multiplier becomes a ``Polynomial`` only when a witness is built, so
-S-pairs that reduce to zero and reductions without a witness never build
-one.  S-polynomials, multipliers, cofactors and the recombination check
-are ``Polynomial`` operations, and each coefficient of the backward pass
-is summed over one denominator.
+scale.  A monic row is a map of numerators, primitive over the
+denominator ``lc``, their leading one.  A reduction updates a map of
+numerators in place, taking fraction-free steps and removing the content
+whenever the denominator grows; it picks the same reducer and monomial,
+and so reaches the same exact remainder and multipliers, as a reduction
+in ``Fraction`` would, and a denominator past the digit cap ends it with
+``ResourceError``.  It returns its steps raw: a multiplier is built only
+when a witness is, so S-pairs that reduce to zero and reductions without
+a witness never build one.  S-polynomials are built from two monic rows
+over the lcm of their denominators, and each coefficient of the backward
+pass is a map of numerators summed over one denominator.
+
+Inside the engine a monomial is one int (``_Codec``, one per variable
+count and order, built on first use).  Its fields, 31 bits and a guard
+bit each, hold first the order fields, which are the partial sums
+e1+...+en, ..., e1+e2, e1 under grevlex and the exponents under lex, and
+then, for grevlex, the exponents.  Integer comparison is the monomial
+order, so the leading term is ``max`` with no key and the S-pair heap is
+keyed by the packed lcm; a product of monomials is ``+``, a quotient is
+``-``, and divisibility is a subtraction and a guard-bit test.  Data is
+packed where it enters (generators, queried polynomials, the basis of
+``reduce_mod``) and unpacked where it leaves (remainders, reduced bases,
+cofactors).  No field may pass 2^31 - 1: packing checks every monomial,
+each reduction step and S-polynomial checks its multiplier against the
+row's fieldwise maximum, the backward pass checks every sum, and lcms
+are packed from exponent tuples; past the cap the computation ends with
+``ResourceError``, never with a wrapped field.  The recombination check
+of every witness stays on ``Polynomial`` arithmetic with exponent tuples,
+so it shares none of the engine's monomial arithmetic.
 
 ``stabilize`` is the one ascending-chain loop.  It grows the ideal of a
 list of generators: each round maps the generators the last round kept to
@@ -51,15 +68,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+from operator import mul
 import heapq
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
 from .polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
-                        mono_coprime, mono_div, mono_divides, mono_lcm,
-                        mono_mul, sum_of_products, within_digit_cap)
+                        check_term_products, mono_coprime, mono_lcm,
+                        sum_of_products, within_digit_cap)
 
 DEFAULT_STEP_BUDGET = 400_000
 DEFAULT_RANK_CAP = 20
@@ -110,109 +129,195 @@ class RankResult:
     chain: tuple[Polynomial, ...] = field(default=(), compare=False)
 
 
+# bits per packed field: 31 value bits and a guard bit above them
+_FIELD_BITS = 32
+_FIELD_MAX = (1 << (_FIELD_BITS - 1)) - 1
+_OVERFLOW = f"a monomial's degree or exponent exceeds the packed field cap {_FIELD_MAX}"
+
+
+class _Codec:
+    """Monomials of one variable count and order packed into ints (see the
+    module docstring).  Packing is linear, x^e to sum_i e_i * units[i];
+    its largest field is the total degree under grevlex and the largest
+    exponent under lex."""
+    __slots__ = ("units", "shifts", "fields", "guard", "weight")
+
+    def __init__(self, n: int, order_name: str):
+        fields = [(i,) for i in reversed(range(n))]  # lowest first; e1 highest
+        if order_name == "grevlex":
+            fields += [tuple(range(k + 1)) for k in range(n)]
+        elif order_name != "lex":
+            raise InputError(f"no packed monomials for the order {order_name!r}")
+        self.units = tuple(sum(1 << _FIELD_BITS * f for f, vs in enumerate(fields) if i in vs)
+                           for i in range(n))
+        self.shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        self.fields = tuple(range(0, _FIELD_BITS * len(fields), _FIELD_BITS))
+        self.guard = sum(1 << s + _FIELD_BITS - 1 for s in self.fields)
+        self.weight = sum if order_name == "grevlex" else max
+
+    def pack(self, m: tuple) -> int:
+        if self.weight(m) > _FIELD_MAX:
+            raise ResourceError(_OVERFLOW)
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, k: int) -> tuple:
+        return tuple([(k >> s) & _FIELD_MAX for s in self.shifts])
+
+    def pack_map(self, nums: dict) -> dict:
+        pack = self.pack
+        return {pack(m): v for m, v in nums.items()}
+
+    def unpack_map(self, nums: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(m): v for m, v in nums.items()}
+
+    def top(self, keys) -> int:
+        """The fieldwise maximum of packed monomials, packed."""
+        return sum(max((k >> s) & _FIELD_MAX for k in keys) << s for s in self.fields)
+
+
+@cache
+def _codec(n: int, order_name: str) -> _Codec:
+    return _Codec(n, order_name)
+
+
 class _Row:
     """A basis row (or a reducer of ``reduce_mod``) and how it was made.
 
-    ``poly`` is the monic row: primitive integer numerators over the
-    denominator ``lc``, which is also their positive leading coefficient,
-    at ``lm``.  ``scale`` is the factor that takes the polynomial the row
-    was made from to ``poly``.  ``origin`` is ``("gen", j)`` for a reduced
-    generator or ``("pair", i, mi, j, mj)`` for the S-polynomial
+    ``nums`` maps packed monomials to the row's primitive integer
+    numerators, whose leading one, at ``lm``, is the positive ``lc``: the
+    monic row is nums / lc.  ``top`` is the fieldwise maximum of its
+    monomials, so x^m times the row stays within the fields exactly when
+    m + top sets no guard bit.  ``scale`` is the factor that takes the
+    polynomial the row was made from (numerators over a denominator) to
+    the monic row.  ``origin`` is ``("gen", j)`` for a reduced generator
+    or ``("pair", i, mi, j, mj)`` for the S-polynomial
     x^mi*rows[i] - x^mj*rows[j]; ``steps`` are the steps of its reduction,
     as ``_reduce_terms`` returns them.  Those records are all a witness
     reads.
     """
-    __slots__ = ("poly", "lm", "lc", "origin", "steps", "scale")
+    __slots__ = ("nums", "lm", "lc", "top", "origin", "steps", "scale")
 
-    def __init__(self, p: Polynomial, order: MonomialOrder, origin=None,
+    def __init__(self, nums: dict, den: int, codec: _Codec, origin=None,
                  steps: Optional[dict[int, list]] = None):
-        self.lm = max(p.nums, key=order.key)
-        self.scale = Fraction(p.den, p.nums[self.lm])
-        self.poly = p.scale(self.scale)
-        self.lc = self.poly.den
+        lm = max(nums)
+        lead = nums[lm]
+        g = gcd(*nums.values()) * (-1 if lead < 0 else 1)
+        self.nums = nums if g == 1 else {m: v // g for m, v in nums.items()}
+        self.lm = lm
+        self.lc = lead // g
+        self.top = codec.top(nums)
+        self.scale = Fraction(den, lead)
         self.origin = origin
         self.steps = steps
 
 
-def _multiplier(table: VarTable, parts: list[tuple]) -> Polynomial:
-    """sum of num/den * x^m over the (m, num, den) steps of one reducer."""
+def _reduce_terms(work: dict, den: int, rows: Sequence[_Row], guard: int,
+                  budget: StepBudget) -> tuple[dict, int, dict[int, list]]:
+    """Fully reduce work / den against ``rows``, fraction-free.
+
+    ``work`` maps packed monomials to integer numerators and is updated in
+    place.  Each step takes its leading term wc*x^w and the first row R / a
+    (R the row's numerators, a > 0 its leading one) whose leading monomial
+    divides x^w, with x^m = x^w / lm(R) and g = gcd(wc, a), and sets
+    work <- (a/g)*work - (wc/g)*x^m*R,  den <- (a/g)*den.  That subtracts
+    the same multiple of the monic row as a rational step would, so
+    remainder and multipliers are the same exact rationals.  Whenever the
+    denominator grows, the content common to it and to every coefficient
+    of the working map and of the remainder is divided out; a denominator
+    past the digit cap raises ResourceError, so coefficient growth ends a
+    reduction instead of running on unbounded, and so does a product past
+    the packed fields.
+
+    Returns (remainder, its denominator, steps): steps[i] lists the
+    (m, num, den) steps that used rows[i], each a multiplier num/den * x^m
+    as an integer numerator over that step's denominator, and the input
+    equals remainder + sum_i multiplier_i * rows[i].  Multipliers are
+    built only where a witness needs them.
+    """
+    rem: dict = {}
+    steps: dict[int, list] = {}
+    while work:
+        wm = max(work)
+        wc = work[wm]
+        for ridx, row in enumerate(rows):
+            m = wm - row.lm
+            if m & guard:
+                continue
+            if (m + row.top) & guard:
+                raise ResourceError(_OVERFLOW)
+            a = row.lc
+            g = gcd(wc, a)
+            f, c = a // g, wc // g
+            if f != 1:
+                work = {mm: v * f for mm, v in work.items()}
+                rem = {mm: v * f for mm, v in rem.items()}
+                den *= f
+            for m0, c0 in row.nums.items():
+                mm = m0 + m
+                s = work.get(mm, 0) - c * c0
+                if s:
+                    work[mm] = s
+                else:
+                    del work[mm]
+            steps.setdefault(ridx, []).append((m, c * a, den))
+            budget.spend()
+            if f != 1:
+                h = gcd(den, *work.values(), *rem.values())
+                if h != 1:
+                    work = {mm: v // h for mm, v in work.items()}
+                    rem = {mm: v // h for mm, v in rem.items()}
+                    den //= h
+                within_digit_cap(den)
+            break
+        else:
+            rem[wm] = wc
+            del work[wm]
+    return rem, den, steps
+
+
+def _lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            return {m: v // g for m, v in nums.items()}, den // g
+    return nums, den
+
+
+def _multiplier(parts: list[tuple]) -> tuple[dict, int]:
+    """sum of num/den * x^m over the (m, num, den) steps of one reducer, as
+    integer numerators over one denominator."""
     den = lcm(*(d for _, _, d in parts))
     out: dict = {}
     for m, num, d in parts:
         out[m] = out.get(m, 0) + num * (den // d)
-    return Polynomial.from_ints(table, {m: v for m, v in out.items() if v}, den)
+    return {m: v for m, v in out.items() if v}, den
 
 
-def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
-                  budget: StepBudget) -> tuple[Polynomial, dict[int, list]]:
-    """Fully reduce p against ``rows``, fraction-free.
-
-    The working map starts as p's integer numerators over p's denominator
-    and is updated in place.  Each step takes its leading term wc*x^w and
-    the first row R / a (R the row's numerators, a > 0 its leading one)
-    whose leading monomial divides x^w, with x^m = x^w / lm(R) and
-    g = gcd(wc, a), and sets  work <- (a/g)*work - (wc/g)*x^m*R,
-    den <- (a/g)*den.  That subtracts the same multiple of the monic row as
-    a rational step would, so remainder and multipliers are the same exact
-    rationals.  Whenever the denominator grows, the content common to it
-    and to every coefficient of the working map and of the remainder is
-    divided out; a denominator past the digit cap raises ResourceError, so
-    coefficient growth ends a reduction instead of running on unbounded.
-
-    Returns (remainder, steps): steps[i] lists the (m, num, den) steps that
-    used rows[i], each a multiplier num/den * x^m as an integer numerator
-    over that step's denominator, and p equals
-    remainder + sum_i _multiplier(steps[i]) * rows[i].poly.  Multipliers are
-    built only where a witness needs them.
-    """
-    key = order.key
-    key_cache: dict = {}
-
-    def mono_key(m):
-        k = key_cache.get(m)
-        if k is None:
-            k = key(m)
-            key_cache[m] = k
-        return k
-
-    work = dict(p.nums)
-    den = p.den
-    rem: dict = {}
-    steps: dict[int, list] = {}
-    while work:
-        wm = max(work, key=mono_key)
-        wc = work[wm]
-        for ridx, row in enumerate(rows):
-            if mono_divides(row.lm, wm):
-                a = row.lc
-                g = gcd(wc, a)
-                f, c = a // g, wc // g
-                if f != 1:
-                    work = {mm: v * f for mm, v in work.items()}
-                    rem = {mm: v * f for mm, v in rem.items()}
-                    den *= f
-                m = mono_div(wm, row.lm)
-                for m0, c0 in row.poly.nums.items():
-                    mm = mono_mul(m0, m)
-                    s = work.get(mm, 0) - c * c0
-                    if s:
-                        work[mm] = s
-                    else:
-                        del work[mm]
-                steps.setdefault(ridx, []).append((m, c * a, den))
-                budget.spend()
-                if f != 1:
-                    h = gcd(den, *work.values(), *rem.values())
-                    if h != 1:
-                        work = {mm: v // h for mm, v in work.items()}
-                        rem = {mm: v // h for mm, v in rem.items()}
-                        den //= h
-                    within_digit_cap(den)
-                break
-        else:
-            rem[wm] = wc
-            del work[wm]
-    return Polynomial.from_ints(p.table, rem, den), steps
+def _ip_sum(pairs, guard: int) -> tuple[dict, int]:
+    """sum of a * b over pairs of (numerators, denominator) with packed
+    monomials, over one denominator, in lowest terms.  The term cap is
+    ``sum_of_products``'s; a product past the packed fields raises
+    ResourceError (its field still holds the sum, with the guard bit set)."""
+    pairs = [(a, b) for a, b in pairs if a[0] and b[0]]
+    den = lcm(*(a[1] * b[1] for a, b in pairs))
+    res: dict = {}
+    get = res.get
+    products = 0
+    for (an, ad), (bn, bd) in pairs:
+        products += len(an) * len(bn)
+        check_term_products(products)
+        f = den // (ad * bd)
+        bi = bn.items()
+        for m1, c1 in an.items():
+            c1 *= f
+            for m2, c2 in bi:
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+    nums = {m: v for m, v in res.items() if v}
+    if any(m & guard for m in nums):
+        raise ResourceError(_OVERFLOW)
+    return _lowest_terms(nums, den)
 
 
 class BuchbergerState:
@@ -231,82 +336,90 @@ class BuchbergerState:
                  budget: Optional[StepBudget] = None):
         self.table = table
         self.order = order
+        self.codec = _codec(len(table), order.name)
         self.budget = budget if budget is not None else StepBudget()
         self.gens: list[Polynomial] = []
         self.rows: list[_Row] = []
-        self._pairs: list[tuple] = []  # heap of (lcm_key, i, j)
+        self._lms: list[tuple] = []  # the rows' leading monomials, unpacked
+        self._pairs: list[tuple] = []  # heap of (packed lcm, i, j)
         self._pending: set[tuple[int, int]] = set()  # the (i, j) in the heap
 
     # -- internals ---------------------------------------------------------
 
-    def _reduce(self, q: Polynomial) -> tuple[Polynomial, dict[int, list]]:
-        """Full reduction modulo the current rows: (remainder, steps)."""
-        return _reduce_terms(q, self.rows, self.order, self.budget)
+    def _reduce(self, q: Polynomial) -> tuple[dict, int, dict[int, list]]:
+        """Full reduction modulo the current rows: (packed remainder, its
+        denominator, steps)."""
+        return _reduce_terms(self.codec.pack_map(q.nums), q.den, self.rows,
+                             self.codec.guard, self.budget)
+
+    def _poly(self, nums: dict, den: int) -> Polynomial:
+        return Polynomial.from_ints(self.table, self.codec.unpack_map(nums), den)
 
     def _push_pairs(self, new_index: int) -> None:
-        order = self.order
-        lm_new = self.rows[new_index].lm
+        pack, lms = self.codec.pack, self._lms
+        lm_new = lms[new_index]
         for i in range(new_index):
-            lm_i = self.rows[i].lm
-            if mono_coprime(lm_i, lm_new):
+            if mono_coprime(lms[i], lm_new):
                 continue  # product criterion
-            key = order.key(mono_lcm(lm_i, lm_new))
-            heapq.heappush(self._pairs, (key, i, new_index))
+            heapq.heappush(self._pairs, (pack(mono_lcm(lms[i], lm_new)), i, new_index))
             self._pending.add((i, new_index))
 
-    def _append_row(self, rem: Polynomial, origin: tuple,
-                    steps: dict[int, list]) -> None:
-        row = _Row(rem, self.order, origin, steps)
-        self.rows.append(row)
-        if not any(row.lm):
-            self._pairs.clear()  # the unit ideal: no pair can add a row
-            self._pending.clear()
-        else:
-            self._push_pairs(len(self.rows) - 1)
-
-    def _add_reduced(self, g: Polynomial, rem: Polynomial,
+    def _add_reduced(self, g: Polynomial, rem: dict, den: int,
                      steps: dict[int, list]) -> None:
         """Add generator g, whose reduction modulo the current rows is given."""
         self.gens.append(g)
         if rem:
-            self._append_row(rem, ("gen", len(self.gens) - 1), steps)
+            row = _Row(rem, den, self.codec, ("gen", len(self.gens) - 1), steps)
+            self._append_row(row)
+
+    def _append_row(self, row: _Row) -> None:
+        self.rows.append(row)
+        self._lms.append(self.codec.unpack(row.lm))
+        if not row.lm:
+            self._pairs.clear()  # the unit ideal: no pair can add a row
+            self._pending.clear()
+        else:
+            self._push_pairs(len(self.rows) - 1)
 
     def _witness(self, steps: dict[int, list]) -> list[Polynomial]:
         """Cofactors w.r.t. the generators of sum_k multiplier_k * rows[k]
         for the multipliers of a reduction's steps, in one backward pass
         over the derivation records (reverse accumulation).
 
-        Each row used gets one coefficient; the reducers start with their
-        multipliers.  A row with coefficient a and scale s is
-        s * (its origin - sum_k multiplier_k * rows[k]) over the rows k that
-        reduced it, so it sends a * -s*multiplier_k to each such row k, and
-        a * s*x^mi and a * -s*x^mj to the rows i and j of its S-pair, or
-        gives a*s to its generator as the cofactor.  A row is made after
-        every row it comes from, so by decreasing index each coefficient is
-        summed once, after all it receives.
+        Each row used gets one coefficient a; the reducers start with their
+        multipliers.  A row with scale s is s * (its origin - sum_k
+        multiplier_k * rows[k]) over the rows k that reduced it, so with
+        b = a*s it sends -b * multiplier_k to each such row k, and b * x^mi
+        and -b * x^mj to the rows i and j of its S-pair, or gives b to its
+        generator as the cofactor.  A row is made after every row it comes
+        from, so by decreasing index each coefficient is summed once, after
+        all it receives.  Coefficients are integer numerators over one
+        denominator with packed monomials; only the cofactors are unpacked.
         """
-        rows, table = self.rows, self.table
-        one = Polynomial.one(table)
-        sent = {k: [(_multiplier(table, parts), one)] for k, parts in steps.items()}
-        cofs = [Polynomial.zero(table)] * len(self.gens)
+        rows, guard = self.rows, self.codec.guard
+        one = ({0: 1}, 1)
+        sent = {k: [(_multiplier(parts), one)] for k, parts in steps.items()}
+        cofs = [Polynomial.zero(self.table)] * len(self.gens)
         for r in range(max(sent, default=-1), -1, -1):
             incoming = sent.pop(r, None)
             if incoming is None:
                 continue
-            a = sum_of_products(table, incoming)
-            if not a:
+            nums, den = _ip_sum(incoming, guard)
+            if not nums:
                 continue
             row = rows[r]
-            s = row.scale
+            p, q = row.scale.numerator, row.scale.denominator
+            b = ({m: v * p for m, v in nums.items()}, den * q)
+            minus_b = ({m: -v for m, v in b[0].items()}, b[1])
             for k, parts in row.steps.items():
-                sent.setdefault(k, []).append((a, _multiplier(table, parts).scale(-s)))
+                sent.setdefault(k, []).append((minus_b, _multiplier(parts)))
             if row.origin[0] == "gen":
-                cofs[row.origin[1]] = a.scale(s)
+                cofs[row.origin[1]] = self._poly(*b)
             else:
                 # the rows are monic: the S-polynomial is x^mi*rows[i] - x^mj*rows[j]
                 _, i, mi, j, mj = row.origin
-                sent.setdefault(i, []).append((a, one.mul_term(s, mi)))
-                sent.setdefault(j, []).append((a, one.mul_term(-s, mj)))
+                sent.setdefault(i, []).append((b, ({mi: 1}, 1)))
+                sent.setdefault(j, []).append((minus_b, ({mj: 1}, 1)))
         return cofs
 
     # -- public ------------------------------------------------------------
@@ -323,47 +436,61 @@ class BuchbergerState:
         row k has lm_k | lcm(lm_i, lm_j) and neither (i, k) nor (j, k) is
         still pending; both have then been treated (or were never needed),
         so S(i, j) has a standard representation through them.  A skip
-        rests only on pairs popped before it, never on a later one.
+        rests only on pairs popped before it, never on a later one.  The
+        S-polynomial x^mi*R_i/a_i - x^mj*R_j/a_j is built over the
+        denominator lcm(a_i, a_j), in lowest terms.
         """
-        rows, order, pending = self.rows, self.order, self._pending
+        rows, pending, guard = self.rows, self._pending, self.codec.guard
         while self._pairs:
-            _, i, j = heapq.heappop(self._pairs)
+            lcm_ij, i, j = heapq.heappop(self._pairs)
             pending.discard((i, j))
-            fi, fj = rows[i], rows[j]
-            lcm_ij = mono_lcm(fi.lm, fj.lm)
-            if any(k != i and k != j and mono_divides(rk.lm, lcm_ij)
+            if any(k != i and k != j and not (lcm_ij - rk.lm) & guard
                    and (min(i, k), max(i, k)) not in pending
                    and (min(j, k), max(j, k)) not in pending
                    for k, rk in enumerate(rows)):
                 continue
-            mi, mj = mono_div(lcm_ij, fi.lm), mono_div(lcm_ij, fj.lm)
-            s = fi.poly.mul_term(1, mi) - fj.poly.mul_term(1, mj)
+            fi, fj = rows[i], rows[j]
+            mi, mj = lcm_ij - fi.lm, lcm_ij - fj.lm
+            if (mi + fi.top) & guard or (mj + fj.top) & guard:
+                raise ResourceError(_OVERFLOW)
+            den = lcm(fi.lc, fj.lc)
+            ci, cj = den // fi.lc, den // fj.lc
+            s = {m0 + mi: v * ci for m0, v in fi.nums.items()}
+            for m0, v in fj.nums.items():
+                mm = m0 + mj
+                t = s.get(mm, 0) - v * cj
+                if t:
+                    s[mm] = t
+                else:
+                    del s[mm]
             self.budget.spend()
-            rem, steps = _reduce_terms(s, rows, order, self.budget)
+            rem, den, steps = _reduce_terms(*_lowest_terms(s, den), rows, guard, self.budget)
             if rem:
-                self._append_row(rem, ("pair", i, mi, j, mj), steps)
+                self._append_row(_Row(rem, den, self.codec, ("pair", i, mi, j, mj), steps))
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the current basis (no witness)."""
-        return self._reduce(p)[0]
+        return self._poly(*self._reduce(p)[:2])
 
     def normal_form_with_witness(self, p: Polynomial) -> tuple[Polynomial, list[Polynomial]]:
         """Reduce p; returns (remainder, cofactors w.r.t. the generators) with
         p == remainder + sum cofactors[j]*generators[j]."""
-        rem, steps = self._reduce(p)
-        return rem, self._witness(steps)
+        rem, den, steps = self._reduce(p)
+        return self._poly(rem, den), self._witness(steps)
 
     def reduced_basis(self) -> GroebnerBasis:
         """Inter-reduced, monic, deterministic view of the current basis."""
-        order = self.order
+        guard = self.codec.guard
         kept: list[_Row] = []
-        for row in sorted(self.rows, key=lambda r: order.key(r.lm)):
-            if not any(mono_divides(k.lm, row.lm) for k in kept):
+        for row in sorted(self.rows, key=lambda r: r.lm):
+            if all((row.lm - k.lm) & guard for k in kept):
                 kept.append(row)
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
-            kept[idx] = _Row(_reduce_terms(row.poly, others, order, self.budget)[0], order)
-        return GroebnerBasis(basis=tuple(r.poly for r in kept), order=order)
+            rem, den, _ = _reduce_terms(dict(row.nums), row.lc, others, guard, self.budget)
+            kept[idx] = _Row(rem, den, self.codec)
+        return GroebnerBasis(basis=tuple(self._poly(r.nums, r.lc) for r in kept),
+                             order=self.order)
 
 
 def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
@@ -398,7 +525,7 @@ def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
     for g in gens:
         state.add_generator(g)
     state.complete()
-    rem, steps = state._reduce(p)
+    rem, _, steps = state._reduce(p)
     if rem:
         return None
     cofs = state._witness(steps)
@@ -420,8 +547,10 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
     tracking.  With a genuine Groebner basis the result is canonical, so a
     zero remainder decides ideal membership."""
     budget = budget if budget is not None else StepBudget(what="reduction")
-    rows = [_Row(b, order) for b in basis if b]
-    return _reduce_terms(p, rows, order, budget)[0]
+    codec = _codec(len(p.table), order.name)
+    rows = [_Row(codec.pack_map(b.nums), b.den, codec) for b in basis if b]
+    rem, den, _ = _reduce_terms(codec.pack_map(p.nums), p.den, rows, codec.guard, budget)
+    return Polynomial.from_ints(p.table, codec.unpack_map(rem), den)
 
 
 def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget) -> Callable:
@@ -432,9 +561,9 @@ def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget) 
     state = BuchbergerState(table, order, budget)
 
     def member(kept: list[Polynomial], h: Polynomial) -> Optional[list[Polynomial]]:
-        rem, steps = state._reduce(h)
+        rem, den, steps = state._reduce(h)
         if rem:
-            state._add_reduced(h, rem, steps)
+            state._add_reduced(h, rem, den, steps)
             state.complete()
             return None
         cofs = state._witness(steps)

@@ -666,10 +666,7 @@ def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
                                StepBudget(what="rank replay"))
     if smaller is not None:
         return False  # a smaller rank exists: recorded minimality is wrong
-    acc = Polynomial.zero(cert.p.table)
-    for g, q in zip(rr.cofactors, chain):
-        acc = acc + g * q
-    return acc == lie(chain[-1])
+    return sum_of_products(cert.p.table, zip(rr.cofactors, chain)) == lie(chain[-1])
 
 
 def _check_sai(cert: SaiCert, config: DischargeConfig) -> bool:

@@ -8,7 +8,7 @@ Exponent vectors ("monomials") are plain tuples of non-negative ints whose
 length is the ambient variable count of the owning :class:`VarTable`.
 Ring operations, derivatives and substitution run in integers, with one gcd
 pass per result; the Groebner engine in ``ideals`` reduces the numerator
-maps directly.  A ``Fraction`` is built only where a caller asks for one:
+maps directly, with each monomial packed into one int.  A ``Fraction`` is built only where a caller asks for one:
 ``terms``, ``leading``, ``constant_value`` and ``evaluate``; rendering
 reads each numerator over ``den``, in lowest terms by one gcd.
 
@@ -588,6 +588,13 @@ class Polynomial:
         return f"<poly {self.render()}>"
 
 
+def check_term_products(products: int) -> None:
+    """ResourceError when ``products`` term pairs pass ``MAX_TERM_PRODUCTS``."""
+    if products > MAX_TERM_PRODUCTS:
+        raise ResourceError(f"a product of {products} term pairs exceeds "
+                            f"the term cap {MAX_TERM_PRODUCTS}")
+
+
 def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomial]]
                     ) -> Polynomial:
     """sum of a * b over the (a, b) pairs: every product is added into one
@@ -605,9 +612,7 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomia
     products = 0
     for a, b in pairs:
         products += len(a.nums) * len(b.nums)
-        if products > MAX_TERM_PRODUCTS:
-            raise ResourceError(f"a product of {products} term pairs exceeds "
-                                f"the term cap {MAX_TERM_PRODUCTS}")
+        check_term_products(products)
         f = den // (a.den * b.den)
         bn = b.nums.items()
         for m1, c1 in a.nums.items():

@@ -10,9 +10,10 @@ from odecert import (LEX, OdeSystem, Polynomial, ResourceError, VarTable,
 from odecert import ideals
 from odecert.ideals import BuchbergerState
 from odecert.parser import parse_term
-from odecert.polyarith import (GREVLEX, mono_div, mono_divides, mono_lcm,
+from odecert.polyarith import (GREVLEX, mono_div, mono_divides, mono_lcm, mono_mul,
                                sum_of_products)
 
+import tuple_engine
 from conftest import random_nonzero_polynomial, random_polynomial, random_system
 
 
@@ -297,8 +298,9 @@ def _wrong_scale(monkeypatch):
 def _wrong_multiplier(monkeypatch):
     multiplier = ideals._multiplier
 
-    def doubled(table, parts):
-        return multiplier(table, parts).scale(2)
+    def doubled(parts):
+        nums, den = multiplier(parts)
+        return {m: 2 * v for m, v in nums.items()}, den
 
     monkeypatch.setattr(ideals, "_multiplier", doubled)
 
@@ -330,7 +332,7 @@ class TestMultipliersOnDemand:
         built = []
         multiplier = ideals._multiplier
         monkeypatch.setattr(ideals, "_multiplier",
-                            lambda table, parts: built.append(1) or multiplier(table, parts))
+                            lambda parts: built.append(1) or multiplier(parts))
         gens = [P("x^2*y - 1", xy), P("x*y^2 - x", xy)]
         state = BuchbergerState(xy)
         for g in gens:
@@ -338,7 +340,7 @@ class TestMultipliersOnDemand:
         state.complete()
         p = P("x^3*y^2 + x*y", xy)
         rem = state.normal_form(p)
-        basis = [r.poly for r in state.rows]
+        basis = [state._poly(r.nums, r.lc) for r in state.rows]
         assert reduce_mod(p, basis) == rem
         assert built == []
         rem2, cofs = state.normal_form_with_witness(p)
@@ -351,11 +353,12 @@ def _forward_witness(state, steps):
     {generator index: cofactor} map is built from the maps of the rows it
     was made from, first row first, and the reducers of ``steps`` are
     combined from those maps."""
-    table = state.table
+    table, unpack = state.table, state.codec.unpack
     one, zero = Polynomial.one(table), Polynomial.zero(table)
 
     def multiplier(parts):
-        return sum((one.mul_term(Fraction(num, den), m) for m, num, den in parts), zero)
+        return sum((one.mul_term(Fraction(num, den), unpack(m)) for m, num, den in parts),
+                   zero)
 
     def combine(parts):
         by_gen = {}
@@ -374,7 +377,8 @@ def _forward_witness(state, steps):
             parts = [(Polynomial.constant(table, s), {row.origin[1]: one})]
         else:
             _, i, mi, j, mj = row.origin
-            parts = [(one.mul_term(s, mi), row_cofs[i]), (one.mul_term(-s, mj), row_cofs[j])]
+            parts = [(one.mul_term(s, unpack(mi)), row_cofs[i]),
+                     (one.mul_term(-s, unpack(mj)), row_cofs[j])]
         row_cofs.append(combine(parts + reducers(row.steps, s)))
     cofs = combine(reducers(steps, -1))
     return [cofs.get(j, zero) for j in range(len(state.gens))]
@@ -611,3 +615,157 @@ class TestDifferentialRadical:
             assert 1 <= rr.n <= 20
             count += 1
         assert count == 10
+
+
+_FIELD_MAX = ideals._FIELD_MAX
+
+
+@st.composite
+def _monomials(draw, order, n, below=None):
+    """An exponent tuple of n variables that packs under ``order``: the
+    total degree is at most the field cap under grevlex, every exponent is
+    under lex.  With ``below``, each exponent is drawn up to below's."""
+    exps, left = [], _FIELD_MAX
+    for i in range(n):
+        hi = _FIELD_MAX if below is None else below[i]
+        e = draw(st.one_of(st.integers(0, min(3, hi)), st.integers(0, hi), st.just(hi)))
+        if order is GREVLEX:
+            e = min(e, left)
+            left -= e
+        exps.append(e)
+    return tuple(exps)
+
+
+def _weight(order, m):
+    return sum(m) if order is GREVLEX else max(m)
+
+
+class TestPackedMonomials:
+    """The packed codec of ``ideals`` agrees with the tuple monomials of
+    ``polyarith``: order, product, quotient and divisibility."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(order=st.sampled_from([GREVLEX, LEX]), n=st.integers(1, 5), data=st.data())
+    def test_codec_agrees_with_tuples(self, order, n, data):
+        codec = ideals._codec(n, order.name)
+        a = data.draw(_monomials(order, n))
+        b = data.draw(_monomials(order, n))
+        if data.draw(st.booleans()):
+            a = data.draw(_monomials(order, n, below=b))
+        pa, pb = codec.pack(a), codec.pack(b)
+        assert codec.unpack(pa) == a and codec.unpack(pb) == b
+        assert (pa < pb) == (order.key(a) < order.key(b))
+        assert (pa == pb) == (a == b)
+        assert (not (pb - pa) & codec.guard) == mono_divides(a, b)
+        if mono_divides(a, b):
+            assert pb - pa == codec.pack(mono_div(b, a))
+        product = mono_mul(a, b)
+        overflow = _weight(order, product) > _FIELD_MAX
+        assert bool((pa + pb) & codec.guard) == overflow
+        if overflow:
+            with pytest.raises(ResourceError):
+                codec.pack(product)
+        else:
+            assert pa + pb == codec.pack(product)
+            assert codec.unpack(pa + pb) == product
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX])
+    def test_pack_past_the_field_cap_raises(self, order):
+        codec = ideals._codec(3, order.name)
+        assert codec.unpack(codec.pack((0, _FIELD_MAX, 0))) == (0, _FIELD_MAX, 0)
+        with pytest.raises(ResourceError):
+            codec.pack((0, _FIELD_MAX + 1, 0))
+        table = VarTable(["x", "y", "z"])
+        with pytest.raises(ResourceError):
+            groebner([Polynomial(table, {(0, _FIELD_MAX + 1, 0): 1})], order=order)
+
+    def test_witness_sum_past_the_field_cap_raises(self):
+        # the backward pass sums products of packed maps: y^(2^30) * y^(2^30 - 1)
+        # reaches the cap, y^(2^30) * y^(2^30) passes it
+        codec = ideals._codec(2, "lex")
+        y, half = codec.pack((0, 1)), codec.pack((0, 2**30))
+        assert (ideals._ip_sum([(({half: 1}, 1), ({half - y: 3}, 2))], codec.guard)
+                == ({codec.pack((0, _FIELD_MAX)): 3}, 2))
+        with pytest.raises(ResourceError):
+            ideals._ip_sum([(({half: 1}, 1), ({half: 3}, 2))], codec.guard)
+
+    @pytest.mark.parametrize("k, raises", [(2**30 - 1, False), (2**30, True)])
+    def test_lex_reduction_past_the_field_cap_raises(self, xy, k, raises):
+        # x^2 = x*(x - y^k) + y^k*(x - y^k) + y^(2k): the last step's product
+        # reaches exponent 2k, one past the cap when k = 2^30
+        basis = [Polynomial(xy, {(1, 0): 1, (0, k): -1})]
+        x2 = Polynomial(xy, {(2, 0): 1})
+        if raises:
+            with pytest.raises(ResourceError):
+                reduce_mod(x2, basis, order=LEX)
+        else:
+            rem = reduce_mod(x2, basis, order=LEX)
+            assert rem == Polynomial(xy, {(0, 2 * k): 1}) == tuple_engine.reduce_mod(
+                x2, basis, order=LEX)
+
+    @pytest.mark.parametrize("k, raises", [(2**30 - 1, False), (2**30, True)])
+    def test_s_polynomial_past_the_field_cap_raises(self, xy, k, raises):
+        # S(x*y^k, x - y^k) = y^(2k) under lex: its product y^k*(x - y^k)
+        # passes the cap when k = 2^30
+        gens = [Polynomial(xy, {(1, k): 1}), Polynomial(xy, {(1, 0): 1, (0, k): -1})]
+        if raises:
+            with pytest.raises(ResourceError):
+                groebner(gens, order=LEX)
+        else:
+            assert (groebner(gens, order=LEX).basis
+                    == tuple_engine.groebner(gens, order=LEX).basis
+                    == (Polynomial(xy, {(0, 2 * k): 1}), gens[1]))
+
+    @pytest.mark.parametrize("k, raises", [(2**30 - 1, False), (2**30, True)])
+    def test_grevlex_lcm_past_the_field_cap_raises(self, xy, k, raises):
+        # lcm(x^k*y, x*y^k) = x^k*y^k has total degree 2k
+        gens = [Polynomial(xy, {(k, 1): 1}), Polynomial(xy, {(1, k): 1})]
+        if raises:
+            with pytest.raises(ResourceError):
+                groebner(gens)
+        else:
+            assert groebner(gens).basis == tuple_engine.groebner(gens).basis
+
+
+def _outcome(f, *args, **kwargs):
+    """f's result, or the type and message of the error it raised."""
+    try:
+        return f(*args, **kwargs)
+    except (ResourceError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstTupleEngine:
+    """The packed engine gives exactly the results of the tuple engine it
+    replaced (``tuple_engine``, kept as a reference): bases, remainders,
+    cofactors and ranks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32), nvars=st.integers(1, 3),
+           order=st.sampled_from([GREVLEX, LEX]))
+    def test_identical_results(self, seed, nvars, order):
+        rng = random.Random(seed)
+        table = VarTable(["x", "y", "z"][:nvars])
+        deg = 3 if nvars < 3 else 2
+        gens = [random_nonzero_polynomial(rng, table, deg, 3)
+                for _ in range(rng.randint(1, 3))]
+        member = sum_of_products(table, ((random_polynomial(rng, table, 2, 2), g)
+                                         for g in gens))
+        other = random_nonzero_polynomial(rng, table, deg, 4)
+        assert (_outcome(groebner, gens, order=order)
+                == _outcome(tuple_engine.groebner, gens, order=order))
+        for p in (member, other):
+            assert (_outcome(member_with_witness, p, gens, order=order)
+                    == _outcome(tuple_engine.member_with_witness, p, gens, order=order))
+        states = [BuchbergerState(table, order), tuple_engine.BuchbergerState(table, order)]
+        for state in states:
+            for g in gens:
+                state.add_generator(g)
+            state.complete()
+        for p in (member, other):
+            packed, tuples = (state.normal_form_with_witness(p) for state in states)
+            assert packed == tuples
+        sysr = random_system(rng, table, 2)
+        for p in (gens[0], other):
+            assert (_outcome(rank, p, sysr, cap=6, order=order)
+                    == _outcome(tuple_engine.rank, p, sysr, cap=6, order=order))
