@@ -23,8 +23,7 @@ from .invariant import (Certificate, ChainRecord, DarbouxCert,
                         discharge, dri_companion, find_darboux_cofactor,
                         find_vectorial_darboux, sai_side_conditions)
 from .hpreduce import (Assign, Choice, HybridProgram, Ode, ReductionTrace,
-                       Seq, Star, Test, oracle_unroll, reduce_box,
-                       render_program)
+                       Seq, Star, Test, reduce_box, render_program)
 from .smtlib import SolverConfig, emit_smtlib, run_solver
 from .parser import parse_formula, parse_ode, parse_program, parse_term
 from .problemfile import ProblemFile, parse_problem

@@ -21,6 +21,7 @@ import sys
 import time
 import traceback
 from contextlib import redirect_stdout
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -104,6 +105,55 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="directory for .smt2 files (default: stdout)")
     add("cert-check", "re-verify a certificate JSON", cert_input=True)
     return top
+
+
+@functools.cache
+def _command_defaults() -> dict[str, dict]:
+    """Each subcommand's Namespace defaults, read from its parser."""
+    (sub,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    return {name: {a.dest: a.default for a in cmd._actions
+                   if a.default is not argparse.SUPPRESS}
+            for name, cmd in sub.choices.items()}
+
+
+def _parse_args(argv: Optional[list[str]]) -> argparse.Namespace:
+    """``COMMAND FILE --json`` skips argparse's walk; any other argv (flags,
+    help, usage errors) goes through argparse."""
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[2] == "--json" and not argv[1].startswith("-") \
+            and argv[0] in _command_defaults():
+        return argparse.Namespace(**{**_command_defaults()[argv[0]], "command": argv[0],
+                                     "file": argv[1], "json": True})
+    return _build_parser().parse_args(argv)
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.  With
+    ``indent`` the json module encodes in pure Python; here strings go
+    through its C string encoder and ints through ``int.__repr__``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+             for k, v in sorted(value.items())]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in value]) + pad + "]"
+    return json.dumps(value)
 
 
 def _load_problem(path: str) -> ProblemFile:
@@ -363,7 +413,7 @@ def _run_command(args) -> tuple[dict, int, int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.monotonic()
     out = io.StringIO()  # the human summary, written once the verdict is in
     try:
@@ -393,7 +443,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.timing:
         report["timing_ms"] = elapsed_ms
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
+        print(_json_text(report), file=out)
     _write(sys.stdout, out.getvalue())
     if not args.json:
         _write(sys.stderr, f"elapsed: {elapsed_ms} ms\n")

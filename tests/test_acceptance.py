@@ -14,7 +14,7 @@ from odecert import (DarbouxCert, DischargeConfig, DriCert,
                      check_certificate, check_semialgebraic_invariance,
                      dri_companion, emit_smtlib, find_darboux_cofactor,
                      higher_lie, lie_derivative, liouville_check,
-                     member_with_witness, oracle_unroll,
+                     member_with_witness,
                      progress_gt, radical_formula, rank, reduce_box,
                      sai_side_conditions, semialg_progress, to_normal_form)
 from odecert.invariant import PROVED_IDENTITY, REFUTED, UNKNOWN, ChainRecord
@@ -24,6 +24,7 @@ from odecert.smtlib import SolverConfig
 
 from conftest import (random_nonzero_polynomial, random_normal_form,
                       random_point, random_system)
+from hp_oracle import oracle_unroll
 from test_hpreduce import (random_loop_free_program, random_loop_program,
                            _linear_expr)
 from test_semalg import reference_negation

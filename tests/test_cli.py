@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import odecert
 from odecert import cli
@@ -77,6 +79,52 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["rank", "--help"])
         assert info.value.code == 0
+
+    # sha256 of stdout + stderr at 80 columns, recorded before main's fast
+    # path for ``COMMAND FILE --json`` was added: it must leave every other
+    # argv to argparse, with argparse's exact text
+    @pytest.mark.parametrize("argv, code, digest", [
+        pytest.param(argv, code, digest, id=" ".join(argv) or "no-argument")
+        for argv, code, digest in [
+            (["-h"], 0, "7c02deb6ea4a79336bdfc31f986cc1ca8eed377bf21040336c413d7d6d0774b6"),
+            (["lie", "-h"], 0,
+             "41f5cc8372f2985687a8a22ff854de0e32d0e85bb6c9b3724f306789142cc81a"),
+            (["rank", "-h"], 0,
+             "d9f0befbf9291e1b9a3a07f1f1a9ad8d46f5434ad946cf44ac03c0b4c1375191"),
+            (["radical", "-h"], 0,
+             "855328c346fb60f289b7e144247d6867305b5b101e53eeda38721ea2c1d94985"),
+            (["progress", "-h"], 0,
+             "9f70990218700b61aaa3ad1d07b9f0d2c75be0f79eef7d7a2c53164a72550b23"),
+            (["check-alg", "-h"], 0,
+             "d227cd196d7433d1b01e70f4bc55c354cf3f510d70bc7d0de6f0f5b313f4b1dc"),
+            (["check-inv", "-h"], 0,
+             "111a1a9f22d30bc9b454c500fd28cd027573c34f01c2c380fdf7b9017c25c22f"),
+            (["darboux", "-h"], 0,
+             "0a9a353f9506112aef519a62cd6135967e7958f27c3e43961df0bd1b1cad322c"),
+            (["hp-reduce", "-h"], 0,
+             "afd27b258ce30cb21435b894456e94c46b3dde3f80c74453bc595fa16e9b49fa"),
+            (["emit-smt", "-h"], 0,
+             "3a5f744ba91c39ca2d4c04330a6ce1dca387164c4d050c75bb9151165303bd1f"),
+            (["cert-check", "-h"], 0,
+             "72074401ecb2827a894ea3aacab76dfc2f7d72026b773403d0c7b8ea091752b4"),
+            ([], 3, "393291b82e1a5fcad629b76b7eba39d6504b14381c52536112084d99d9110094"),
+            (["rank"], 3, "7d1774f26cf837ecb100d759196098d2e3f59f96dc84efe940eff0b657c2d603"),
+            (["rank", "--json"], 3,
+             "7d1774f26cf837ecb100d759196098d2e3f59f96dc84efe940eff0b657c2d603"),
+            (["rank", "p.prob", "--json", "--seed", "x"], 3,
+             "913c72c2eb28f28f977a28d4aa224b4981d12c170f1aa2070d42155e923d1eea"),
+            (["hp-reduce", "p.prob", "--json", "--bogus"], 3,
+             "7b6eb824279ae5ddfaa8cf917c7f2c38c503b7104fa55bc9d142c1325b50c04f"),
+            (["cert-check", "p.prob", "q.prob", "--json"], 3,
+             "2a92e177e143cee14c3e271af374edf3008ad79a1c124663aa1e3e9f1140b4b6"),
+        ]])
+    def test_help_and_usage_text_is_pinned(self, capsys, monkeypatch, argv, code, digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+        out, err = capsys.readouterr()
+        assert hashlib.sha256((out + err).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("key", ["seed", "samples", "cap", "deg_bound"])
     def test_bad_integer_option_names_its_line_once(self, tmp_path, capsys, key):
@@ -818,3 +866,76 @@ class TestPinnedOutputs:
         main([command, write(tmp_path, "chain.prob", text), "--json"])
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# strings with non-ASCII, control and lone-surrogate characters, and the
+# characters JSON escapes
+JSON_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff')))
+JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.integers(10**30, 10**60)
+             | st.floats() | JSON_TEXT)
+
+
+class TestJsonWriter:
+    """``cli._json_text`` is ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(JSON_LEAF, lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_TEXT, inner, max_size=4)), max_leaves=40))
+    @example({"a": [], "b": {}, "c": (), "d": [{}, [[]], ()]})
+    @example({"\ud800": ["\udfff\x00", -(10**80)], "": None, "t": True, "f": False})
+    def test_equals_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class TestArgvFastPath:
+    """``COMMAND FILE --json`` skips argparse with the Namespace argparse
+    would give; every other argv still reaches argparse."""
+
+    COMMANDS = ["lie", "rank", "radical", "progress", "check-alg", "check-inv",
+                "darboux", "hp-reduce", "emit-smt", "cert-check"]
+
+    @pytest.fixture
+    def argparse_calls(self, monkeypatch):
+        calls = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, args=None, namespace=None):
+            calls.append(args)
+            return parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        return calls
+
+    def test_commands_are_the_parsers(self):
+        assert sorted(cli._command_defaults()) == sorted(self.COMMANDS)
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_same_namespace_without_argparse(self, cmd, argparse_calls):
+        argv = [cmd, "p.prob", "--json"]
+        fast = cli._parse_args(argv)
+        assert argparse_calls == []
+        assert fast == cli._build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [cmd, *rest] for cmd in COMMANDS
+        for rest in (["-1", "--json"], ["--json", "p.prob"], ["p.prob"],
+                     ["p.prob", "--json", "--seed", "3"])] + [["-h"]], ids=" ".join)
+    def test_other_argv_reaches_argparse(self, argv, argparse_calls, capsys):
+        try:
+            got = cli._parse_args(argv)
+        except SystemExit as exc:  # -h prints the help and exits 0
+            got = exc.code
+        assert argparse_calls == [argv]
+        if argv != ["-h"]:
+            assert got == cli._build_parser().parse_args(argv)
+
+    def test_argv_none_reads_sys_argv(self, tmp_path, capsys, monkeypatch, argparse_calls):
+        loop = write(tmp_path, "loop.prob", "vars: x\nprogram: { x := x }*\npost: x = 0\n")
+        assert main(["hp-reduce", loop, "--json"]) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["odecert", "hp-reduce", loop, "--json"])
+        assert main() == 0
+        assert capsys.readouterr().out == expected
+        assert argparse_calls == []

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from odecert import (Assign, Choice, ChainRecord, DischargeConfig,
                      HpReductionCert, InputError, Ode, OdeSystem, Polynomial,
                      ResourceError, Seq, Star, VarTable, check_certificate,
-                     member_with_witness, oracle_unroll, reduce_box,
-                     render_program)
+                     member_with_witness, reduce_box, render_program)
 from odecert.certio import certificate_from_json, certificate_to_json
 from odecert import Test as ProgTest
 from odecert.parser import parse_program, parse_term
 
 from conftest import random_point
+from hp_oracle import oracle_unroll
 
 
 def P(text, table):
