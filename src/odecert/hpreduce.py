@@ -8,9 +8,10 @@ polynomial postcondition p, ``reduce_box`` computes a polynomial q with
 Box distributes over conjunction, so the reduction maps a list of
 generators, whose common zero set is the postcondition, to a list: an
 assignment substitutes into each generator, a test multiplies each by r,
-an ODE node replaces each by its rank chain (each element times r under a
-domain r != 0), a choice concatenates the lists of its branches and a
-sequence composes; ODE and choice nodes keep each distinct generator once.
+an ODE node replaces each by its cofactor-free rank chain (each element
+times r under a domain r != 0), a choice concatenates the lists of its
+branches and a sequence composes; ODE and choice nodes keep each distinct
+generator once.
 A loop runs ``ideals.stabilize`` from its list, with the body's reduction
 as the step: only the generators that are not yet members of the ideal go
 through the body again, and the loop ends when every generator of the next
@@ -32,7 +33,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, StepBudget,
-                     member_with_witness, rank, stabilize)
+                     differential_radical, member_with_witness, stabilize)
 from .odecore import OdeSystem
 from .polyarith import Polynomial, sum_of_products
 
@@ -213,7 +214,7 @@ def reduce_box(alpha: HybridProgram, p: Polynomial, cap: int = DEFAULT_RANK_CAP,
         if isinstance(a, Test):
             return [a.r * g for g in gens]
         if isinstance(a, Ode):
-            chains = (rank(g, a.sys, cap=cap).chain for g in gens)
+            chains = (differential_radical(g, a.sys, cap=cap) for g in gens)
             return _distinct(c if a.r is None else a.r * c for chain in chains for c in chain)
         if isinstance(a, Choice):
             return _distinct(g for b in _operands(a) for g in box(b, gens))

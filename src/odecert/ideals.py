@@ -17,8 +17,8 @@ cofactors are what the certificates replay; each one returned is first
 checked to recombine to the queried polynomial exactly.  Witnesses come
 with membership answers (``member_with_witness``,
 ``normal_form_with_witness``) and with the chains of ``stabilize``, for
-rank and for loops; ``groebner`` returns the reduced basis alone and
-builds no cofactor.
+rank and for loops; ``groebner`` returns the reduced basis alone, and
+``differential_radical`` the rank chain alone: neither builds a cofactor.
 
 The engine computes on ``Polynomial``'s own integer form (numerators over
 one common denominator); the one ``Fraction`` it keeps is each row's
@@ -545,27 +545,43 @@ def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
                budget: Optional[StepBudget] = None) -> Polynomial:
     """Normal form of p modulo an (assumed Groebner) basis, without witness
     tracking.  With a genuine Groebner basis the result is canonical, so a
-    zero remainder decides ideal membership."""
+    zero remainder decides ideal membership.  A basis element is packed
+    into its reducer row once per codec, on first use, and keeps it."""
     budget = budget if budget is not None else StepBudget(what="reduction")
     codec = _codec(len(p.table), order.name)
-    rows = [_Row(codec.pack_map(b.nums), b.den, codec) for b in basis if b]
+    rows = [_reducer(b, codec) for b in basis if b]
     rem, den, _ = _reduce_terms(codec.pack_map(p.nums), p.den, rows, codec.guard, budget)
     return Polynomial.from_ints(p.table, codec.unpack_map(rem), den)
 
 
-def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget) -> Callable:
+def _reducer(b: Polynomial, codec: _Codec) -> _Row:
+    """The reducer row of a nonzero b under ``codec``, cached on b."""
+    try:
+        rows = b._rows
+    except AttributeError:
+        rows = b._rows = {}
+    row = rows.get(codec)
+    if row is None:
+        row = rows[codec] = _Row(codec.pack_map(b.nums), b.den, codec)
+    return row
+
+
+def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget,
+                     witness: bool = True) -> Callable:
     """Membership on one incremental Groebner basis: a remainder sends h
     into the basis, which is completed at once, so every h this returns
     None for must be kept; a zero remainder gives cofactors of h, checked
-    to recombine exactly."""
+    to recombine exactly, or, without ``witness``, ``()``."""
     state = BuchbergerState(table, order, budget)
 
-    def member(kept: list[Polynomial], h: Polynomial) -> Optional[list[Polynomial]]:
+    def member(kept: list[Polynomial], h: Polynomial) -> Optional[Sequence[Polynomial]]:
         rem, den, steps = state._reduce(h)
         if rem:
             state._add_reduced(h, rem, den, steps)
             state.complete()
             return None
+        if not witness:
+            return ()
         cofs = state._witness(steps)
         _assert_recombines(h, cofs, state.gens)
         return cofs
@@ -583,12 +599,13 @@ def stabilize(first: Sequence[Polynomial],
 
     Round 0 is ``first``; round k+1 is ``step`` of the generators round k
     kept.  Each round's generators are decided in turn by
-    ``member(kept, h)``: cofactors c with h = sum_i c_i g_i over the m
-    generators g_0..g_{m-1} kept so far, or None, and h is then kept.  A
-    member h gets the record (g_0..g_{m-1} followed by h, c).  The ideal is
+    ``member(kept, h)``: None when h is not in the ideal of the m generators
+    g_0..g_{m-1} kept so far, and h is then kept; any other value c marks h
+    as a member and gives it the record (g_0..g_{m-1} followed by h, c).
+    The default decision, a Groebner test on one incremental basis that
+    spends ``budget``, gives cofactors with h = sum_i c_i g_i.  The ideal is
     closed under ``step`` once a round keeps nothing; the ascending chain
-    condition makes that happen.  The default decision is a Groebner test
-    on one incremental basis that spends ``budget``.
+    condition makes that happen.
 
     Returns (kept generators, records) when a round up to ``cap`` kept
     nothing, and (kept generators, None) when round ``cap`` still kept one.
@@ -615,6 +632,26 @@ def stabilize(first: Sequence[Polynomial],
     return kept, None
 
 
+def _lie_chain(p: Polynomial, sys: OdeSystem, cap: int, order: MonomialOrder,
+               step_budget: Optional[int], witness: bool) -> tuple[list, list]:
+    """``stabilize`` from [p] under the Lie derivative: the chain p, ...,
+    L^{N-1}p and its records, the first of which is L^N p's."""
+    if cap < 1:
+        raise InputError("rank cap must be >= 1")
+    if p.table != sys.table:
+        raise InputError("polynomial and system use different variable tables")
+    if p.is_zero():
+        return [p], [([p], (p,))]
+    budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET,
+                        what="rank")
+    chain, records = stabilize([p], lambda gens: [lie_derivative(g, sys) for g in gens],
+                               cap, budget, order,
+                               _groebner_member(p.table, order, budget, witness))
+    if records is None:
+        raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
+    return chain, records
+
+
 def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
          order: MonomialOrder = GREVLEX,
          step_budget: Optional[int] = None) -> RankResult:
@@ -625,23 +662,13 @@ def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
     The zero polynomial has rank 1 with cofactor 0.  Exceeding ``cap``
     raises ResourceError carrying the partial Lie chain.
     """
-    if cap < 1:
-        raise InputError("rank cap must be >= 1")
-    if p.table != sys.table:
-        raise InputError("polynomial and system use different variable tables")
-    if p.is_zero():
-        return RankResult(1, (p,), (p,))
-    budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET,
-                        what="rank")
-    chain, records = stabilize([p], lambda gens: [lie_derivative(g, sys) for g in gens],
-                               cap, budget, order)
-    if records is None:
-        raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
+    chain, records = _lie_chain(p, sys, cap, order, step_budget, witness=True)
     return RankResult(len(chain), tuple(records[0][1]), tuple(chain))
 
 
 def differential_radical(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
                          order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """The chain [L^0 p, ..., L^{N-1} p] whose zero-conjunction is the
-    differential radical formula of p."""
-    return list(rank(p, sys, cap=cap, order=order).chain)
+    differential radical formula of p: ``rank``'s chain and errors, with no
+    cofactor built, as each membership is decided by its remainder alone."""
+    return _lie_chain(p, sys, cap, order, None, witness=False)[0]

@@ -207,11 +207,11 @@ class Polynomial:
     share.
     """
 
-    # _terms, _evals, _vars, _restricts and _text are caches that stay
-    # unset until first use, so arithmetic (the Groebner hot path) pays
-    # nothing for them
+    # _terms, _evals, _vars, _restricts, _text and _rows (the reducer rows
+    # of ideals.reduce_mod) are caches that stay unset until first use, so
+    # arithmetic (the Groebner hot path) pays nothing for them
     __slots__ = ("table", "nums", "den", "_hash", "_terms", "_evals", "_vars",
-                 "_restricts", "_text")
+                 "_restricts", "_text", "_rows")
 
     def __init__(self, table: VarTable, terms: Mapping[Mono, Fraction] | None = None):
         """From a map of exponent vectors to rationals (``Fraction`` or int);

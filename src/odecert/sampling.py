@@ -39,6 +39,7 @@ _DIVISOR_CAP = 10 ** 12
 _MAX_DIVISORS = 128
 
 Root = tuple[int, int]  # num/den in lowest terms, den > 0
+_QUADRATIC = frozenset((0, 1, 2))
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -110,6 +111,12 @@ def univariate_rational_roots(coeffs: dict[int, int]) -> list[Root]:
     divisor cap are skipped, so the list may be incomplete for huge
     coefficients; every returned value is verified by exact evaluation.
     """
+    if coeffs.keys() <= _QUADRATIC:  # direct paths, no dict rebuilt
+        c0, c1, c2 = coeffs.get(0, 0), coeffs.get(1, 0), coeffs.get(2, 0)
+        if c2 and c0:
+            return _quadratic_roots(c2, c1, c0)
+        if c1 and not c2:
+            return [_root(-c0, c1)]
     coeffs = {e: c for e, c in coeffs.items() if c != 0}
     if not coeffs:
         return []
@@ -121,17 +128,8 @@ def univariate_rational_roots(coeffs: dict[int, int]) -> list[Root]:
     deg = max(coeffs)
     if deg == 0:
         return roots
-    if deg == 1:
-        _add_root(roots, _root(-coeffs.get(0, 0), coeffs[1]))
-        return _sorted(roots)
-    if deg == 2:
-        a, b, c = coeffs[2], coeffs.get(1, 0), coeffs.get(0, 0)
-        disc = b * b - 4 * a * c
-        sq = isqrt(disc) if disc >= 0 else -1
-        if sq >= 0 and sq * sq == disc:
-            for num in (-b + sq, -b - sq):
-                _add_root(roots, _root(num, 2 * a))
-        return _sorted(roots)
+    if deg <= 2:  # a direct path, now that the constant coefficient is nonzero
+        return _sorted(roots + univariate_rational_roots(coeffs))
     # rational root theorem on the primitive part: a root num/den in lowest
     # terms makes den*x - num a factor over Z (Gauss's lemma), so den - num
     # divides p(1) and den + num divides p(-1)
@@ -162,9 +160,16 @@ def univariate_rational_roots(coeffs: dict[int, int]) -> list[Root]:
     return _sorted(roots)
 
 
-def _add_root(roots: list[Root], root: Root) -> None:
-    if root not in roots:
-        roots.append(root)
+def _quadratic_roots(a: int, b: int, c: int) -> list[Root]:
+    """The rational roots of a*x^2 + b*x + c for a != 0, increasing."""
+    disc = b * b - 4 * a * c
+    sq = isqrt(disc) if disc >= 0 else -1
+    if sq < 0 or sq * sq != disc:
+        return []
+    lo, hi = _root(-b - sq, 2 * a), _root(-b + sq, 2 * a)
+    if a < 0:
+        lo, hi = hi, lo
+    return [lo, hi] if sq else [lo]
 
 
 def _sorted(roots: list[Root]) -> list[Root]:

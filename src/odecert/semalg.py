@@ -163,8 +163,9 @@ class PointEvaluator:
     numerators over a common denominator, as sampling draws them).
 
     Only signs are computed.  A formula is compiled on its first evaluation
-    into closures, one per node, and the program is cached on the formula
-    object.  Each polynomial object of the formula gets a slot in a list
+    into closures, and the program is cached on the formula object; an And
+    or Or tests its atom operands inline, in order, and calls only the
+    others.  Each polynomial object of the formula gets a slot in a list
     made fresh for every evaluation; an atom fills its slot on first need
     with :meth:`~odecert.polyarith.Polynomial.scaled_value`, an integer with
     the polynomial's sign, and atoms sharing the polynomial read it from
@@ -194,13 +195,16 @@ def _compile(f: Formula) -> tuple[Callable, int]:
     raises InputError, and nothing is cached."""
     slots: dict[int, int] = {}
 
+    def atom(g: Atom) -> tuple:
+        return slots.setdefault(id(g.poly), len(slots)), g.poly.scaled_value, _BY_SIGN[g.op]
+
     def go(g: Formula) -> Callable:
         t = type(g)
         if t is Atom:
-            k = slots.setdefault(id(g.poly), len(slots))
-            return _atom_test(k, g.poly.scaled_value, _BY_SIGN[g.op])
+            return _atom_test(*atom(g))
         if t is And or t is Or:
-            return _junction([go(a) for a in g.args], t is Or)
+            return _junction([atom(a) if type(a) is Atom else (None, go(a), None)
+                              for a in g.args], t is Or)
         if t is Implies:
             return _implication(go(g.hyp), go(g.concl))
         if t is Not:
@@ -228,10 +232,18 @@ def _atom_test(k: int, value: Callable, by_sign: tuple) -> Callable:
 
 def _junction(parts: list, decides: bool) -> Callable:
     """And when ``decides`` is False, Or when True: the first operand with
-    that value decides."""
+    that value decides.  An atom operand is its test's (slot, value,
+    by_sign), run inline; any other is (None, its closure, None)."""
     def junction(pt, vals):
-        for part in parts:
-            if part(pt, vals) is decides:
+        for k, run, by_sign in parts:
+            if by_sign is None:
+                truth = run(pt, vals)
+            else:
+                v = vals[k]
+                if v is None:
+                    v = vals[k] = run(pt)
+                truth = by_sign[(v > 0) - (v < 0)]
+            if truth is decides:
                 return decides
         return not decides
     return junction

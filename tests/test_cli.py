@@ -485,17 +485,17 @@ class TestCommands:
     def test_radical_command(self, circle_prob, capsys, monkeypatch):
         import odecert.ideals as ideals
         calls = []
-        real_rank = ideals.rank
+        real_stabilize = ideals.stabilize
 
-        def counting_rank(*args, **kwargs):
+        def counting_stabilize(*args, **kwargs):
             calls.append(args)
-            return real_rank(*args, **kwargs)
+            return real_stabilize(*args, **kwargs)
 
-        monkeypatch.setattr(ideals, "rank", counting_rank)
+        monkeypatch.setattr(ideals, "stabilize", counting_stabilize)
         code, report = run_json(capsys, ["radical", circle_prob, "--json"])
         assert code == 0
         assert report["data"]["formula"] == "u^2 + v^2 - 1 = 0"
-        assert len(calls) == 1  # the chain and the formula share one rank run
+        assert len(calls) == 1  # the chain and the formula share one chain run
 
     def test_hp_reduce_loop(self, tmp_path, capsys):
         prob = write(tmp_path, "hp.prob",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odecert import (LEX, OdeSystem, Polynomial, ResourceError, VarTable,
+from odecert import (LEX, InputError, OdeSystem, Polynomial, ResourceError, VarTable,
                      differential_radical, groebner, higher_lie,
                      member_with_witness, rank, reduce_mod)
 from odecert import ideals
@@ -615,6 +615,55 @@ class TestDifferentialRadical:
             assert 1 <= rr.n <= 20
             count += 1
         assert count == 10
+
+
+class TestChainWithoutCofactors:
+    """``differential_radical`` decides memberships from the remainder
+    alone, with no cofactors, and must give ``rank``'s chain and errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nvars=st.sampled_from([2, 3]),
+           order=st.sampled_from([GREVLEX, LEX]), cap=st.integers(1, 6))
+    def test_equals_the_rank_chain(self, seed, nvars, order, cap):
+        rng = random.Random(seed)
+        table = VarTable(["x", "y", "z"][:nvars])
+        p = random_nonzero_polynomial(rng, table)
+        sysr = random_system(rng, table)
+        try:
+            want = list(rank(p, sysr, cap, order).chain)
+        except ResourceError as exc:
+            with pytest.raises(ResourceError) as info:
+                differential_radical(p, sysr, cap, order)
+            assert str(info.value) == str(exc)
+            assert info.value.partial == exc.partial
+        else:
+            assert differential_radical(p, sysr, cap, order) == want
+
+    def test_zero_polynomial_and_bad_input(self, xy, uv, swap_sys):
+        assert differential_radical(Polynomial.zero(xy), swap_sys, cap=1) == \
+            list(rank(Polynomial.zero(xy), swap_sys, cap=1).chain)
+        for f in (rank, differential_radical):
+            with pytest.raises(InputError, match="rank cap must be >= 1"):
+                f(P("x", xy), swap_sys, cap=0)
+            with pytest.raises(InputError, match="different variable tables"):
+                f(P("u", uv), swap_sys)
+
+
+class TestReducerRows:
+    def test_one_reducer_under_two_orders(self, xy):
+        """A basis polynomial keeps one packed row per order: reused under
+        grevlex and then lex, it gives both remainders, each equal to a
+        reduction by a fresh, uncached copy."""
+        b, p = P("x - y^2", xy), P("x*y + x^2", xy)
+
+        def fresh():
+            return Polynomial.from_ints(xy, dict(b.nums), b.den)
+
+        got = [reduce_mod(p, [b], order) for order in (GREVLEX, LEX, GREVLEX)]
+        want = [reduce_mod(p, [fresh()], order) for order in (GREVLEX, LEX)]
+        assert got == want + want[:1]
+        assert want[0] != want[1]
+        assert len(b._rows) == 2
 
 
 _FIELD_MAX = ideals._FIELD_MAX

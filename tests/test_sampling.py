@@ -63,6 +63,28 @@ class TestUnivariateRoots:
         assert [Fraction(n, d) for n, d in roots] == sorted(expected)
         assert all(d > 0 for _, d in roots)
 
+    @settings(max_examples=300, deadline=None)
+    @given(c0=st.one_of(st.just(0), st.integers(-40, 40)),
+           c1=st.one_of(st.just(0), st.integers(-40, 40)),
+           c2=st.one_of(st.just(0), st.integers(-9, 9)),
+           quadratic=st.booleans(), keep_zeros=st.booleans())
+    def test_direct_paths_match_the_candidate_search(self, c0, c1, c2, quadratic, keep_zeros):
+        """c0 + c1*x (+ c2*x^2): the direct linear and quadratic paths give
+        what the rational-root-theorem search gives, zero coefficients
+        present or dropped."""
+        coeffs = {0: c0, 1: c1, 2: c2} if quadratic else {0: c0, 1: c1}
+        if not keep_zeros:
+            coeffs = {e: c for e, c in coeffs.items() if c}
+        assert univariate_rational_roots(coeffs) == _reference_roots(coeffs, direct=False)
+
+    def test_direct_paths_with_zero_coefficients(self):
+        assert univariate_rational_roots({0: 7, 1: 0}) == []
+        assert univariate_rational_roots({0: 0, 1: 5}) == [(0, 1)]
+        assert univariate_rational_roots({0: 0, 1: -5}) == [(0, 1)]
+        assert univariate_rational_roots({0: 3, 1: -6}) == [(1, 2)]
+        assert univariate_rational_roots({0: -4, 1: 0, 2: 1}) == [(-2, 1), (2, 1)]
+        assert univariate_rational_roots({0: 4, 2: -1}) == [(-2, 1), (2, 1)]
+
     def test_degenerate_inputs(self):
         assert univariate_rational_roots({}) == []
         assert univariate_rational_roots({0: 5}) == []
@@ -99,9 +121,10 @@ class TestProjection:
 # references: the root search that tests every candidate, and the sampler
 # that draws through randint, randrange and shuffle
 
-def _reference_roots(coeffs: dict[int, int]) -> list[tuple[int, int]]:
+def _reference_roots(coeffs: dict[int, int], direct: bool = True) -> list[tuple[int, int]]:
     """Every rational-root-theorem candidate tested by exact evaluation,
-    with no pruning; the linear and quadratic cases solve directly."""
+    with no pruning; with ``direct``, the linear and quadratic cases solve
+    directly."""
     coeffs = {e: c for e, c in coeffs.items() if c != 0}
     if not coeffs:
         return []
@@ -111,15 +134,15 @@ def _reference_roots(coeffs: dict[int, int]) -> list[tuple[int, int]]:
         roots.append((0, 1))
         coeffs = {e - low: c for e, c in coeffs.items()}
     deg = max(coeffs)
-    if deg == 1:
+    if deg == 1 and direct:
         roots.append(_root(-coeffs.get(0, 0), coeffs[1]))
-    elif deg == 2:
+    elif deg == 2 and direct:
         a, b, c = coeffs[2], coeffs.get(1, 0), coeffs.get(0, 0)
         disc = b * b - 4 * a * c
         sq = isqrt(disc) if disc >= 0 else -1
         if sq >= 0 and sq * sq == disc:
             roots += [_root(num, 2 * a) for num in (-b + sq, -b - sq)]
-    elif deg > 2:
+    elif deg > 0:
         g = 0
         for v in coeffs.values():
             g = gcd(g, v)
