@@ -1,39 +1,36 @@
 """Command-line interface.
 
 Each subcommand reads a problem file (except cert-check, which reads a
-certificate JSON) and writes a human summary to stdout, or a deterministic
-JSON report with --json.  Exit codes: 0 invariant/success, 1 not-invariant or
-refuted, 2 unknown, 3 input error (usage errors included), 4 resource error,
-5 internal error (any other exception: a bug, never a verdict).  Output goes
-to stdout once the command is done; a reader of stdout or stderr that has
-gone by then (as in ``| head -c 1``) leaves the exit code as it is, with
-no traceback.
+certificate JSON) and returns its report data: --json writes the
+deterministic JSON report, and without it a human summary rendered from
+the data goes to stdout.  Exit codes: 0 invariant/success, 1 not-invariant
+or refuted, 2 unknown, 3 input error (usage errors included), 4 resource
+error, 5 internal error (any other exception: a bug, never a verdict).
+Output goes to stdout once the command is done; a reader of stdout or
+stderr that has gone by then (as in ``| head -c 1``) leaves the exit code
+as it is, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import os
 import sys
 import time
 import traceback
-from contextlib import redirect_stdout
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
 from .certio import certificate_from_json, certificate_to_json, condition_json
 from .errors import InputError, OdecertError, ResourceError
-from .hpreduce import reduce_box
 from .ideals import differential_radical, rank
-from .invariant import (ChainRecord, DischargeConfig, HpReductionCert,
-                        SideCondition, Verdict, algebraic_invariance_condition,
-                        check_algebraic_invariance,
-                        check_certificate, check_semialgebraic_invariance,
-                        find_darboux_cofactor, find_vectorial_darboux,
+from .invariant import (DischargeConfig, Verdict, algebraic_invariance_condition,
+                        check_algebraic_invariance, check_certificate,
+                        check_semialgebraic_invariance, find_darboux_cofactor,
+                        find_vectorial_darboux, reduction_certificate,
                         sai_side_conditions)
 from .odecore import higher_lie, reverse
 from .problemfile import ProblemFile, parse_int, parse_problem
@@ -158,8 +155,8 @@ def _json_text(value, pad: str = "\n") -> str:
 
 def _load_problem(path: str) -> ProblemFile:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parse_problem(text)
 
@@ -176,249 +173,208 @@ def _config(pf: ProblemFile, args) -> DischargeConfig:
     return DischargeConfig(samples=samples, seed=seed, solver=solver, rank_cap=cap)
 
 
-def _require(pf: ProblemFile, attr: str, what: str):
+def _require(pf: ProblemFile, attr: str):
     value = getattr(pf, attr)
     if value is None:
-        raise InputError(f"this command needs the problem file to declare {what!r}")
+        raise InputError(f"this command needs the problem file to declare {attr!r}")
     return value
 
 
-def _fraction_list(point) -> Optional[list[str]]:
-    return None if point is None else [str(v) for v in point]
+def _regions(pf: ProblemFile) -> tuple[NormalForm, NormalForm]:
+    """The normal forms of the candidate and of the domain (true if none)."""
+    P = to_normal_form(_require(pf, "candidate"))
+    return P, to_normal_form(pf.domain) if pf.domain is not None else NormalForm.true()
 
 
-def _verdict_report(verdict: Verdict) -> dict:
-    cert = None
-    if verdict.certificate is not None:
-        cert = certificate_to_json(verdict.certificate)
+def _verdict_report(verdict: Verdict) -> tuple[dict, int]:
+    cert, witness = verdict.certificate, verdict.witness
     return {
         "verdict": verdict.kind,
-        "certificate": cert,
-        "witness": _fraction_list(verdict.witness),
+        "certificate": None if cert is None else certificate_to_json(cert),
+        "witness": None if witness is None else [str(v) for v in witness],
         "conditions": [condition_json(c) for c in verdict.conditions],
         "diagnostics": verdict.diagnostics,
-    }
+    }, _VERDICT_EXIT[verdict.kind]
 
 
-def _print_conditions(conditions, out):
-    for c in conditions:
-        line = f"  [{c.status.kind}] {c.provenance}"
-        if c.status.witness is not None:
-            line += " at (" + ", ".join(str(v) for v in c.status.witness) + ")"
-        if c.status.detail:
-            line += f" ({c.status.detail})"
-        print(line, file=out)
+# each command: (problem file, args, config) -> (report data, exit code)
+
+def _lie(pf, args, config):
+    sys_, q = _require(pf, "ode"), _require(pf, "polynomial")
+    rows = [q.render()]
+    for _ in range(args.max):
+        q = higher_lie(q, sys_, 1)
+        rows.append(q.render())
+    return {"lie_derivatives": rows}, EXIT_OK
 
 
-def _run_command(args) -> tuple[dict, int, int]:
-    """Returns (report data, exit code, effective seed)."""
-    if args.command == "cert-check":
-        try:
-            doc = json.loads(Path(args.file).read_text())
-        except OSError as exc:
-            raise InputError(f"cannot read {args.file}: {exc}") from None
-        except ValueError as exc:  # bad JSON, or an integer past json's digit limit
-            raise InputError(f"invalid certificate JSON: {exc}") from None
-        cert = certificate_from_json(doc)
-        timeout = args.solver_timeout if args.solver_timeout is not None \
-            else SolverConfig.timeout
-        solver = SolverConfig(args.solver, timeout=timeout) if args.solver else None
-        given = {"samples": args.samples, "seed": args.seed, "rank_cap": args.cap}
-        config = DischargeConfig(solver=solver,  # unset options keep its defaults
-                                 **{k: v for k, v in given.items() if v is not None})
-        ok = check_certificate(cert, config)
-        data = {"valid": ok, "kind": doc.get("kind")}
-        if not args.json:
-            print(f"certificate {doc.get('kind')}: {'VALID' if ok else 'REJECTED'}")
-        return data, (EXIT_OK if ok else EXIT_REFUTED), config.seed
+def _rank(pf, args, config):
+    sys_, p = _require(pf, "ode"), _require(pf, "polynomial")
+    rr = rank(p, sys_, cap=config.rank_cap, order=pf.order)
+    return {"rank": rr.n, "cofactors": [g.render() for g in rr.cofactors]}, EXIT_OK
 
-    pf = _load_problem(args.file)
-    config = _config(pf, args)
 
-    if args.command == "lie":
-        sys_ = _require(pf, "ode", "ode")
-        p = _require(pf, "polynomial", "polynomial")
-        rows = []
-        q = p
-        for i in range(max(0, args.max) + 1):
-            rows.append(q.render())
-            if i < args.max:
-                q = higher_lie(q, sys_, 1)
-        if not args.json:
-            for i, text in enumerate(rows):
-                print(f"L^{i}: {text}")
-        return {"lie_derivatives": rows}, EXIT_OK, config.seed
+def _radical(pf, args, config):
+    sys_, p = _require(pf, "ode"), _require(pf, "polynomial")
+    chain = differential_radical(p, sys_, cap=config.rank_cap, order=pf.order)
+    return {"chain": [q.render() for q in chain],
+            "formula": render_formula(radical_of_chain(chain))}, EXIT_OK
 
-    if args.command == "rank":
-        sys_ = _require(pf, "ode", "ode")
-        p = _require(pf, "polynomial", "polynomial")
-        rr = rank(p, sys_, cap=config.rank_cap, order=pf.order)
-        data = {"rank": rr.n, "cofactors": [g.render() for g in rr.cofactors]}
-        if not args.json:
-            print(f"rank: {rr.n}")
-            for i, g in enumerate(rr.cofactors):
-                print(f"g_{i}: {g.render()}")
-        return data, EXIT_OK, config.seed
 
-    if args.command == "radical":
-        sys_ = _require(pf, "ode", "ode")
-        p = _require(pf, "polynomial", "polynomial")
-        chain = differential_radical(p, sys_, cap=config.rank_cap, order=pf.order)
-        formula = radical_of_chain(chain)
-        data = {"chain": [q.render() for q in chain],
-                "formula": render_formula(formula)}
-        if not args.json:
-            print(render_formula(formula))
-        return data, EXIT_OK, config.seed
+def _progress(pf, args, config):
+    sys_ = _require(pf, "ode")
+    # one chain cache per direction: each polynomial is ranked once in each
+    runs = [("forward", sys_, {}), ("backward", reverse(sys_), {})]
+    cap = config.rank_cap
+    data: dict = {}
+    if pf.polynomial is not None:
+        for direction, system, cache in runs:
+            data["gt_" + direction] = render_formula(
+                progress_gt(pf.polynomial, system, cap=cap, _cache=cache))
+            data["geq_" + direction] = render_formula(
+                progress_geq(pf.polynomial, system, cap=cap, _cache=cache))
+    if pf.candidate is not None:
+        nf = to_normal_form(pf.candidate)
+        for direction, system, cache in runs:
+            data["semialg_" + direction] = render_formula(
+                semialg_progress(nf, system, cap=cap, _cache=cache))
+    if not data:
+        raise InputError("progress needs 'polynomial' or 'candidate'")
+    return data, EXIT_OK
 
-    if args.command == "progress":
-        sys_ = _require(pf, "ode", "ode")
-        rsys = reverse(sys_)
-        data: dict = {}
-        if pf.polynomial is not None:
-            p = pf.polynomial
-            data["gt_forward"] = render_formula(progress_gt(p, sys_, cap=config.rank_cap))
-            data["geq_forward"] = render_formula(progress_geq(p, sys_, cap=config.rank_cap))
-            data["gt_backward"] = render_formula(progress_gt(p, rsys, cap=config.rank_cap))
-            data["geq_backward"] = render_formula(progress_geq(p, rsys, cap=config.rank_cap))
-        if pf.candidate is not None:
-            nf = to_normal_form(pf.candidate)
-            data["semialg_forward"] = render_formula(
-                semialg_progress(nf, sys_, cap=config.rank_cap))
-            data["semialg_backward"] = render_formula(
-                semialg_progress(nf, rsys, cap=config.rank_cap))
-        if not data:
-            raise InputError("progress needs 'polynomial' or 'candidate'")
-        if not args.json:
-            for key, value in data.items():
-                print(f"{key}: {value}")
-        return data, EXIT_OK, config.seed
 
-    if args.command == "check-alg":
-        sys_ = _require(pf, "ode", "ode")
-        p = _require(pf, "polynomial", "polynomial")
-        verdict = check_algebraic_invariance(p, sys_, pf.domain_polynomial(), config)
-        data = _verdict_report(verdict)
-        if not args.json:
-            print(f"verdict: {verdict.kind}")
-            _print_conditions(verdict.conditions, sys.stdout)
-        return data, _VERDICT_EXIT[verdict.kind], config.seed
+def _check_alg(pf, args, config):
+    sys_, p = _require(pf, "ode"), _require(pf, "polynomial")
+    return _verdict_report(check_algebraic_invariance(p, sys_, pf.domain_polynomial(),
+                                                      config))
 
-    if args.command == "check-inv":
-        sys_ = _require(pf, "ode", "ode")
-        candidate = _require(pf, "candidate", "candidate")
-        P = to_normal_form(candidate)
-        Q = to_normal_form(pf.domain) \
-            if pf.domain is not None else NormalForm.true()
-        verdict = check_semialgebraic_invariance(P, Q, sys_, config)
-        data = _verdict_report(verdict)
-        if not args.json:
-            print(f"verdict: {verdict.kind}")
-            _print_conditions(verdict.conditions, sys.stdout)
-        return data, _VERDICT_EXIT[verdict.kind], config.seed
 
-    if args.command == "darboux":
-        sys_ = _require(pf, "ode", "ode")
-        bound = args.deg_bound if args.deg_bound is not None else pf.deg_bound
-        if pf.polynomials is not None:
-            G = find_vectorial_darboux(pf.polynomials, sys_, bound)
-            if G is None:
-                data = {"found": False}
-                if not args.json:
-                    print("no vectorial cofactor matrix at this degree bound")
-                return data, EXIT_UNKNOWN, config.seed
-            data = {"found": True,
-                    "G": [[G.get(i, j).render() for j in range(G.cols)]
-                          for i in range(G.rows)]}
-            if not args.json:
-                for i in range(G.rows):
-                    print("[ " + ", ".join(G.get(i, j).render()
-                                           for j in range(G.cols)) + " ]")
-            return data, EXIT_OK, config.seed
-        p = _require(pf, "polynomial", "polynomial")
-        g = find_darboux_cofactor(p, sys_, bound)
-        if g is None:
-            data = {"found": False}
-            if not args.json:
-                print("no cofactor at this degree bound")
-            return data, EXIT_UNKNOWN, config.seed
-        data = {"found": True, "cofactor": g.render()}
-        if not args.json:
-            print(f"cofactor: {g.render()}")
-        return data, EXIT_OK, config.seed
+def _check_inv(pf, args, config):
+    sys_ = _require(pf, "ode")
+    return _verdict_report(check_semialgebraic_invariance(*_regions(pf), sys_, config))
 
-    if args.command == "hp-reduce":
-        program = _require(pf, "program", "program")
-        post = _require(pf, "post", "post")
-        nf = to_normal_form(post)
-        p = algebraic_combine(nf, table=pf.table)
-        q, trace = reduce_box(program, p, cap=config.rank_cap)
-        chains = tuple(ChainRecord(tuple(c), tuple(w))
-                       for c, w in trace.star_chains())
-        cert = HpReductionCert(table=pf.table, program=program, p=p, q=q,
-                               chains=chains, cap=config.rank_cap)
-        data = {
-            "postcondition": p.render(),
-            "reduced": q.render(),
-            "certificate": certificate_to_json(cert),
-        }
-        if not args.json:
-            print(f"postcondition as single equation: {p.render()} = 0")
-            print(f"[program] holds iff: {q.render()} = 0")
-            for idx, rec in enumerate(chains):
-                print(f"loop chain {idx}: " + "; ".join(s.render() for s in rec.chain))
-        return data, EXIT_OK, config.seed
 
-    if args.command == "emit-smt":
-        sys_ = _require(pf, "ode", "ode")
-        conditions: list[SideCondition] = []
-        if pf.candidate is not None:
-            P = to_normal_form(pf.candidate)
-            Q = to_normal_form(pf.domain) \
-                if pf.domain is not None else NormalForm.true()
-            conditions.extend(sai_side_conditions(P, Q, sys_, config))
-        elif pf.polynomial is not None:
-            chain = differential_radical(pf.polynomial, sys_, cap=config.rank_cap)
-            conditions.append(algebraic_invariance_condition(chain, sys_,
-                                                             pf.domain_polynomial()))
-        else:
-            raise InputError("emit-smt needs 'candidate' or 'polynomial'")
-        queries = []
-        for cond in conditions:
-            query = emit_smtlib(cond.hypothesis, cond.conclusion,
-                                cond.universal_vars,
-                                comment=f"side condition: {cond.provenance}")
-            queries.append({"provenance": cond.provenance, "query": query})
-        if args.out:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            files = []
-            for entry in queries:
-                path = out_dir / f"{entry['provenance']}.smt2"
-                path.write_text(entry["query"])
-                files.append(str(path))
-            data = {"files": files}
-            if not args.json:
-                for f in files:
-                    print(f)
-        else:
-            data = {"queries": queries}
-            if not args.json:
-                for entry in queries:
-                    print(f"; --- {entry['provenance']} ---")
-                    print(entry["query"])
-        return data, EXIT_OK, config.seed
+def _darboux(pf, args, config):
+    sys_ = _require(pf, "ode")
+    bound = args.deg_bound if args.deg_bound is not None else pf.deg_bound
+    if pf.polynomials is not None:
+        G = find_vectorial_darboux(pf.polynomials, sys_, bound)
+        if G is None:
+            return {"found": False}, EXIT_UNKNOWN
+        return {"found": True, "G": [[G.get(i, j).render() for j in range(G.cols)]
+                                     for i in range(G.rows)]}, EXIT_OK
+    g = find_darboux_cofactor(_require(pf, "polynomial"), sys_, bound)
+    if g is None:
+        return {"found": False}, EXIT_UNKNOWN
+    return {"found": True, "cofactor": g.render()}, EXIT_OK
 
-    raise InputError(f"unknown command {args.command!r}")
+
+def _hp_reduce(pf, args, config):
+    program = _require(pf, "program")
+    p = algebraic_combine(to_normal_form(_require(pf, "post")), table=pf.table)
+    cert = reduction_certificate(pf.table, program, p, config.rank_cap)
+    return {"postcondition": p.render(), "reduced": cert.q.render(),
+            "certificate": certificate_to_json(cert)}, EXIT_OK
+
+
+def _emit_smt(pf, args, config):
+    sys_ = _require(pf, "ode")
+    if pf.candidate is not None:
+        conditions = sai_side_conditions(*_regions(pf), sys_, config)
+    elif pf.polynomial is not None:
+        chain = differential_radical(pf.polynomial, sys_, cap=config.rank_cap)
+        conditions = [algebraic_invariance_condition(chain, sys_, pf.domain_polynomial())]
+    else:
+        raise InputError("emit-smt needs 'candidate' or 'polynomial'")
+    queries = [{"provenance": c.provenance,
+                "query": emit_smtlib(c.hypothesis, c.conclusion, c.universal_vars,
+                                     comment=f"side condition: {c.provenance}")}
+               for c in conditions]
+    if not args.out:
+        return {"queries": queries}, EXIT_OK
+    files = [Path(args.out) / f"{entry['provenance']}.smt2" for entry in queries]
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        for path, entry in zip(files, queries):
+            path.write_text(entry["query"])
+    except OSError as exc:
+        raise InputError(f"cannot write {args.out}: {exc}") from None
+    return {"files": [str(path) for path in files]}, EXIT_OK
+
+
+_COMMANDS = {"lie": _lie, "rank": _rank, "radical": _radical, "progress": _progress,
+             "check-alg": _check_alg, "check-inv": _check_inv, "darboux": _darboux,
+             "hp-reduce": _hp_reduce, "emit-smt": _emit_smt}
+
+
+def _run_command(args) -> tuple[dict, int, DischargeConfig, Optional[ProblemFile]]:
+    """Returns (report data, exit code, config, problem file); cert-check
+    reads no problem file."""
+    if args.command != "cert-check":
+        pf = _load_problem(args.file)
+        config = _config(pf, args)
+        return (*_COMMANDS[args.command](pf, args, config), config, pf)
+    try:
+        doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot read {args.file}: {exc}") from None
+    except ValueError as exc:  # bad JSON, or an integer past json's digit limit
+        raise InputError(f"invalid certificate JSON: {exc}") from None
+    cert = certificate_from_json(doc)
+    config = _config(ProblemFile(table=None), args)  # the problem-file defaults
+    ok = check_certificate(cert, config)
+    data = {"valid": ok, "kind": doc.get("kind")}
+    return data, EXIT_OK if ok else EXIT_REFUTED, config, None
+
+
+def _summary(command: str, data: dict, pf: Optional[ProblemFile]) -> list[str]:
+    """The human summary: a view of the report's data (and, for darboux's
+    not-found lines, of the problem file)."""
+    if command == "cert-check":
+        return [f"certificate {data['kind']}: {'VALID' if data['valid'] else 'REJECTED'}"]
+    if command == "lie":
+        return [f"L^{i}: {text}" for i, text in enumerate(data["lie_derivatives"])]
+    if command == "rank":
+        return [f"rank: {data['rank']}",
+                *(f"g_{i}: {g}" for i, g in enumerate(data["cofactors"]))]
+    if command == "radical":
+        return [data["formula"]]
+    if command == "progress":
+        return [f"{key}: {value}" for key, value in data.items()]
+    if command in ("check-alg", "check-inv"):
+        lines = [f"verdict: {data['verdict']}"]
+        for cond in data["conditions"]:
+            status = cond["status"]
+            line = f"  [{status['kind']}] {cond['provenance']}"
+            if status["witness"] is not None:
+                line += " at (" + ", ".join(status["witness"]) + ")"
+            if status["detail"]:
+                line += f" ({status['detail']})"
+            lines.append(line)
+        return lines
+    if command == "darboux":
+        if not data["found"]:
+            return ["no vectorial cofactor matrix at this degree bound"
+                    if pf.polynomials is not None else "no cofactor at this degree bound"]
+        if "G" in data:
+            return ["[ " + ", ".join(row) + " ]" for row in data["G"]]
+        return [f"cofactor: {data['cofactor']}"]
+    if command == "hp-reduce":
+        return [f"postcondition as single equation: {data['postcondition']} = 0",
+                f"[program] holds iff: {data['reduced']} = 0",
+                *(f"loop chain {i}: " + "; ".join(rec["chain"])
+                  for i, rec in enumerate(data["certificate"]["chains"]))]
+    if "files" in data:  # emit-smt
+        return data["files"]
+    return [line for entry in data["queries"]
+            for line in (f"; --- {entry['provenance']} ---", entry["query"])]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parse_args(argv)
     started = time.monotonic()
-    out = io.StringIO()  # the human summary, written once the verdict is in
     try:
-        with redirect_stdout(out):
-            data, code, seed = _run_command(args)
+        data, code, config, pf = _run_command(args)
     except InputError as exc:
         _write(sys.stderr, f"input error: {exc}\n")
         return EXIT_INPUT
@@ -436,17 +392,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     report = {
         "version": 1,
         "command": args.command,
-        "seed": seed,
+        "seed": config.seed,
         "exit_code": code,
         "data": data,
     }
     if args.timing:
         report["timing_ms"] = elapsed_ms
     if args.json:
-        print(_json_text(report), file=out)
-    _write(sys.stdout, out.getvalue())
-    if not args.json:
-        _write(sys.stderr, f"elapsed: {elapsed_ms} ms\n")
+        _write(sys.stdout, _json_text(report) + "\n")
+        return code
+    _write(sys.stdout, "".join(line + "\n" for line in _summary(args.command, data, pf)))
+    _write(sys.stderr, f"elapsed: {elapsed_ms} ms\n")
     return code
 
 

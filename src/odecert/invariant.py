@@ -152,6 +152,17 @@ class HpReductionCert:
     cap: int = DEFAULT_RANK_CAP
 
 
+def reduction_certificate(table: VarTable, program, p: Polynomial, cap: int,
+                          witnesses=None) -> HpReductionCert:
+    """``reduce_box`` of [program] p = 0 as a certificate, with one record
+    per loop member in the order first met (``witnesses`` as there)."""
+    from .hpreduce import reduce_box
+
+    q, trace = reduce_box(program, p, cap=cap, witnesses=witnesses)
+    chains = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
+    return HpReductionCert(table=table, program=program, p=p, q=q, chains=chains, cap=cap)
+
+
 Certificate = object  # union of the five kinds above
 
 
@@ -692,17 +703,12 @@ def _check_hpreduce(cert: HpReductionCert) -> bool:
     each loop membership taken from the records (only ODE nodes rank): the
     replayed q and the records used, each listed once in the order first
     met, must equal ``q`` and ``chains``."""
-    from .hpreduce import reduce_box
-
     for record in cert.chains:
         k = len(record.chain) - 1
         if k < 0 or len(record.cofactors) != k:
             return False
         if sum_of_products(cert.table, zip(record.cofactors, record.chain)) != record.chain[k]:
             return False
-    q, trace = reduce_box(cert.program, cert.p, cap=cert.cap,
-                          witnesses={tuple(r.chain): r.cofactors for r in cert.chains})
-    if q != cert.q:
-        return False
-    replayed = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
-    return replayed == cert.chains
+    replayed = reduction_certificate(cert.table, cert.program, cert.p, cert.cap,
+                                     {tuple(r.chain): r.cofactors for r in cert.chains})
+    return (replayed.q, replayed.chains) == (cert.q, cert.chains)

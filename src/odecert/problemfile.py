@@ -30,11 +30,6 @@ from .polyarith import MonomialOrder, Polynomial, VarTable, order_by_name
 from .semalg import Atom, Formula, TrueF
 from .smtlib import SolverConfig, check_timeout
 
-_KEYS = ("vars", "ode", "polynomial", "polynomials", "candidate", "domain",
-         "program", "post", "seed", "samples", "cap", "deg_bound", "order",
-         "solver", "solver_args", "solver_timeout")
-
-
 @dataclass
 class ProblemFile:
     table: VarTable
@@ -79,7 +74,7 @@ def _collect_entries(text: str) -> list[tuple[str, str, int]]:
             raise InputError(f"expected 'key: value', got {line!r}", lineno, 1)
         key, value = line.split(":", 1)
         key = key.strip()
-        if key not in _KEYS:
+        if key != "vars" and key not in _PARSERS:
             raise InputError(f"unknown key {key!r}", lineno, 1)
         if any(k == key for k, _, _ in entries):
             raise InputError(f"duplicate key {key!r}", lineno, 1)
@@ -99,11 +94,40 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-def _int_option(value: str, key: str) -> int:
+def _int_option(key: str):
+    def parse(text: str, table: VarTable) -> int:
+        try:
+            return parse_int(text)
+        except ValueError:
+            raise InputError(f"{key} must be an integer, got {text!r}") from None
+    return parse
+
+
+def _seconds(text: str, table: VarTable) -> float:
     try:
-        return parse_int(value)
+        seconds = float(text)
     except ValueError:
-        raise InputError(f"{key} must be an integer, got {value!r}") from None
+        raise InputError(f"not a number: {text!r}") from None
+    return check_timeout(seconds)
+
+
+# each key but vars, with the parser of its value: (text, table) -> value;
+# the text parsers are looked up when called, so that a rebinding of their
+# names in this module (as bench/tracing.py makes) reaches them
+_PARSERS = {
+    "ode": lambda text, table: parse_ode(text, table),
+    "polynomial": lambda text, table: parse_term(text, table),
+    "polynomials": lambda text, table: [parse_term(part, table)
+                                        for part in text.split(",") if part.strip()],
+    **dict.fromkeys(("candidate", "domain", "post"),
+                    lambda text, table: parse_formula(text, table)),
+    "program": lambda text, table: parse_program(text, table),
+    **{key: _int_option(key) for key in ("seed", "samples", "cap", "deg_bound")},
+    "order": lambda text, table: order_by_name(text),
+    "solver": lambda text, table: text,
+    "solver_args": lambda text, table: tuple(text.split()),
+    "solver_timeout": _seconds,
+}
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -111,48 +135,12 @@ def parse_problem(text: str) -> ProblemFile:
     values = {k: (v, lineno) for k, v, lineno in entries}
     if "vars" not in values:
         raise InputError("problem file must declare 'vars'")
-    names = [n.strip() for n in values["vars"][0].split(",") if n.strip()]
+    names = [n.strip() for n in values.pop("vars")[0].split(",") if n.strip()]
     table = VarTable(names)
     pf = ProblemFile(table=table)
     for key, (value, lineno) in values.items():
-        if key == "vars":
-            continue
         try:
-            if key == "ode":
-                pf.ode = parse_ode(value, table)
-            elif key == "polynomial":
-                pf.polynomial = parse_term(value, table)
-            elif key == "polynomials":
-                pf.polynomials = [parse_term(part, table)
-                                  for part in value.split(",") if part.strip()]
-            elif key == "candidate":
-                pf.candidate = parse_formula(value, table)
-            elif key == "domain":
-                pf.domain = parse_formula(value, table)
-            elif key == "program":
-                pf.program = parse_program(value, table)
-            elif key == "post":
-                pf.post = parse_formula(value, table)
-            elif key == "seed":
-                pf.seed = _int_option(value, key)
-            elif key == "samples":
-                pf.samples = _int_option(value, key)
-            elif key == "cap":
-                pf.cap = _int_option(value, key)
-            elif key == "deg_bound":
-                pf.deg_bound = _int_option(value, key)
-            elif key == "order":
-                pf.order = order_by_name(value)
-            elif key == "solver":
-                pf.solver = value
-            elif key == "solver_args":
-                pf.solver_args = tuple(value.split())
-            elif key == "solver_timeout":
-                try:
-                    seconds = float(value)
-                except ValueError:
-                    raise InputError(f"not a number: {value!r}") from None
-                pf.solver_timeout = check_timeout(seconds)
+            setattr(pf, key, _PARSERS[key](value, table))
         except InputError as exc:
             if exc.line is None:
                 raise InputError(f"in {key!r}: {exc}", lineno, 1) from None

@@ -10,6 +10,7 @@ any verdict.
 
 from __future__ import annotations
 
+import re
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -126,23 +127,9 @@ def emit_smtlib(hypothesis: Formula, conclusion: Formula,
 # model parsing (tiny s-expression reader)
 
 def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    cur = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                out.append("".join(cur))
-                cur = []
-            out.append(ch)
-        elif ch.isspace():
-            if cur:
-                out.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+    """Parentheses, and the runs of other non-space characters
+    (``str.isspace`` space) between them."""
+    return re.findall(r"[()]|[^()\s]+", text)
 
 
 # deepest list nesting read from solver output; deeper output is

@@ -215,6 +215,25 @@ class TestExitCodes:
         assert main(["rank", bad]) == 3
         assert main(["rank", str(tmp_path / "missing.prob")]) == 3
 
+    def test_non_utf8_problem_file_is_three(self, tmp_path, capsys):
+        prob = tmp_path / "latin1.prob"
+        prob.write_bytes(b"vars: x\npolynomial: x\xff\n")
+        assert main(["rank", str(prob)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot read {prob}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("out", ["notadir", "notadir/sub"])
+    def test_emit_smt_out_onto_a_file_is_three(self, tmp_path, circle_prob, capsys,
+                                              monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        Path("notadir").write_text("a file\n")
+        assert main(["emit-smt", circle_prob, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+        assert Path("notadir").read_text() == "a file\n"
+
     def test_resource_error_is_four(self, tmp_path, capsys):
         prob = write(tmp_path, "loop.prob",
                      "vars: x\nprogram: { x := x^2 + 1 }*\npost: x = 0\ncap: 0\n")
@@ -482,7 +501,10 @@ class TestCommands:
         assert code == 0
         assert report["data"]["gt_forward"] == "u^2 + v^2 - 1 > 0"
 
-    def test_radical_command(self, circle_prob, capsys, monkeypatch):
+    @pytest.fixture
+    def stabilize_calls(self, monkeypatch):
+        """The argument tuples of every ``ideals.stabilize`` run (one per
+        rank chain)."""
         import odecert.ideals as ideals
         calls = []
         real_stabilize = ideals.stabilize
@@ -492,10 +514,26 @@ class TestCommands:
             return real_stabilize(*args, **kwargs)
 
         monkeypatch.setattr(ideals, "stabilize", counting_stabilize)
+        return calls
+
+    def test_radical_command(self, circle_prob, capsys, stabilize_calls):
+        calls = stabilize_calls
         code, report = run_json(capsys, ["radical", circle_prob, "--json"])
         assert code == 0
         assert report["data"]["formula"] == "u^2 + v^2 - 1 = 0"
         assert len(calls) == 1  # the chain and the formula share one chain run
+
+    @pytest.mark.parametrize("text, runs", [
+        pytest.param("polynomial: x\n", 2, id="polynomial"),
+        pytest.param("polynomial: x\ncandidate: x > 0 | y >= 0\n", 4, id="both"),
+    ])
+    def test_progress_ranks_each_polynomial_once_per_direction(self, tmp_path, capsys,
+                                                              stabilize_calls, text, runs):
+        prob = write(tmp_path, "p.prob", "vars: x, y\node: x' = y, y' = x\n" + text)
+        code, report = run_json(capsys, ["progress", prob, "--json"])
+        assert code == 0
+        assert report["data"]["gt_forward"] == "x >= 0 & (x = 0 -> y > 0)"
+        assert len(stabilize_calls) == runs  # x (and y), once forward and once backward
 
     def test_hp_reduce_loop(self, tmp_path, capsys):
         prob = write(tmp_path, "hp.prob",
@@ -866,6 +904,98 @@ class TestPinnedOutputs:
         main([command, write(tmp_path, "chain.prob", text), "--json"])
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestPinnedSummaries:
+    """sha256 of stdout, human summary and ``--json`` report, of every
+    command; recorded before the summary came to be rendered from the
+    report's data.  stderr (``elapsed: N ms``) is not pinned."""
+
+    FILES = {
+        "circle.prob": f"vars: u, v\node: {ALPHA_E_ODE}\npolynomial: u^2 + v^2 - 1\n",
+        "disk.prob": f"vars: u, v\node: {ALPHA_E_ODE}\ncandidate: 1 - u^2 - v^2 > 0\n",
+        "half.prob": f"vars: u, v\node: {ALPHA_E_ODE}\n"
+                     "candidate: u^2 + v^2 < 1/4 | (u^2 + v^2 = 1/4 & u >= 0)\n",
+        "vec.prob": "vars: x, y\node: x' = y, y' = x\npolynomials: x, y\n",
+        "nd.prob": "vars: x, y\node: x' = y, y' = x\npolynomial: x\n",
+        "vnd.prob": "vars: x, y\node: x' = y, y' = x^2\npolynomials: x\n",
+        "loop.prob": "vars: x\nprogram: { x := -x }*\npost: x = 0\n",
+        "bare.prob": "vars: x\nprogram: { x := x }*\npost: x = 0\n",
+    }
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.FILES.items():
+            Path(name).write_text(text)
+        _, report = run_json(capsys, ["check-alg", "circle.prob", "--json"])
+        Path("dri.json").write_text(json.dumps(report["data"]["certificate"]))
+        _, report = run_json(capsys, ["hp-reduce", "bare.prob", "--json"])
+        cert = report["data"]["certificate"]
+        cert.update(chains=[])
+        Path("rejected.json").write_text(json.dumps(cert))
+
+    @pytest.mark.parametrize("argv, code, human, report", [
+        pytest.param(argv, code, human, report, id=" ".join(argv))
+        for argv, code, human, report in [
+            (["lie", "circle.prob", "--max", "2"], 0,
+             "2b0ca8375fb8bb41b40533d1430688e4f78d526f8ebad7e6bee21e413936d2bd",
+             "80512a3acf77aaea9f2249ce855c999bffb7c5f3a8ed91afa01219e79ee5b3c1"),
+            (["rank", "circle.prob"], 0,
+             "b74a30de1046ff5c461a52d9a7e7f75680832898549ad1c933e0c9103c3ff2bf",
+             "090ba22a3d17230e5107b6ce2c475381043b0930cf88e2c54019896460250394"),
+            (["radical", "nd.prob"], 0,
+             "08133363ee397ac25abca37afb63a32ed49cf0b9203bf119a198d0277306ffdb",
+             "cf13889c7b2e91359c71e4ab18a2e3cddfff4eb37b81edc1521aa3af9357f012"),
+            (["progress", "circle.prob"], 0,
+             "55650ed49b39c18b0781ac660c097ff0176ae4de610ea8e91e5ebbad37bd4d42",
+             "069c295a2e4e19237af14a4951a798632f689a3cae2b687bd03c84f241e4e849"),
+            (["progress", "disk.prob"], 0,
+             "a8dbe012ff8201d6fe4ba6ddcdb1e1ec2939c682ae35bb813141dd85fb018d74",
+             "3c32ce232d2065c7f79697043c6bb96bb5a6db0fadd2cf427a68da60d2d54cc1"),
+            (["check-alg", "circle.prob"], 0,
+             "08f64f77679b9249f50b254511fbc65c443d8a85e53f4dad3df81e7326329147",
+             "5fad0db3f0dc7362ab0943bed559c779227a21ecb05a68c9ed63f1f3f403b0a8"),
+            (["check-inv", "disk.prob"], 0,
+             "49c9a38235af154c915671ab5abc7f9350892d766df989351c092007fc701701",
+             "7feaad6f0013eb8124c9c5d13cb383b3735d025079d02ccf2eaf686425dd4f60"),
+            (["check-inv", "half.prob"], 1,
+             "6387afc1a9b19052924e182b53bff5856e4652500add103dd67ad1b28460bda7",
+             "78b424fdb956875fa38e7222962cfdace45709dace04034e3dad4c8330ff46b3"),
+            (["darboux", "circle.prob"], 0,
+             "aa92fb8d5119b2b3c597f43a042cbfd115b144b68df6554a1ef19496cf01aec8",
+             "4c76c5a7210719189b04256afd77cb642884d97f002c0d769d90d317d6f09ff2"),
+            (["darboux", "vec.prob"], 0,
+             "3a7b3fe416148d9c84aee4612088408506929610330986a48410ac3aff4ea61b",
+             "1ec2531176b47e5b58e5f8e7c9760bc14fb2885d7a23260d65f67e35fa652717"),
+            (["darboux", "nd.prob"], 2,
+             "101ed805d75039db70a5448315a05cb1026aef31a89a6842ae6487ca98185f3a",
+             "43bf74cb1a8450838b1a1a236b3b0b71cc981841f1d40c210de4668bcece9383"),
+            (["darboux", "vnd.prob"], 2,
+             "2275ad2f5e99a82730e62d724520a643a5c0971cc797be6108f44a76a653c30e",
+             "43bf74cb1a8450838b1a1a236b3b0b71cc981841f1d40c210de4668bcece9383"),
+            (["hp-reduce", "loop.prob"], 0,
+             "bdca0bbfdf24fb0012c68e20788b6ca9dc1e1800e1f3295cb8e2b9766f7b4a08",
+             "57a301194c5c51127d22afcaa67974bf82ec1a2563ad16cb6e2c53ef984f6df1"),
+            (["emit-smt", "circle.prob"], 0,
+             "0eaee48b7909be91e048e6145e2aede84d45d861abac7efd7729424d04ca7fef",
+             "7b9d1822cbef0467b58edf95ce65d48ac30ac2de495fb6feff7ee88fd463a0de"),
+            (["emit-smt", "disk.prob", "--out", "smt"], 0,
+             "ecdf96e1952b080163c37301608a6d43cb7a21a66a0404bbc499639b996f6d03",
+             "76724227542e26d10e7f3a83bd71e34f235e659e1a9371bc95c2e55b9a673f9a"),
+            (["cert-check", "dri.json"], 0,
+             "6c45caaaaf513ed790d78f7b2cf78e59583c0c975647e7e3786bdedc3815c9d0",
+             "a81e3562a288878eeabbd507fb41225fdb8c7874913ec614b89fd496b4c864d1"),
+            (["cert-check", "rejected.json"], 1,
+             "80e57c1d7fb714796d397ba3cec15d6679cd0525b363563f5ca21d1cd0c65ea3",
+             "4927f1af19b9b2136581ef51f5b653c1b44de2ecb1270931fec798c54da3e60a"),
+        ]])
+    def test_stdout_digests(self, files, capsys, argv, code, human, report):
+        digests = []
+        for extra in ([], ["--json"]):
+            assert main(argv + extra) == code
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert digests == [human, report]
 
 
 # strings with non-ASCII, control and lone-surrogate characters, and the

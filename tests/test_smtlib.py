@@ -69,3 +69,9 @@ class TestModelParsing:
 
     def test_garbage_tolerated(self):
         assert parse_model("((((", ("x",)) is None
+
+    def test_unicode_spaces_separate_tokens(self):
+        # every character str.isspace() takes separates tokens, as in the
+        # solver output's ASCII spacing
+        text = "(model\x1c(define-fun\xa0x ()\u3000Real\x1c(/\xa03\u30004)))"
+        assert parse_model(text, ("x",)) == {"x": Fraction(3, 4)}
