@@ -12,8 +12,8 @@ from .ideals import (GroebnerBasis, MembershipWitness, RankResult,
                      differential_radical, groebner, member_with_witness,
                      rank, reduce_mod)
 from .semalg import (Atom, Conjunct, Formula, NormalForm, algebraic_combine,
-                     eval_formula, progress_geq, progress_gt,
-                     radical_formula, render_formula, semialg_progress,
+                     eval_formula, progress_geq, progress_gt, radical_of_chain,
+                     render_formula, reverse_chain, semialg_progress,
                      to_normal_form)
 from .invariant import (Certificate, ChainRecord, DarbouxCert,
                         DischargeConfig, DischargeStatus, DriCert,

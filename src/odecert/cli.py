@@ -32,11 +32,11 @@ from .invariant import (DischargeConfig, Verdict, algebraic_invariance_condition
                         check_semialgebraic_invariance, find_darboux_cofactor,
                         find_vectorial_darboux, reduction_certificate,
                         sai_side_conditions)
-from .odecore import higher_lie, reverse
+from .odecore import higher_lie
 from .problemfile import ProblemFile, parse_int, parse_problem
-from .semalg import (NormalForm, algebraic_combine, progress_geq, progress_gt,
-                     radical_of_chain, render_formula, semialg_progress,
-                     to_normal_form)
+from .semalg import (NormalForm, algebraic_combine, atoms, progress_geq, progress_gt,
+                     radical_of_chain, render_formula, reverse_chain,
+                     semialg_progress, to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib
 
 EXIT_OK = 0
@@ -216,28 +216,30 @@ def _rank(pf, args, config):
 
 def _radical(pf, args, config):
     sys_, p = _require(pf, "ode"), _require(pf, "polynomial")
-    chain = differential_radical(p, sys_, cap=config.rank_cap, order=pf.order)
+    chain = differential_radical(p, sys_, cap=config.rank_cap)
     return {"chain": [q.render() for q in chain],
             "formula": render_formula(radical_of_chain(chain))}, EXIT_OK
 
 
 def _progress(pf, args, config):
     sys_ = _require(pf, "ode")
-    # one chain cache per direction: each polynomial is ranked once in each
-    runs = [("forward", sys_, {}), ("backward", reverse(sys_), {})]
-    cap = config.rank_cap
+    # forward chains, each polynomial ranked once; the backward ones derived
+    forward: dict = {}
     data: dict = {}
     if pf.polynomial is not None:
-        for direction, system, cache in runs:
-            data["gt_" + direction] = render_formula(
-                progress_gt(pf.polynomial, system, cap=cap, _cache=cache))
-            data["geq_" + direction] = render_formula(
-                progress_geq(pf.polynomial, system, cap=cap, _cache=cache))
+        p = pf.polynomial
+        forward[p] = chain = differential_radical(p, sys_, cap=config.rank_cap)
+        for direction, c in (("forward", chain), ("backward", reverse_chain(chain))):
+            data["gt_" + direction] = render_formula(progress_gt(c))
+            data["geq_" + direction] = render_formula(progress_geq(c))
     if pf.candidate is not None:
         nf = to_normal_form(pf.candidate)
-        for direction, system, cache in runs:
-            data["semialg_" + direction] = render_formula(
-                semialg_progress(nf, system, cap=cap, _cache=cache))
+        for p in atoms(nf):
+            if p not in forward:
+                forward[p] = differential_radical(p, sys_, cap=config.rank_cap)
+        backward = {p: reverse_chain(chain) for p, chain in forward.items()}
+        for direction, chains in (("forward", forward), ("backward", backward)):
+            data["semialg_" + direction] = render_formula(semialg_progress(nf, chains))
     if not data:
         raise InputError("progress needs 'polynomial' or 'candidate'")
     return data, EXIT_OK

@@ -666,9 +666,10 @@ def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
     return RankResult(len(chain), tuple(records[0][1]), tuple(chain))
 
 
-def differential_radical(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-                         order: MonomialOrder = GREVLEX) -> list[Polynomial]:
+def differential_radical(p: Polynomial, sys: OdeSystem,
+                         cap: int = DEFAULT_RANK_CAP) -> list[Polynomial]:
     """The chain [L^0 p, ..., L^{N-1} p] whose zero-conjunction is the
     differential radical formula of p: ``rank``'s chain and errors, with no
-    cofactor built, as each membership is decided by its remainder alone."""
-    return _lie_chain(p, sys, cap, order, None, witness=False)[0]
+    cofactor built, as each membership is decided by its remainder alone;
+    membership, and so the chain, does not depend on the monomial order."""
+    return _lie_chain(p, sys, cap, GREVLEX, None, witness=False)[0]

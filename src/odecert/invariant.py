@@ -32,15 +32,15 @@ from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
-from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, groebner, rank,
-                     reduce_mod, stabilize)
-from .odecore import OdeSystem, lie_derivative, reverse
+from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, differential_radical,
+                     groebner, rank, reduce_mod, stabilize)
+from .odecore import OdeSystem, lie_derivative
 from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree, sum_of_products
 from .realalg import definite
 from .sampling import sample_points
 from .semalg import (Atom, Conjunct, Formula, Implies, NormalForm, Not,
-                     PointEvaluator, TrueF, make_and, nnf_fold, pair_equalities,
-                     radical_of_chain, semialg_progress, to_normal_form)
+                     PointEvaluator, TrueF, atoms, make_and, nnf_fold, pair_equalities,
+                     radical_of_chain, reverse_chain, semialg_progress, to_normal_form)
 from .smtlib import SolverConfig, emit_smtlib, run_solver
 
 # status kinds
@@ -584,27 +584,22 @@ def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
     !P & Q & Q^(*) -> !(P^(*)), since progress into the complement of P is
     the negation of progress into P (see ``semalg``).
 
-    Both premises meet the same atoms, and L_{-f} q = -L_f q, so an atom's
-    chain over the reversed system is its forward chain with every odd
-    entry negated, of the same rank; the backward chains are taken from the
-    forward ones instead of being ranked again."""
+    Each distinct atom of Q, then of P, is ranked once; the backward
+    chains are the forward ones with every odd entry negated
+    (``semalg.reverse_chain``), as L_{-f} q = -L_f q."""
     config = config if config is not None else DischargeConfig()
-    cap = config.rank_cap
-    fwd_cache: dict = {}
+    chains = {p: differential_radical(p, sys, cap=config.rank_cap)
+              for p in dict.fromkeys(atoms(Q) + atoms(P))}
     forward = SideCondition(
-        hypothesis=make_and([P.to_formula(), Q.to_formula(),
-                             semialg_progress(Q, sys, cap=cap, _cache=fwd_cache)]),
-        conclusion=semialg_progress(P, sys, cap=cap, _cache=fwd_cache),
+        hypothesis=make_and([P.to_formula(), Q.to_formula(), semialg_progress(Q, chains)]),
+        conclusion=semialg_progress(P, chains),
         universal_vars=sys.table.names,
         provenance="sai-forward",
     )
-    rsys = reverse(sys)
-    bwd_cache = {p: [-q if k % 2 else q for k, q in enumerate(chain)]
-                 for p, chain in fwd_cache.items()}
+    chains = {p: reverse_chain(chain) for p, chain in chains.items()}
     backward = SideCondition(
-        hypothesis=make_and([Not(P.to_formula()), Q.to_formula(),
-                             semialg_progress(Q, rsys, cap=cap, _cache=bwd_cache)]),
-        conclusion=Not(semialg_progress(P, rsys, cap=cap, _cache=bwd_cache)),
+        hypothesis=make_and([Not(P.to_formula()), Q.to_formula(), semialg_progress(Q, chains)]),
+        conclusion=Not(semialg_progress(P, chains)),
         universal_vars=sys.table.names,
         provenance="sai-backward",
     )

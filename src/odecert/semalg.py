@@ -28,17 +28,16 @@ homomorphism: (P & R)^(*) = P^(*) & R^(*), (P | R)^(*) = P^(*) | R^(*) and
 the negation of P's progress formula, with no normal form of the complement
 needed.  For one atom, !progress_gt(p) is progress_geq(-p), because the rank
 chain of -p is minus the chain of p.  Progress into the past is progress
-over the reversed system.
+over the reversed system: the same chains with every odd entry negated.
+The builders take rank chains computed by the caller; this module ranks nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import InputError, ResourceError
-from .ideals import DEFAULT_RANK_CAP, differential_radical
-from .odecore import OdeSystem
 from .polyarith import Polynomial, ScaledPoint, VarTable
 
 DEFAULT_DISJUNCT_LIMIT = 4096
@@ -521,22 +520,31 @@ def algebraic_combine(P: NormalForm, table: Optional[VarTable] = None) -> Polyno
 
 
 # ---------------------------------------------------------------------------
-# progress formulas
+# progress formulas, read off rank chains p, Lp, ..., L^{N-1}p
 
-_ChainCache = dict[Polynomial, list[Polynomial]]
-
-
-def _chain(p: Polynomial, sys: OdeSystem, cap: int,
-           cache: Optional[_ChainCache]) -> list[Polynomial]:
-    if cache is not None and p in cache:
-        return cache[p]
-    chain = differential_radical(p, sys, cap=cap)
-    if cache is not None:
-        cache[p] = chain
-    return chain
+def atoms(P: NormalForm) -> list[Polynomial]:
+    """P's distinct atom polynomials, in the order ``semialg_progress``
+    meets them: disjunct by disjunct, the >= atoms before the > atoms."""
+    return list(dict.fromkeys(p for c in P.disjuncts for p in c.geqs + c.gts))
 
 
-def _gt_from_chain(chain: list[Polynomial]) -> Formula:
+def reverse_chain(chain: Sequence[Polynomial]) -> list[Polynomial]:
+    """p's rank chain over the reversed system, from its forward one: since
+    L_{-f} q = -L_f q, every odd entry negated, and the rank is the same."""
+    return [-q if k % 2 else q for k, q in enumerate(chain)]
+
+
+def radical_of_chain(chain: Sequence[Polynomial]) -> Formula:
+    """The differential radical formula from a rank chain: every q = 0."""
+    return make_and([Atom("=", q) for q in chain])
+
+
+def progress_gt(chain: Sequence[Polynomial]) -> Formula:
+    """First-significant-derivative condition for immediately entering
+    p > 0, from p's rank chain p, Lp, ..., L^{N-1}p:
+    p>=0 and (p=0 -> Lp>=0) and ... and (p=0 and ... and L^{N-2}p=0 -> L^{N-1}p>0);
+    collapses to p > 0 when N = 1.
+    """
     n = len(chain)
     conjuncts: list[Formula] = []
     for k in range(n):
@@ -549,46 +557,19 @@ def _gt_from_chain(chain: list[Polynomial]) -> Formula:
     return make_and(conjuncts)
 
 
-def radical_of_chain(chain: Sequence[Polynomial]) -> Formula:
-    """The differential radical formula from a rank chain: every q = 0."""
-    return make_and([Atom("=", q) for q in chain])
+def progress_geq(chain: Sequence[Polynomial]) -> Formula:
+    """Progress into p >= 0: progress_gt or the differential radical of p."""
+    return make_or([progress_gt(chain), radical_of_chain(chain)])
 
 
-def radical_formula(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-                    _cache: Optional[_ChainCache] = None) -> Formula:
-    """Conjunction of L^i p = 0 for i below the rank of p."""
-    return radical_of_chain(_chain(p, sys, cap, _cache))
-
-
-def progress_gt(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-                _cache: Optional[_ChainCache] = None) -> Formula:
-    """First-significant-derivative condition for immediately entering p > 0.
-
-    With N the rank of p:
-    p>=0 and (p=0 -> Lp>=0) and ... and (p=0 and ... and L^{N-2}p=0 -> L^{N-1}p>0);
-    collapses to p > 0 when N = 1.
-    """
-    return _gt_from_chain(_chain(p, sys, cap, _cache))
-
-
-def progress_geq(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-                 _cache: Optional[_ChainCache] = None) -> Formula:
-    """Progress into p >= 0: progress_gt(p) or the differential radical of p."""
-    chain = _chain(p, sys, cap, _cache)
-    return make_or([_gt_from_chain(chain), radical_of_chain(chain)])
-
-
-def semialg_progress(P: NormalForm, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-                     _cache: Optional[_ChainCache] = None) -> Formula:
+def semialg_progress(P: NormalForm, chains: Mapping[Polynomial, Sequence[Polynomial]]) -> Formula:
     """Disjunction over P's disjuncts of the conjunction of atom progress
-    formulas (progress_geq for >= atoms, progress_gt for > atoms).
+    formulas (progress_geq for >= atoms, progress_gt for > atoms); ``chains``
+    maps each of P's ``atoms`` to its rank chain.
 
-    Progress into the past is this function over reverse(sys); progress into
-    the complement of P is its negation (see the module docstring)."""
-    cache = {} if _cache is None else _cache
-    disjuncts: list[Formula] = []
-    for c in P.disjuncts:
-        parts = [progress_geq(p, sys, cap=cap, _cache=cache) for p in c.geqs]
-        parts += [progress_gt(q, sys, cap=cap, _cache=cache) for q in c.gts]
-        disjuncts.append(make_and(parts))
-    return make_or(disjuncts)
+    Progress into the past is this function over the ``reverse_chain``s;
+    progress into the complement of P is its negation (see the module
+    docstring)."""
+    return make_or([make_and([progress_geq(chains[p]) for p in c.geqs]
+                             + [progress_gt(chains[q]) for q in c.gts])
+                    for c in P.disjuncts])

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from odecert import (Conjunct, NormalForm, OdeSystem, Polynomial, VarTable)
+from odecert import (Conjunct, NormalForm, OdeSystem, Polynomial, VarTable,
+                     differential_radical)
+from odecert.ideals import DEFAULT_RANK_CAP
+from odecert.semalg import atoms
 
 
 @pytest.fixture
@@ -79,3 +82,9 @@ def random_normal_form(rng: random.Random, table: VarTable,
                for _ in range(rng.randint(0, max_atoms))]
         disjuncts.append(Conjunct(tuple(geqs), tuple(gts)))
     return NormalForm(tuple(disjuncts))
+
+
+def rank_chains(nf: NormalForm, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP) -> dict:
+    """Each atom of nf mapped to its rank chain over sys: the ``chains``
+    argument of ``semialg_progress``."""
+    return {p: differential_radical(p, sys, cap=cap) for p in atoms(nf)}

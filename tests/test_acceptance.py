@@ -15,7 +15,7 @@ from odecert import (DarbouxCert, DischargeConfig, DriCert,
                      dri_companion, emit_smtlib, find_darboux_cofactor,
                      higher_lie, lie_derivative, liouville_check,
                      member_with_witness,
-                     progress_gt, radical_formula, rank, reduce_box,
+                     progress_gt, radical_of_chain, rank, reduce_box,
                      sai_side_conditions, semialg_progress, to_normal_form)
 from odecert.invariant import PROVED_IDENTITY, REFUTED, UNKNOWN, ChainRecord
 from odecert.parser import parse_formula, parse_term
@@ -23,7 +23,7 @@ from odecert.semalg import PointEvaluator
 from odecert.smtlib import SolverConfig
 
 from conftest import (random_nonzero_polynomial, random_normal_form,
-                      random_point, random_system)
+                      random_point, random_system, rank_chains)
 from hp_oracle import oracle_unroll
 from test_hpreduce import (random_loop_free_program, random_loop_program,
                            _linear_expr)
@@ -121,8 +121,9 @@ class TestAcceptance:
         for trial in range(30):
             nf = random_normal_form(rng, xy)
             sysr = random_system(rng, xy)
-            sp = semialg_progress(nf, sysr)
-            spn = semialg_progress(reference_negation(nf), sysr)
+            neg = reference_negation(nf)
+            sp = semialg_progress(nf, rank_chains(nf, sysr))
+            spn = semialg_progress(neg, rank_chains(neg, sysr))
             for _ in range(1000):
                 ev = PointEvaluator(random_point(rng, 2))
                 assert ev(sp) != ev(spn), f"duality violated at trial {trial}"
@@ -133,14 +134,14 @@ class TestAcceptance:
             sysr = random_system(rng, xy)
             p = random_nonzero_polynomial(rng, xy)
             chain = differential_radical(p, sysr)
-            gt = progress_gt(p, sysr)
+            gt = progress_gt(chain)
             disjunctive = make_or([
                 make_and([Atom("=", chain[i]) for i in range(k)]
                          + [Atom(">", chain[k])])
                 for k in range(len(chain))])
-            geq_neg = progress_geq(-p, sysr)
-            eps = radical_formula(p, sysr)
-            gt_neg = progress_gt(-p, sysr)
+            geq_neg = progress_geq(differential_radical(-p, sysr))
+            eps = radical_of_chain(chain)
+            gt_neg = progress_gt(differential_radical(-p, sysr))
             for _ in range(1000):
                 ev = PointEvaluator(random_point(rng, 2))
                 assert ev(gt) == ev(disjunctive)

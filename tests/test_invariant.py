@@ -25,10 +25,11 @@ from odecert.parser import parse_formula, parse_term
 from odecert.polyarith import GREVLEX
 from odecert.ideals import differential_radical
 from odecert.semalg import (Atom, Implies, Not, PointEvaluator, TrueF, make_and,
-                            semialg_progress)
+                            reverse_chain, semialg_progress)
 from odecert.smtlib import SolverConfig
 
-from conftest import random_nonzero_polynomial, random_normal_form, random_system
+from conftest import (random_nonzero_polynomial, random_normal_form, random_system,
+                      rank_chains)
 
 QUICK = DischargeConfig(samples=3000, seed=0)
 
@@ -484,8 +485,8 @@ class TestCheckSemialgebraic:
         rsys = reverse(alpha_e)
         _, backward = sai_side_conditions(P_nf, Q_nf, alpha_e)
         assert backward.hypothesis == make_and([Not(P_nf.to_formula()), Q_nf.to_formula(),
-                                                semialg_progress(Q_nf, rsys)])
-        assert backward.conclusion == Not(semialg_progress(P_nf, rsys))
+                                                semialg_progress(Q_nf, rank_chains(Q_nf, rsys))])
+        assert backward.conclusion == Not(semialg_progress(P_nf, rank_chains(P_nf, rsys)))
 
     def test_open_disk_invariant(self, uv, alpha_e):
         P_nf = to_normal_form(F("1 - u^2 - v^2 > 0", uv))
@@ -679,8 +680,7 @@ class TestBackwardChains:
             with pytest.raises(ResourceError):
                 differential_radical(p, reverse(sys), cap=6)
             return
-        assert differential_radical(p, reverse(sys), cap=6) == \
-            [-q if k % 2 else q for k, q in enumerate(forward)]
+        assert differential_radical(p, reverse(sys), cap=6) == reverse_chain(forward)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), nvars=st.sampled_from([2, 3]))
@@ -694,8 +694,8 @@ class TestBackwardChains:
         rsys = reverse(sys)
         try:  # the reference: progress over reverse(sys), every chain ranked anew
             hyp = make_and([Not(P_nf.to_formula()), Q_nf.to_formula(),
-                            semialg_progress(Q_nf, rsys, cap=6)])
-            concl = Not(semialg_progress(P_nf, rsys, cap=6))
+                            semialg_progress(Q_nf, rank_chains(Q_nf, rsys, cap=6))])
+            concl = Not(semialg_progress(P_nf, rank_chains(P_nf, rsys, cap=6)))
         except ResourceError:
             with pytest.raises(ResourceError):
                 sai_side_conditions(P_nf, Q_nf, sys, config)

@@ -1,12 +1,14 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from odecert import (Conjunct, InputError, NormalForm, Polynomial, VarTable,
-                     algebraic_combine, eval_formula, progress_geq,
-                     progress_gt, radical_formula, render_formula,
+                     algebraic_combine, differential_radical, eval_formula,
+                     progress_geq, progress_gt, radical_of_chain, render_formula,
                      reverse, semialg_progress, semalg, to_normal_form)
 from odecert.parser import parse_formula, parse_term
 from odecert.sampling import sample_points
@@ -18,7 +20,7 @@ from odecert.semalg import (ATOM_OPS, DEFAULT_DISJUNCT_LIMIT, FALSE, TRUE, And, 
                             FalseF, make_and, make_or, nnf_fold, pair_equalities)
 
 from conftest import (random_nonzero_polynomial, random_normal_form,
-                      random_point, random_polynomial, random_system)
+                      random_point, random_polynomial, random_system, rank_chains)
 
 
 def P(text, table):
@@ -273,35 +275,35 @@ class TestAlgebraicCombine:
 class TestProgressFormulas:
     def test_rank_one_collapse(self, uv, alpha_e):
         p = P("1 - u^2 - v^2", uv)
-        assert progress_gt(p, alpha_e) == Atom(">", p)
-        geq = progress_geq(p, alpha_e)
+        assert progress_gt(differential_radical(p, alpha_e)) == Atom(">", p)
+        geq = progress_geq(differential_radical(p, alpha_e))
         assert geq == Or((Atom(">", p), Atom("=", p)))
 
     def test_swap_rank_two_structure(self, xy, swap_sys):
         p, lp = P("x", xy), P("y", xy)
-        gt = progress_gt(p, swap_sys)
+        gt = progress_gt(differential_radical(p, swap_sys))
         assert gt == And((Atom(">=", p), Implies(Atom("=", p), Atom(">", lp))))
-        geq = progress_geq(p, swap_sys)
+        geq = progress_geq(differential_radical(p, swap_sys))
         assert geq == Or((gt, And((Atom("=", p), Atom("=", lp)))))
 
     def test_zero_polynomial(self, uv, alpha_e):
         zero = Polynomial.zero(uv)
-        gt = progress_gt(zero, alpha_e)
+        gt = progress_gt(differential_radical(zero, alpha_e))
         assert gt == Atom(">", zero)
         rng = random.Random(26)
-        geq = progress_geq(zero, alpha_e)
+        geq = progress_geq(differential_radical(zero, alpha_e))
         for _ in range(10):
             pt = random_point(rng, 2)
             assert not eval_formula(gt, pt)
             assert eval_formula(geq, pt)
 
     def test_semialg_progress_trivial_forms(self, uv, alpha_e):
-        assert semialg_progress(NormalForm.true(), alpha_e) == TrueF()
-        assert semialg_progress(NormalForm.false(), alpha_e) == FalseF()
+        assert semialg_progress(NormalForm.true(), {}) == TrueF()
+        assert semialg_progress(NormalForm.false(), {}) == FalseF()
 
     def test_semialg_progress_single_strict_atom(self, uv, alpha_e):
         nf = to_normal_form(F("u^2 + v^2 < 1", uv))
-        assert semialg_progress(nf, alpha_e) == Atom(">", P("1 - u^2 - v^2", uv))
+        assert semialg_progress(nf, rank_chains(nf, alpha_e)) == Atom(">", P("1 - u^2 - v^2", uv))
 
 
 class TestRearrangementEquivalences:
@@ -316,12 +318,11 @@ class TestRearrangementEquivalences:
 
     def test_disjunctive_form_of_progress_gt(self):
         rng, xy, sysr, p = self._setup(271)
-        from odecert.ideals import differential_radical
         chain = differential_radical(p, sysr)
         disj = make_or([
             make_and([Atom("=", chain[i]) for i in range(k)] + [Atom(">", chain[k])])
             for k in range(len(chain))])
-        gt = progress_gt(p, sysr)
+        gt = progress_gt(chain)
         for _ in range(1000):
             pt = random_point(rng, 2)
             ev = PointEvaluator(pt)
@@ -329,8 +330,8 @@ class TestRearrangementEquivalences:
 
     def test_negated_gt_is_geq_of_negation(self):
         rng, xy, sysr, p = self._setup(272)
-        gt = progress_gt(p, sysr)
-        geq_neg = progress_geq(-p, sysr)
+        gt = progress_gt(differential_radical(p, sysr))
+        geq_neg = progress_geq(differential_radical(-p, sysr))
         for _ in range(1000):
             pt = random_point(rng, 2)
             ev = PointEvaluator(pt)
@@ -338,9 +339,9 @@ class TestRearrangementEquivalences:
 
     def test_negated_radical_is_two_sided_gt(self):
         rng, xy, sysr, p = self._setup(273)
-        eps = radical_formula(p, sysr)
-        gt_pos = progress_gt(p, sysr)
-        gt_neg = progress_gt(-p, sysr)
+        eps = radical_of_chain(differential_radical(p, sysr))
+        gt_pos = progress_gt(differential_radical(p, sysr))
+        gt_neg = progress_gt(differential_radical(-p, sysr))
         for _ in range(1000):
             pt = random_point(rng, 2)
             ev = PointEvaluator(pt)
@@ -353,8 +354,9 @@ class TestNegationDuality:
         for _ in range(8):
             nf = random_normal_form(rng, xy)
             sysr = random_system(rng, xy)
-            sp = semialg_progress(nf, sysr)
-            sp_neg = semialg_progress(reference_negation(nf), sysr)
+            neg = reference_negation(nf)
+            sp = semialg_progress(nf, rank_chains(nf, sysr))
+            sp_neg = semialg_progress(neg, rank_chains(neg, sysr))
             for _ in range(300):
                 pt = random_point(rng, 2)
                 ev = PointEvaluator(pt)
@@ -371,12 +373,32 @@ class TestNegatedProgressMatchesTheReference:
         xy = VarTable(["x", "y"])
         nf = random_normal_form(rng, xy)
         rsys = reverse(random_system(rng, xy))
-        negated = Not(semialg_progress(nf, rsys))
-        reference = semialg_progress(reference_negation(nf), rsys)
+        neg = reference_negation(nf)
+        negated = Not(semialg_progress(nf, rank_chains(nf, rsys)))
+        reference = semialg_progress(neg, rank_chains(neg, rsys))
         boundary = [p for c in nf.disjuncts for p in c.geqs + c.gts]
         for point in sample_points(rng, 2, 60, boundary):
             ev = PointEvaluator(point)
             assert ev(negated) == ev(reference)
+
+
+class TestLayering:
+    def test_semalg_imports_only_errors_and_polyarith(self):
+        """Progress formulas are built from rank chains the caller computed,
+        so the formula layer needs no Groebner engine, and a certificate
+        checker can build them without ``ideals`` or ``odecore``.  The
+        module is parsed, not imported: importing it runs the package's
+        ``__init__``, which imports every module."""
+        path = Path(__file__).resolve().parents[1] / "src" / "odecert" / "semalg.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        absolute += [node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and not node.level]
+        assert relative == {"errors", "polyarith"}
+        assert not [name for name in absolute if name.split(".")[0] == "odecert"]
 
 
 class TestDisjunctLimits:
