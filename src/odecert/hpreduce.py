@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import InputError, ResourceError
-from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, StepBudget,
+from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, ChainRecord, StepBudget,
                      differential_radical, member_with_witness, stabilize)
 from .odecore import OdeSystem
 from .polyarith import Polynomial, sum_of_products
@@ -139,21 +139,17 @@ class ReductionTrace:
 
     ``generators`` vanish together exactly where [alpha] p=0 holds.
     ``chain`` lists the generators the loops kept, in the order kept, and
-    ``witness`` has one record (chain, cofactors) per loop member h:
-    ``chain`` is the generators g_0..g_{k-1} its loop had kept before h,
-    followed by h, and h = sum_{i<k} cofactors[i] * g_i.  A record met more
-    than once is listed once.  Both are None for a program without loops.
+    ``witness`` one ``ideals.ChainRecord`` (chain, cofactors) per loop
+    member, as ``stabilize`` made it, in the order first met; a record met
+    more than once is listed once.  Both are None for a program without
+    loops.
     A loop past the cap raises ResourceError carrying the trace so far: its
     ``chain`` ends with the generators that loop kept, which are also its
     ``generators``, and its ``witness`` is None.
     """
     generators: list[Polynomial]
     chain: Optional[list[Polynomial]] = None
-    witness: Optional[list[tuple[list[Polynomial], list[Polynomial]]]] = None
-
-    def star_chains(self) -> list[tuple[list[Polynomial], list[Polynomial]]]:
-        """The loop records, in the order first met."""
-        return list(self.witness or ())
+    witness: Optional[list[ChainRecord]] = None
 
 
 def _distinct(gens) -> list[Polynomial]:
@@ -206,7 +202,7 @@ def reduce_box(alpha: HybridProgram, p: Polynomial, cap: int = DEFAULT_RANK_CAP,
     budget = StepBudget(DEFAULT_STEP_BUDGET, "loop chain")
     member = None if witnesses is None else _recorded_member(witnesses, budget)
     kept: list[Polynomial] = []
-    records: dict[tuple, tuple[list[Polynomial], Sequence[Polynomial]]] = {}
+    records: list[ChainRecord] = []
 
     def box(a: HybridProgram, gens: list[Polynomial]) -> list[Polynomial]:
         if isinstance(a, Assign):
@@ -231,8 +227,7 @@ def reduce_box(alpha: HybridProgram, p: Polynomial, cap: int = DEFAULT_RANK_CAP,
             if members is None:
                 raise ResourceError(f"loop chain cap {cap} exceeded",
                                     partial=ReductionTrace(loop_kept, kept))
-            for chain, cofs in members:
-                records.setdefault((tuple(chain), tuple(cofs)), (chain, cofs))
+            records.extend(members)
             return loop_kept
         raise InputError(f"not a hybrid program: {type(a).__name__}")
 
@@ -244,5 +239,5 @@ def reduce_box(alpha: HybridProgram, p: Polynomial, cap: int = DEFAULT_RANK_CAP,
         q = sum_of_products(p.table, ((g, g) for g in nonzero))
     loops = bool(kept or records)
     return q, ReductionTrace(gens, kept if loops else None,
-                             list(records.values()) if loops else None)
+                             list(dict.fromkeys(records)) if loops else None)
 

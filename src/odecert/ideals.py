@@ -55,13 +55,14 @@ so it shares none of the engine's monomial arithmetic.
 ``stabilize`` is the one ascending-chain loop.  It grows the ideal of a
 list of generators: each round maps the generators the last round kept to
 a new list, keeps those that are not yet members and records a membership
-witness for every one that is, until a round keeps nothing.  Membership is
-an argument: by default a test on a single incremental basis, while the
-``hpreduce`` certificate check looks each one up in the certificate's
-records.  ``rank`` is its one-generator case, with the Lie derivative as
-the step, and returns the chain it grew; the rank replay of DRI
-certificates runs that case too, and the loop rule of ``hpreduce`` runs it
-with the loop body's reduction of a generator list as the step.
+witness, a ``ChainRecord``, for every one that is, until a round keeps
+nothing; the ``hpreduce`` certificate carries those records as they are.
+Membership is an argument: by default a test on a single incremental
+basis, while the ``hpreduce`` certificate check looks each one up in the
+certificate's records.  ``rank`` is its one-generator case, with the Lie
+derivative as the step, and returns the chain it grew; the rank replay of
+DRI certificates runs that case too, and the loop rule of ``hpreduce``
+runs it with the loop body's reduction of a generator list as the step.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from functools import cache
 from math import gcd, lcm
 from operator import mul
 import heapq
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
@@ -127,6 +128,13 @@ class RankResult:
     n: int
     cofactors: tuple[Polynomial, ...]
     chain: tuple[Polynomial, ...] = field(default=(), compare=False)
+
+
+class ChainRecord(NamedTuple):
+    """A member h of a ``stabilize`` run: ``chain`` is the generators
+    g_0..g_{k-1} kept before h, then h, and h = sum_{i<k} cofactors[i] * g_i."""
+    chain: tuple[Polynomial, ...]
+    cofactors: tuple[Polynomial, ...]
 
 
 # bits per packed field: 31 value bits and a guard bit above them
@@ -593,15 +601,14 @@ def stabilize(first: Sequence[Polynomial],
               step: Callable[[list[Polynomial]], list[Polynomial]], cap: int,
               budget: StepBudget, order: MonomialOrder = GREVLEX,
               member: Optional[Callable] = None
-              ) -> tuple[list[Polynomial], Optional[list[tuple[list[Polynomial],
-                                                                Sequence[Polynomial]]]]]:
+              ) -> tuple[list[Polynomial], Optional[list[ChainRecord]]]:
     """Grow the ideal of the generators ``first`` until ``step`` adds nothing.
 
     Round 0 is ``first``; round k+1 is ``step`` of the generators round k
     kept.  Each round's generators are decided in turn by
     ``member(kept, h)``: None when h is not in the ideal of the m generators
     g_0..g_{m-1} kept so far, and h is then kept; any other value c marks h
-    as a member and gives it the record (g_0..g_{m-1} followed by h, c).
+    as a member and gives it the record ``ChainRecord((g_0, ..., h), c)``.
     The default decision, a Groebner test on one incremental basis that
     spends ``budget``, gives cofactors with h = sum_i c_i g_i.  The ideal is
     closed under ``step`` once a round keeps nothing; the ascending chain
@@ -626,7 +633,7 @@ def stabilize(first: Sequence[Polynomial],
                 kept.append(h)
                 new.append(h)
             else:
-                records.append((kept + [h], cofs))
+                records.append(ChainRecord((*kept, h), tuple(cofs)))
         if not new:
             return kept, records
     return kept, None
@@ -641,7 +648,7 @@ def _lie_chain(p: Polynomial, sys: OdeSystem, cap: int, order: MonomialOrder,
     if p.table != sys.table:
         raise InputError("polynomial and system use different variable tables")
     if p.is_zero():
-        return [p], [([p], (p,))]
+        return [p], [ChainRecord((p,), (p,))]
     budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET,
                         what="rank")
     chain, records = stabilize([p], lambda gens: [lie_derivative(g, sys) for g in gens],
@@ -663,7 +670,7 @@ def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
     raises ResourceError carrying the partial Lie chain.
     """
     chain, records = _lie_chain(p, sys, cap, order, step_budget, witness=True)
-    return RankResult(len(chain), tuple(records[0][1]), tuple(chain))
+    return RankResult(len(chain), records[0].cofactors, tuple(chain))
 
 
 def differential_radical(p: Polynomial, sys: OdeSystem,

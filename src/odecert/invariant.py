@@ -28,14 +28,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from itertools import combinations_with_replacement
+from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
-from .ideals import (DEFAULT_RANK_CAP, RankResult, StepBudget, differential_radical,
-                     groebner, rank, reduce_mod, stabilize)
+from .ideals import (DEFAULT_RANK_CAP, ChainRecord, RankResult, StepBudget,
+                     differential_radical, groebner, rank, reduce_mod, stabilize)
 from .odecore import OdeSystem, lie_derivative
-from .polyarith import Polynomial, PolyMatrix, VarTable, mono_degree, sum_of_products
+from .polyarith import Polynomial, PolyMatrix, VarTable, sum_of_products
 from .realalg import definite
 from .sampling import sample_points
 from .semalg import (Atom, Conjunct, Formula, Implies, NormalForm, Not,
@@ -55,6 +56,10 @@ _PROVED_KINDS = (PROVED_IDENTITY, PROVED_IDEAL, SMT_VALID)
 # budget of each case's Groebner basis
 SPLIT_LIMIT = 64
 CASE_STEP_BUDGET = 100_000
+
+# Darboux search: most unknowns and coefficient-matrix entries of a solve
+DARBOUX_UNKNOWN_LIMIT = 150
+DARBOUX_ENTRY_LIMIT = 30_000
 
 
 @dataclass(frozen=True)
@@ -134,14 +139,6 @@ class SaiCert:
 
 
 @dataclass(frozen=True)
-class ChainRecord:
-    """One loop member h: ``chain`` is the generators g_0..g_{k-1} the loop
-    had kept before it, followed by h, and h = sum_{i<k} cofactors[i] * g_i."""
-    chain: tuple[Polynomial, ...]
-    cofactors: tuple[Polynomial, ...]
-
-
-@dataclass(frozen=True)
 class HpReductionCert:
     kind = "hpreduce"
     table: VarTable
@@ -159,8 +156,8 @@ def reduction_certificate(table: VarTable, program, p: Polynomial, cap: int,
     from .hpreduce import reduce_box
 
     q, trace = reduce_box(program, p, cap=cap, witnesses=witnesses)
-    chains = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
-    return HpReductionCert(table=table, program=program, p=p, q=q, chains=chains, cap=cap)
+    return HpReductionCert(table=table, program=program, p=p, q=q,
+                           chains=tuple(trace.witness or ()), cap=cap)
 
 
 Certificate = object  # union of the five kinds above
@@ -223,22 +220,6 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
     return x
 
 
-def _monomials_up_to(table: VarTable, deg: int) -> list[tuple[int, ...]]:
-    n = len(table)
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int):
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], deg, 0)
-    out.sort(key=lambda m: (mono_degree(m), m))
-    return out
-
-
 def find_darboux_cofactor(p: Polynomial, sys: OdeSystem,
                           deg_bound: Optional[int] = None) -> Optional[Polynomial]:
     """Polynomial g with lie(p) = g*p exactly, with deg(g) <= deg_bound: the
@@ -252,41 +233,43 @@ def find_darboux_cofactor(p: Polynomial, sys: OdeSystem,
 def find_vectorial_darboux(p_vec: Sequence[Polynomial], sys: OdeSystem,
                            deg_bound: Optional[int] = None) -> Optional[PolyMatrix]:
     """Matrix G with lie(p_i) = sum_j G[i][j]*p_j exactly for all i; one
-    degree bound shared across all entries."""
+    degree bound shared across all entries.  Every row of G is solved
+    against one coefficient matrix: a column p_j * m per j and monomial m
+    of degree <= deg_bound, a row per monomial of a column or a Lie
+    derivative.  ResourceError past ``DARBOUX_UNKNOWN_LIMIT`` unknowns or
+    ``DARBOUX_ENTRY_LIMIT`` entries, each counted before it is built.  The
+    found G is checked as a ``vdbx`` certificate."""
     if len(p_vec) == 0:
         raise InputError("vectorial Darboux search needs a nonempty vector")
-    n = len(p_vec)
+    n, k = len(p_vec), len(sys.table)
     lies = [lie_derivative(q, sys) for q in p_vec]
     if deg_bound is None:
         lo = min((q.total_degree() for q in p_vec if not q.is_zero()), default=0)
         hi = max((l.total_degree() for l in lies), default=0)
         deg_bound = max(0, hi - lo)
-    monos = _monomials_up_to(sys.table, deg_bound)
-    columns = [[q.mul_term(Fraction(1), m) for m in monos] for q in p_vec]
+    unknowns = n * comb(deg_bound + k, k) if deg_bound >= 0 else 0
+    if unknowns > DARBOUX_UNKNOWN_LIMIT:
+        raise ResourceError(f"Darboux search: {unknowns} unknowns, cap {DARBOUX_UNKNOWN_LIMIT}")
+    monos = sorted((tuple(map(c.count, range(k))) for d in range(deg_bound + 1)
+                    for c in combinations_with_replacement(range(k), d)),
+                   key=lambda m: (sum(m), m))
+    columns = [q.mul_term(Fraction(1), m) for q in p_vec for m in monos]
+    row_monos = sorted({m for col in columns for m in col.terms}.union(*(l.terms for l in lies)))
+    if len(row_monos) * unknowns > DARBOUX_ENTRY_LIMIT:
+        raise ResourceError(f"Darboux search: {len(row_monos) * unknowns} matrix entries, "
+                            f"cap {DARBOUX_ENTRY_LIMIT}")
+    matrix = [[col.terms.get(m, Fraction(0)) for col in columns] for m in row_monos]
     entries: list[Polynomial] = []
-    for i in range(n):
-        flat_cols = [col for j in range(n) for col in columns[j]]
-        row_monos = sorted({mm for col in flat_cols for mm in col.terms} | set(lies[i].terms))
-        rows = [[col.terms.get(mm, Fraction(0)) for col in flat_cols] for mm in row_monos]
-        rhs = [lies[i].terms.get(mm, Fraction(0)) for mm in row_monos]
-        sol = _solve_exact(rows, rhs)
+    for lie in lies:
+        sol = _solve_exact(matrix, [lie.terms.get(m, Fraction(0)) for m in row_monos])
         if sol is None:
             return None
-        for j in range(n):
-            part = sol[j * len(monos):(j + 1) * len(monos)]
-            entries.append(Polynomial(sys.table, {m: c for m, c in zip(monos, part)}))
+        coefs = iter(sol)  # zip takes the next len(monos) of them for each entry
+        entries.extend(Polynomial(sys.table, dict(zip(monos, coefs))) for _ in range(n))
     G = PolyMatrix(n, n, entries)
-    for i in range(n):
-        residue = lies[i] - _dot(G.row(i), p_vec)
-        assert residue.is_zero()
+    if not _check_vdbx(VdbxCert(system=sys, p_vec=tuple(p_vec), G=G)):
+        raise AssertionError("the Darboux matrix fails its vdbx check")
     return G
-
-
-def _dot(row: Sequence[Polynomial], vec: Sequence[Polynomial]) -> Polynomial:
-    acc = Polynomial.zero(row[0].table)
-    for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
 
 
 def dri_companion(rank_result: RankResult, sys: OdeSystem) -> VdbxCert:
@@ -383,7 +366,8 @@ def _case_entails(eqs: list[Polynomial], stricts: list[Polynomial],
     return nnf_fold(conclusion, forced, all, any)
 
 
-def _try_ideal(cond: SideCondition, hyp_nf: Optional[NormalForm]) -> Optional[DischargeStatus]:
+def _try_ideal(cond: SideCondition) -> Optional[DischargeStatus]:
+    hyp_nf = _hypothesis_nf(cond)
     if hyp_nf is None:
         return None  # past the disjunct limit
     try:
@@ -399,28 +383,28 @@ def _try_ideal(cond: SideCondition, hyp_nf: Optional[NormalForm]) -> Optional[Di
 
 
 def _hypothesis_nf(cond: SideCondition) -> Optional[NormalForm]:
-    """The hypothesis normal form; None past the disjunct limit."""
-    try:
-        return to_normal_form(cond.hypothesis)
-    except ResourceError:
-        return None
+    """The hypothesis normal form, None past the disjunct limit: built on
+    first use and kept on the hypothesis formula object, as ``_nf``."""
+    hyp = cond.hypothesis
+    if not hasattr(hyp, "_nf"):
+        try:
+            nf = to_normal_form(hyp)
+        except ResourceError:
+            nf = None
+        object.__setattr__(hyp, "_nf", nf)
+    return hyp._nf
 
 
-def _boundary_atoms(hyp_nf: Optional[NormalForm]) -> list[Polynomial]:
-    """The distinct non-strict atoms of the hypothesis normal form; none
-    without one (past the disjunct limit)."""
-    if hyp_nf is None:
-        return []
-    return list(dict.fromkeys(p for c in hyp_nf.disjuncts for p in c.geqs))
-
-
-def _sample_stream(cond: SideCondition, config: DischargeConfig,
-                   hyp_nf: Optional[NormalForm]) -> Iterator[Optional[DischargeStatus]]:
+def _sample_stream(cond: SideCondition,
+                   config: DischargeConfig) -> Iterator[Optional[DischargeStatus]]:
     """The sampling tier, one item per point of the condition's own stream,
     seeded by ``config.seed``: None where the implication holds, and a
-    refutation at the first point where it fails, which ends the stream."""
+    refutation at the first point where it fails, which ends the stream.
+    Points project onto the non-strict atoms of the hypothesis normal form."""
     rng = random.Random(config.seed)
-    boundary = _boundary_atoms(hyp_nf)
+    hyp_nf = _hypothesis_nf(cond)
+    boundary = [] if hyp_nf is None else list(
+        dict.fromkeys(p for c in hyp_nf.disjuncts for p in c.geqs))
     implication = Implies(cond.hypothesis, cond.conclusion)
     for point in sample_points(rng, len(cond.universal_vars), config.samples, boundary):
         if not PointEvaluator(point)(implication):
@@ -430,9 +414,8 @@ def _sample_stream(cond: SideCondition, config: DischargeConfig,
         yield None
 
 
-def _try_sampling(cond: SideCondition, config: DischargeConfig,
-                  hyp_nf: Optional[NormalForm]) -> Optional[DischargeStatus]:
-    return next(filter(None, _sample_stream(cond, config, hyp_nf)), None)
+def _try_sampling(cond: SideCondition, config: DischargeConfig) -> Optional[DischargeStatus]:
+    return next(filter(None, _sample_stream(cond, config)), None)
 
 
 def _try_smt(cond: SideCondition, config: DischargeConfig) -> DischargeStatus:
@@ -458,17 +441,13 @@ def discharge(cond: SideCondition, config: Optional[DischargeConfig] = None) -> 
     """Fill the condition's status via the tiers: identity, ideal reduction,
     rational sampling (refutation only), then the optional external solver.
 
-    The ideal tier works on the hypothesis normal form; a hypothesis whose
-    normal form passes the disjunct limit skips it, and sampling then
+    The ideal tier works on the hypothesis normal form, built once and kept
+    on the hypothesis, which ``with_status`` copies share; a hypothesis
+    whose normal form passes the disjunct limit skips it, and sampling then
     evaluates the formulas exactly with no boundary atoms to project onto."""
     config = config if config is not None else DischargeConfig()
-    status = _try_identity(cond)
-    if status is None:
-        hyp_nf = _hypothesis_nf(cond)
-        status = (_try_ideal(cond, hyp_nf)
-                  or _try_sampling(cond, config, hyp_nf)
-                  or _try_smt(cond, config))
-    return cond.with_status(status)
+    return cond.with_status(_try_identity(cond) or _try_ideal(cond)
+                            or _try_sampling(cond, config) or _try_smt(cond, config))
 
 
 # ---------------------------------------------------------------------------
@@ -546,22 +525,18 @@ def _discharge_sai(forward: SideCondition, backward: SideCondition,
                    config: DischargeConfig) -> tuple[SideCondition, SideCondition]:
     """The two SAI conditions discharged in the order that
     ``check_semialgebraic_invariance`` describes."""
-    fwd_nf = None
-    status = forward.status if forward.status.is_proved() else _try_identity(forward)
-    if status is None:
-        fwd_nf = _hypothesis_nf(forward)
-        status = _try_ideal(forward, fwd_nf)
+    status = (forward.status if forward.status.is_proved()
+              else _try_identity(forward) or _try_ideal(forward))
     if status is not None:
         return forward.with_status(status), (
             backward if backward.status.is_proved() else discharge(backward, config))
     status = backward.status if backward.status.is_proved() else _try_identity(backward)
     if status is not None:  # the forward condition is left alone
-        return (forward.with_status(_try_sampling(forward, config, fwd_nf)
+        return (forward.with_status(_try_sampling(forward, config)
                                     or _try_smt(forward, config)),
                 backward.with_status(status))
-    bwd_nf = _hypothesis_nf(backward)
-    fwd_points = _sample_stream(forward, config, fwd_nf)
-    bwd_points = _sample_stream(backward, config, bwd_nf)
+    fwd_points = _sample_stream(forward, config)
+    bwd_points = _sample_stream(backward, config)
     for status in fwd_points:
         if status is not None:
             return forward.with_status(status), backward
@@ -570,8 +545,7 @@ def _discharge_sai(forward: SideCondition, backward: SideCondition,
             return forward, backward.with_status(status)
     forward = forward.with_status(_try_smt(forward, config))
     if forward.status.kind != REFUTED:
-        backward = backward.with_status(_try_ideal(backward, bwd_nf)
-                                        or _try_smt(backward, config))
+        backward = backward.with_status(_try_ideal(backward) or _try_smt(backward, config))
     return forward, backward
 
 
@@ -648,14 +622,12 @@ def _check_darboux(cert: DarbouxCert, config: DischargeConfig) -> bool:
 
 
 def _check_vdbx(cert: VdbxCert) -> bool:
-    n = len(cert.p_vec)
-    if cert.G.rows != n or cert.G.cols != n or n == 0:
+    n, table = len(cert.p_vec), cert.system.table
+    if cert.G.rows != n or cert.G.cols != n or n == 0 or cert.G.table != table:
         return False
-    for i in range(n):
-        lhs = lie_derivative(cert.p_vec[i], cert.system)
-        if not (lhs - _dot(cert.G.row(i), cert.p_vec)).is_zero():
-            return False
-    return True
+    return all(lie_derivative(p, cert.system)
+               == sum_of_products(table, zip(cert.G.row(i), cert.p_vec))
+               for i, p in enumerate(cert.p_vec))
 
 
 def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
@@ -705,5 +677,5 @@ def _check_hpreduce(cert: HpReductionCert) -> bool:
         if sum_of_products(cert.table, zip(record.cofactors, record.chain)) != record.chain[k]:
             return False
     replayed = reduction_certificate(cert.table, cert.program, cert.p, cert.cap,
-                                     {tuple(r.chain): r.cofactors for r in cert.chains})
+                                     dict(cert.chains))
     return (replayed.q, replayed.chains) == (cert.q, cert.chains)

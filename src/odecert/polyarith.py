@@ -127,10 +127,6 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def mono_degree(a: Mono) -> int:
-    return sum(a)
-
-
 class MonomialOrder:
     """A monomial order given by a sort key; larger key = larger monomial."""
 

@@ -223,7 +223,7 @@ class TestAcceptance:
             except Exception:
                 continue
             loops += 1
-            for chain, witness in trace.star_chains():
+            for chain, witness in trace.witness or ():
                 k = len(chain) - 1
                 acc = Polynomial.zero(xy)
                 for g, qi in zip(witness, chain[:k]):
@@ -310,8 +310,7 @@ class TestAcceptance:
         tx = VarTable(["x"])
         prog = Star(Assign(0, P("-x", tx)))
         q, trace = reduce_box(prog, P("x", tx))
-        chains = tuple(ChainRecord(tuple(c), tuple(w))
-                       for c, w in trace.star_chains())
+        chains = tuple(trace.witness)
         hp = HpReductionCert(table=tx, program=prog, p=P("x", tx), q=q,
                              chains=chains, cap=20)
         assert check_certificate(hp, config)

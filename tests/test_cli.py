@@ -496,6 +496,22 @@ class TestCommands:
                      "vars: x, y\node: x' = y, y' = x\npolynomial: x\n")
         assert main(["darboux", prob]) == 2
 
+    def test_darboux_default_bound_past_the_unknown_cap(self, tmp_path, capsys):
+        # the default degree bound is 59: 1830 unknowns in one dense solve
+        prob = write(tmp_path, "big.prob",
+                     "vars: x, y\node: x' = y^60 + x, y' = x^60 + y\npolynomial: x + y + 1\n")
+        start = time.perf_counter()
+        assert main(["darboux", prob]) == 4
+        assert time.perf_counter() - start < 5
+        assert "1830 unknowns, cap 150" in capsys.readouterr().err
+
+    def test_darboux_huge_bound_is_refused_before_enumeration(self, tmp_path, capsys):
+        prob = write(tmp_path, "circ.prob",
+                     "vars: x, y\node: x' = y, y' = -x\npolynomial: x^2 + y^2\n")
+        assert main(["darboux", prob, "--deg-bound", "100000"]) == 4
+        assert "5000150001 unknowns" in capsys.readouterr().err
+        assert main(["darboux", prob, "--deg-bound", "2"]) == 0
+
     def test_progress_command(self, circle_prob, capsys):
         code, report = run_json(capsys, ["progress", circle_prob, "--json"])
         assert code == 0

@@ -10,6 +10,7 @@ from odecert import (Assign, Choice, ChainRecord, DischargeConfig,
                      ResourceError, Seq, Star, VarTable, check_certificate,
                      member_with_witness, reduce_box, render_program)
 from odecert.certio import certificate_from_json, certificate_to_json
+from odecert.invariant import reduction_certificate
 from odecert import Test as ProgTest
 from odecert.parser import parse_program, parse_term
 
@@ -51,16 +52,16 @@ class TestReduceBox:
         # the loop keeps the lone generator x, so q is x itself
         q, trace = reduce_box(Star(Assign(0, P("-x", tx))), P("x", tx))
         assert q == P("x", tx)
-        chains = list(trace.star_chains())
+        chains = trace.witness
         assert len(chains) == 1
         chain, witness = chains[0]
-        assert chain == [P("x", tx), P("-x", tx)]
-        assert witness == [P("-1", tx)]
+        assert chain == (P("x", tx), P("-x", tx))
+        assert witness == (P("-1", tx),)
 
     def test_star_zero_postcondition(self, tx):
         q, trace = reduce_box(Star(Assign(0, P("x + 1", tx))), Polynomial.zero(tx))
         assert q.is_zero()
-        assert list(trace.star_chains()) == [([Polynomial.zero(tx)], [])]
+        assert trace.witness == [((Polynomial.zero(tx),), ())]
 
     def test_ode_node_rank_one(self, uv, alpha_e):
         q, trace = reduce_box(Ode(alpha_e), P("u^2 + v^2 - 1", uv))
@@ -93,8 +94,7 @@ class TestReduceBox:
         p = P("x^2 + y^2 - 1", xy)
         q, trace = reduce_box(Star(Ode(rot)), p)
         assert q == p
-        chains = list(trace.star_chains())
-        assert chains == [([p, p], [Polynomial.one(xy)])]
+        assert trace.witness == [((p, p), (Polynomial.one(xy),))]
 
     def test_chain_cap_resource_error(self, tx):
         # x := x^2 + 1 drives an ascending chain that needs two rounds
@@ -110,12 +110,12 @@ class TestReduceBox:
         assert info.value.partial.chain == [P("x", tx), P("x^2 + 1", tx)]
         assert info.value.partial.generators == [P("x", tx), P("x^2 + 1", tx)]
         _, trace = reduce_box(prog, P("x", tx), cap=2)
-        assert [c for c, _ in trace.star_chains()] == \
-            [[P("x", tx), P("x^2 + 1", tx), P("(x^2 + 1)^2 + 1", tx)]]
+        assert [c for c, _ in trace.witness] == \
+            [(P("x", tx), P("x^2 + 1", tx), P("(x^2 + 1)^2 + 1", tx))]
 
 
 def assert_records_recombine(trace):
-    for chain, cofactors in trace.star_chains():
+    for chain, cofactors in trace.witness or ():
         k = len(chain) - 1
         assert len(cofactors) == k
         acc = Polynomial.zero(chain[k].table)
@@ -126,7 +126,7 @@ def assert_records_recombine(trace):
 
 def assert_certificate_replays(prog, p, q, trace):
     table = p.table
-    chains = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
+    chains = tuple(trace.witness or ())
     cert = HpReductionCert(table=table, program=prog, p=p, q=q, chains=chains, cap=20)
     assert check_certificate(cert, DischargeConfig())
 
@@ -163,9 +163,21 @@ class TestGeneratorLists:
         q, trace = reduce_box(prog, P("x + y", xy))
         assert q == P("(x + y)^2 + x^2", xy)
         assert trace.chain == [P("x", xy), P("x", xy), P("x + y", xy), P("x", xy)]
-        assert trace.star_chains() == [
-            ([P("x", xy), P("-x", xy)], [P("-1", xy)]),
-            ([P("x + y", xy), P("x", xy), P("x", xy)], [P("0", xy), P("1", xy)])]
+        assert trace.witness == [
+            ((P("x", xy), P("-x", xy)), (P("-1", xy),)),
+            ((P("x + y", xy), P("x", xy), P("x", xy)), (P("0", xy), P("1", xy)))]
+
+    def test_certificate_carries_the_trace_records(self, xy):
+        prog = parse_program("{ { x := -x }* ; y := 0 }*", xy)
+        p = P("x + y", xy)
+        cert = reduction_certificate(xy, prog, p, 20)
+        _, trace = reduce_box(prog, p, cap=20)
+        assert cert.chains == tuple(trace.witness)
+        for record in cert.chains:
+            assert isinstance(record, ChainRecord)
+            chain, cofactors = record
+            assert (chain, cofactors) == (record.chain, record.cofactors)
+            assert len(cofactors) == len(chain) - 1
 
     def test_long_sequence_and_choice_chains(self, xy):
         steps = parse_program(" ; ".join(["x := x + 1"] * 3000), xy)
@@ -315,15 +327,14 @@ def reference_check(cert):
         q, trace = reduce_box(cert.program, cert.p, cap=cert.cap)
     except (InputError, ResourceError):
         return False
-    replayed = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
-    return q == cert.q and replayed == cert.chains
+    return q == cert.q and tuple(trace.witness or ()) == cert.chains
 
 
 def emitted_certificate(prog, p, cap=20):
     """The certificate hp-reduce writes, read back from its JSON."""
     q, trace = reduce_box(prog, p, cap=cap)
-    chains = tuple(ChainRecord(tuple(c), tuple(w)) for c, w in trace.star_chains())
-    cert = HpReductionCert(table=p.table, program=prog, p=p, q=q, chains=chains, cap=cap)
+    cert = HpReductionCert(table=p.table, program=prog, p=p, q=q,
+                           chains=tuple(trace.witness or ()), cap=cap)
     return certificate_from_json(certificate_to_json(cert))
 
 
@@ -581,7 +592,7 @@ class TestOracleAgreement:
                 _, trace = reduce_box(prog, p, cap=20)
             except ResourceError:
                 continue
-            for chain, witness in trace.star_chains():
+            for chain, witness in trace.witness or ():
                 k = len(chain) - 1
                 acc = Polynomial.zero(xy)
                 for g, qi in zip(witness, chain[:k]):

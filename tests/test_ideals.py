@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -579,9 +580,9 @@ def _bounded_membership(p, gens, deg_bound) -> bool:
     """Brute-force linear-algebra membership oracle: look for cofactors of
     degree <= deg_bound by solving the linear system over all monomials.
     Adequate for these small fixtures; independent of Groebner machinery."""
-    from odecert.invariant import _monomials_up_to, _solve_exact
-    table = p.table
-    monos = _monomials_up_to(table, deg_bound)
+    from odecert.invariant import _solve_exact
+    monos = [m for m in itertools.product(range(deg_bound + 1), repeat=len(p.table))
+             if sum(m) <= deg_bound]
     columns = []
     for g in gens:
         for m in monos:

@@ -64,6 +64,34 @@ class TestDarbouxSearch:
         rot = parse_ode("x' = y, y' = -x", xy)
         assert find_darboux_cofactor(P("x^2 + y^2", xy), rot, 2).is_zero()
 
+    def test_matrix_entries_past_the_cap(self):
+        # 150 unknowns (at the cap) and 300 rows, x^0..x^149 and x^200..x^349
+        t = VarTable(["x"])
+        sys = OdeSystem.from_pairs(t, [("x", P("x", t))])
+        p = P("x^200 + 1", t)
+        with pytest.raises(ResourceError, match="45000 matrix entries, cap 30000"):
+            find_darboux_cofactor(p, sys, 149)
+        assert find_darboux_cofactor(p, sys, 99) is None
+
+    def test_vector_unknowns_count_every_column(self, xy, swap_sys):
+        # a row of G has 2 entries, each with the 66 monomials of degree
+        # <= 10, or the 78 of degree <= 11
+        assert find_vectorial_darboux([P("x", xy), P("y", xy)], swap_sys, 10) is not None
+        with pytest.raises(ResourceError, match="156 unknowns, cap 150"):
+            find_vectorial_darboux([P("x", xy), P("y", xy)], swap_sys, 11)
+
+    def test_found_matrix_is_checked(self, xy, swap_sys, monkeypatch):
+        from odecert import invariant
+        real = invariant._solve_exact
+
+        def off_by_one(rows, rhs):
+            sol = real(rows, rhs)
+            return None if sol is None else [sol[0] + 1] + sol[1:]
+
+        monkeypatch.setattr(invariant, "_solve_exact", off_by_one)
+        with pytest.raises(AssertionError, match="vdbx check"):
+            find_vectorial_darboux([P("x", xy), P("y", xy)], swap_sys, 0)
+
 
 class TestDarbouxImpliesRankOne:
     def test_cofactor_success_forces_rank_one(self, uv, alpha_e):
@@ -110,9 +138,7 @@ class TestSoundnessGate:
             if out.status.kind != "proved_by_ideal_reduction":
                 continue
             proved += 1
-            hyp_again = to_normal_form(cond.hypothesis)
-            assert _try_sampling(cond, DischargeConfig(samples=3000, seed=99),
-                                 hyp_again) is None
+            assert _try_sampling(cond, DischargeConfig(samples=3000, seed=99)) is None
         assert proved >= 3
 
     def test_sai_invariant_conditions_survive_resampling(self, xy):
@@ -134,9 +160,7 @@ class TestSoundnessGate:
                 continue
             invariants += 1
             for cond in verdict.conditions:
-                hyp_nf = to_normal_form(cond.hypothesis)
-                assert _try_sampling(cond, DischargeConfig(samples=1500, seed=5),
-                                     hyp_nf) is None
+                assert _try_sampling(cond, DischargeConfig(samples=1500, seed=5)) is None
         assert invariants >= 1
 
     def test_random_verdicts_carry_checkable_evidence(self, xy):
@@ -322,6 +346,29 @@ _small_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                                st.integers(-5, 5).filter(bool), min_size=1, max_size=4)
 
 
+class TestHypothesisNormalForm:
+    def test_built_once_and_kept_across_status_copies(self, xy):
+        cond = SideCondition(F("x >= 0 & (y > 0 | x = 0)", xy), F("x + y >= 0", xy),
+                             xy.names, "test")
+        nf = _hypothesis_nf(cond)
+        assert nf == to_normal_form(cond.hypothesis)
+        assert _hypothesis_nf(cond.with_status(DischargeStatus(REFUTED))) is nf
+        assert _hypothesis_nf(discharge(cond, QUICK)) is nf
+
+    def test_past_the_disjunct_limit_is_kept_as_none(self, xy, monkeypatch):
+        from odecert import invariant
+        # 13 binary disjunctions make 2^13 = 8192 cells, past the limit 4096
+        hyp = F(" & ".join(f"(x > {i} | y > {i})" for i in range(13)), xy)
+        cond = SideCondition(hyp, F("x > 0", xy), xy.names, "test")
+        calls = []
+        real = invariant.to_normal_form
+        monkeypatch.setattr(invariant, "to_normal_form",
+                            lambda f: calls.append(f) or real(f))
+        assert _hypothesis_nf(cond) is None
+        assert _hypothesis_nf(cond.with_status(DischargeStatus(REFUTED))) is None
+        assert len(calls) == 1
+
+
 class TestRayKeys:
     @settings(max_examples=80, deadline=None)
     @given(s_terms=_small_terms, other_terms=_small_terms, num=st.integers(-20, 20),
@@ -471,9 +518,7 @@ class TestCheckAlgebraic:
             if verdict.kind != "invariant":
                 continue
             cond = verdict.conditions[0]
-            hyp_nf = to_normal_form(cond.hypothesis)
-            assert _try_sampling(cond, DischargeConfig(samples=2000, seed=1),
-                                 hyp_nf) is None
+            assert _try_sampling(cond, DischargeConfig(samples=2000, seed=1)) is None
             checked += 1
         assert checked >= 1
 
@@ -560,9 +605,7 @@ class TestCheckSemialgebraic:
                 continue
             cond = fwd if nf.all_strict() else bwd
             assert cond.status.kind == PROVED_IDENTITY
-            hyp_nf = to_normal_form(cond.hypothesis)
-            assert _try_sampling(cond, DischargeConfig(samples=400, seed=2),
-                                 hyp_nf) is None
+            assert _try_sampling(cond, DischargeConfig(samples=400, seed=2)) is None
 
 
 _TABLES = {n: VarTable(["x", "y", "z"][:n]) for n in (2, 3)}
@@ -631,7 +674,7 @@ class TestSaiRace:
         # of its own stream fails, the forward one on a tie
         if not other.status.is_proved() and \
                 discharge(other, config).status.kind == REFUTED:
-            drawn = {c.provenance: len(list(_sample_stream(c, config, _hypothesis_nf(c))))
+            drawn = {c.provenance: len(list(_sample_stream(c, config)))
                      for c in verdict.conditions}
             first = min(("sai-forward", "sai-backward"), key=drawn.__getitem__)
             assert failed.provenance == first

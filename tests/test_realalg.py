@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from odecert import Polynomial, SideCondition, VarTable
-from odecert.invariant import (DischargeConfig, _hypothesis_nf, _sample_stream, _try_ideal,
+from odecert.invariant import (DischargeConfig, _sample_stream, _try_ideal,
                                _try_identity)
 from odecert.parser import parse_term
 from odecert.realalg import (STURM_SIZE_LIMIT, definite, real_root_count,
@@ -159,10 +159,9 @@ class TestExactTiersAgainstSampling:
     @given(hyp=_formulas(), concl=_formulas(), seed=st.integers(0, 50))
     def test_no_exact_proof_is_refuted_by_sampling(self, hyp, concl, seed):
         cond = SideCondition(hyp, concl, XY.names, "test")
-        status = _try_identity(cond) or _try_ideal(cond, _hypothesis_nf(cond))
+        status = _try_identity(cond) or _try_ideal(cond)
         if status is None:
             return
         config = DischargeConfig(samples=2000, seed=seed)
-        refutation = next(filter(None, _sample_stream(cond, config, _hypothesis_nf(cond))),
-                          None)
+        refutation = next(filter(None, _sample_stream(cond, config)), None)
         assert refutation is None, (status, refutation)
