@@ -16,9 +16,10 @@ Evaluation runs in integers too.  A :class:`ScaledPoint` holds a rational
 point as integer numerators over one positive common denominator, and a
 polynomial caches, on first evaluation, its terms homogenised by total
 degree D, so that den * point.den^D * p(point) is one integer sum whose
-sign is the sign of the polynomial there.  Each term raises the point's
-integers to its own exponents; no power tables are kept, since a sampled
-point meets only a few low-degree polynomials.
+sign is the sign of the polynomial there.  Each term is its coefficient
+times D of the point's integers, a numerator once per unit of its
+exponent and the denominator once per missing degree; no power tables are
+kept, since a sampled point meets only a few low-degree polynomials.
 """
 
 from __future__ import annotations
@@ -203,11 +204,13 @@ class Polynomial:
     share.
     """
 
-    # _terms, _evals, _vars, _restricts, _text and _rows (the reducer rows
-    # of ideals.reduce_mod) are caches that stay unset until first use, so
-    # arithmetic (the Groebner hot path) pays nothing for them
+    # _terms, _evals, _vars, _restricts, _text, _rows (the reducer rows of
+    # ideals.reduce_mod) and _roots (the rational roots of a one-variable
+    # boundary atom, of sampling.project_to_boundary) are caches that stay
+    # unset until first use, so arithmetic (the Groebner hot path) pays
+    # nothing for them
     __slots__ = ("table", "nums", "den", "_hash", "_terms", "_evals", "_vars",
-                 "_restricts", "_text", "_rows")
+                 "_restricts", "_text", "_rows", "_roots")
 
     def __init__(self, table: VarTable, terms: Mapping[Mono, Fraction] | None = None):
         """From a map of exponent vectors to rationals (``Fraction`` or int);
@@ -436,31 +439,34 @@ class Polynomial:
 
     def _eval_table(self) -> tuple[int, tuple]:
         """(D, terms) for the total degree D (0 for zero) and one entry
-        (c_m, D - |m|, ((i, m_i) for each m_i > 0)) per term, built on first
-        use."""
+        (c_m, indices) per term: the D indices into a point's ``ints``
+        whose product is x^m homogenised by degree, each variable index i
+        m_i times and then the index of ``den`` D - |m| times; built on
+        first use."""
         try:
             return self._evals
         except AttributeError:
             degree = max(self.total_degree(), 0)
+            den_index = len(self.table.names)
             self._evals = (degree, tuple(
-                (c, degree - sum(m), tuple((i, e) for i, e in enumerate(m) if e))
+                (c, tuple(i for i, e in enumerate(m) for _ in range(e))
+                 + (den_index,) * (degree - sum(m)))
                 for m, c in self.nums.items()))
             return self._evals
 
     def scaled_value(self, point: "ScaledPoint") -> int:
         """den * point.den^D * p(point) for the total degree D: an integer
         with the sign of p at the point, as both factors are positive.  It
-        is sum_m nums[m] * point.nums^m * point.den^(D - |m|)."""
-        nums, den = point.nums, point.den
-        if len(nums) != len(self.table.names):
+        is sum_m nums[m] * point.nums^m * point.den^(D - |m|), each term a
+        product of D of the point's integers."""
+        ints = point.ints
+        if len(ints) != len(self.table.names) + 1:
             raise DimensionError("point dimension does not match variable count")
-        terms = self._eval_table()[1]
         total = 0
-        for c, pad, factors in terms:
-            v = c * den ** pad
-            for i, e in factors:
-                v *= nums[i] ** e
-            total += v
+        for c, indices in self._eval_table()[1]:
+            for i in indices:
+                c *= ints[i]
+            total += c
         return total
 
     def restrict_to_variable(self, var: int, point: "ScaledPoint") -> dict[int, int]:
@@ -468,33 +474,38 @@ class Polynomial:
         (den * point.den^D) of p with every other variable set to the
         point's value; zero coefficients dropped.  It has the roots in x_var
         of the exact restriction."""
-        nums, den = point.nums, point.den
-        if len(nums) != len(self.table.names):
+        ints = point.ints
+        if len(ints) != len(self.table.names) + 1:
             raise DimensionError("point dimension does not match variable count")
         out: dict[int, int] = {}
-        for c, k, pad, factors in self._restriction_table(var):
-            v = c * den ** pad
-            for i, e in factors:
-                v *= nums[i] ** e
-            out[k] = out.get(k, 0) + v
-        return {k: v for k, v in out.items() if v}
+        for k, rows in self._restriction_table(var):
+            total = 0
+            for c, indices in rows:
+                for i in indices:
+                    c *= ints[i]
+                total += c
+            if total:
+                out[k] = total
+        return out
 
     def _restriction_table(self, var: int) -> tuple:
-        """One entry (c_m, m_var, D - |m| + m_var, ((i, m_i) for each other
-        m_i > 0)) per term, from the evaluation table; built on first use
-        for each var."""
+        """Per power k of x_var, in order of first appearance, (k, rows)
+        with one row (c_m, indices) per term where m_var = k: the term's
+        evaluation indices with x_var's index made den's, so that they
+        multiply to point.den^(D - |m| + k) times the other coordinates'
+        powers; built on first use for each var."""
         try:
             tables = self._restricts
         except AttributeError:
             tables = self._restricts = {}
         table = tables.get(var)
         if table is None:
-            rows = []
-            for c, pad, factors in self._eval_table()[1]:
-                k = next((e for i, e in factors if i == var), 0)
-                rows.append((c, k, pad + k,
-                             tuple((i, e) for i, e in factors if i != var)))
-            table = tables[var] = tuple(rows)
+            den_index = len(self.table.names)
+            groups: dict[int, list] = {}
+            for c, indices in self._eval_table()[1]:
+                groups.setdefault(indices.count(var), []).append(
+                    (c, tuple(den_index if i == var else i for i in indices)))
+            table = tables[var] = tuple((k, tuple(rows)) for k, rows in groups.items())
         return table
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
@@ -600,8 +611,16 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomia
     pairs (len(a) * len(b)) summed over it and the pairs before it pass
     ``MAX_TERM_PRODUCTS``, so no call multiplies more term pairs than
     that; every ``*`` and each squaring or multiply of ``**`` comes
-    through here."""
-    pairs = [(a, b) for a, b in pairs if a.nums and b.nums]
+    through here.  InputError when an operand's table is not ``table``:
+    exponent vectors of another length would be added up wrongly."""
+    checked = []
+    for a, b in pairs:
+        if (a.table is not table or b.table is not table) and \
+                not a.table == table == b.table:
+            raise InputError("operands use different variable tables")
+        if a.nums and b.nums:
+            checked.append((a, b))
+    pairs = checked
     den = lcm(*(a.den * b.den for a, b in pairs))
     res: dict = {}
     get = res.get
@@ -621,13 +640,16 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomia
 
 class ScaledPoint:
     """A rational point x_i = nums[i] / den over one positive common
-    denominator, with no power tables (see the module docstring)."""
+    denominator, with no power tables (see the module docstring).  ``ints``
+    is the numerators followed by ``den``, the integers that evaluation
+    multiplies."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "ints")
 
     def __init__(self, nums: Sequence[int], den: int):
-        self.nums = tuple(nums)
+        self.nums = nums = tuple(nums)
         self.den = den
+        self.ints = nums + (den,)
 
     @classmethod
     def of(cls, point) -> "ScaledPoint":

@@ -21,7 +21,11 @@ a seed's points rest only on ``getrandbits`` and are the points those gave.
 ``random_point`` runs the same loops written out, the same draws in the
 same order.  A boundary atom keeps its sorted variable tuple and, per
 variable, the table its restrictions are summed from, both built on the
-first projection onto it.
+first projection onto it.  An atom in one variable restricts to a positive
+multiple of itself at every point, so its rational roots are found once,
+on the first projection onto it, and kept on the atom; a projection onto
+it draws no shuffle and only picks a root.  No code is generated: each
+restriction and each value is summed from the cached tables.
 """
 
 from __future__ import annotations
@@ -182,13 +186,30 @@ def _vanishes(coeffs: dict[int, int], deg: int, num: int, den: int) -> bool:
     return sum(c * num ** e * den ** (deg - e) for e, c in coeffs.items()) == 0
 
 
+def _own_roots(atom: Polynomial, var: int) -> list[Root]:
+    """The rational roots of an atom in the one variable x_var, found on
+    first use and kept on the atom as ``_roots``: each of its restrictions
+    is a positive multiple of its own numerators, so all have these roots."""
+    try:
+        return atom._roots
+    except AttributeError:
+        atom._roots = univariate_rational_roots({m[var]: c for m, c in atom.nums.items()})
+        return atom._roots
+
+
 def project_to_boundary(point: ScaledPoint, atom: Polynomial,
                         rng: random.Random) -> Optional[ScaledPoint]:
     """One exact correction step: replaces one coordinate of ``point`` so
     that ``atom`` vanishes, when a rational root exists."""
-    candidates = list(atom.sorted_variables())
-    if not candidates:
-        return None
+    variables = atom.sorted_variables()
+    if len(variables) == 1:  # no shuffle to draw, and the roots are the atom's own
+        var = variables[0]
+        roots = _own_roots(atom, var)
+        if not roots:
+            return None
+        num, den = roots[_below(rng, len(roots))]
+        return point.with_coordinate(var, num, den)
+    candidates = list(variables)
     for i in range(len(candidates) - 1, 0, -1):  # Fisher-Yates shuffle
         j = _below(rng, i + 1)
         candidates[i], candidates[j] = candidates[j], candidates[i]

@@ -162,10 +162,15 @@ class PointEvaluator:
     numerators over a common denominator, as sampling draws them).
 
     Only signs are computed.  A formula is compiled on its first evaluation
-    into closures, and the program is cached on the formula object; an And
-    or Or tests its atom operands inline, in order, and calls only the
-    others.  Each polynomial object of the formula gets a slot in a list
-    made fresh for every evaluation; an atom fills its slot on first need
+    into closures, and the program is cached on the formula object.
+    Compiling pushes negations onto the atoms (an atom's truth table is its
+    negated comparison's), makes h -> c the Or of !h and c, and splices a
+    junction into a parent of its own kind: every closure but a lone
+    atom's or constant's is an And or an Or that tests its atom operands
+    inline, in order, and calls only the others.  Operands keep the order
+    of the formula's tree, so the same atoms are evaluated as by a walk of
+    it.  Each polynomial object of the formula gets a slot in a list made
+    fresh for every evaluation; an atom fills its slot on first need
     with :meth:`~odecert.polyarith.Polynomial.scaled_value`, an integer with
     the polynomial's sign, and atoms sharing the polynomial read it from
     there.  Progress formulas share their Lie derivatives as objects, so
@@ -194,31 +199,56 @@ def _compile(f: Formula) -> tuple[Callable, int]:
     raises InputError, and nothing is cached."""
     slots: dict[int, int] = {}
 
-    def atom(g: Atom) -> tuple:
-        return slots.setdefault(id(g.poly), len(slots)), g.poly.scaled_value, _BY_SIGN[g.op]
+    def atom(g: Atom, neg: bool) -> tuple:
+        return (slots.setdefault(id(g.poly), len(slots)), g.poly.scaled_value,
+                _BY_SIGN[_NEGATED[g.op] if neg else g.op])
 
-    def go(g: Formula) -> Callable:
+    def go(g: Formula, neg: bool) -> tuple[Optional[bool], list]:
+        """(decides, operands) of g, negated when ``neg``: the junction that
+        g is, decides False for an And and True for an Or, with nested
+        junctions of its kind spliced into its operands; or decides None
+        and g as its one operand.  An operand is an atom's (slot, value,
+        by_sign) or any other's (None, closure, None)."""
         t = type(g)
+        while t is Not:
+            g, neg = g.arg, not neg
+            t = type(g)
         if t is Atom:
-            return _atom_test(*atom(g))
-        if t is And or t is Or:
-            return _junction([atom(a) if type(a) is Atom else (None, go(a), None)
-                              for a in g.args], t is Or)
-        if t is Implies:
-            return _implication(go(g.hyp), go(g.concl))
-        if t is Not:
-            return _negation(go(g.arg))
+            return None, [atom(g, neg)]
         if t is TrueF or t is FalseF:
-            return _constant(t is TrueF)
-        raise InputError("cannot evaluate a quantified formula at a point")
+            return None, [(None, _constant((t is TrueF) != neg), None)]
+        if t is And or t is Or:
+            decides, args = (t is Or) != neg, [(a, neg) for a in g.args]
+        elif t is Implies:  # h -> c is !h | c, and its negation h & !c
+            decides, args = not neg, [(g.hyp, not neg), (g.concl, neg)]
+        else:
+            raise InputError("cannot evaluate a quantified formula at a point")
+        operands = []
+        for a, a_neg in args:
+            if type(a) is Atom:
+                operands.append(atom(a, a_neg))
+                continue
+            kind, parts = go(a, a_neg)
+            if kind is None or kind is decides:
+                operands += parts
+            else:
+                operands.append((None, _junction(parts, kind), None))
+        return decides, operands
 
-    program = (go(f), len(slots))
+    decides, operands = go(f, False)
+    if decides is not None:
+        run = _junction(operands, decides)
+    else:
+        k, run, by_sign = operands[0]
+        if by_sign is not None:
+            run = _atom_test(k, run, by_sign)
+    program = (run, len(slots))
     object.__setattr__(f, "_program", program)
     return program
 
 
-# The closures of _compile, one factory per node type: a closure made inside
-# ``go`` would give every call of ``go`` the cells of every kind of node.
+# The closures of _compile, one factory per kind of closure: a closure made
+# inside ``go`` would give every call of ``go`` the cells of every kind.
 
 def _atom_test(k: int, value: Callable, by_sign: tuple) -> Callable:
     def test(pt, vals):
@@ -248,14 +278,6 @@ def _junction(parts: list, decides: bool) -> Callable:
     return junction
 
 
-def _implication(hyp: Callable, concl: Callable) -> Callable:
-    return lambda pt, vals: not hyp(pt, vals) or concl(pt, vals)
-
-
-def _negation(arg: Callable) -> Callable:
-    return lambda pt, vals: not arg(pt, vals)
-
-
 def _constant(truth: bool) -> Callable:
     return lambda pt, vals: truth
 
@@ -276,7 +298,15 @@ def nnf_fold(f: Formula, literal: Callable[[Polynomial, bool], T],
     decides them.  Negations are pushed onto the atoms, h -> c is !h | c,
     true is conj of nothing and false is disj of nothing; p = 0 is
     p >= 0 & -p >= 0, p != 0 is p > 0 | -p > 0, and <= and < flip the sign
-    of p.  A quantifier raises InputError."""
+    of p; -p is built once per polynomial object of f, so the literals of
+    one fold share it.  A quantifier raises InputError."""
+    negated: dict[int, Polynomial] = {}  # id(p) -> -p; f keeps every p alive
+
+    def minus(p: Polynomial) -> Polynomial:
+        q = negated.get(id(p))
+        if q is None:
+            q = negated[id(p)] = -p
+        return q
 
     def go(g: Formula, neg: bool) -> T:
         t = type(g)
@@ -285,11 +315,11 @@ def nnf_fold(f: Formula, literal: Callable[[Polynomial, bool], T],
             p = g.poly
             if op == "=" or op == "!=":
                 strict = op == "!="
-                parts = (literal(q, strict) for q in (p, -p))
+                parts = (literal(q, strict) for q in (p, minus(p)))
                 return disj(parts) if strict else conj(parts)
             if op == ">=" or op == ">":
                 return literal(p, op == ">")
-            return literal(-p, op == "<")
+            return literal(minus(p), op == "<")
         if t is Not:
             return go(g.arg, not neg)
         if t is And or t is Or:
@@ -306,42 +336,36 @@ def nnf_fold(f: Formula, literal: Callable[[Polynomial, bool], T],
     return go(f, neg)
 
 
+# binding strength of each connective in rendered text; anything else is 4
+_PRECEDENCE = {Implies: 0, Or: 1, And: 2, Not: 3}
+
+
 def render_formula(f: Formula) -> str:
     """Infix rendering in the input syntax (round-trips through the parser)."""
 
-    def prec(g) -> int:
-        if isinstance(g, Implies):
-            return 0
-        if isinstance(g, Or):
-            return 1
-        if isinstance(g, And):
-            return 2
-        if isinstance(g, Not):
-            return 3
-        return 4
-
     def wrap(g, level: int) -> str:
         s = go(g)
-        return f"({s})" if prec(g) < level else s
+        return f"({s})" if _PRECEDENCE.get(type(g), 4) < level else s
 
     def go(g) -> str:
-        if isinstance(g, TrueF):
-            return "true"
-        if isinstance(g, FalseF):
-            return "false"
-        if isinstance(g, Atom):
+        t = type(g)
+        if t is Atom:
             return f"{g.poly.render()} {g.op} 0"
-        if isinstance(g, Not):
-            return f"!({go(g.arg)})"
-        if isinstance(g, And):
-            return " & ".join(wrap(a, 3) for a in g.args)
-        if isinstance(g, Or):
-            return " | ".join(wrap(a, 2) for a in g.args)
-        if isinstance(g, Implies):
+        if t is And:
+            return " & ".join([wrap(a, 3) for a in g.args])
+        if t is Or:
+            return " | ".join([wrap(a, 2) for a in g.args])
+        if t is Implies:
             return f"{wrap(g.hyp, 1)} -> {wrap(g.concl, 1)}"
-        if isinstance(g, Forall):
+        if t is Not:
+            return f"!({go(g.arg)})"
+        if t is TrueF:
+            return "true"
+        if t is FalseF:
+            return "false"
+        if t is Forall:
             raise InputError("quantified formulas have no surface syntax")
-        raise InputError(f"cannot render {type(g).__name__}")
+        raise InputError(f"cannot render {t.__name__}")
 
     return go(f)
 
@@ -413,38 +437,53 @@ def _check_disjunct_count(n: int, limit: int) -> None:
         raise ResourceError(f"normal form exceeds the disjunct limit ({n} > {limit})")
 
 
+Cell = tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]  # (geqs, gts)
+
+
+def _merged(a: tuple, b: tuple) -> tuple:
+    """a + b with repeats dropped, first occurrence kept; neither holds a
+    repeat, so with one of them empty the other is the answer."""
+    return tuple(dict.fromkeys(a + b)) if a and b else a or b
+
+
 def to_normal_form(phi: Formula, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalForm:
     """Equivalent NormalForm of a quantifier-free formula: the ``nnf_fold``
     of phi into lists of cells, one cell per literal, the cell product for
-    a conjunction and concatenation for a disjunction, with duplicate-atom
-    pruning and constant folding per cell.  The limit is checked before
-    any cell of a product is built."""
+    a conjunction and concatenation for a disjunction.  Constants fold
+    once, where a literal is made: a literal cell holds no constant atom,
+    so no cell built from them does, and a product merges two cells by
+    deduplicating their atoms alone, first occurrence kept.  A cell is a
+    (geqs, gts) pair until the last, and becomes a Conjunct there.  The
+    limit is checked before any cell of a product is built."""
 
-    def literal(p: Polynomial, strict: bool) -> list[Conjunct]:
+    def literal(p: Polynomial, strict: bool) -> list[Cell]:
         cell = _build_conjunct((), (p,)) if strict else _build_conjunct((p,), ())
-        return [cell] if cell is not None else []
+        return [(cell.geqs, cell.gts)] if cell is not None else []
 
-    def product(branches: Iterable[list[Conjunct]]) -> list[Conjunct]:
-        # the cells of a DNF hold no constant atoms, so no merged cell folds
-        # away: the prefix products of the branch sizes are the sizes of the
-        # partial products, all checked before the first is built
+    def product(branches: Iterable[list[Cell]]) -> list[Cell]:
+        # no merged cell folds away, so the prefix products of the branch
+        # sizes are the sizes of the partial products, all checked before
+        # the first is built
         branches = list(branches)
         size = 1
         for branch in branches:
             size *= len(branch)
             _check_disjunct_count(size, limit)
-        acc = [Conjunct((), ())]
-        for branch in branches:
-            acc = [_build_conjunct(left.geqs + right.geqs, left.gts + right.gts)
-                   for left in acc for right in branch]
+        if not branches:
+            return [((), ())]
+        acc = branches[0]
+        for branch in branches[1:]:
+            acc = [(_merged(lg, rg), _merged(lt, rt))
+                   for lg, lt in acc for rg, rt in branch]
         return acc
 
-    def union(branches: Iterable[list[Conjunct]]) -> list[Conjunct]:
+    def union(branches: Iterable[list[Cell]]) -> list[Cell]:
         out = [cell for branch in branches for cell in branch]
         _check_disjunct_count(len(out), limit)
         return out
 
-    return NormalForm(tuple(nnf_fold(phi, literal, product, union)))
+    return NormalForm(tuple(Conjunct(geqs, gts)
+                            for geqs, gts in nnf_fold(phi, literal, product, union)))
 
 
 def negate_normal_form(P: NormalForm, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalForm:

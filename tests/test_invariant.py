@@ -1,8 +1,10 @@
+import ast
 import json
 import random
 import stat
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,17 @@ class TestDarbouxImpliesRankOne:
 
 
 class TestSoundnessGate:
+    def test_no_check_is_an_assert_statement(self):
+        """``python -O`` strips assert statements, so every soundness check
+        (``_assert_recombines``, ``_check_vdbx`` and the rest) raises or
+        returns explicitly."""
+        src = Path(__file__).resolve().parents[1] / "src" / "odecert"
+        found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert len(list(src.glob("*.py"))) > 10
+        assert found == []
+
     def test_tier1_claims_survive_independent_sampling(self, xy):
         # metamorphic check on the ideal-reduction tier: whatever it proves
         # must have no rational counterexample at all
@@ -780,6 +793,26 @@ class TestCertificates:
         G = find_vectorial_darboux([P("x", xy), P("y", xy)], swap_sys, 0)
         cert = VdbxCert(system=swap_sys, p_vec=(P("x", xy), P("y", xy)), G=G)
         assert check_certificate(cert)
+
+    def test_cofactors_of_a_wider_table_are_rejected(self, xy):
+        # a cofactor over (x, y, z) multiplied over (x, y) would have its
+        # exponent vectors cut to two entries, so z * g would pass for g
+        from dataclasses import replace
+        from odecert.ideals import RankResult
+        from odecert.invariant import ChainRecord, reduction_certificate
+        from odecert.parser import parse_ode, parse_program
+        xyz = VarTable(["x", "y", "z"])
+        z = P("z", xyz)
+        sys = parse_ode("x' = x, y' = y", xy)
+        for cofactor, accepted in ((Polynomial.one(xy), True), (z, False)):
+            cert = DriCert(system=sys, p=P("x", xy), domain=None,
+                           rank_result=RankResult(1, (cofactor,)))
+            assert check_certificate(cert) is accepted
+        hp = reduction_certificate(xy, parse_program("{ x := -x }*", xy), P("x", xy), 20)
+        assert check_certificate(hp)
+        wider = [ChainRecord(rec.chain, tuple(c.lift(xyz) * z for c in rec.cofactors))
+                 for rec in hp.chains]
+        assert not check_certificate(replace(hp, chains=tuple(wider)))
 
     def test_dri_minimality_enforced(self, uv, alpha_e):
         # claiming rank 2 for a rank-1 polynomial must be rejected even if

@@ -350,6 +350,18 @@ class TestTermCap:
         # pairs with a zero factor multiply nothing
         assert sum_of_products(t3, [(a, b), (Polynomial.zero(t3), b)]) == a * b
 
+    def test_operands_of_another_table_are_refused(self, t3):
+        # an exponent vector of (x, y, z) added to one of (x, y) would be
+        # cut to two entries, so z * x would pass for x
+        xy = VarTable(["x", "y"])
+        z, x = P("z", t3), P("x", xy)
+        with pytest.raises(InputError, match="different variable tables"):
+            sum_of_products(xy, [(z, x)])
+        with pytest.raises(InputError, match="different variable tables"):
+            sum_of_products(xy, [(x, x), (Polynomial.zero(t3), x)])
+        # an equal table that is another object is the same table
+        assert sum_of_products(xy, [(x, P("y", VarTable(["x", "y"])))]) == P("x*y", xy)
+
     def test_huge_power_stops_at_once(self, t3):
         base = P("x + y + z + 1", t3)
         with pytest.raises(ResourceError, match="term cap"):

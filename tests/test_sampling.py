@@ -175,13 +175,18 @@ def _reference_sample_points(rng, nvars, count, boundary_atoms):
 
 
 _NAMES = ("x", "y", "z")
-# per variable count: no boundary atom, one, and several; the atoms
+# per variable count: no boundary atom, one, four and seven; the atoms
 # x^2 - 1/4, x^2 - y^2 and (x - 1)(x - 2)(x + 3) have two or more rational
-# roots in x, and x*y*z - 1 cannot be fixed in a variable set to zero
+# roots in x, and x*y*z - 1 cannot be fixed in a variable set to zero.  The
+# last three of each table are in one variable, whose roots are found once
+# per atom: two rational roots, one, and none
 _ATOMS = {
-    1: ["x^2 - 1/4", "(x - 1)*(x - 2)*(x + 3)", "3*x - 2", "x^2 + 1"],
-    2: ["x^2 - y^2", "x*y - 1", "(x - y)*(x + 2*y)*(x - 3)", "x^2 + y^2 - 25"],
-    3: ["x^2 + y^2 - z^2", "x*y*z - 1", "(x - z)*(y + 2)*(z - 1/3)", "z^3 - 2*z"],
+    1: ["x^2 - 1/4", "(x - 1)*(x - 2)*(x + 3)", "3*x - 2", "x^2 + 1",
+        "2*x^3 - x^2", "x^3 - 2", "4*x^2 - 9"],
+    2: ["x^2 - y^2", "x*y - 1", "(x - y)*(x + 2*y)*(x - 3)", "x^2 + y^2 - 25",
+        "4*y^2 - 9", "3*y - 2", "x^2 + 1"],
+    3: ["x^2 + y^2 - z^2", "x*y*z - 1", "(x - z)*(y + 2)*(z - 1/3)", "z^3 - 2*z",
+        "4*z^2 - 9", "3*y - 2", "x^2 + 1"],
 }
 
 
@@ -193,7 +198,7 @@ class TestSampleStream:
                 [theirs.randrange(n) for _ in range(20)]
 
     @pytest.mark.parametrize("nvars", [1, 2, 3])
-    @pytest.mark.parametrize("atoms", [0, 1, 4])
+    @pytest.mark.parametrize("atoms", [0, 1, 4, 7])
     def test_points_match_the_randint_sampler(self, nvars, atoms):
         table = VarTable(_NAMES[:nvars])
         boundary = [parse_term(t, table) for t in _ATOMS[nvars][:atoms]]

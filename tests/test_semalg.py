@@ -593,3 +593,64 @@ class TestCompiledEvaluatorMatchesTheTreeWalk:
             for _ in range(30):
                 pt = random_point(rng, 2, num=3, den=2)
                 assert nf.evaluate(pt) is _ReferenceEvaluator(pt)(nf.to_formula())
+
+
+def reference_normal_form(phi: Formula, limit: int = DEFAULT_DISJUNCT_LIMIT) -> NormalForm:
+    """``to_normal_form`` with every merged cell folded through
+    ``_build_conjunct``, as it was built before cells merged by
+    deduplication alone; a cell that folds away is dropped.  Kept here as
+    the reference construction."""
+
+    def literal(p, strict):
+        cell = semalg._build_conjunct((), (p,)) if strict else semalg._build_conjunct((p,), ())
+        return [cell] if cell is not None else []
+
+    def product(branches):
+        branches = list(branches)
+        size = 1
+        for branch in branches:
+            size *= len(branch)
+            semalg._check_disjunct_count(size, limit)
+        acc = [Conjunct((), ())]
+        for branch in branches:
+            cells = (semalg._build_conjunct(left.geqs + right.geqs, left.gts + right.gts)
+                     for left in acc for right in branch)
+            acc = [cell for cell in cells if cell is not None]
+        return acc
+
+    def union(branches):
+        out = [cell for branch in branches for cell in branch]
+        semalg._check_disjunct_count(len(out), limit)
+        return out
+
+    return NormalForm(tuple(nnf_fold(phi, literal, product, union)))
+
+
+@st.composite
+def _formulas_with_constants(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    polys = [random_polynomial(rng, _XY, terms=rng.randint(1, 3), bound=1)
+             for _ in range(rng.randint(1, 4))]
+    # constants of each sign, and polynomials equal to others as other objects
+    polys += [Polynomial.constant(_XY, c) for c in (-1, 0, 2)]
+    polys += [-(-p) for p in polys[:2]]
+    return draw(_formulas(polys))
+
+
+def _normal_form_outcome(build, f, limit):
+    from odecert import ResourceError
+    try:
+        return build(f, limit)
+    except ResourceError as exc:
+        return str(exc)
+
+
+class TestNormalFormMatchesTheFoldingReference:
+    @settings(max_examples=200, deadline=None)
+    @given(f=_formulas_with_constants(), limit=st.sampled_from([DEFAULT_DISJUNCT_LIMIT, 6]))
+    def test_same_cells_in_the_same_order(self, f, limit):
+        got = _normal_form_outcome(to_normal_form, f, limit)
+        assert got == _normal_form_outcome(reference_normal_form, f, limit)
+        if isinstance(got, NormalForm):
+            for cell in got.disjuncts:
+                assert not any(p.is_constant() for p in cell.geqs + cell.gts)
