@@ -165,12 +165,12 @@ class PointEvaluator:
     into closures, and the program is cached on the formula object.
     Compiling pushes negations onto the atoms (an atom's truth table is its
     negated comparison's), makes h -> c the Or of !h and c, and splices a
-    junction into a parent of its own kind: every closure but a lone
-    atom's or constant's is an And or an Or that tests its atom operands
-    inline, in order, and calls only the others.  Operands keep the order
-    of the formula's tree, so the same atoms are evaluated as by a walk of
-    it.  Each polynomial object of the formula gets a slot in a list made
-    fresh for every evaluation; an atom fills its slot on first need
+    junction into a parent of its own kind: every closure but a constant's
+    is an And or an Or that tests its atom operands inline, in order, and
+    calls only the others.  Operands keep the order of the formula's tree,
+    so the same atoms are evaluated as by a walk of it.  Each polynomial
+    object of the formula gets a slot in a list made fresh for every
+    evaluation; an atom fills its slot on first need
     with :meth:`~odecert.polyarith.Polynomial.scaled_value`, an integer with
     the polynomial's sign, and atoms sharing the polynomial read it from
     there.  Progress formulas share their Lie derivatives as objects, so
@@ -236,28 +236,13 @@ def _compile(f: Formula) -> tuple[Callable, int]:
         return decides, operands
 
     decides, operands = go(f, False)
-    if decides is not None:
-        run = _junction(operands, decides)
-    else:
-        k, run, by_sign = operands[0]
-        if by_sign is not None:
-            run = _atom_test(k, run, by_sign)
-    program = (run, len(slots))
+    program = (_junction(operands, decides is True), len(slots))  # a lone operand: an And of it
     object.__setattr__(f, "_program", program)
     return program
 
 
 # The closures of _compile, one factory per kind of closure: a closure made
 # inside ``go`` would give every call of ``go`` the cells of every kind.
-
-def _atom_test(k: int, value: Callable, by_sign: tuple) -> Callable:
-    def test(pt, vals):
-        v = vals[k]
-        if v is None:
-            v = vals[k] = value(pt)
-        return by_sign[(v > 0) - (v < 0)]
-    return test
-
 
 def _junction(parts: list, decides: bool) -> Callable:
     """And when ``decides`` is False, Or when True: the first operand with
