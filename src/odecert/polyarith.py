@@ -17,9 +17,10 @@ point as integer numerators over one positive common denominator, and a
 polynomial caches, on first evaluation, its terms homogenised by total
 degree D, so that den * point.den^D * p(point) is one integer sum whose
 sign is the sign of the polynomial there.  Each term is its coefficient
-times D of the point's integers, a numerator once per unit of its
-exponent and the denominator once per missing degree; no power tables are
-kept, since a sampled point meets only a few low-degree polynomials.
+times the point's integers raised to the term's exponents, the
+denominator's being the term's missing degree: an exponent of 1 is one
+multiplication and a larger one a ``**``; no power tables are kept, since
+a sampled point meets only a few low-degree polynomials.
 """
 
 from __future__ import annotations
@@ -182,6 +183,15 @@ def check_power(degree: int, k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+
+def _factors(exps: Sequence[int]) -> tuple[tuple, tuple]:
+    """How evaluation multiplies the integers of a point (its numerators,
+    then its denominator) raised to ``exps``: (the indices whose exponent
+    is 1, multiplied in; (index, exponent) for each larger exponent, raised
+    with ``**``)."""
+    return (tuple(i for i, e in enumerate(exps) if e == 1),
+            tuple((i, e) for i, e in enumerate(exps) if e > 1))
+
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -439,33 +449,29 @@ class Polynomial:
 
     def _eval_table(self) -> tuple[int, tuple]:
         """(D, terms) for the total degree D (0 for zero) and one entry
-        (c_m, indices) per term: the D indices into a point's ``ints``
-        whose product is x^m homogenised by degree, each variable index i
-        m_i times and then the index of ``den`` D - |m| times; built on
-        first use."""
+        (c_m, ones, powers) per term, the ``_factors`` of m followed by
+        den's exponent D - |m|; built on first use."""
         try:
             return self._evals
         except AttributeError:
             degree = max(self.total_degree(), 0)
-            den_index = len(self.table.names)
-            self._evals = (degree, tuple(
-                (c, tuple(i for i, e in enumerate(m) for _ in range(e))
-                 + (den_index,) * (degree - sum(m)))
-                for m, c in self.nums.items()))
+            self._evals = (degree, tuple((c, *_factors(m + (degree - sum(m),)))
+                                         for m, c in self.nums.items()))
             return self._evals
 
     def scaled_value(self, point: "ScaledPoint") -> int:
         """den * point.den^D * p(point) for the total degree D: an integer
         with the sign of p at the point, as both factors are positive.  It
-        is sum_m nums[m] * point.nums^m * point.den^(D - |m|), each term a
-        product of D of the point's integers."""
+        is sum_m nums[m] * point.nums^m * point.den^(D - |m|)."""
         ints = point.ints
         if len(ints) != len(self.table.names) + 1:
             raise DimensionError("point dimension does not match variable count")
         total = 0
-        for c, indices in self._eval_table()[1]:
-            for i in indices:
+        for c, ones, powers in self._eval_table()[1]:
+            for i in ones:
                 c *= ints[i]
+            for i, e in powers:
+                c *= ints[i] ** e
             total += c
         return total
 
@@ -480,9 +486,11 @@ class Polynomial:
         out: dict[int, int] = {}
         for k, rows in self._restriction_table(var):
             total = 0
-            for c, indices in rows:
-                for i in indices:
+            for c, ones, powers in rows:
+                for i in ones:
                     c *= ints[i]
+                for i, e in powers:
+                    c *= ints[i] ** e
                 total += c
             if total:
                 out[k] = total
@@ -490,21 +498,21 @@ class Polynomial:
 
     def _restriction_table(self, var: int) -> tuple:
         """Per power k of x_var, in order of first appearance, (k, rows)
-        with one row (c_m, indices) per term where m_var = k: the term's
-        evaluation indices with x_var's index made den's, so that they
-        multiply to point.den^(D - |m| + k) times the other coordinates'
-        powers; built on first use for each var."""
+        with one row (c_m, ones, powers) per term where m_var = k: the
+        ``_factors`` of m with m_var moved to den's exponent, which is
+        D - |m| + k; built on first use for each var."""
         try:
             tables = self._restricts
         except AttributeError:
             tables = self._restricts = {}
         table = tables.get(var)
         if table is None:
-            den_index = len(self.table.names)
+            degree = self._eval_table()[0]
             groups: dict[int, list] = {}
-            for c, indices in self._eval_table()[1]:
-                groups.setdefault(indices.count(var), []).append(
-                    (c, tuple(den_index if i == var else i for i in indices)))
+            for m, c in self.nums.items():
+                k = m[var]
+                exps = m[:var] + (0,) + m[var + 1:] + (degree - sum(m) + k,)
+                groups.setdefault(k, []).append((c, *_factors(exps)))
             table = tables[var] = tuple((k, tuple(rows)) for k, rows in groups.items())
         return table
 
