@@ -26,7 +26,7 @@ from typing import Optional
 
 from .certio import certificate_from_json, certificate_to_json, condition_json
 from .errors import InputError, OdecertError, ResourceError
-from .ideals import differential_radical, rank
+from .ideals import DEFAULT_STEP_BUDGET, StepBudget, differential_radical, rank
 from .invariant import (DischargeConfig, Verdict, algebraic_invariance_condition,
                         check_algebraic_invariance, check_certificate,
                         check_semialgebraic_invariance, find_darboux_cofactor,
@@ -202,7 +202,10 @@ def _verdict_report(verdict: Verdict) -> tuple[dict, int]:
 def _lie(pf, args, config):
     sys_, q = _require(pf, "ode"), _require(pf, "polynomial")
     rows = [q.render()]
+    # a derivative spends one step per term pair it may multiply, at least one
+    budget, width = StepBudget(DEFAULT_STEP_BUDGET, "lie"), sum(len(f.nums) for f in sys_.rhs)
     for _ in range(args.max):
+        budget.spend(max(1, len(q.nums) * width))
         q = higher_lie(q, sys_, 1)
         rows.append(q.render())
     return {"lie_derivatives": rows}, EXIT_OK

@@ -26,8 +26,8 @@ a sampled point meets only a few low-degree polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, le, sub
+from math import gcd, lcm, prod
+from operator import add, le, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -38,8 +38,8 @@ Mono = tuple  # exponent vector; one entry per VarTable slot
 # largest total degree a power may reach: x^k costs about k^n terms
 MAX_DEGREE = 1000
 
-# most term pairs (len(a) * len(b), summed over the pairs) one
-# ``sum_of_products`` may multiply; checked before each product is built
+# most term pairs (len(a) * len(b), summed over the pairs) one call of
+# ``sum_of_products`` or ``substitute`` may multiply, checked before each
 MAX_TERM_PRODUCTS = 250_000
 
 # most decimal digits of an integer literal or of a rendered numerator or
@@ -375,16 +375,21 @@ class Polynomial:
         return sum_of_products(self.table, ((self, other),))
 
     def __pow__(self, k: int) -> "Polynomial":
+        """p^k by repeated squaring from p itself, not from one: ``p ** 1``
+        multiplies nothing, and ``p ** 0`` is one."""
         if not isinstance(k, int) or k < 0:
             raise NonPolynomialError("non-polynomial: negative or non-integer exponent")
         check_power(self.total_degree(), k)
-        result = Polynomial.one(self.table)
+        if not k:
+            return Polynomial.one(self.table)
         base = self
-        while k:
+        while not k & 1:
+            base, k = base * base, k >> 1
+        result = base
+        while k > 1:
+            base, k = base * base, k >> 1
             if k & 1:
                 result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
         return result
 
     def scale(self, c) -> "Polynomial":
@@ -419,33 +424,50 @@ class Polynomial:
                          for m, v in self.nums.items() if m[i]}, self.den)
 
     def substitute(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Simultaneously replace variables (by index) with polynomials."""
+        """Simultaneously replace variables (by index) with polynomials: each
+        term adds its numerator times the powers of its substituted variables,
+        shifted by its kept exponents, into one integer map over one common
+        denominator.  q ** e is raised once per (variable, exponent), for
+        e >= 2 only, in order of first use; the term pairs multiplied (one for
+        a term with no substituted variable) are counted over the call."""
         if not subst:
             return self
         for i, q in subst.items():
             self._require_same_table(q)
             if not 0 <= i < len(self.table):
                 raise InputError(f"variable index {i} out of range")
-        table = self.table
-        one = Polynomial.one(table)
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = subst[i] ** e
-            return pow_cache[key]
-
-        # sum_m (c_m * x^kept) * prod_i subst[i]^m_i, over one denominator
-        pairs = []
+        powers, tops = {}, dict.fromkeys(subst, 0)
+        for m in self.nums:
+            for i, q in subst.items():
+                if m[i] and (i, m[i]) not in powers:
+                    powers[i, m[i]] = q if m[i] == 1 else q ** m[i]
+                    tops[i] = max(tops[i], m[i])
+        if not powers:  # no term has a substituted variable: one pair each
+            check_term_products(min(len(self.nums), MAX_TERM_PRODUCTS + 1))
+            return self
+        keep = tuple(i not in subst for i in range(len(self.table)))
+        den = prod([subst[i].den ** e for i, e in tops.items()])  # den(q^e) = den(q)^e
+        res, products = {}, 0
         for m, c in self.nums.items():
-            kept = tuple(0 if i in subst else e for i, e in enumerate(m))
-            factor = one
-            for i, e in enumerate(m):
-                if e and i in subst:
-                    factor = power(i, e) if factor is one else factor * power(i, e)
-            pairs.append((Polynomial.from_ints(table, {kept: c}, self.den), factor))
-        return sum_of_products(table, pairs)
+            kept, factors = tuple(map(mul, m, keep)), [powers[i, m[i]] for i in subst if m[i]]
+            if not factors:
+                products += 1
+                check_term_products(products)
+                res[kept] = res.get(kept, 0) + c * den
+                continue
+            part = {kept: c * (den // prod([p.den for p in factors]))}
+            for j, p in enumerate(factors, 1 - len(factors)):
+                products += len(part) * len(p.nums)
+                check_term_products(products)
+                out = {} if j else res  # the last factor adds into res
+                get = out.get
+                for m1, c1 in part.items():
+                    for m2, c2 in p.nums.items():
+                        m = tuple(map(add, m1, m2))
+                        out[m] = get(m, 0) + c1 * c2
+                part = out
+        return Polynomial.from_ints(self.table, {m: v for m, v in res.items() if v},
+                                    self.den * den)
 
     def _eval_table(self) -> tuple[int, tuple]:
         """(D, terms) for the total degree D (0 for zero) and one entry

@@ -192,6 +192,25 @@ class TestExitCodes:
         assert time.monotonic() - started < 1
         assert "exceeds the term cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem, count", [
+        # zero from the second derivative on: each derivative is cheap
+        ("vars: x\node: x' = 1\npolynomial: x\n", "1000000000"),
+        # the terms grow with every derivative
+        ("vars: x, y\node: x' = x*y + 1, y' = x^2 - y\npolynomial: x*y\n", "1000"),
+    ])
+    def test_lie_past_the_step_budget_is_four(self, tmp_path, problem, count):
+        prob = write(tmp_path, "lie.prob", problem)
+        src = str(Path(odecert.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        started = time.monotonic()
+        done = subprocess.run([sys.executable, "-m", "odecert", "lie", prob, "--max", count],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert time.monotonic() - started < 10
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert done.stderr == "resource error: lie step budget exhausted\n"
+
     # reduction steps of this chain grow coefficients past the digit cap
     # long before the term cap or the step budget is reached
     COEF_PROBLEM = "vars: x, y\node: x' = x^999*y - 1, y' = 2*x - 1\n"

@@ -310,6 +310,36 @@ class TestLoopProperty:
         assert parse_program(render_program(prog), self.XY) == prog
 
 
+def _polynomials(table, degree):
+    """Polynomials in two variables of total degree at most ``degree``."""
+    monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    coefficients = st.sampled_from([Fraction(c, 2) for c in range(-4, 5)])
+    return st.dictionaries(st.sampled_from(monos), coefficients, min_size=1,
+                           max_size=4).map(lambda terms: Polynomial(table, terms))
+
+
+def _nonlinear_programs(table):
+    """Loop-free, ODE-free programs whose assignments and tests have degree
+    at most 2, so substitution raises images to powers above 1."""
+    leaf = st.one_of(st.builds(Assign, st.integers(0, 1), _polynomials(table, 2)),
+                     st.builds(ProgTest, _polynomials(table, 2)))
+    return st.recursive(leaf, lambda kids: st.one_of(st.builds(Seq, kids, kids),
+                                                     st.builds(Choice, kids, kids)),
+                        max_leaves=3)
+
+
+class TestNonlinearProperty:
+    XY = VarTable(["x", "y"])
+    POINTS = [(Fraction(a, 2), Fraction(b, 3)) for a in range(-2, 3) for b in (-3, 0, 1, 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(prog=_nonlinear_programs(XY), p=_polynomials(XY, 3))
+    def test_q_vanishes_where_every_run_ends_on_the_post(self, prog, p):
+        q, _ = reduce_box(prog, p)
+        for state in self.POINTS:
+            assert (q.evaluate(state) == 0) == oracle_unroll(prog, p, 1, state)
+
+
 def reference_check(cert):
     """The checker that reran the decider: every record must recombine, and
     the reduction rerun with Groebner membership tests must give ``q`` and

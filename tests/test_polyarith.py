@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -52,7 +53,9 @@ class TestRingOps:
     def test_pow_matches_repeated_mul(self, t3):
         p = P("x + 2*y - 1", t3)
         assert p ** 0 == Polynomial.one(t3)
+        assert p ** 1 == p
         assert p ** 3 == p * p * p
+        assert Polynomial.zero(t3) ** 0 == Polynomial.one(t3)
 
     def test_zero_coefficients_never_stored(self, t3):
         p = P("x + y", t3) - P("x", t3) - P("y", t3)
@@ -368,6 +371,17 @@ class TestTermCap:
             base ** 90
         assert len((base ** 20).nums) == 1771
 
+    def test_substitution_counts_its_term_pairs_over_the_call(self, t3):
+        # each of the 200 terms multiplies the 1771 terms of x's image: the
+        # 142nd passes the cap, though no one product does
+        p = Polynomial(t3, {(1, i, j): 1 for i in range(20) for j in range(10)})
+        image = P("x + y + z + 1", t3) ** 20
+        started = time.monotonic()
+        with pytest.raises(ResourceError, match="product of 251482 term pairs exceeds "
+                                                "the term cap"):
+            p.substitute({0: image})
+        assert time.monotonic() - started < 1
+
 
 # -- the integer representation against a term-by-term Fraction reference ----
 
@@ -431,12 +445,14 @@ def _assert_canonical(p: Polynomial) -> None:
 
 class TestIntegerRepresentation:
     @settings(max_examples=150, deadline=None)
-    @given(a=_rational_terms, b=_rational_terms, c=_coeffs, k=st.integers(0, 3),
-           which=st.sampled_from([(0,), (1,), (0, 1)]))
-    def test_operations_match_the_fraction_reference(self, a, b, c, k, which):
+    @given(a=_rational_terms, b=_rational_terms, d=_rational_terms, c=_coeffs,
+           k=st.integers(0, 3), which=st.sampled_from([(0,), (1,), (0, 1)]))
+    def test_operations_match_the_fraction_reference(self, a, b, d, c, k, which):
         xy = VarTable(["x", "y"])
-        p, q = Polynomial(xy, a), Polynomial(xy, b)
-        ra, rb = _ref_clean(a), _ref_clean(b)
+        p, q, r = Polynomial(xy, a), Polynomial(xy, b), Polynomial(xy, d)
+        ra, rb, rd = _ref_clean(a), _ref_clean(b), _ref_clean(d)
+        # each substituted variable gets its own polynomial
+        images, ref_images = {0: q, 1: r}, {0: rb, 1: rd}
         assert p.terms == ra and q.terms == rb
         results = [
             (p + q, _ref_add(ra, rb)),
@@ -449,8 +465,8 @@ class TestIntegerRepresentation:
             (p.partial_derivative(0), _ref_derivative(ra, 0)),
             (p.partial_derivative(1), _ref_derivative(ra, 1)),
             (p ** k, _ref_pow(ra, k, 2)),
-            (p.substitute({i: q for i in which}),
-             _ref_substitute(ra, {i: rb for i in which}, 2)),
+            (p.substitute({i: images[i] for i in which}),
+             _ref_substitute(ra, {i: ref_images[i] for i in which}, 2)),
         ]
         for got, expected in results:
             _assert_canonical(got)
