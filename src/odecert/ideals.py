@@ -19,10 +19,13 @@ with membership answers (``member_with_witness``,
 ``normal_form_with_witness``) and with the chains of ``stabilize``, for
 rank and for loops; ``groebner`` returns the reduced basis alone, and
 ``differential_radical`` the rank chain alone: neither builds a cofactor.
+Once the basis of a chain without cofactors holds a constant row, the
+ideal is <1> and holds every polynomial, so its next membership is
+answered with no reduction.
 
 The engine computes on ``Polynomial``'s own integer form (numerators over
-one common denominator); the one ``Fraction`` it keeps is each row's
-scale.  A monic row is a map of numerators, primitive over the
+one common denominator) and builds no ``Fraction``: a row's scale, too,
+is two integers.  A monic row is a map of numerators, primitive over the
 denominator ``lc``, their leading one.  A reduction updates a map of
 numerators in place, taking fraction-free steps and removing the content
 whenever the denominator grows; it picks the same reducer and monomial,
@@ -78,8 +81,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
 from .polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
-                        check_term_products, mono_coprime, mono_lcm,
-                        sum_of_products, within_digit_cap)
+                        check_term_products, sum_of_products,
+                        within_digit_cap)
 
 DEFAULT_STEP_BUDGET = 400_000
 DEFAULT_RANK_CAP = 20
@@ -198,13 +201,14 @@ class _Row:
     monomials, so x^m times the row stays within the fields exactly when
     m + top sets no guard bit.  ``scale`` is the factor that takes the
     polynomial the row was made from (numerators over a denominator) to
-    the monic row.  ``origin`` is ``("gen", j)`` for a reduced generator
+    the monic row, kept as the integers (den, lead) of ``_scale``.
+    ``origin`` is ``("gen", j)`` for a reduced generator
     or ``("pair", i, mi, j, mj)`` for the S-polynomial
     x^mi*rows[i] - x^mj*rows[j]; ``steps`` are the steps of its reduction,
     as ``_reduce_terms`` returns them.  Those records are all a witness
     reads.
     """
-    __slots__ = ("nums", "lm", "lc", "top", "origin", "steps", "scale")
+    __slots__ = ("nums", "lm", "lc", "top", "origin", "steps", "_scale")
 
     def __init__(self, nums: dict, den: int, codec: _Codec, origin=None,
                  steps: Optional[dict[int, list]] = None):
@@ -215,9 +219,17 @@ class _Row:
         self.lm = lm
         self.lc = lead // g
         self.top = codec.top(nums)
-        self.scale = Fraction(den, lead)
+        self._scale = (den, lead)
         self.origin = origin
         self.steps = steps
+
+    @property
+    def scale(self) -> Fraction:
+        return Fraction(*self._scale)
+
+    @scale.setter
+    def scale(self, value: Fraction) -> None:
+        self._scale = (value.numerator, value.denominator)
 
 
 def _reduce_terms(work: dict, den: int, rows: Sequence[_Row], guard: int,
@@ -245,8 +257,12 @@ def _reduce_terms(work: dict, den: int, rows: Sequence[_Row], guard: int,
     """
     rem: dict = {}
     steps: dict[int, list] = {}
+    low = min([row.lm for row in rows], default=0)
     while work:
         wm = max(work)
+        if wm < low:  # below every leading monomial: no row divides the rest
+            rem.update(work)
+            break
         wc = work[wm]
         for ridx, row in enumerate(rows):
             m = wm - row.lm
@@ -295,6 +311,9 @@ def _lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
 def _multiplier(parts: list[tuple]) -> tuple[dict, int]:
     """sum of num/den * x^m over the (m, num, den) steps of one reducer, as
     integer numerators over one denominator."""
+    if len(parts) == 1:  # most reducers take one step
+        m, num, den = parts[0]
+        return {m: num}, den
     den = lcm(*(d for _, _, d in parts))
     out: dict = {}
     for m, num, d in parts:
@@ -316,6 +335,13 @@ def _ip_sum(pairs, guard: int) -> tuple[dict, int]:
         products += len(an) * len(bn)
         check_term_products(products)
         f = den // (ad * bd)
+        if len(bn) == 1:  # a row's multiplier or monomial: most b are one term
+            (m2, c2), = bn.items()
+            c2 *= f
+            for m1, c1 in an.items():
+                m = m1 + m2
+                res[m] = get(m, 0) + c1 * c2
+            continue
         bi = bn.items()
         for m1, c1 in an.items():
             c1 *= f
@@ -364,13 +390,14 @@ class BuchbergerState:
         return Polynomial.from_ints(self.table, self.codec.unpack_map(nums), den)
 
     def _push_pairs(self, new_index: int) -> None:
-        pack, lms = self.codec.pack, self._lms
+        pack, lms, pairs, pending = self.codec.pack, self._lms, self._pairs, self._pending
         lm_new = lms[new_index]
         for i in range(new_index):
-            if mono_coprime(lms[i], lm_new):
-                continue  # product criterion
-            heapq.heappush(self._pairs, (pack(mono_lcm(lms[i], lm_new)), i, new_index))
-            self._pending.add((i, new_index))
+            lm = lms[i]
+            if not any(map(min, lm, lm_new)):
+                continue  # product criterion: coprime leading monomials
+            heapq.heappush(pairs, (pack(tuple(map(max, lm, lm_new))), i, new_index))
+            pending.add((i, new_index))
 
     def _add_reduced(self, g: Polynomial, rem: dict, den: int,
                      steps: dict[int, list]) -> None:
@@ -416,7 +443,9 @@ class BuchbergerState:
             if not nums:
                 continue
             row = rows[r]
-            p, q = row.scale.numerator, row.scale.denominator
+            p, q = row._scale  # the scale p/q, in lowest terms with q > 0
+            g = gcd(p, q) if q > 0 else -gcd(p, q)
+            p, q = p // g, q // g
             b = ({m: v * p for m, v in nums.items()}, den * q)
             minus_b = ({m: -v for m, v in b[0].items()}, b[1])
             for k, parts in row.steps.items():
@@ -452,29 +481,30 @@ class BuchbergerState:
         while self._pairs:
             lcm_ij, i, j = heapq.heappop(self._pairs)
             pending.discard((i, j))
-            if any(k != i and k != j and not (lcm_ij - rk.lm) & guard
-                   and (min(i, k), max(i, k)) not in pending
-                   and (min(j, k), max(j, k)) not in pending
-                   for k, rk in enumerate(rows)):
-                continue
-            fi, fj = rows[i], rows[j]
-            mi, mj = lcm_ij - fi.lm, lcm_ij - fj.lm
-            if (mi + fi.top) & guard or (mj + fj.top) & guard:
-                raise ResourceError(_OVERFLOW)
-            den = lcm(fi.lc, fj.lc)
-            ci, cj = den // fi.lc, den // fj.lc
-            s = {m0 + mi: v * ci for m0, v in fi.nums.items()}
-            for m0, v in fj.nums.items():
-                mm = m0 + mj
-                t = s.get(mm, 0) - v * cj
-                if t:
-                    s[mm] = t
-                else:
-                    del s[mm]
-            self.budget.spend()
-            rem, den, steps = _reduce_terms(*_lowest_terms(s, den), rows, guard, self.budget)
-            if rem:
-                self._append_row(_Row(rem, den, self.codec, ("pair", i, mi, j, mj), steps))
+            for k, rk in enumerate(rows):
+                if not (lcm_ij - rk.lm) & guard and k != i and k != j \
+                        and ((k, i) if k < i else (i, k)) not in pending \
+                        and ((k, j) if k < j else (j, k)) not in pending:
+                    break  # the chain criterion skips the pair
+            else:
+                fi, fj = rows[i], rows[j]
+                mi, mj = lcm_ij - fi.lm, lcm_ij - fj.lm
+                if (mi + fi.top) & guard or (mj + fj.top) & guard:
+                    raise ResourceError(_OVERFLOW)
+                den = lcm(fi.lc, fj.lc)
+                ci, cj = den // fi.lc, den // fj.lc
+                s = {m0 + mi: v * ci for m0, v in fi.nums.items()}
+                for m0, v in fj.nums.items():
+                    mm = m0 + mj
+                    t = s.get(mm, 0) - v * cj
+                    if t:
+                        s[mm] = t
+                    else:
+                        del s[mm]
+                self.budget.spend()
+                rem, den, steps = _reduce_terms(*_lowest_terms(s, den), rows, guard, self.budget)
+                if rem:
+                    self._append_row(_Row(rem, den, self.codec, ("pair", i, mi, j, mj), steps))
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the current basis (no witness)."""
@@ -579,10 +609,15 @@ def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget,
     """Membership on one incremental Groebner basis: a remainder sends h
     into the basis, which is completed at once, so every h this returns
     None for must be kept; a zero remainder gives cofactors of h, checked
-    to recombine exactly, or, without ``witness``, ``()``."""
+    to recombine exactly, or, without ``witness``, ``()``, which a basis
+    with a constant row (the last row, as it clears the pairs) gives with
+    no reduction: <1> holds every h."""
     state = BuchbergerState(table, order, budget)
+    rows = state.rows
 
     def member(kept: list[Polynomial], h: Polynomial) -> Optional[Sequence[Polynomial]]:
+        if not witness and rows and not rows[-1].lm:
+            return ()
         rem, den, steps = state._reduce(h)
         if rem:
             state._add_reduced(h, rem, den, steps)

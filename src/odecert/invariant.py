@@ -558,12 +558,17 @@ def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
     !P & Q & Q^(*) -> !(P^(*)), since progress into the complement of P is
     the negation of progress into P (see ``semalg``).
 
-    Each distinct atom of Q, then of P, is ranked once; the backward
-    chains are the forward ones with every odd entry negated
-    (``semalg.reverse_chain``), as L_{-f} q = -L_f q."""
+    Each distinct atom of Q, then of P, is ranked once, and an atom whose
+    negation was ranked before is not ranked at all: L is linear, so the
+    chain of -p is the chain of p negated.  The backward chains are the
+    forward ones with every odd entry negated (``semalg.reverse_chain``),
+    as L_{-f} q = -L_f q."""
     config = config if config is not None else DischargeConfig()
-    chains = {p: differential_radical(p, sys, cap=config.rank_cap)
-              for p in dict.fromkeys(atoms(Q) + atoms(P))}
+    chains: dict[Polynomial, list[Polynomial]] = {}
+    for p in dict.fromkeys(atoms(Q) + atoms(P)):
+        negated = chains.get(-p)
+        chains[p] = (differential_radical(p, sys, cap=config.rank_cap) if negated is None
+                     else [-q for q in negated])
     forward = SideCondition(
         hypothesis=make_and([P.to_formula(), Q.to_formula(), semialg_progress(Q, chains)]),
         conclusion=semialg_progress(P, chains),

@@ -7,10 +7,12 @@ Lie derivatives)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from .errors import DimensionError, InputError
-from .polyarith import Polynomial, PolyMatrix, VarTable, sum_of_products
+from .polyarith import (Polynomial, PolyMatrix, VarTable, check_term_products,
+                        mono_multiplier)
 
 
 class OdeSystem:
@@ -72,11 +74,29 @@ class GhostSpec:
 
 
 def lie_derivative(p: Polynomial, sys: OdeSystem) -> Polynomial:
-    """Directional derivative of p along the vector field: sum dp/dx_i * f_i."""
-    if p.table != sys.table:
+    """Directional derivative of p along the vector field: sum dp/dx_i * f_i,
+    summed in one integer map with no polynomial per partial derivative; the
+    term pairs are counted and capped as ``sum_of_products`` counts them."""
+    table = sys.table
+    if p.table != table:
         raise InputError("polynomial and system use different variable tables")
-    return sum_of_products(sys.table, [(p.partial_derivative(i), f)
-                                       for i, f in zip(sys.var_indices, sys.rhs)])
+    times, den = mono_multiplier(len(table)), lcm(*(f.den for f in sys.rhs))
+    res: dict = {}
+    get, products = res.get, 0
+    for i, f in zip(sys.var_indices, sys.rhs):
+        terms = [(m, c * m[i]) for m, c in p.nums.items() if m[i]]
+        if not terms or not f.nums:
+            continue
+        products += len(terms) * len(f.nums)
+        check_term_products(products)
+        # x^(m - e_i) * x^g = x^m * x^(g - e_i)
+        shifted = [(g[:i] + (g[i] - 1,) + g[i + 1:], c * (den // f.den))
+                   for g, c in f.nums.items()]
+        for m1, c1 in terms:
+            for m2, c2 in shifted:
+                m = times(m1, m2)
+                res[m] = get(m, 0) + c1 * c2
+    return Polynomial.from_ints(table, {m: v for m, v in res.items() if v}, p.den * den)
 
 
 def higher_lie(p: Polynomial, sys: OdeSystem, i: int) -> Polynomial:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, le, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionError, InputError, NonPolynomialError, ResourceError
 
@@ -113,6 +113,18 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(add, a, b))
 
 
+# monomial products unrolled for one to three variables, in a fifth of the
+# time of tuple(map(add, a, b)): the kernel of every polynomial product
+_UNROLLED_MUL = {1: lambda a, b: (a[0] + b[0],),
+                 2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                 3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])}
+
+
+def mono_multiplier(n: int) -> Callable[[Mono, Mono], Mono]:
+    """``mono_mul`` for monomials of n variables, unrolled for n <= 3."""
+    return _UNROLLED_MUL.get(n, mono_mul)
+
+
 def mono_div(a: Mono, b: Mono) -> Mono:
     return tuple(map(sub, a, b))
 
@@ -123,10 +135,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(map(max, a, b))
-
-
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 class MonomialOrder:
@@ -447,7 +455,7 @@ class Polynomial:
             return self
         keep = tuple(i not in subst for i in range(len(self.table)))
         den = prod([subst[i].den ** e for i, e in tops.items()])  # den(q^e) = den(q)^e
-        res, products = {}, 0
+        res, products, times = {}, 0, mono_multiplier(len(self.table))
         for m, c in self.nums.items():
             kept, factors = tuple(map(mul, m, keep)), [powers[i, m[i]] for i in subst if m[i]]
             if not factors:
@@ -463,7 +471,7 @@ class Polynomial:
                 get = out.get
                 for m1, c1 in part.items():
                     for m2, c2 in p.nums.items():
-                        m = tuple(map(add, m1, m2))
+                        m = times(m1, m2)
                         out[m] = get(m, 0) + c1 * c2
                 part = out
         return Polynomial.from_ints(self.table, {m: v for m, v in res.items() if v},
@@ -603,19 +611,25 @@ class Polynomial:
 
     def _render(self, order: MonomialOrder) -> str:
         """Each coefficient is its numerator over ``den``, brought to lowest
-        terms by one gcd."""
+        terms by one gcd; ``decimal`` writes them only if one may pass the
+        digit cap."""
         if not self.nums:
             return "0"
         names, nums, den = self.table.names, self.nums, self.den
+        write = str if max(den, *map(abs, nums.values())) < _DIGIT_BOUND else decimal
         parts: list[str] = []
-        for m in sorted(nums, key=order.key, reverse=True):
+        if order is GREVLEX:  # ascending in this key is descending in grevlex
+            monos = sorted(nums, key=lambda m: (-sum(m), m[::-1]))
+        else:
+            monos = sorted(nums, key=order.key, reverse=True)
+        for m in monos:
             v = nums[m]
             g = gcd(v, den)
             num, d = abs(v) // g, den // g
             body = "*".join([name if e == 1 else f"{name}^{e}"
                              for name, e in zip(names, m) if e])
             if not body or num != d:  # d == 1 == num is the coefficient 1
-                coef = decimal(num) if d == 1 else decimal(num) + "/" + decimal(d)
+                coef = write(num) if d == 1 else write(num) + "/" + write(d)
                 body = coef + "*" + body if body else coef
             parts.append((" - " if v < 0 else " + ") + body)
         text = "".join(parts)
@@ -654,7 +668,7 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomia
     den = lcm(*(a.den * b.den for a, b in pairs))
     res: dict = {}
     get = res.get
-    products = 0
+    products, times = 0, mono_multiplier(len(table))
     for a, b in pairs:
         products += len(a.nums) * len(b.nums)
         check_term_products(products)
@@ -663,7 +677,7 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomia
         for m1, c1 in a.nums.items():
             c1 *= f
             for m2, c2 in bn:
-                m = tuple(map(add, m1, m2))
+                m = times(m1, m2)
                 res[m] = get(m, 0) + c1 * c2
     return Polynomial.from_ints(table, {m: v for m, v in res.items() if v}, den)
 

@@ -326,7 +326,12 @@ _PRECEDENCE = {Implies: 0, Or: 1, And: 2, Not: 3}
 
 
 def render_formula(f: Formula) -> str:
-    """Infix rendering in the input syntax (round-trips through the parser)."""
+    """Infix rendering in the input syntax (round-trips through the parser),
+    kept on f as ``_program`` is: reports and certificates share formulas."""
+    try:
+        return f._text
+    except AttributeError:
+        pass
 
     def wrap(g, level: int) -> str:
         s = go(g)
@@ -352,7 +357,9 @@ def render_formula(f: Formula) -> str:
             raise InputError("quantified formulas have no surface syntax")
         raise InputError(f"cannot render {t.__name__}")
 
-    return go(f)
+    text = go(f)
+    object.__setattr__(f, "_text", text)
+    return text
 
 
 # ---------------------------------------------------------------------------

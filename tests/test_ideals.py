@@ -349,6 +349,26 @@ class TestMultipliersOnDemand:
         assert sum((c * g for c, g in zip(cofs, gens)), rem) == p
 
 
+class TestUnitShortcut:
+    """A chain without cofactors stops reducing at the unit ideal."""
+
+    def test_no_reduction_once_the_basis_holds_one(self, xy, monkeypatch):
+        # x' = x*y - 1 with y constant: <x, x*y - 1> holds 1 = y*x - (x*y - 1),
+        # so L^2 x = x*y^2 - y is a member without being reduced
+        sysr = OdeSystem.from_pairs(xy, [("x", P("x*y - 1", xy))])
+        p = P("x", xy)
+        calls = []
+        reduce_terms = ideals._reduce_terms
+        monkeypatch.setattr(ideals, "_reduce_terms",
+                            lambda *args: calls.append(1) or reduce_terms(*args))
+        chain = differential_radical(p, sysr)
+        radical_calls = len(calls)
+        ranked = rank(p, sysr)
+        assert chain == list(ranked.chain) == [p, P("x*y - 1", xy)]
+        assert radical_calls == 2  # x and x*y - 1, none for L^2 x
+        assert len(calls) - radical_calls == 3  # rank reduces L^2 x for its cofactors
+
+
 def _forward_witness(state, steps):
     """Forward-mode reference for ``BuchbergerState._witness``: every row's
     {generator index: cofactor} map is built from the maps of the rows it

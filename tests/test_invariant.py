@@ -546,6 +546,27 @@ class TestCheckSemialgebraic:
                                                 semialg_progress(Q_nf, rank_chains(Q_nf, rsys))])
         assert backward.conclusion == Not(semialg_progress(P_nf, rank_chains(P_nf, rsys)))
 
+    def test_negated_atom_is_not_ranked(self, uv, alpha_e, monkeypatch):
+        # Q holds u - 2 and -u + 2, P holds u - v and -u + v: of each pair
+        # the second chain is the first negated
+        P_nf = to_normal_form(F("u^2 + v^2 <= 1 & u - v >= 0 | v - u > 0", uv))
+        Q_nf = to_normal_form(F("u - 2 != 0", uv))
+        from odecert import invariant
+        ranked, real = [], invariant.differential_radical
+        monkeypatch.setattr(invariant, "differential_radical",
+                            lambda p, sys, cap: ranked.append(p) or real(p, sys, cap=cap))
+        forward, backward = sai_side_conditions(P_nf, Q_nf, alpha_e)
+        monkeypatch.undo()
+        assert ranked == [P("u - 2", uv), P("-u^2 - v^2 + 1", uv), P("u - v", uv)]
+        # the conditions built from chains that rank every atom
+        for cond, sys, hyp, concl in [(forward, alpha_e, P_nf.to_formula(), lambda f: f),
+                                      (backward, reverse(alpha_e), Not(P_nf.to_formula()), Not)]:
+            chains = {**rank_chains(Q_nf, sys), **rank_chains(P_nf, sys)}
+            assert len(chains) == 5
+            assert cond.hypothesis == make_and([hyp, Q_nf.to_formula(),
+                                                semialg_progress(Q_nf, chains)])
+            assert cond.conclusion == concl(semialg_progress(P_nf, chains))
+
     def test_open_disk_invariant(self, uv, alpha_e):
         P_nf = to_normal_form(F("1 - u^2 - v^2 > 0", uv))
         verdict = check_semialgebraic_invariance(P_nf, NormalForm.true(), alpha_e,

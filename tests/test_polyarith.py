@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -235,6 +236,26 @@ class TestOrdersAndRendering:
         for _ in range(200):
             p = random_polynomial(rng, t3, max_degree=3, terms=5)
             assert parse_term(p.render(), t3) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_render_lists_terms_in_descending_grevlex(self, data, n):
+        names = ["x", "y", "z", "w"][:n]
+        exponent = st.one_of(st.integers(0, 3), st.integers(0, 40))
+        monos = data.draw(st.lists(st.tuples(*[exponent] * n), min_size=1, max_size=12,
+                                   unique=True))
+        coefficients = data.draw(st.lists(_rationals.filter(bool), min_size=len(monos),
+                                          max_size=len(monos)))
+        p = Polynomial(VarTable(names), dict(zip(monos, coefficients)))
+        rendered = []
+        for term in re.split(" [+-] ", p.render().lstrip("-")):
+            m = [0] * n
+            for factor in term.split("*"):
+                name, _, e = factor.partition("^")
+                if name in names:
+                    m[names.index(name)] = int(e or 1)
+            rendered.append(tuple(m))
+        assert rendered == sorted(monos, key=GREVLEX.key, reverse=True)
 
     def test_var_table_extension_keeps_indices(self):
         t = VarTable(["a", "b"])

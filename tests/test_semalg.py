@@ -469,6 +469,14 @@ class TestFormulaUtilities:
             f = F(text, xy)
             assert parse_formula(render_formula(f), xy) == f
 
+    def test_render_once_per_formula(self, xy, monkeypatch):
+        f = F("x >= 0 & (x = 0 -> y^2 - x > 0)", xy)
+        text = render_formula(f)
+        # the second call reads the text kept on f and renders no atom
+        monkeypatch.setattr(Polynomial, "render", lambda *args: pytest.fail("re-rendered"))
+        assert render_formula(f) == text
+        assert f == F(text, xy)
+
     def test_make_and_or_folding(self, xy):
         a = Atom(">", P("x", xy))
         assert make_and([]) == TrueF()

@@ -21,8 +21,12 @@ from odecert.ideals import (DEFAULT_RANK_CAP, GroebnerBasis, MembershipWitness,
                             RankResult, StepBudget, _assert_recombines, stabilize)
 from odecert.odecore import OdeSystem, lie_derivative
 from odecert.polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
-                               mono_coprime, mono_div, mono_divides, mono_lcm,
-                               mono_mul, sum_of_products, within_digit_cap)
+                               mono_div, mono_divides, mono_lcm, mono_mul,
+                               sum_of_products, within_digit_cap)
+
+
+def mono_coprime(a: tuple, b: tuple) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 class _Row:
