@@ -30,8 +30,8 @@ from .ideals import DEFAULT_STEP_BUDGET, StepBudget, differential_radical, rank
 from .invariant import (DischargeConfig, Verdict, algebraic_invariance_condition,
                         check_algebraic_invariance, check_certificate,
                         check_semialgebraic_invariance, find_darboux_cofactor,
-                        find_vectorial_darboux, reduction_certificate,
-                        sai_side_conditions)
+                        find_vectorial_darboux, radical_chains,
+                        reduction_certificate, sai_side_conditions)
 from .odecore import higher_lie
 from .problemfile import ProblemFile, parse_int, parse_problem
 from .semalg import (NormalForm, algebraic_combine, atoms, progress_geq, progress_gt,
@@ -226,20 +226,18 @@ def _radical(pf, args, config):
 
 def _progress(pf, args, config):
     sys_ = _require(pf, "ode")
+    nf = None if pf.candidate is None else to_normal_form(pf.candidate)
+    polys = [] if pf.polynomial is None else [pf.polynomial]
     # forward chains, each polynomial ranked once; the backward ones derived
-    forward: dict = {}
+    forward = radical_chains(polys + ([] if nf is None else atoms(nf)), sys_,
+                             config.rank_cap)
     data: dict = {}
     if pf.polynomial is not None:
-        p = pf.polynomial
-        forward[p] = chain = differential_radical(p, sys_, cap=config.rank_cap)
+        chain = forward[pf.polynomial]
         for direction, c in (("forward", chain), ("backward", reverse_chain(chain))):
             data["gt_" + direction] = render_formula(progress_gt(c))
             data["geq_" + direction] = render_formula(progress_geq(c))
-    if pf.candidate is not None:
-        nf = to_normal_form(pf.candidate)
-        for p in atoms(nf):
-            if p not in forward:
-                forward[p] = differential_radical(p, sys_, cap=config.rank_cap)
+    if nf is not None:
         backward = {p: reverse_chain(chain) for p, chain in forward.items()}
         for direction, chains in (("forward", forward), ("backward", backward)):
             data["semialg_" + direction] = render_formula(semialg_progress(nf, chains))

@@ -35,7 +35,7 @@ from .errors import InputError, ResourceError
 from .ideals import (DEFAULT_RANK_CAP, DEFAULT_STEP_BUDGET, ChainRecord, StepBudget,
                      differential_radical, member_with_witness, stabilize)
 from .odecore import OdeSystem
-from .polyarith import Polynomial, sum_of_products
+from .polyarith import Polynomial, sum_of_squares
 
 
 # -- program syntax ----------------------------------------------------------
@@ -232,11 +232,7 @@ def reduce_box(alpha: HybridProgram, p: Polynomial, cap: int = DEFAULT_RANK_CAP,
         raise InputError(f"not a hybrid program: {type(a).__name__}")
 
     gens = box(alpha, [p])
-    nonzero = [g for g in gens if g]
-    if len(nonzero) == 1:
-        q = nonzero[0]
-    else:
-        q = sum_of_products(p.table, ((g, g) for g in nonzero))
+    q = sum_of_squares(p.table, gens)
     loops = bool(kept or records)
     return q, ReductionTrace(gens, kept if loops else None,
                              list(dict.fromkeys(records)) if loops else None)

@@ -531,6 +531,20 @@ class BuchbergerState:
                              order=self.order)
 
 
+def _completed(gens: Sequence[Polynomial], order: MonomialOrder,
+               step_budget: Optional[int], what: str) -> BuchbergerState:
+    """A Buchberger state completed on ``gens``, spending a budget of
+    ``step_budget`` steps labelled ``what``."""
+    if len(gens) == 0:
+        raise InputError(f"{what} needs at least one generator")
+    budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET, what)
+    state = BuchbergerState(gens[0].table, order, budget)
+    for g in gens:
+        state.add_generator(g)
+    state.complete()
+    return state
+
+
 def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
              step_budget: Optional[int] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
@@ -538,14 +552,7 @@ def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
     Deterministic for a fixed order and generator order.  An all-zero
     generator list is allowed (the zero ideal; empty basis).
     """
-    if len(gens) == 0:
-        raise InputError("groebner needs at least one generator")
-    budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET)
-    state = BuchbergerState(gens[0].table, order, budget)
-    for g in gens:
-        state.add_generator(g)
-    state.complete()
-    return state.reduced_basis()
+    return _completed(gens, order, step_budget, "groebner").reduced_basis()
 
 
 def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
@@ -555,14 +562,7 @@ def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
 
     Budget exhaustion raises ResourceError (distinct from None).
     """
-    if len(gens) == 0:
-        raise InputError("membership needs at least one generator")
-    budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET,
-                        what="membership")
-    state = BuchbergerState(gens[0].table, order, budget)
-    for g in gens:
-        state.add_generator(g)
-    state.complete()
+    state = _completed(gens, order, step_budget, "membership")
     rem, _, steps = state._reduce(p)
     if rem:
         return None

@@ -33,8 +33,8 @@ from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionError, InputError, ResourceError
-from .ideals import (DEFAULT_RANK_CAP, ChainRecord, RankResult, StepBudget,
-                     differential_radical, groebner, rank, reduce_mod, stabilize)
+from .ideals import (DEFAULT_RANK_CAP, ChainRecord, RankResult, differential_radical,
+                     groebner, rank, reduce_mod)
 from .odecore import OdeSystem, lie_derivative
 from .polyarith import Polynomial, PolyMatrix, VarTable, sum_of_products
 from .realalg import definite
@@ -273,9 +273,9 @@ def find_vectorial_darboux(p_vec: Sequence[Polynomial], sys: OdeSystem,
 
 
 def dri_companion(rank_result: RankResult, sys: OdeSystem) -> VdbxCert:
-    """Companion-form vectorial Darboux certificate from a rank identity that
-    ``rank`` computed: 1 on the superdiagonal, the rank cofactors in the last
-    row, and p_vec = rank_result.chain = (p, Lp, ..., L^{N-1}p)."""
+    """Companion-form vectorial Darboux certificate of a rank identity with
+    its chain: 1 on the superdiagonal, the rank cofactors in the last row,
+    and p_vec = rank_result.chain = (p, Lp, ..., L^{N-1}p)."""
     n = rank_result.n
     zero, one = Polynomial.zero(sys.table), Polynomial.one(sys.table)
     entries = []
@@ -549,6 +549,20 @@ def _discharge_sai(forward: SideCondition, backward: SideCondition,
     return forward, backward
 
 
+def radical_chains(polys: Sequence[Polynomial], sys: OdeSystem,
+                   cap: int) -> dict[Polynomial, list[Polynomial]]:
+    """Each distinct polynomial of ``polys`` mapped to its rank chain
+    (``differential_radical``), in the order first met.  Each is ranked once,
+    and one whose negation was ranked before is not ranked at all: L is
+    linear, so the chain of -p is the chain of p negated."""
+    chains: dict[Polynomial, list[Polynomial]] = {}
+    for p in dict.fromkeys(polys):
+        negated = chains.get(-p)
+        chains[p] = (differential_radical(p, sys, cap=cap) if negated is None
+                     else [-q for q in negated])
+    return chains
+
+
 def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
                         config: Optional[DischargeConfig] = None) -> tuple[SideCondition, SideCondition]:
     """The two premises of the domain-aware semialgebraic invariance rule,
@@ -558,17 +572,11 @@ def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
     !P & Q & Q^(*) -> !(P^(*)), since progress into the complement of P is
     the negation of progress into P (see ``semalg``).
 
-    Each distinct atom of Q, then of P, is ranked once, and an atom whose
-    negation was ranked before is not ranked at all: L is linear, so the
-    chain of -p is the chain of p negated.  The backward chains are the
-    forward ones with every odd entry negated (``semalg.reverse_chain``),
-    as L_{-f} q = -L_f q."""
+    The atoms of Q, then of P, are ranked by ``radical_chains``.  The
+    backward chains are the forward ones with every odd entry negated
+    (``semalg.reverse_chain``), as L_{-f} q = -L_f q."""
     config = config if config is not None else DischargeConfig()
-    chains: dict[Polynomial, list[Polynomial]] = {}
-    for p in dict.fromkeys(atoms(Q) + atoms(P)):
-        negated = chains.get(-p)
-        chains[p] = (differential_radical(p, sys, cap=config.rank_cap) if negated is None
-                     else [-q for q in negated])
+    chains = radical_chains(atoms(Q) + atoms(P), sys, config.rank_cap)
     forward = SideCondition(
         hypothesis=make_and([P.to_formula(), Q.to_formula(), semialg_progress(Q, chains)]),
         conclusion=semialg_progress(P, chains),
@@ -636,20 +644,19 @@ def _check_vdbx(cert: VdbxCert) -> bool:
 
 
 def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
+    """The chain p, ..., L^{n-1}p is replayed with the recorded rank n as
+    the cap, so a higher rank raises ResourceError and a lower one gives a
+    shorter chain; the cofactors must close its companion matrix as a
+    ``vdbx`` certificate, and the side condition under ``domain`` must be
+    discharged again."""
     rr = cert.rank_result
-    if rr.n < 1 or len(rr.cofactors) != rr.n:
-        return False
-    if cert.p.is_zero():
-        return rr.n == 1  # L 0 = g * 0 for every cofactor g
-
-    def lie(q: Polynomial) -> Polynomial:
-        return lie_derivative(q, cert.system)
-
-    chain, smaller = stabilize([cert.p], lambda gens: [lie(g) for g in gens], rr.n - 1,
-                               StepBudget(what="rank replay"))
-    if smaller is not None:
+    chain = differential_radical(cert.p, cert.system, cap=rr.n)
+    if len(chain) != rr.n:
         return False  # a smaller rank exists: recorded minimality is wrong
-    return sum_of_products(cert.p.table, zip(rr.cofactors, chain)) == lie(chain[-1])
+    if not _check_vdbx(dri_companion(replace(rr, chain=tuple(chain)), cert.system)):
+        return False
+    cond = algebraic_invariance_condition(chain, cert.system, cert.domain)
+    return discharge(cond, config).status.is_proved()
 
 
 def _check_sai(cert: SaiCert, config: DischargeConfig) -> bool:

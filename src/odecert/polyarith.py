@@ -6,9 +6,10 @@ positive common denominator, kept in lowest terms, so equality of
 (numerators, denominator) is equality of polynomials (canonical form).
 Exponent vectors ("monomials") are plain tuples of non-negative ints whose
 length is the ambient variable count of the owning :class:`VarTable`.
-Ring operations, derivatives and substitution run in integers, with one gcd
-pass per result; the Groebner engine in ``ideals`` reduces the numerator
-maps directly, with each monomial packed into one int.  A ``Fraction`` is built only where a caller asks for one:
+Ring operations and substitution run in integers, with one gcd pass per
+result; the Groebner engine in ``ideals`` reduces the numerator maps
+directly, with each monomial packed into one int.  A ``Fraction`` is built
+only where a caller asks for one:
 ``terms``, ``leading``, ``constant_value`` and ``evaluate``; rendering
 reads each numerator over ``den``, in lowest terms by one gcd.
 
@@ -422,15 +423,6 @@ class Polynomial:
 
     # -- calculus / evaluation ------------------------------------------------
 
-    def partial_derivative(self, var) -> "Polynomial":
-        i = self.table.index(var) if isinstance(var, str) else var
-        if not 0 <= i < len(self.table):
-            raise InputError(f"variable index {i} out of range")
-        # m -> m - e_i is injective on the terms with m_i > 0: no collisions
-        return Polynomial.from_ints(
-            self.table, {m[:i] + (m[i] - 1,) + m[i + 1:]: v * m[i]
-                         for m, v in self.nums.items() if m[i]}, self.den)
-
     def substitute(self, subst: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneously replace variables (by index) with polynomials: each
         term adds its numerator times the powers of its substituted variables,
@@ -681,6 +673,16 @@ def sum_of_products(table: VarTable, pairs: Iterable[tuple[Polynomial, Polynomia
                 res[m] = get(m, 0) + c1 * c2
     return Polynomial.from_ints(table, {m: v for m, v in res.items() if v}, den)
 
+
+
+def sum_of_squares(table: VarTable, polys: Iterable[Polynomial]) -> Polynomial:
+    """One polynomial that vanishes exactly where all of ``polys`` do, over
+    the reals: the lone nonzero one, else the sum of the squares of the
+    nonzero ones (zero for none)."""
+    nonzero = [p for p in polys if p]
+    if len(nonzero) == 1:
+        return nonzero[0]
+    return sum_of_products(table, ((p, p) for p in nonzero))
 
 class ScaledPoint:
     """A rational point x_i = nums[i] / den over one positive common

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import InputError, ResourceError
-from .polyarith import Polynomial, ScaledPoint, VarTable
+from .polyarith import Polynomial, ScaledPoint, VarTable, sum_of_squares
 
 DEFAULT_DISJUNCT_LIMIT = 4096
 
@@ -532,16 +532,7 @@ def algebraic_combine(P: NormalForm, table: Optional[VarTable] = None) -> Polyno
         if unpaired:
             raise InputError("normal form is not algebraic: unpaired "
                              f"inequality {unpaired[0].render()} >= 0")
-        reps = [p for p in eqs if not p.is_zero()]
-        if not reps:
-            e = Polynomial.zero(table)
-        elif len(reps) == 1:
-            e = reps[0]
-        else:
-            e = Polynomial.zero(table)
-            for r in reps:
-                e = e + r * r
-        factors.append(e)
+        factors.append(sum_of_squares(table, eqs))
     if not factors:
         return Polynomial.one(table)
     out = factors[0]

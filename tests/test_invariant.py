@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from odecert import (Conjunct, DischargeConfig, DischargeStatus, NormalForm, OdeSystem,
                      Polynomial, ResourceError, SideCondition, VarTable,
@@ -30,8 +30,8 @@ from odecert.semalg import (Atom, Implies, Not, PointEvaluator, TrueF, make_and,
                             reverse_chain, semialg_progress)
 from odecert.smtlib import SolverConfig
 
-from conftest import (random_nonzero_polynomial, random_normal_form, random_system,
-                      rank_chains)
+from conftest import (random_nonzero_polynomial, random_normal_form, random_polynomial,
+                      random_system, rank_chains)
 
 QUICK = DischargeConfig(samples=3000, seed=0)
 
@@ -859,24 +859,65 @@ class TestCertificates:
                                                  rank_result=result))
 
     def test_dri_minimality_replay_on_a_unit_ideal_chain(self, xy):
-        # rank 4, and <p, ..., L^3 p> is <1>; lifting the identity one step
-        # (L^5 p = sum (L g_i + g_{i-1}) L^i p) gives a valid-looking rank 5
-        # that the replay must reject at i = 4
         from odecert.ideals import RankResult
+        from odecert.invariant import algebraic_invariance_condition
+        # rank 4, and <p, ..., L^3 p> is <1>, so the radical formula holds
+        # nowhere while p = 0 has real points: a false claim, rejected
         p = P("-2*x*y", xy)
         sysr = OdeSystem.from_pairs(xy, [("x", P("1", xy)), ("y", P("-x*y - 3*x", xy))])
         rr = rank(p, sysr)
         assert rr.n == 4
+        assert not check_certificate(DriCert(system=sysr, p=p, domain=None, rank_result=rr))
+        # p = x^2 + 1 under x' = 1, y' = 0: rank 2, and <p, Lp> = <x^2 + 1, 2*x>
+        # is <1> too, but p = 0 has no real point, so the claim holds
+        p = P("x^2 + 1", xy)
+        sysr = OdeSystem.from_pairs(xy, [("x", P("1", xy)), ("y", P("0", xy))])
+        rr = rank(p, sysr)
+        assert (rr.n, rr.cofactors) == (2, (P("2", xy), P("-x", xy)))
         assert check_certificate(DriCert(system=sysr, p=p, domain=None, rank_result=rr))
+        # lifting the identity one step (L^3 p = sum (L g_i + g_{i-1}) L^i p)
+        # gives a rank 3 whose identity and side condition both hold: the
+        # replay rejects it by minimality alone
         g = rr.cofactors
         lifted = tuple(lie_derivative(g[i], sysr) + (g[i - 1] if i else Polynomial.zero(xy))
-                       for i in range(4)) + (g[3],)
-        fake = DriCert(system=sysr, p=p, domain=None, rank_result=RankResult(5, lifted))
+                       for i in range(2)) + (g[1],)
         chain = [p]
-        for _ in range(5):
+        for _ in range(3):
             chain.append(lie_derivative(chain[-1], sysr))
-        assert sum((c * q for c, q in zip(lifted, chain)), Polynomial.zero(xy)) == chain[5]
+        assert sum((c * q for c, q in zip(lifted, chain)), Polynomial.zero(xy)) == chain[3]
+        assert discharge(algebraic_invariance_condition(chain[:3], sysr)).status.is_proved()
+        fake = DriCert(system=sysr, p=p, domain=None, rank_result=RankResult(3, lifted))
         assert not check_certificate(fake)
+
+    def test_dri_side_condition_replayed_under_the_domain(self, xy):
+        # x = 0 is invariant under x' = 1 on the domain x != 0 only: the
+        # certificate of that verdict, with its domain dropped, is rejected
+        p = P("x", xy)
+        sysr = OdeSystem.from_pairs(xy, [("x", P("1", xy)), ("y", P("0", xy))])
+        verdict = check_algebraic_invariance(p, sysr, domain=p, config=QUICK)
+        assert verdict.kind == "invariant"
+        assert check_algebraic_invariance(p, sysr, config=QUICK).kind == "not_invariant"
+        doc = certificate_to_json(verdict.certificate)
+        assert doc["domain"] == "x" and doc["rank"] == {"n": 2, "cofactors": ["0", "0"]}
+        assert check_certificate(certificate_from_json(doc), QUICK)
+        doc["domain"] = None
+        assert not check_certificate(certificate_from_json(doc), QUICK)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_dri_certificate_valid_exactly_when_invariant(self, seed):
+        rng = random.Random(seed)
+        xy = VarTable(["x", "y"])
+        p = random_polynomial(rng, xy)
+        sysr = random_system(rng, xy)
+        config = DischargeConfig(samples=200, seed=5)
+        try:
+            rr = rank(p, sysr, cap=config.rank_cap)
+        except ResourceError:
+            assume(False)  # the rank cap is exceeded: no certificate to replay
+        verdict = check_algebraic_invariance(p, sysr, None, config)
+        cert = DriCert(system=sysr, p=p, domain=None, rank_result=rr)
+        assert check_certificate(cert, config) == (verdict.kind == "invariant")
 
     def test_sai_condition_tamper_detected(self, uv, alpha_e):
         P_nf = to_normal_form(F("1 - u^2 - v^2 > 0", uv))

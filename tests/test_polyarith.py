@@ -130,31 +130,6 @@ class TestRandomizedAlgebra:
         assert swapped == P("y - x", t3)
 
 
-@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
-@settings(max_examples=60, deadline=None)
-def test_partial_derivative_linearity(a, b, c):
-    t = VarTable(["x", "y"])
-    p = Polynomial(t, {(2, 0): Fraction(a), (1, 1): Fraction(b), (0, 3): Fraction(c)})
-    q = Polynomial(t, {(1, 0): Fraction(c), (0, 2): Fraction(a)})
-    for var in (0, 1):
-        assert (p + q).partial_derivative(var) == \
-            p.partial_derivative(var) + q.partial_derivative(var)
-        # product rule
-        assert (p * q).partial_derivative(var) == \
-            p.partial_derivative(var) * q + p * q.partial_derivative(var)
-
-
-class TestPartialDerivative:
-    def test_example_from_running_system(self, uv):
-        assert P("v^2 - u^2 + 9/2", uv).partial_derivative(0) == P("-2*u", uv)
-
-    def test_constant(self, uv):
-        assert Polynomial.constant(uv, Fraction(7, 3)).partial_derivative(1).is_zero()
-
-    def test_monomial_power_rule(self, uv):
-        assert P("u*v^2", uv).partial_derivative(1) == P("2*u*v", uv)
-
-
 def _cofactor_det(mat: PolyMatrix) -> Polynomial:
     """Independent Laplace-expansion oracle."""
     n = mat.rows
@@ -433,15 +408,6 @@ def _ref_pow(a: dict, k: int, n: int) -> dict:
     return out
 
 
-def _ref_derivative(a: dict, i: int) -> dict:
-    out: dict = {}
-    for m, c in a.items():
-        if m[i]:
-            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
-            out[dm] = out.get(dm, 0) + c * m[i]
-    return _ref_clean(out)
-
-
 def _ref_substitute(a: dict, subst: dict, n: int) -> dict:
     out: dict = {}
     for m, c in a.items():
@@ -483,8 +449,6 @@ class TestIntegerRepresentation:
             (p.scale(c), _ref_clean({m: v * c for m, v in ra.items()})),
             (p.mul_term(c, (1, 2)),
              _ref_clean({(m[0] + 1, m[1] + 2): v * c for m, v in ra.items()})),
-            (p.partial_derivative(0), _ref_derivative(ra, 0)),
-            (p.partial_derivative(1), _ref_derivative(ra, 1)),
             (p ** k, _ref_pow(ra, k, 2)),
             (p.substitute({i: images[i] for i in which}),
              _ref_substitute(ra, {i: ref_images[i] for i in which}, 2)),
