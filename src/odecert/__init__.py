@@ -3,8 +3,7 @@ algebraic hybrid-program reductions."""
 
 from .errors import (DimensionError, InputError, NonPolynomialError,
                      OdecertError, ResourceError)
-from .polyarith import (GREVLEX, LEX, MonomialOrder, PolyMatrix, Polynomial,
-                        VarTable, order_by_name)
+from .polyarith import PolyMatrix, Polynomial, VarTable
 from .odecore import (GhostSpec, OdeSystem, extend_with_ghosts,
                       fresh_ghost_names, higher_lie, lie_derivative,
                       liouville_check, reverse)

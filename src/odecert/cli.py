@@ -201,6 +201,8 @@ def _verdict_report(verdict: Verdict) -> tuple[dict, int]:
 
 def _lie(pf, args, config):
     sys_, q = _require(pf, "ode"), _require(pf, "polynomial")
+    if args.max < 0:  # as higher_lie rejects it; range() would print L^0 alone
+        raise InputError("Lie derivative order must be non-negative")
     rows = [q.render()]
     # a derivative spends one step per term pair it may multiply, at least one
     budget, width = StepBudget(DEFAULT_STEP_BUDGET, "lie"), sum(len(f.nums) for f in sys_.rhs)
@@ -213,7 +215,7 @@ def _lie(pf, args, config):
 
 def _rank(pf, args, config):
     sys_, p = _require(pf, "ode"), _require(pf, "polynomial")
-    rr = rank(p, sys_, cap=config.rank_cap, order=pf.order)
+    rr = rank(p, sys_, cap=config.rank_cap)
     return {"rank": rr.n, "cofactors": [g.render() for g in rr.cofactors]}, EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Groebner bases with membership witnesses, rank, and differential radicals.
 
-Buchberger's algorithm runs with the normal selection strategy (smallest
-S-pair lcm in the active order, ties by pair index) and two criteria that
-skip S-pairs the basis does not need: the product criterion (coprime
-leading monomials) when pairs are made, and Buchberger's chain criterion
-when a pair is popped (another row's leading monomial divides the lcm and
-its pairs with both rows are no longer pending).  A skipped pair builds no
+Buchberger's algorithm runs under grevlex, the package's one monomial
+order, with the normal selection strategy (smallest S-pair lcm, ties by
+pair index) and two criteria that skip S-pairs the basis does not need:
+the product criterion (coprime leading monomials) when pairs are made,
+and Buchberger's chain criterion when a pair is popped (another row's
+leading monomial divides the lcm and its pairs with both rows are no
+longer pending).  A skipped pair builds no
 S-polynomial and spends no budget step.  Reductions run untracked; each
 basis row keeps a derivation record instead: the generator or S-pair it
 came from, the steps of its reduction and its monic scale.  S-pairs that
@@ -38,22 +39,23 @@ over the lcm of their denominators, and each coefficient of the backward
 pass is a map of numerators summed over one denominator.
 
 Inside the engine a monomial is one int (``_Codec``, one per variable
-count and order, built on first use).  Its fields, 31 bits and a guard
-bit each, hold first the order fields, which are the partial sums
-e1+...+en, ..., e1+e2, e1 under grevlex and the exponents under lex, and
-then, for grevlex, the exponents.  Integer comparison is the monomial
-order, so the leading term is ``max`` with no key and the S-pair heap is
-keyed by the packed lcm; a product of monomials is ``+``, a quotient is
-``-``, and divisibility is a subtraction and a guard-bit test.  Data is
-packed where it enters (generators, queried polynomials, the basis of
-``reduce_mod``) and unpacked where it leaves (remainders, reduced bases,
-cofactors).  No field may pass 2^31 - 1: packing checks every monomial,
-each reduction step and S-polynomial checks its multiplier against the
-row's fieldwise maximum, the backward pass checks every sum, and lcms
-are packed from exponent tuples; past the cap the computation ends with
-``ResourceError``, never with a wrapped field.  The recombination check
-of every witness stays on ``Polynomial`` arithmetic with exponent tuples,
-so it shares none of the engine's monomial arithmetic.
+count, built on first use).  Its fields, 31 bits and a guard bit each,
+hold first the partial sums e1+...+en, ..., e1+e2, e1 and then the
+exponents.  Integer comparison is grevlex, so the leading term is ``max``
+with no key and the S-pair heap is keyed by the packed lcm; a product of
+monomials is ``+``, a quotient is ``-``, and divisibility is a
+subtraction and a guard-bit test.  Data is packed where it enters
+(generators, queried polynomials, the basis of ``reduce_mod``) and
+unpacked where it leaves (remainders, reduced bases, cofactors).  No
+field may pass 2^31 - 1.  Every field is at most the total degree, so
+packing checks that; lcms are packed from exponent tuples, and the
+backward pass checks every sum.  A reduction step or an S-polynomial
+reaches no degree above the monomial or lcm it starts from (see
+``_reduce_terms``), so it needs no check of its own.  Past the cap the
+computation ends with ``ResourceError``, never with a wrapped field.  The
+recombination check of every witness stays on ``Polynomial`` arithmetic
+with exponent tuples, so it shares none of the engine's monomial
+arithmetic.
 
 ``stabilize`` is the one ascending-chain loop.  It grows the ideal of a
 list of generators: each round maps the generators the last round kept to
@@ -80,8 +82,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, ResourceError
 from .odecore import OdeSystem, lie_derivative
-from .polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
-                        check_term_products, sum_of_products,
+from .polyarith import (Polynomial, VarTable, check_term_products, sum_of_products,
                         within_digit_cap)
 
 DEFAULT_STEP_BUDGET = 400_000
@@ -105,16 +106,15 @@ class StepBudget:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, inter-reduced, in increasing order of
-    leading monomial."""
+    """Reduced Groebner basis: monic, inter-reduced, in increasing grevlex
+    order of leading monomial."""
     basis: tuple[Polynomial, ...]
-    order: MonomialOrder
 
     def render(self) -> str:
         """Diagnostic dump, one canonical polynomial per line."""
         if not self.basis:
             return "<empty basis>"
-        return "\n".join(b.render(self.order) for b in self.basis)
+        return "\n".join(b.render() for b in self.basis)
 
 
 @dataclass(frozen=True)
@@ -147,27 +147,22 @@ _OVERFLOW = f"a monomial's degree or exponent exceeds the packed field cap {_FIE
 
 
 class _Codec:
-    """Monomials of one variable count and order packed into ints (see the
-    module docstring).  Packing is linear, x^e to sum_i e_i * units[i];
-    its largest field is the total degree under grevlex and the largest
-    exponent under lex."""
-    __slots__ = ("units", "shifts", "fields", "guard", "weight")
+    """Monomials of one variable count packed into ints (see the module
+    docstring).  Packing is linear, x^e to sum_i e_i * units[i]; its
+    largest field is the total degree."""
+    __slots__ = ("units", "shifts", "guard")
 
-    def __init__(self, n: int, order_name: str):
-        fields = [(i,) for i in reversed(range(n))]  # lowest first; e1 highest
-        if order_name == "grevlex":
-            fields += [tuple(range(k + 1)) for k in range(n)]
-        elif order_name != "lex":
-            raise InputError(f"no packed monomials for the order {order_name!r}")
+    def __init__(self, n: int):
+        # lowest first: the exponents e_n, ..., e1, then the partial sums
+        # e1, e1+e2, ..., up to the total degree in the highest field
+        fields = [(i,) for i in reversed(range(n))] + [tuple(range(k + 1)) for k in range(n)]
         self.units = tuple(sum(1 << _FIELD_BITS * f for f, vs in enumerate(fields) if i in vs)
                            for i in range(n))
         self.shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
-        self.fields = tuple(range(0, _FIELD_BITS * len(fields), _FIELD_BITS))
-        self.guard = sum(1 << s + _FIELD_BITS - 1 for s in self.fields)
-        self.weight = sum if order_name == "grevlex" else max
+        self.guard = sum(1 << _FIELD_BITS * (f + 1) - 1 for f in range(len(fields)))
 
     def pack(self, m: tuple) -> int:
-        if self.weight(m) > _FIELD_MAX:
+        if sum(m) > _FIELD_MAX:
             raise ResourceError(_OVERFLOW)
         return sum(map(mul, m, self.units))
 
@@ -182,14 +177,8 @@ class _Codec:
         unpack = self.unpack
         return {unpack(m): v for m, v in nums.items()}
 
-    def top(self, keys) -> int:
-        """The fieldwise maximum of packed monomials, packed."""
-        return sum(max((k >> s) & _FIELD_MAX for k in keys) << s for s in self.fields)
 
-
-@cache
-def _codec(n: int, order_name: str) -> _Codec:
-    return _Codec(n, order_name)
+_codec = cache(_Codec)
 
 
 class _Row:
@@ -197,9 +186,7 @@ class _Row:
 
     ``nums`` maps packed monomials to the row's primitive integer
     numerators, whose leading one, at ``lm``, is the positive ``lc``: the
-    monic row is nums / lc.  ``top`` is the fieldwise maximum of its
-    monomials, so x^m times the row stays within the fields exactly when
-    m + top sets no guard bit.  ``scale`` is the factor that takes the
+    monic row is nums / lc.  ``scale`` is the factor that takes the
     polynomial the row was made from (numerators over a denominator) to
     the monic row, kept as the integers (den, lead) of ``_scale``.
     ``origin`` is ``("gen", j)`` for a reduced generator
@@ -208,9 +195,9 @@ class _Row:
     as ``_reduce_terms`` returns them.  Those records are all a witness
     reads.
     """
-    __slots__ = ("nums", "lm", "lc", "top", "origin", "steps", "_scale")
+    __slots__ = ("nums", "lm", "lc", "origin", "steps", "_scale")
 
-    def __init__(self, nums: dict, den: int, codec: _Codec, origin=None,
+    def __init__(self, nums: dict, den: int, origin=None,
                  steps: Optional[dict[int, list]] = None):
         lm = max(nums)
         lead = nums[lm]
@@ -218,7 +205,6 @@ class _Row:
         self.nums = nums if g == 1 else {m: v // g for m, v in nums.items()}
         self.lm = lm
         self.lc = lead // g
-        self.top = codec.top(nums)
         self._scale = (den, lead)
         self.origin = origin
         self.steps = steps
@@ -246,8 +232,14 @@ def _reduce_terms(work: dict, den: int, rows: Sequence[_Row], guard: int,
     denominator grows, the content common to it and to every coefficient
     of the working map and of the remainder is divided out; a denominator
     past the digit cap raises ResourceError, so coefficient growth ends a
-    reduction instead of running on unbounded, and so does a product past
-    the packed fields.
+    reduction instead of running on unbounded.
+
+    No step can pass the packed fields, so none is checked.  Each field is
+    a sum of exponents, so it is at most the total degree.  A grevlex
+    leading monomial carries its row's largest degree, so x^m times the
+    row reaches no degree above that of x^w, which is at most the largest
+    degree of the input; and the input was packed, or is an S-polynomial
+    whose lcm was, and ``pack`` checked that degree.
 
     Returns (remainder, its denominator, steps): steps[i] lists the
     (m, num, den) steps that used rows[i], each a multiplier num/den * x^m
@@ -268,8 +260,6 @@ def _reduce_terms(work: dict, den: int, rows: Sequence[_Row], guard: int,
             m = wm - row.lm
             if m & guard:
                 continue
-            if (m + row.top) & guard:
-                raise ResourceError(_OVERFLOW)
             a = row.lc
             g = gcd(wc, a)
             f, c = a // g, wc // g
@@ -366,11 +356,9 @@ class BuchbergerState:
     dropped.
     """
 
-    def __init__(self, table: VarTable, order: MonomialOrder = GREVLEX,
-                 budget: Optional[StepBudget] = None):
+    def __init__(self, table: VarTable, budget: Optional[StepBudget] = None):
         self.table = table
-        self.order = order
-        self.codec = _codec(len(table), order.name)
+        self.codec = _codec(len(table))
         self.budget = budget if budget is not None else StepBudget()
         self.gens: list[Polynomial] = []
         self.rows: list[_Row] = []
@@ -404,7 +392,7 @@ class BuchbergerState:
         """Add generator g, whose reduction modulo the current rows is given."""
         self.gens.append(g)
         if rem:
-            row = _Row(rem, den, self.codec, ("gen", len(self.gens) - 1), steps)
+            row = _Row(rem, den, ("gen", len(self.gens) - 1), steps)
             self._append_row(row)
 
     def _append_row(self, row: _Row) -> None:
@@ -489,8 +477,6 @@ class BuchbergerState:
             else:
                 fi, fj = rows[i], rows[j]
                 mi, mj = lcm_ij - fi.lm, lcm_ij - fj.lm
-                if (mi + fi.top) & guard or (mj + fj.top) & guard:
-                    raise ResourceError(_OVERFLOW)
                 den = lcm(fi.lc, fj.lc)
                 ci, cj = den // fi.lc, den // fj.lc
                 s = {m0 + mi: v * ci for m0, v in fi.nums.items()}
@@ -504,7 +490,7 @@ class BuchbergerState:
                 self.budget.spend()
                 rem, den, steps = _reduce_terms(*_lowest_terms(s, den), rows, guard, self.budget)
                 if rem:
-                    self._append_row(_Row(rem, den, self.codec, ("pair", i, mi, j, mj), steps))
+                    self._append_row(_Row(rem, den, ("pair", i, mi, j, mj), steps))
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical remainder of p modulo the current basis (no witness)."""
@@ -526,43 +512,40 @@ class BuchbergerState:
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
             rem, den, _ = _reduce_terms(dict(row.nums), row.lc, others, guard, self.budget)
-            kept[idx] = _Row(rem, den, self.codec)
-        return GroebnerBasis(basis=tuple(self._poly(r.nums, r.lc) for r in kept),
-                             order=self.order)
+            kept[idx] = _Row(rem, den)
+        return GroebnerBasis(basis=tuple(self._poly(r.nums, r.lc) for r in kept))
 
 
-def _completed(gens: Sequence[Polynomial], order: MonomialOrder,
-               step_budget: Optional[int], what: str) -> BuchbergerState:
+def _completed(gens: Sequence[Polynomial], step_budget: Optional[int],
+               what: str) -> BuchbergerState:
     """A Buchberger state completed on ``gens``, spending a budget of
     ``step_budget`` steps labelled ``what``."""
     if len(gens) == 0:
         raise InputError(f"{what} needs at least one generator")
     budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET, what)
-    state = BuchbergerState(gens[0].table, order, budget)
+    state = BuchbergerState(gens[0].table, budget)
     for g in gens:
         state.add_generator(g)
     state.complete()
     return state
 
 
-def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX,
-             step_budget: Optional[int] = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+def groebner(gens: Sequence[Polynomial], step_budget: Optional[int] = None) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of the ideal generated by ``gens``.
 
-    Deterministic for a fixed order and generator order.  An all-zero
-    generator list is allowed (the zero ideal; empty basis).
+    Deterministic for a fixed generator order.  An all-zero generator list
+    is allowed (the zero ideal; empty basis).
     """
-    return _completed(gens, order, step_budget, "groebner").reduced_basis()
+    return _completed(gens, step_budget, "groebner").reduced_basis()
 
 
 def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
-                        order: MonomialOrder = GREVLEX,
                         step_budget: Optional[int] = None) -> Optional[MembershipWitness]:
     """Exact cofactors for p in <gens>, or None when p is not a member.
 
     Budget exhaustion raises ResourceError (distinct from None).
     """
-    state = _completed(gens, order, step_budget, "membership")
+    state = _completed(gens, step_budget, "membership")
     rem, _, steps = state._reduce(p)
     if rem:
         return None
@@ -579,32 +562,30 @@ def _assert_recombines(q: Polynomial, cofs: Sequence[Polynomial],
 
 
 def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
-               order: MonomialOrder = GREVLEX,
                budget: Optional[StepBudget] = None) -> Polynomial:
     """Normal form of p modulo an (assumed Groebner) basis, without witness
     tracking.  With a genuine Groebner basis the result is canonical, so a
     zero remainder decides ideal membership.  A basis element is packed
-    into its reducer row once per codec, on first use, and keeps it."""
+    into its reducer row on first use, and keeps it."""
+    if any(b.table != p.table for b in basis):
+        raise InputError("polynomial and basis use different variable tables")
     budget = budget if budget is not None else StepBudget(what="reduction")
-    codec = _codec(len(p.table), order.name)
-    rows = [_reducer(b, codec) for b in basis if b]
+    codec = _codec(len(p.table))
+    rows = [_reducer(b) for b in basis if b]
     rem, den, _ = _reduce_terms(codec.pack_map(p.nums), p.den, rows, codec.guard, budget)
     return Polynomial.from_ints(p.table, codec.unpack_map(rem), den)
 
 
-def _reducer(b: Polynomial, codec: _Codec) -> _Row:
-    """The reducer row of a nonzero b under ``codec``, cached on b."""
+def _reducer(b: Polynomial) -> _Row:
+    """The reducer row of a nonzero b, cached on b."""
     try:
-        rows = b._rows
+        return b._row
     except AttributeError:
-        rows = b._rows = {}
-    row = rows.get(codec)
-    if row is None:
-        row = rows[codec] = _Row(codec.pack_map(b.nums), b.den, codec)
-    return row
+        b._row = _Row(_codec(len(b.table)).pack_map(b.nums), b.den)
+        return b._row
 
 
-def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget,
+def _groebner_member(table: VarTable, budget: StepBudget,
                      witness: bool = True) -> Callable:
     """Membership on one incremental Groebner basis: a remainder sends h
     into the basis, which is completed at once, so every h this returns
@@ -612,7 +593,7 @@ def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget,
     to recombine exactly, or, without ``witness``, ``()``, which a basis
     with a constant row (the last row, as it clears the pairs) gives with
     no reduction: <1> holds every h."""
-    state = BuchbergerState(table, order, budget)
+    state = BuchbergerState(table, budget)
     rows = state.rows
 
     def member(kept: list[Polynomial], h: Polynomial) -> Optional[Sequence[Polynomial]]:
@@ -634,8 +615,7 @@ def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget,
 
 def stabilize(first: Sequence[Polynomial],
               step: Callable[[list[Polynomial]], list[Polynomial]], cap: int,
-              budget: StepBudget, order: MonomialOrder = GREVLEX,
-              member: Optional[Callable] = None
+              budget: StepBudget, member: Optional[Callable] = None
               ) -> tuple[list[Polynomial], Optional[list[ChainRecord]]]:
     """Grow the ideal of the generators ``first`` until ``step`` adds nothing.
 
@@ -654,7 +634,7 @@ def stabilize(first: Sequence[Polynomial],
     ``first`` must not be empty.  Budget exhaustion raises ResourceError.
     """
     if member is None:
-        member = _groebner_member(first[0].table, order, budget)
+        member = _groebner_member(first[0].table, budget)
     kept: list[Polynomial] = []
     records = []
     gens = first
@@ -674,8 +654,8 @@ def stabilize(first: Sequence[Polynomial],
     return kept, None
 
 
-def _lie_chain(p: Polynomial, sys: OdeSystem, cap: int, order: MonomialOrder,
-               step_budget: Optional[int], witness: bool) -> tuple[list, list]:
+def _lie_chain(p: Polynomial, sys: OdeSystem, cap: int, step_budget: Optional[int],
+               witness: bool) -> tuple[list, list]:
     """``stabilize`` from [p] under the Lie derivative: the chain p, ...,
     L^{N-1}p and its records, the first of which is L^N p's."""
     if cap < 1:
@@ -687,15 +667,13 @@ def _lie_chain(p: Polynomial, sys: OdeSystem, cap: int, order: MonomialOrder,
     budget = StepBudget(step_budget if step_budget is not None else DEFAULT_STEP_BUDGET,
                         what="rank")
     chain, records = stabilize([p], lambda gens: [lie_derivative(g, sys) for g in gens],
-                               cap, budget, order,
-                               _groebner_member(p.table, order, budget, witness))
+                               cap, budget, _groebner_member(p.table, budget, witness))
     if records is None:
         raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
     return chain, records
 
 
 def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-         order: MonomialOrder = GREVLEX,
          step_budget: Optional[int] = None) -> RankResult:
     """Smallest N >= 1 with L^N p in <p, Lp, ..., L^{N-1}p>, with exact
     cofactors and the chain p, ..., L^{N-1}p: ``stabilize`` from [p] with
@@ -704,7 +682,7 @@ def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
     The zero polynomial has rank 1 with cofactor 0.  Exceeding ``cap``
     raises ResourceError carrying the partial Lie chain.
     """
-    chain, records = _lie_chain(p, sys, cap, order, step_budget, witness=True)
+    chain, records = _lie_chain(p, sys, cap, step_budget, witness=True)
     return RankResult(len(chain), records[0].cofactors, tuple(chain))
 
 
@@ -712,6 +690,5 @@ def differential_radical(p: Polynomial, sys: OdeSystem,
                          cap: int = DEFAULT_RANK_CAP) -> list[Polynomial]:
     """The chain [L^0 p, ..., L^{N-1} p] whose zero-conjunction is the
     differential radical formula of p: ``rank``'s chain and errors, with no
-    cofactor built, as each membership is decided by its remainder alone;
-    membership, and so the chain, does not depend on the monomial order."""
-    return _lie_chain(p, sys, cap, GREVLEX, None, witness=False)[0]
+    cofactor built, as each membership is decided by its remainder alone."""
+    return _lie_chain(p, sys, cap, None, witness=False)[0]

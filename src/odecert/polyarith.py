@@ -134,38 +134,11 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(map(le, a, b))
 
 
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
-
-
-class MonomialOrder:
-    """A monomial order given by a sort key; larger key = larger monomial."""
-
-    __slots__ = ("name", "key")
-
-    def __init__(self, name: str, key):
-        self.name = name
-        self.key = key
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.name})"
-
-
-def _grevlex_key(m: Mono):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-GREVLEX = MonomialOrder("grevlex", _grevlex_key)
-LEX = MonomialOrder("lex", lambda m: m)
-
-_ORDERS = {"grevlex": GREVLEX, "lex": LEX}
-
-
-def order_by_name(name: str) -> MonomialOrder:
-    try:
-        return _ORDERS[name]
-    except KeyError:
-        raise InputError(f"unknown monomial order {name!r} (use grevlex or lex)") from None
+def _grevlex_descending(m: Mono):
+    """Sort key that lists monomials in decreasing grevlex order: higher
+    total degree first, then, among equal degrees, the smaller exponent of
+    the last variable, then of the one before it, and so on."""
+    return (-sum(m), m[::-1])
 
 
 def within_digit_cap(n: int) -> int:
@@ -223,13 +196,13 @@ class Polynomial:
     share.
     """
 
-    # _terms, _evals, _vars, _restricts, _text, _rows (the reducer rows of
+    # _terms, _evals, _vars, _restricts, _text, _row (the reducer row of
     # ideals.reduce_mod) and _roots (the rational roots of a one-variable
     # boundary atom, of sampling.project_to_boundary) are caches that stay
     # unset until first use, so arithmetic (the Groebner hot path) pays
     # nothing for them
     __slots__ = ("table", "nums", "den", "_hash", "_terms", "_evals", "_vars",
-                 "_restricts", "_text", "_rows", "_roots")
+                 "_restricts", "_text", "_row", "_roots")
 
     def __init__(self, table: VarTable, terms: Mapping[Mono, Fraction] | None = None):
         """From a map of exponent vectors to rationals (``Fraction`` or int);
@@ -339,14 +312,16 @@ class Polynomial:
             self._vars = tuple(sorted(self.variables()))
             return self._vars
 
-    def leading(self, order: MonomialOrder = GREVLEX) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, Fraction]:
+        """The grevlex leading monomial and its coefficient."""
         if not self.nums:
             raise InputError("zero polynomial has no leading term")
-        m = max(self.nums, key=order.key)
+        m = min(self.nums, key=_grevlex_descending)
         return m, Fraction(self.nums[m], self.den)
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Mono, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+        """The terms in decreasing grevlex order."""
+        return sorted(self.terms.items(), key=lambda t: _grevlex_descending(t[0]))
 
     # -- ring operations -----------------------------------------------------
 
@@ -415,10 +390,10 @@ class Polynomial:
             return Polynomial._canonical(self.table, nums, self.den)
         return Polynomial.from_ints(self.table, nums, self.den * b)
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        lead = self.nums[max(self.nums, key=order.key)]
+        lead = self.nums[min(self.nums, key=_grevlex_descending)]
         return self if lead == self.den else self.scale(Fraction(self.den, lead))
 
     # -- calculus / evaluation ------------------------------------------------
@@ -569,17 +544,17 @@ class Polynomial:
 
     # -- exact division --------------------------------------------------------
 
-    def divexact(self, d: "Polynomial", order: MonomialOrder = GREVLEX) -> "Polynomial":
+    def divexact(self, d: "Polynomial") -> "Polynomial":
         """Exact quotient self/d; raises if d does not divide self exactly."""
         self._require_same_table(d)
         if d.is_zero():
             raise InputError("division by the zero polynomial")
         quot = Polynomial.zero(self.table)
         rem = self
-        dm, dc = d.leading(order)
+        dm, dc = d.leading()
         one = Polynomial.one(self.table)
         while not rem.is_zero():
-            rm, rc = rem.leading(order)
+            rm, rc = rem.leading()
             if not mono_divides(dm, rm):
                 raise InputError("inexact polynomial division")
             t = one.mul_term(rc / dc, mono_div(rm, dm))
@@ -589,19 +564,17 @@ class Polynomial:
 
     # -- text rendering ---------------------------------------------------------
 
-    def render(self, order: MonomialOrder = GREVLEX) -> str:
-        """Canonical text: terms in decreasing monomial order, explicit * and ^,
-        rationals as num/den (e.g. ``-1/2*u^2 - 1/2*v^2``).  The text in the
-        default order is built once and kept."""
-        if order is not GREVLEX:
-            return self._render(order)
+    def render(self) -> str:
+        """Canonical text: terms in decreasing grevlex order, explicit * and
+        ^, rationals as num/den (e.g. ``-1/2*u^2 - 1/2*v^2``); built once
+        and kept."""
         try:
             return self._text
         except AttributeError:
-            self._text = self._render(GREVLEX)
+            self._text = self._render()
             return self._text
 
-    def _render(self, order: MonomialOrder) -> str:
+    def _render(self) -> str:
         """Each coefficient is its numerator over ``den``, brought to lowest
         terms by one gcd; ``decimal`` writes them only if one may pass the
         digit cap."""
@@ -610,11 +583,7 @@ class Polynomial:
         names, nums, den = self.table.names, self.nums, self.den
         write = str if max(den, *map(abs, nums.values())) < _DIGIT_BOUND else decimal
         parts: list[str] = []
-        if order is GREVLEX:  # ascending in this key is descending in grevlex
-            monos = sorted(nums, key=lambda m: (-sum(m), m[::-1]))
-        else:
-            monos = sorted(nums, key=order.key, reverse=True)
-        for m in monos:
+        for m in sorted(nums, key=_grevlex_descending):
             v = nums[m]
             g = gcd(v, den)
             num, d = abs(v) // g, den // g
@@ -771,7 +740,7 @@ class PolyMatrix:
             acc = acc + self.get(i, i)
         return acc
 
-    def determinant(self, order: MonomialOrder = GREVLEX) -> Polynomial:
+    def determinant(self) -> Polynomial:
         """Fraction-free (Bareiss) determinant over the polynomial ring."""
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
@@ -794,7 +763,7 @@ class PolyMatrix:
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    a[i][j] = num.divexact(prev, order)
+                    a[i][j] = num.divexact(prev)
                 a[i][k] = Polynomial.zero(table)
             prev = a[k][k]
         det = a[n - 1][n - 1]

@@ -11,13 +11,13 @@ Recognized keys:
   domain        formula; for check-alg it must be a disequation r != 0
   program       hybrid program (hp-reduce)
   post          algebraic formula postcondition (hp-reduce)
-  seed samples cap deg_bound order solver solver_args solver_timeout
+  seed samples cap deg_bound solver solver_args solver_timeout
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError
@@ -26,7 +26,7 @@ from .ideals import DEFAULT_RANK_CAP
 from .invariant import DischargeConfig
 from .odecore import OdeSystem
 from .parser import parse_formula, parse_ode, parse_program, parse_term
-from .polyarith import MonomialOrder, Polynomial, VarTable, order_by_name
+from .polyarith import Polynomial, VarTable
 from .semalg import Atom, Formula, TrueF
 from .smtlib import SolverConfig, check_timeout
 
@@ -44,7 +44,6 @@ class ProblemFile:
     samples: int = DischargeConfig.samples
     cap: int = DEFAULT_RANK_CAP
     deg_bound: Optional[int] = None
-    order: MonomialOrder = field(default_factory=lambda: order_by_name("grevlex"))
     solver: Optional[str] = None
     solver_args: tuple[str, ...] = ()
     solver_timeout: float = SolverConfig.timeout
@@ -123,7 +122,6 @@ _PARSERS = {
                     lambda text, table: parse_formula(text, table)),
     "program": lambda text, table: parse_program(text, table),
     **{key: _int_option(key) for key in ("seed", "samples", "cap", "deg_bound")},
-    "order": lambda text, table: order_by_name(text),
     "solver": lambda text, table: text,
     "solver_args": lambda text, table: tuple(text.split()),
     "solver_timeout": _seconds,

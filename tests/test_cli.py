@@ -234,6 +234,21 @@ class TestExitCodes:
         assert main(["rank", bad]) == 3
         assert main(["rank", str(tmp_path / "missing.prob")]) == 3
 
+    def test_negative_lie_order_is_three(self, circle_prob, capsys):
+        assert main(["lie", circle_prob, "--max", "-3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: Lie derivative order must be non-negative\n"
+        assert main(["lie", circle_prob, "--max", "0"]) == 0
+        assert capsys.readouterr().out == "L^0: u^2 + v^2 - 1\n"
+
+    def test_monomial_order_key_is_unknown(self, circle_prob, capsys):
+        # grevlex is the one monomial order: there is no key to choose another
+        prob = Path(circle_prob)
+        prob.write_text(prob.read_text() + "order: lex\n")
+        assert main(["rank", str(prob)]) == 3
+        assert capsys.readouterr().err == "input error: 4:1: unknown key 'order'\n"
+
     def test_non_utf8_problem_file_is_three(self, tmp_path, capsys):
         prob = tmp_path / "latin1.prob"
         prob.write_bytes(b"vars: x\npolynomial: x\xff\n")

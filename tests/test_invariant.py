@@ -24,7 +24,6 @@ from odecert.invariant import (PROVED_IDEAL, PROVED_IDENTITY, REFUTED,
                                _sample_stream, _try_identity)
 from odecert.odecore import reverse
 from odecert.parser import parse_formula, parse_term
-from odecert.polyarith import GREVLEX
 from odecert.ideals import differential_radical
 from odecert.semalg import (Atom, Implies, Not, PointEvaluator, TrueF, make_and,
                             reverse_chain, semialg_progress)
@@ -351,7 +350,7 @@ class TestDischarge:
 
 def _reference_positive_multiple(r: Polynomial, s: Polynomial) -> bool:
     """r = lambda*s for some lambda > 0, by the leading coefficients."""
-    lam = r.leading(GREVLEX)[1] / s.leading(GREVLEX)[1]
+    lam = r.leading()[1] / s.leading()[1]
     return lam > 0 and r == s.scale(lam)
 
 

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odecert import (GREVLEX, LEX, InputError, NonPolynomialError, Polynomial,
-                     ResourceError, VarTable, parse_formula, parse_ode,
-                     parse_problem, parse_term, parse_program, render_formula)
+from odecert import (InputError, NonPolynomialError, Polynomial, ResourceError,
+                     VarTable, parse_formula, parse_ode, parse_problem, parse_term,
+                     parse_program, render_formula)
 from odecert.polyarith import MAX_DEGREE
 from odecert.semalg import And, Atom, Implies, Not, Or, TrueF
+from tuple_engine import grevlex_key
 
 
 @pytest.fixture
@@ -71,13 +72,13 @@ _wide_coefficients = st.one_of(
     st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
 
 
-def _reference_render(p: Polynomial, order) -> str:
+def _reference_render(p: Polynomial) -> str:
     """The canonical text built from ``Fraction`` coefficients, as
     ``Polynomial.render`` built it before it read the integer numerators."""
     if p.is_zero():
         return "0"
     parts = []
-    for k, (m, c) in enumerate(sorted(p.terms.items(), key=lambda t: order.key(t[0]),
+    for k, (m, c) in enumerate(sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]),
                                       reverse=True)):
         factors = [name if e == 1 else f"{name}^{e}"
                    for name, e in zip(p.table.names, m) if e]
@@ -96,21 +97,19 @@ def _reference_render(p: Polynomial, order) -> str:
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(terms=st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), _coefficients,
-                                 max_size=8),
-           order=st.sampled_from([GREVLEX, LEX]))
-    def test_rendered_text_parses_back(self, terms, order):
+                                 max_size=8))
+    def test_rendered_text_parses_back(self, terms):
         p = Polynomial(UVW, terms)
-        assert parse_term(p.render(order), UVW) == p
+        assert parse_term(p.render(), UVW) == p
 
     @settings(max_examples=300, deadline=None)
     @given(terms=st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _wide_coefficients,
                                  max_size=6))
     def test_render_matches_the_fraction_reference(self, terms):
         p = Polynomial(UVW, terms)
-        for order in (GREVLEX, LEX):
-            text = p.render(order)
-            assert text == _reference_render(p, order)
-            assert parse_term(text, UVW) == p
+        text = p.render()
+        assert text == _reference_render(p)
+        assert parse_term(text, UVW) == p
 
 
 # (text, precedence level, Polynomial) nodes; a child below the level its
@@ -364,14 +363,13 @@ polynomial: u^2 + v^2 - 1
 seed: 7
 samples: 500
 cap: 12
-order: lex
 """
 
     def test_parse_good(self):
         pf = parse_problem(self.GOOD)
         assert pf.table.names == ("u", "v")
         assert pf.ode is not None and pf.seed == 7 and pf.samples == 500
-        assert pf.cap == 12 and pf.order.name == "lex"
+        assert pf.cap == 12
         assert pf.candidate is not None and pf.polynomial is not None
 
     def test_unknown_key_rejected(self):

@@ -2,11 +2,13 @@
 reference for the packed engine of ``odecert.ideals``.
 
 This is the engine as it was before monomials were packed into ints: rows
-keyed by tuples, ``order.key`` for every comparison, ``mono_mul`` /
-``mono_div`` / ``mono_divides`` for the monomial arithmetic, S-polynomials
-by ``Polynomial.mul_term`` and a backward pass over ``Polynomial``
-multipliers.  The functions at the end mirror the public ones of
-``odecert.ideals`` on it; both engines must give identical results.
+keyed by tuples, its own ``grevlex_key`` for every comparison, so that it
+shares no order code with the package, ``mono_mul`` / ``mono_div`` /
+``mono_divides`` / ``mono_lcm`` for the monomial arithmetic,
+S-polynomials by ``Polynomial.mul_term`` and a backward pass over
+``Polynomial`` multipliers.  The functions at the end mirror the public
+ones of ``odecert.ideals`` on it; both engines must give identical
+results.
 """
 
 from __future__ import annotations
@@ -20,9 +22,19 @@ from odecert.errors import InputError, ResourceError
 from odecert.ideals import (DEFAULT_RANK_CAP, GroebnerBasis, MembershipWitness,
                             RankResult, StepBudget, _assert_recombines, stabilize)
 from odecert.odecore import OdeSystem, lie_derivative
-from odecert.polyarith import (GREVLEX, MonomialOrder, Polynomial, VarTable,
-                               mono_div, mono_divides, mono_lcm, mono_mul,
+from odecert.polyarith import (Polynomial, VarTable, mono_div, mono_divides, mono_mul,
                                sum_of_products, within_digit_cap)
+
+
+def grevlex_key(m: tuple) -> tuple:
+    """Sort key of the grevlex order; larger key = larger monomial: the
+    higher total degree, then the smaller exponent of the last variable,
+    then of the one before it, and so on."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: tuple, b: tuple) -> bool:
@@ -43,9 +55,9 @@ class _Row:
     """
     __slots__ = ("poly", "lm", "lc", "origin", "steps", "scale")
 
-    def __init__(self, p: Polynomial, order: MonomialOrder, origin=None,
+    def __init__(self, p: Polynomial, origin=None,
                  steps: Optional[dict[int, list]] = None):
-        self.lm = max(p.nums, key=order.key)
+        self.lm = max(p.nums, key=grevlex_key)
         self.scale = Fraction(p.den, p.nums[self.lm])
         self.poly = p.scale(self.scale)
         self.lc = self.poly.den
@@ -62,7 +74,7 @@ def _multiplier(table: VarTable, parts: list[tuple]) -> Polynomial:
     return Polynomial.from_ints(table, {m: v for m, v in out.items() if v}, den)
 
 
-def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
+def _reduce_terms(p: Polynomial, rows: Sequence[_Row],
                   budget: StepBudget) -> tuple[Polynomial, dict[int, list]]:
     """Fully reduce p against ``rows``, fraction-free.
 
@@ -84,13 +96,12 @@ def _reduce_terms(p: Polynomial, rows: Sequence[_Row], order: MonomialOrder,
     remainder + sum_i _multiplier(steps[i]) * rows[i].poly.  Multipliers are
     built only where a witness needs them.
     """
-    key = order.key
     key_cache: dict = {}
 
     def mono_key(m):
         k = key_cache.get(m)
         if k is None:
-            k = key(m)
+            k = grevlex_key(m)
             key_cache[m] = k
         return k
 
@@ -146,10 +157,8 @@ class BuchbergerState:
     dropped.
     """
 
-    def __init__(self, table: VarTable, order: MonomialOrder = GREVLEX,
-                 budget: Optional[StepBudget] = None):
+    def __init__(self, table: VarTable, budget: Optional[StepBudget] = None):
         self.table = table
-        self.order = order
         self.budget = budget if budget is not None else StepBudget()
         self.gens: list[Polynomial] = []
         self.rows: list[_Row] = []
@@ -160,22 +169,21 @@ class BuchbergerState:
 
     def _reduce(self, q: Polynomial) -> tuple[Polynomial, dict[int, list]]:
         """Full reduction modulo the current rows: (remainder, steps)."""
-        return _reduce_terms(q, self.rows, self.order, self.budget)
+        return _reduce_terms(q, self.rows, self.budget)
 
     def _push_pairs(self, new_index: int) -> None:
-        order = self.order
         lm_new = self.rows[new_index].lm
         for i in range(new_index):
             lm_i = self.rows[i].lm
             if mono_coprime(lm_i, lm_new):
                 continue  # product criterion
-            key = order.key(mono_lcm(lm_i, lm_new))
+            key = grevlex_key(mono_lcm(lm_i, lm_new))
             heapq.heappush(self._pairs, (key, i, new_index))
             self._pending.add((i, new_index))
 
     def _append_row(self, rem: Polynomial, origin: tuple,
                     steps: dict[int, list]) -> None:
-        row = _Row(rem, self.order, origin, steps)
+        row = _Row(rem, origin, steps)
         self.rows.append(row)
         if not any(row.lm):
             self._pairs.clear()  # the unit ideal: no pair can add a row
@@ -244,7 +252,7 @@ class BuchbergerState:
         so S(i, j) has a standard representation through them.  A skip
         rests only on pairs popped before it, never on a later one.
         """
-        rows, order, pending = self.rows, self.order, self._pending
+        rows, pending = self.rows, self._pending
         while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
             pending.discard((i, j))
@@ -258,7 +266,7 @@ class BuchbergerState:
             mi, mj = mono_div(lcm_ij, fi.lm), mono_div(lcm_ij, fj.lm)
             s = fi.poly.mul_term(1, mi) - fj.poly.mul_term(1, mj)
             self.budget.spend()
-            rem, steps = _reduce_terms(s, rows, order, self.budget)
+            rem, steps = _reduce_terms(s, rows, self.budget)
             if rem:
                 self._append_row(rem, ("pair", i, mi, j, mj), steps)
 
@@ -274,28 +282,27 @@ class BuchbergerState:
 
     def reduced_basis(self) -> GroebnerBasis:
         """Inter-reduced, monic, deterministic view of the current basis."""
-        order = self.order
         kept: list[_Row] = []
-        for row in sorted(self.rows, key=lambda r: order.key(r.lm)):
+        for row in sorted(self.rows, key=lambda r: grevlex_key(r.lm)):
             if not any(mono_divides(k.lm, row.lm) for k in kept):
                 kept.append(row)
         for idx, row in enumerate(kept):
             others = kept[:idx] + kept[idx + 1:]
-            kept[idx] = _Row(_reduce_terms(row.poly, others, order, self.budget)[0], order)
-        return GroebnerBasis(basis=tuple(r.poly for r in kept), order=order)
+            kept[idx] = _Row(_reduce_terms(row.poly, others, self.budget)[0])
+        return GroebnerBasis(basis=tuple(r.poly for r in kept))
 
 
-def groebner(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    state = BuchbergerState(gens[0].table, order)
+def groebner(gens: Sequence[Polynomial]) -> GroebnerBasis:
+    state = BuchbergerState(gens[0].table)
     for g in gens:
         state.add_generator(g)
     state.complete()
     return state.reduced_basis()
 
 
-def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
-                        order: MonomialOrder = GREVLEX) -> Optional[MembershipWitness]:
-    state = BuchbergerState(gens[0].table, order)
+def member_with_witness(p: Polynomial, gens: Sequence[Polynomial]
+                        ) -> Optional[MembershipWitness]:
+    state = BuchbergerState(gens[0].table)
     for g in gens:
         state.add_generator(g)
     state.complete()
@@ -307,14 +314,13 @@ def member_with_witness(p: Polynomial, gens: Sequence[Polynomial],
     return MembershipWitness(tuple(cofs))
 
 
-def reduce_mod(p: Polynomial, basis: Sequence[Polynomial],
-               order: MonomialOrder = GREVLEX) -> Polynomial:
-    rows = [_Row(b, order) for b in basis if b]
-    return _reduce_terms(p, rows, order, StepBudget(what="reduction"))[0]
+def reduce_mod(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    rows = [_Row(b) for b in basis if b]
+    return _reduce_terms(p, rows, StepBudget(what="reduction"))[0]
 
 
-def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget):
-    state = BuchbergerState(table, order, budget)
+def _groebner_member(table: VarTable, budget: StepBudget):
+    state = BuchbergerState(table, budget)
 
     def member(kept, h):
         rem, steps = state._reduce(h)
@@ -329,13 +335,12 @@ def _groebner_member(table: VarTable, order: MonomialOrder, budget: StepBudget):
     return member
 
 
-def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP,
-         order: MonomialOrder = GREVLEX) -> RankResult:
+def rank(p: Polynomial, sys: OdeSystem, cap: int = DEFAULT_RANK_CAP) -> RankResult:
     if p.is_zero():
         return RankResult(1, (p,), (p,))
     budget = StepBudget(what="rank")
     chain, records = stabilize([p], lambda gens: [lie_derivative(g, sys) for g in gens],
-                               cap, budget, order, _groebner_member(p.table, order, budget))
+                               cap, budget, _groebner_member(p.table, budget))
     if records is None:
         raise ResourceError(f"rank cap {cap} exceeded", partial=chain[:cap])
     return RankResult(len(chain), tuple(records[0][1]), tuple(chain))

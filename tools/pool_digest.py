@@ -12,7 +12,6 @@ one sha256 per pool over every exit code and stdout, in order:
     rank-chains   rank; check-alg + cert-check; radical; emit-smt
     hp-loops      hp-reduce + cert-check
     sai-sampling  check-inv + cert-check
-    rank-lex      rank, on the rank-chains problems with ``order: lex``
 
 ``cert-check`` reads the certificate the command before it reported.  Two
 checkouts whose digests agree print byte-identical output on every pool
@@ -66,10 +65,7 @@ COMMANDS = {
     "rank-chains": [["rank"], ["check-alg", "cert-check"], ["radical"], ["emit-smt"]],
     "hp-loops": [["hp-reduce", "cert-check"]],
     "sai-sampling": [["check-inv", "cert-check"]],
-    "rank-lex": [["rank"]],
 }
-# a pool that reuses another pool's problems: (that pool, line appended to each file)
-VARIANTS = {"rank-lex": ("rank-chains", "order: lex\n")}
 RENAMINGS = 2
 
 
@@ -87,19 +83,18 @@ def _call(argv: list[str]) -> tuple[int, str, str]:
 def pool_digest(name: str, params: dict, pool_seed: int, work: Path, failures: list[str],
                 dump: Optional[Path] = None) -> tuple[str, tuple[float, str, str]]:
     """The pool's digest, and its slowest run as (seconds, file, command)."""
-    source, extra = VARIANTS.get(name, (name, ""))
-    wl = workloads.WORKLOADS[source](params)
+    wl = workloads.WORKLOADS[name](params)
     specs = wl.pool(pool_seed)
     transforms = [[wl.identity()] * len(specs)]
     for k in range(1, RENAMINGS + 1):
-        rng = random.Random(f"digest:{source}:{k}")
+        rng = random.Random(f"digest:{name}:{k}")
         transforms.append([wl.transform(rng) for _ in specs])
     sha = hashlib.sha256()
     slowest = (0.0, "", "")
     for k, pass_transforms in enumerate(transforms):
         for i, (spec, t) in enumerate(zip(specs, pass_transforms)):
             path = work / f"{name}-{k}-{i:04d}.prob"
-            path.write_text(wl.text(spec, t) + extra)
+            path.write_text(wl.text(spec, t))
             for run in COMMANDS[name]:
                 target = str(path)
                 for command in run:
@@ -141,7 +136,7 @@ def main() -> int:
         for name in COMMANDS:
             if args.pool and name not in args.pool:
                 continue
-            entry = cfg["workloads"][VARIANTS.get(name, (name,))[0]]
+            entry = cfg["workloads"][name]
             start = time.perf_counter()
             digest, (worst, where, command) = pool_digest(
                 name, entry["params"], entry["pool_seed"], Path(tmp), failures, args.dump)
