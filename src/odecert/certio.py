@@ -3,19 +3,20 @@
 Certificates are self-contained: they carry the variable table and the ODE
 system (or program) they speak about, with polynomials and formulas in the
 canonical text form, so `cert-check` can replay them from the file alone.
+An `sai` certificate states only its claim (system, P, Q): both side
+conditions are rebuilt from it and discharged again.  A ``version`` must be
+the int current for its kind.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .errors import InputError
 from .hpreduce import render_program
 from .ideals import DEFAULT_RANK_CAP, RankResult
-from .invariant import (ChainRecord, Certificate, DarbouxCert, DischargeStatus,
-                        DriCert, HpReductionCert, SaiCert, SideCondition,
-                        VdbxCert)
+from .invariant import (ChainRecord, Certificate, DarbouxCert, DriCert,
+                        HpReductionCert, SaiCert, SideCondition, VdbxCert)
 from .odecore import OdeSystem
 from .parser import parse_formula, parse_program, parse_term
 from .polyarith import PolyMatrix, VarTable
@@ -23,20 +24,12 @@ from .semalg import Conjunct, NormalForm, render_formula
 
 # the current format version of each certificate kind, and why earlier
 # versions of a kind cannot be replayed
-VERSIONS = {"darboux": 1, "vdbx": 1, "dri": 1, "sai": 2, "hpreduce": 2}
+VERSIONS = {"darboux": 1, "vdbx": 1, "dri": 1, "sai": 3, "hpreduce": 2}
 SUPERSEDED = {
     "hpreduce": "predates generator-set loop chains; run hp-reduce again",
-    "sai": "predates backward conditions that negate progress formulas; run check-inv again",
+    "sai": "records side conditions that are now rebuilt from system, P and Q; "
+           "run check-inv again",
 }
-
-
-def _fraction_parse(s: str) -> Fraction:
-    if not isinstance(s, str):
-        raise InputError(f"certificate: a rational must be a string, not {type(s).__name__}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"certificate: {s!r} is not a rational") from None
 
 
 _REQUIRED = object()
@@ -104,42 +97,21 @@ def _nf_parse(d: dict, table: VarTable) -> NormalForm:
     return NormalForm(tuple(disjuncts))
 
 
-def status_json(status: DischargeStatus) -> dict:
-    return {
-        "kind": status.kind,
-        "witness": None if status.witness is None
-        else [str(v) for v in status.witness],
-        "detail": status.detail,
-    }
-
-
-def _status_parse(d: dict) -> DischargeStatus:
-    witness = _field(d, "witness", list, default=None)
-    return DischargeStatus(
-        kind=_field(d, "kind"),
-        witness=None if witness is None else tuple(_fraction_parse(v) for v in witness),
-        detail=_field(d, "detail", default=""),
-    )
-
-
 def condition_json(cond: SideCondition) -> dict:
+    """A side condition of a verdict report; no certificate holds one."""
+    status = cond.status
     return {
         "hypothesis": render_formula(cond.hypothesis),
         "conclusion": render_formula(cond.conclusion),
         "universal_vars": list(cond.universal_vars),
         "provenance": cond.provenance,
-        "status": status_json(cond.status),
+        "status": {
+            "kind": status.kind,
+            "witness": None if status.witness is None
+            else [str(v) for v in status.witness],
+            "detail": status.detail,
+        },
     }
-
-
-def _condition_parse(d: dict, formula) -> SideCondition:
-    return SideCondition(
-        hypothesis=formula(_field(d, "hypothesis")),
-        conclusion=formula(_field(d, "conclusion")),
-        universal_vars=tuple(_strings(d, "universal_vars")),
-        provenance=_field(d, "provenance"),
-        status=_status_parse(_field(d, "status", dict)),
-    )
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -171,9 +143,6 @@ def certificate_to_json(cert: Certificate) -> dict:
             "system": _system_json(cert.system),
             "P": _nf_json(cert.P),
             "Q": _nf_json(cert.Q),
-            "forward": render_formula(cert.forward),
-            "backward": render_formula(cert.backward),
-            "conditions": [condition_json(c) for c in cert.conditions],
         }
     elif isinstance(cert, HpReductionCert):
         body = {
@@ -203,7 +172,7 @@ def certificate_from_json(d: dict) -> Certificate:
     if kind in SUPERSEDED and type(version) is int and 0 < version < current:
         raise InputError(f"{kind} certificate version {version} {SUPERSEDED[kind]} "
                          f"for a version {current} one")
-    if version != current:
+    if type(version) is not int or version != current:
         raise InputError(f"unsupported certificate version {version!r}")
     if kind == "hpreduce":
         table = VarTable(_strings(d, "vars"))
@@ -249,15 +218,8 @@ def certificate_from_json(d: dict) -> Certificate:
             domain=None if domain is None else parse_term(domain, table),
             rank_result=RankResult(_field(rank, "n", int), _terms(rank, "cofactors", table)),
         )
-    # kind == "sai": forward and backward repeat the conditions'
-    # conclusions, so each distinct formula text is parsed once
-    formula = functools.cache(lambda text: parse_formula(text, table))
-    return SaiCert(
+    return SaiCert(  # kind == "sai"
         system=system,
         P=_nf_parse(_field(d, "P", dict), table),
         Q=_nf_parse(_field(d, "Q", dict), table),
-        forward=formula(_field(d, "forward")),
-        backward=formula(_field(d, "backward")),
-        conditions=tuple(_condition_parse(c, formula)
-                         for c in _field(d, "conditions", list)),
     )

@@ -325,6 +325,8 @@ def _run_command(args) -> tuple[dict, int, DischargeConfig, Optional[ProblemFile
         raise InputError(f"cannot read {args.file}: {exc}") from None
     except ValueError as exc:  # bad JSON, or an integer past json's digit limit
         raise InputError(f"invalid certificate JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("invalid certificate JSON: nested too deeply") from None
     cert = certificate_from_json(doc)
     config = _config(ProblemFile(table=None), args)  # the problem-file defaults
     ok = check_certificate(cert, config)

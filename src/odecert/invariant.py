@@ -133,9 +133,6 @@ class SaiCert:
     system: OdeSystem
     P: NormalForm
     Q: NormalForm
-    forward: Formula
-    backward: Formula
-    conditions: tuple[SideCondition, ...]
 
 
 @dataclass(frozen=True)
@@ -509,9 +506,7 @@ def check_semialgebraic_invariance(P: NormalForm, Q: NormalForm, sys: OdeSystem,
             return Verdict.not_invariant(cond.status.witness, cond,
                                          conditions=(forward, backward))
     if forward.status.is_proved() and backward.status.is_proved():
-        cert = SaiCert(system=sys, P=P, Q=Q,
-                       forward=forward.conclusion, backward=backward.conclusion,
-                       conditions=(forward, backward))
+        cert = SaiCert(system=sys, P=P, Q=Q)
         if not check_certificate(cert, config):
             return Verdict.unknown(diagnostics="internal: SAI certificate failed re-check",
                                    conditions=(forward, backward))
@@ -660,21 +655,10 @@ def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
 
 
 def _check_sai(cert: SaiCert, config: DischargeConfig) -> bool:
-    forward, backward = sai_side_conditions(cert.P, cert.Q, cert.system, config)
-    if cert.forward != forward.conclusion or cert.backward != backward.conclusion:
-        return False
-    recorded = {c.provenance: c for c in cert.conditions}
-    for rebuilt in (forward, backward):
-        rec = recorded.get(rebuilt.provenance)
-        if rec is None:
-            return False
-        if rec.hypothesis != rebuilt.hypothesis or rec.conclusion != rebuilt.conclusion:
-            return False
-        if rebuilt.status.is_proved():
-            continue  # open/closed shortcut re-derived
-        if not discharge(rebuilt, config).status.is_proved():
-            return False
-    return True
+    """Both side conditions are rebuilt from (system, P, Q); each must hold
+    by its open/closed shortcut or be discharged again, forward first."""
+    return all(cond.status.is_proved() or discharge(cond, config).status.is_proved()
+               for cond in sai_side_conditions(cert.P, cert.Q, cert.system, config))
 
 
 def _check_hpreduce(cert: HpReductionCert) -> bool:

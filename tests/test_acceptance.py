@@ -4,13 +4,14 @@ PASS/FAIL line (run with `pytest -s tests/test_acceptance.py` to see them)."""
 import random
 import shutil
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from odecert import (DarbouxCert, DischargeConfig, DriCert,
-                     HpReductionCert, NormalForm, PolyMatrix, Polynomial,
-                     SaiCert, SideCondition, VarTable, VdbxCert,
+                     HpReductionCert, NormalForm, OdeSystem, PolyMatrix, Polynomial,
+                     VarTable, VdbxCert,
                      check_certificate, check_semialgebraic_invariance,
                      dri_companion, emit_smtlib, find_darboux_cofactor,
                      higher_lie, lie_derivative, liouville_check,
@@ -286,24 +287,25 @@ class TestAcceptance:
                               rank_result=RankResult(1, (rr.cofactors[0] + d,)))
             assert not check_certificate(mutated, config)
 
-        # sai: mutating embedded formulas or conditions must be rejected
+        # sai: the certificate states its claim (system, P, Q); adding a
+        # delta to u' or v' pushes the flow out of the open disk somewhere
+        # on its boundary, so every such claim is false and is rejected,
+        # while edits of P or Q that keep the claim true are accepted
         open_disk = to_normal_form(parse_formula("1 - u^2 - v^2 > 0", uv))
         sai = check_semialgebraic_invariance(open_disk, NormalForm.true(),
                                              alpha_e, config).certificate
         assert check_certificate(sai, config)
-        from odecert.semalg import Atom
         for i, d in enumerate(deltas):
-            if i % 2 == 0:
-                mutated = SaiCert(system=sai.system, P=sai.P, Q=sai.Q,
-                                  forward=sai.forward, backward=Atom(">", d),
-                                  conditions=sai.conditions)
-            else:
-                bad_cond = SideCondition(Atom(">=", d), sai.conditions[1].conclusion,
-                                         uv.names, "sai-backward")
-                mutated = SaiCert(system=sai.system, P=sai.P, Q=sai.Q,
-                                  forward=sai.forward, backward=sai.backward,
-                                  conditions=(sai.conditions[0], bad_cond))
-            assert not check_certificate(mutated, config)
+            rhs = list(alpha_e.rhs)
+            rhs[i % 2] = rhs[i % 2] + d
+            system = OdeSystem.from_pairs(uv, list(zip(("u", "v"), rhs)))
+            assert check_semialgebraic_invariance(open_disk, NormalForm.true(), system,
+                                                  config).kind == "not_invariant"
+            assert not check_certificate(replace(sai, system=system), config)
+        for text in ("4 - u^2 - v^2 > 0", "1 - u^2 - v^2 >= 0"):
+            assert check_certificate(
+                replace(sai, P=to_normal_form(parse_formula(text, uv))), config)
+        assert check_certificate(replace(sai, Q=open_disk), config)
 
         # hpreduce: every chain/witness mutation must be rejected
         from odecert.hpreduce import Assign, Star

@@ -3,6 +3,7 @@ import json
 import random
 import stat
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -817,7 +818,6 @@ class TestCertificates:
     def test_cofactors_of_a_wider_table_are_rejected(self, xy):
         # a cofactor over (x, y, z) multiplied over (x, y) would have its
         # exponent vectors cut to two entries, so z * g would pass for g
-        from dataclasses import replace
         from odecert.ideals import RankResult
         from odecert.invariant import ChainRecord, reduction_certificate
         from odecert.parser import parse_ode, parse_program
@@ -918,23 +918,51 @@ class TestCertificates:
         cert = DriCert(system=sysr, p=p, domain=None, rank_result=rr)
         assert check_certificate(cert, config) == (verdict.kind == "invariant")
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_sai_certificate_valid_exactly_when_invariant(self, seed):
+        rng = random.Random(seed)
+        xy = VarTable(["x", "y"])
+        P_nf = random_normal_form(rng, xy, max_disjuncts=2, max_atoms=1)
+        sysr = random_system(rng, xy)
+        config = DischargeConfig(samples=200, seed=5)
+        verdict = check_semialgebraic_invariance(P_nf, NormalForm.true(), sysr, config)
+        cert = SaiCert(system=sysr, P=P_nf, Q=NormalForm.true())
+        assert check_certificate(cert, config) == (verdict.kind == "invariant")
+
     def test_sai_condition_tamper_detected(self, uv, alpha_e):
-        P_nf = to_normal_form(F("1 - u^2 - v^2 > 0", uv))
-        verdict = check_semialgebraic_invariance(P_nf, NormalForm.true(), alpha_e,
-                                                 QUICK)
-        cert = verdict.certificate
-        assert check_certificate(cert, QUICK)
-        bad_conditions = (cert.conditions[0],
-                          cert.conditions[1].with_status(cert.conditions[1].status))
-        tampered = SaiCert(system=cert.system, P=cert.P, Q=cert.Q,
-                           forward=cert.forward,
-                           backward=Atom(">", P("u", uv)),
-                           conditions=(cert.conditions[0],
-                                       SideCondition(Atom(">", P("u", uv)),
-                                                     Atom(">", P("u", uv)),
-                                                     uv.names, "sai-backward")))
-        assert not check_certificate(tampered, QUICK)
-        assert bad_conditions  # silence lint
+        # an sai certificate states only its claim (system, P, Q), whose side
+        # conditions the checker rebuilds: an edit that makes the claim false
+        # is rejected, and one that keeps it true is not
+        def nf(text):
+            return to_normal_form(F(text, uv))
+
+        def damped(c):  # alpha_e with its limit cycle at u^2 + v^2 = c
+            u, v = P("u", uv), P("v", uv)
+            damp = P(c, uv) - u * u - v * v
+            return OdeSystem.from_pairs(uv, [("u", -v + u.scale(Fraction(1, 4)) * damp),
+                                             ("v", u + v.scale(Fraction(1, 4)) * damp)])
+
+        disk = nf("1 - u^2 - v^2 > 0")
+        small = nf("1/4 - u^2 - v^2 > 0")
+        cert = check_semialgebraic_invariance(disk, NormalForm.true(), alpha_e,
+                                              QUICK).certificate
+        inside = check_semialgebraic_invariance(small, small, alpha_e, QUICK).certificate
+        assert cert == SaiCert(system=alpha_e, P=disk, Q=NormalForm.true())
+        assert inside == SaiCert(system=alpha_e, P=small, Q=small)
+        false_claims = [replace(cert, P=small),
+                        replace(cert, P=nf("1 - (u - 1/2)^2 - v^2 > 0")),
+                        replace(cert, system=damped("2")),
+                        replace(inside, Q=NormalForm.true()),
+                        replace(inside, Q=nf("1/4 - u^2 - v^2 >= 0"))]
+        true_claims = [cert, inside, replace(cert, P=nf("2 - u^2 - v^2 > 0")),
+                       replace(cert, system=damped("1/2")), replace(cert, Q=small)]
+        for claim in false_claims:
+            assert not check_certificate(claim, QUICK)
+            assert check_semialgebraic_invariance(claim.P, claim.Q, claim.system,
+                                                  QUICK).kind == "not_invariant"
+        for claim in true_claims:
+            assert check_certificate(claim, QUICK)
 
 
 class TestCertificateJson:
