@@ -2,10 +2,11 @@
 
 Certificates are self-contained: they carry the variable table and the ODE
 system (or program) they speak about, with polynomials and formulas in the
-canonical text form, so `cert-check` can replay them from the file alone.
-An `sai` certificate states only its claim (system, P, Q): both side
-conditions are rebuilt from it and discharged again.  A ``version`` must be
-the int current for its kind.
+canonical text form, so `cert-check` can replay them from the file alone
+with the bounds they record (a `dri` rank n, a `cap` otherwise).  An `sai`
+certificate states its claim (system, P, Q) and the rank cap of its chains
+(the default if absent); both side conditions are rebuilt from it and
+discharged.  A ``version`` must be the int current for its kind.
 """
 
 from __future__ import annotations
@@ -143,6 +144,7 @@ def certificate_to_json(cert: Certificate) -> dict:
             "system": _system_json(cert.system),
             "P": _nf_json(cert.P),
             "Q": _nf_json(cert.Q),
+            "cap": cert.cap,
         }
     elif isinstance(cert, HpReductionCert):
         body = {
@@ -222,4 +224,5 @@ def certificate_from_json(d: dict) -> Certificate:
         system=system,
         P=_nf_parse(_field(d, "P", dict), table),
         Q=_nf_parse(_field(d, "Q", dict), table),
+        cap=_field(d, "cap", int, default=DEFAULT_RANK_CAP),
     )

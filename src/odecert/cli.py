@@ -285,7 +285,7 @@ def _hp_reduce(pf, args, config):
 def _emit_smt(pf, args, config):
     sys_ = _require(pf, "ode")
     if pf.candidate is not None:
-        conditions = sai_side_conditions(*_regions(pf), sys_, config)
+        conditions = sai_side_conditions(*_regions(pf), sys_, config.rank_cap)
     elif pf.polynomial is not None:
         chain = differential_radical(pf.polynomial, sys_, cap=config.rank_cap)
         conditions = [algebraic_invariance_condition(chain, sys_, pf.domain_polynomial())]

@@ -98,10 +98,10 @@ class StepBudget:
         self.remaining = steps
         self.what = what
 
-    def spend(self, n: int = 1, partial=None) -> None:
+    def spend(self, n: int = 1) -> None:
         self.remaining -= n
         if self.remaining < 0:
-            raise ResourceError(f"{self.what} step budget exhausted", partial=partial)
+            raise ResourceError(f"{self.what} step budget exhausted")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Invariance deciders, tiered side-condition discharge, and certificates.
 
 Verdicts are three-valued.  Invariant is only ever issued with a certificate
-that re-checks exactly; NotInvariant only with a rational witness point that
-re-verifies by exact evaluation; everything else is Unknown.  The discharge
-tiers run in order: syntactic identity, ideal reduction, rational sampling,
-then (opt-in) an external SMT solver whose answers are re-verified.
+and is that certificate's replay, proved once; NotInvariant only with a
+rational witness point that re-verifies by exact evaluation; everything else
+is Unknown.  The discharge tiers run in order: syntactic identity, ideal
+reduction, rational sampling, then (opt-in) an external SMT solver whose
+answers are re-verified.
 
 The identity tier folds constant and univariate sign-definite literals
 (``realalg.definite``, an exact Sturm count) over ``semalg.nnf_fold``.  The
@@ -133,6 +134,7 @@ class SaiCert:
     system: OdeSystem
     P: NormalForm
     Q: NormalForm
+    cap: int = DEFAULT_RANK_CAP  # the rank cap of every atom's chain
 
 
 @dataclass(frozen=True)
@@ -466,7 +468,8 @@ def check_algebraic_invariance(p: Polynomial, sys: OdeSystem,
                                config: Optional[DischargeConfig] = None) -> Verdict:
     """Decide validity of p=0 -> [x'=f & Q] p=0 with Q either true or a
     disequation (domain != 0), via the side condition
-    forall x (p=0 and Q -> differential radical of p)."""
+    forall x (p=0 and Q -> differential radical of p), proved once: the
+    certificate's chain must replay (``_dri_chain``) to the one it used."""
     config = config if config is not None else DischargeConfig()
     try:
         rr = rank(p, sys, cap=config.rank_cap)
@@ -475,7 +478,7 @@ def check_algebraic_invariance(p: Polynomial, sys: OdeSystem,
     cond = discharge(algebraic_invariance_condition(rr.chain, sys, domain), config)
     if cond.status.is_proved():
         cert = DriCert(system=sys, p=p, domain=domain, rank_result=rr)
-        if not check_certificate(cert, config):
+        if _dri_chain(cert) != rr.chain:
             return Verdict.unknown(diagnostics="internal: DRI certificate failed re-check",
                                    conditions=(cond,))
         return Verdict.invariant(cert, conditions=(cond,))
@@ -494,32 +497,28 @@ def check_semialgebraic_invariance(P: NormalForm, Q: NormalForm, sys: OdeSystem,
     tier runs, then both sample streams in lockstep, forward first, up to
     the first refutation, which leaves the other condition undecided.  With
     no refutation, the forward solver tier runs, then, unless it refutes,
-    the backward ideal and solver tiers."""
+    the backward ideal and solver tiers: ``_replay_sai`` of the certificate."""
     config = config if config is not None else DischargeConfig()
+    cert = SaiCert(system=sys, P=P, Q=Q, cap=config.rank_cap)
     try:
-        forward, backward = sai_side_conditions(P, Q, sys, config)
+        forward, backward = _replay_sai(cert, config)
     except ResourceError as exc:
         return Verdict.unknown(diagnostics=f"progress construction failed: {exc}")
-    forward, backward = _discharge_sai(forward, backward, config)
     for cond in (forward, backward):
         if cond.status.kind == REFUTED:
             return Verdict.not_invariant(cond.status.witness, cond,
                                          conditions=(forward, backward))
     if forward.status.is_proved() and backward.status.is_proved():
-        cert = SaiCert(system=sys, P=P, Q=Q)
-        if not check_certificate(cert, config):
-            return Verdict.unknown(diagnostics="internal: SAI certificate failed re-check",
-                                   conditions=(forward, backward))
         return Verdict.invariant(cert, conditions=(forward, backward))
     pending = tuple(c for c in (forward, backward) if not c.status.is_proved())
     detail = "; ".join(f"{c.provenance}: {c.status.detail or 'undecided'}" for c in pending)
     return Verdict.unknown(diagnostics=detail, conditions=(forward, backward))
 
 
-def _discharge_sai(forward: SideCondition, backward: SideCondition,
-                   config: DischargeConfig) -> tuple[SideCondition, SideCondition]:
-    """The two SAI conditions discharged in the order that
-    ``check_semialgebraic_invariance`` describes."""
+def _replay_sai(cert: SaiCert, config: DischargeConfig) -> tuple[SideCondition, SideCondition]:
+    """The two SAI conditions of the claim, ranked under the certificate's
+    cap and discharged in the order ``check_semialgebraic_invariance`` says."""
+    forward, backward = sai_side_conditions(cert.P, cert.Q, cert.system, cert.cap)
     status = (forward.status if forward.status.is_proved()
               else _try_identity(forward) or _try_ideal(forward))
     if status is not None:
@@ -559,7 +558,7 @@ def radical_chains(polys: Sequence[Polynomial], sys: OdeSystem,
 
 
 def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
-                        config: Optional[DischargeConfig] = None) -> tuple[SideCondition, SideCondition]:
+                        cap: int = DEFAULT_RANK_CAP) -> tuple[SideCondition, SideCondition]:
     """The two premises of the domain-aware semialgebraic invariance rule,
     with the open/closed shortcut statuses pre-filled.
 
@@ -567,11 +566,10 @@ def sai_side_conditions(P: NormalForm, Q: NormalForm, sys: OdeSystem,
     !P & Q & Q^(*) -> !(P^(*)), since progress into the complement of P is
     the negation of progress into P (see ``semalg``).
 
-    The atoms of Q, then of P, are ranked by ``radical_chains``.  The
-    backward chains are the forward ones with every odd entry negated
-    (``semalg.reverse_chain``), as L_{-f} q = -L_f q."""
-    config = config if config is not None else DischargeConfig()
-    chains = radical_chains(atoms(Q) + atoms(P), sys, config.rank_cap)
+    The atoms of Q, then of P, are ranked by ``radical_chains`` under
+    ``cap``.  The backward chains are the forward ones with every odd entry
+    negated (``semalg.reverse_chain``), as L_{-f} q = -L_f q."""
+    chains = radical_chains(atoms(Q) + atoms(P), sys, cap)
     forward = SideCondition(
         hypothesis=make_and([P.to_formula(), Q.to_formula(), semialg_progress(Q, chains)]),
         conclusion=semialg_progress(P, chains),
@@ -638,27 +636,32 @@ def _check_vdbx(cert: VdbxCert) -> bool:
                for i, p in enumerate(cert.p_vec))
 
 
-def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
-    """The chain p, ..., L^{n-1}p is replayed with the recorded rank n as
-    the cap, so a higher rank raises ResourceError and a lower one gives a
-    shorter chain; the cofactors must close its companion matrix as a
-    ``vdbx`` certificate, and the side condition under ``domain`` must be
-    discharged again."""
+def _dri_chain(cert: DriCert) -> Optional[tuple[Polynomial, ...]]:
+    """The chain p, ..., L^{n-1}p replayed with the recorded rank n as the
+    cap, so a higher rank raises ResourceError and a lower one gives a
+    shorter chain; None unless the cofactors close its companion matrix as
+    a ``vdbx`` certificate."""
     rr = cert.rank_result
-    chain = differential_radical(cert.p, cert.system, cap=rr.n)
+    chain = tuple(differential_radical(cert.p, cert.system, cap=rr.n))
     if len(chain) != rr.n:
-        return False  # a smaller rank exists: recorded minimality is wrong
-    if not _check_vdbx(dri_companion(replace(rr, chain=tuple(chain)), cert.system)):
-        return False
-    cond = algebraic_invariance_condition(chain, cert.system, cert.domain)
-    return discharge(cond, config).status.is_proved()
+        return None  # a smaller rank exists: recorded minimality is wrong
+    if not _check_vdbx(dri_companion(replace(rr, chain=chain), cert.system)):
+        return None
+    return chain
+
+
+def _check_dri(cert: DriCert, config: DischargeConfig) -> bool:
+    """The chain replays (``_dri_chain``) and its side condition under
+    ``domain`` is discharged."""
+    chain = _dri_chain(cert)
+    return chain is not None and discharge(
+        algebraic_invariance_condition(chain, cert.system, cert.domain),
+        config).status.is_proved()
 
 
 def _check_sai(cert: SaiCert, config: DischargeConfig) -> bool:
-    """Both side conditions are rebuilt from (system, P, Q); each must hold
-    by its open/closed shortcut or be discharged again, forward first."""
-    return all(cond.status.is_proved() or discharge(cond, config).status.is_proved()
-               for cond in sai_side_conditions(cert.P, cert.Q, cert.system, config))
+    """Both conditions of ``_replay_sai`` are proved."""
+    return all(cond.status.is_proved() for cond in _replay_sai(cert, config))
 
 
 def _check_hpreduce(cert: HpReductionCert) -> bool:

@@ -186,7 +186,7 @@ class TestAcceptance:
         assert all(s.kind != REFUTED for s in statuses.values()), \
             "a valid region must never be refuted"
         # conditions exist and export cleanly as solver queries
-        fwd, _ = sai_side_conditions(green, NormalForm.true(), alpha_e, config)
+        fwd, _ = sai_side_conditions(green, NormalForm.true(), alpha_e)
         query = emit_smtlib(fwd.hypothesis, fwd.conclusion, fwd.universal_vars)
         assert "(check-sat)" in query
         report(8, "green-region conditions generated; no refutation after "

@@ -670,6 +670,43 @@ class TestCommands:
         assert "(assert (and (= x 0) (not (= y 0))))" in query
 
 
+class TestProvedOnce:
+    """An invariant verdict is its certificate's replay, proved once; the
+    replay of a refuted one's evidence does not run."""
+
+    @staticmethod
+    def _calls(monkeypatch, name, keep=lambda *args: True):
+        from odecert import invariant
+        calls, real = [], getattr(invariant, name)
+
+        def counted(*args, **kwargs):
+            if keep(*args):
+                calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(invariant, name, counted)
+        return calls
+
+    def test_check_inv_builds_its_conditions_once(self, disk_prob, capsys, monkeypatch):
+        calls = self._calls(monkeypatch, "sai_side_conditions")
+        assert main(["check-inv", disk_prob]) == 0
+        assert len(calls) == 1
+
+    def test_check_alg_discharges_its_condition_once(self, tmp_path, capsys, monkeypatch):
+        prob = write(tmp_path, "rot.prob",
+                     "vars: x, y\node: x' = -y, y' = x\npolynomial: x^2 + y^2 - 1\n")
+        calls = self._calls(monkeypatch, "discharge",
+                            lambda cond, *rest: cond.provenance == "algebraic-invariance")
+        assert main(["check-alg", prob]) == 0
+        assert len(calls) == 1
+
+    def test_refuted_check_alg_replays_no_chain(self, tmp_path, capsys, monkeypatch):
+        prob = write(tmp_path, "line.prob", "vars: x, y\node: x' = 1, y' = 0\npolynomial: x\n")
+        calls = self._calls(monkeypatch, "differential_radical")
+        assert main(["check-alg", prob]) == 1
+        assert calls == []
+
+
 class TestCertCheckCommand:
     def test_round_trip_through_files(self, tmp_path, circle_prob, capsys):
         code, report = run_json(capsys, ["check-alg", circle_prob, "--json"])
@@ -797,7 +834,30 @@ class TestCertCheckCommand:
 
     def test_sai_certificate_states_only_its_claim(self, disk_prob, capsys):
         _, report = run_json(capsys, ["check-inv", disk_prob, "--json", "--samples", "50"])
-        assert set(report["data"]["certificate"]) == {"kind", "version", "system", "P", "Q"}
+        assert set(report["data"]["certificate"]) == {"kind", "version", "system", "P", "Q",
+                                                      "cap"}
+
+    def test_sai_certificate_replays_under_its_own_cap(self, tmp_path, capsys):
+        # the domain atom has rank 22: past cert-check's default cap of 20,
+        # within the problem's cap of 30, which the certificate records
+        prob = write(tmp_path, "cap.prob", "vars: x, y, z\node: x' = y, y' = -x, z' = 1\n"
+                     "candidate: x^2 + 1 > 0\ndomain: z^21 + x^2 + y^2 >= 0\ncap: 30\n")
+        code, report = run_json(capsys, ["check-inv", prob, "--json"])
+        assert code == 0
+        doc = report["data"]["certificate"]
+        assert doc["cap"] == 30
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 0
+        doc["cap"] = 20
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 1
+        del doc["cap"]  # a version 3 file without cap has the default one
+        path.write_text(json.dumps(doc))
+        assert main(["cert-check", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "certificate sai: VALID", "certificate sai: REJECTED",
+            "certificate sai: REJECTED"]
 
     def test_version_2_sai_certificate_with_a_huge_witness_ends_at_once(
             self, tmp_path, disk_prob, capsys):
@@ -942,7 +1002,7 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("candidate, extra, digest", [
         pytest.param("1 - u^2 - v^2 > 0", [],
-                     "f5f2907ecdddf740e51f929bb778e863da1468ee7c3d9f88223957124ec78baf",
+                     "e96232c7f0e012206a35bb150d2cab2734b3bce933280920ac1e2edaab39395a",
                      id="open-disk"),
         pytest.param("u^2 <= v^2 + 9/2\nsamples: 2000", [],
                      "bb955c1027da34487b56e2a2d9701716d68119357a7676aacfa73c515329f8c4",
@@ -1042,7 +1102,7 @@ class TestPinnedSummaries:
              "5fad0db3f0dc7362ab0943bed559c779227a21ecb05a68c9ed63f1f3f403b0a8"),
             (["check-inv", "disk.prob"], 0,
              "49c9a38235af154c915671ab5abc7f9350892d766df989351c092007fc701701",
-             "f5f2907ecdddf740e51f929bb778e863da1468ee7c3d9f88223957124ec78baf"),
+             "e96232c7f0e012206a35bb150d2cab2734b3bce933280920ac1e2edaab39395a"),
             (["check-inv", "half.prob"], 1,
              "6387afc1a9b19052924e182b53bff5856e4652500add103dd67ad1b28460bda7",
              "78b424fdb956875fa38e7222962cfdace45709dace04034e3dad4c8330ff46b3"),

@@ -586,14 +586,14 @@ class TestCheckSemialgebraic:
 
     def test_closed_region_backward_shortcut(self, uv, alpha_e):
         P_nf = to_normal_form(F("u^2 <= v^2 + 9/2", uv))
-        fwd, bwd = sai_side_conditions(P_nf, NormalForm.true(), alpha_e, QUICK)
+        fwd, bwd = sai_side_conditions(P_nf, NormalForm.true(), alpha_e)
         assert bwd.status.kind == PROVED_IDENTITY
         assert not fwd.status.is_proved()
 
     def test_domain_constraint_forms_appear_in_hypothesis(self, uv, alpha_e):
         P_nf = to_normal_form(F("1 - u^2 - v^2 > 0", uv))
         Q_nf = to_normal_form(F("u != 1", uv))
-        fwd, _ = sai_side_conditions(P_nf, Q_nf, alpha_e, QUICK)
+        fwd, _ = sai_side_conditions(P_nf, Q_nf, alpha_e)
         # hypothesis must mention P, Q and the progress of Q
 
         def atoms(g):
@@ -634,7 +634,7 @@ class TestCheckSemialgebraic:
             nf = _random_one_sided_nf(rng, xy)
             sysr = random_system(rng, xy)
             try:
-                fwd, bwd = sai_side_conditions(nf, NormalForm.true(), sysr, QUICK)
+                fwd, bwd = sai_side_conditions(nf, NormalForm.true(), sysr)
             except Exception:
                 continue
             cond = fwd if nf.all_strict() else bwd
@@ -650,7 +650,7 @@ def _sequential_sai(P_nf, Q_nf, sys, config):
     first, the backward one only when the forward one is not refuted: the
     order ``check_semialgebraic_invariance`` kept before it sampled the two
     in lockstep.  Kept here as the reference."""
-    forward, backward = sai_side_conditions(P_nf, Q_nf, sys, config)
+    forward, backward = sai_side_conditions(P_nf, Q_nf, sys, config.rank_cap)
     if not forward.status.is_proved():
         forward = discharge(forward, config)
     if forward.status.kind != REFUTED and not backward.status.is_proved():
@@ -767,7 +767,6 @@ class TestBackwardChains:
         sys = random_system(rng, table)
         P_nf = random_normal_form(rng, table, max_disjuncts=2)
         Q_nf = random_normal_form(rng, table, max_disjuncts=1, max_atoms=1)
-        config = DischargeConfig(rank_cap=6)
         rsys = reverse(sys)
         try:  # the reference: progress over reverse(sys), every chain ranked anew
             hyp = make_and([Not(P_nf.to_formula()), Q_nf.to_formula(),
@@ -775,9 +774,9 @@ class TestBackwardChains:
             concl = Not(semialg_progress(P_nf, rank_chains(P_nf, rsys, cap=6)))
         except ResourceError:
             with pytest.raises(ResourceError):
-                sai_side_conditions(P_nf, Q_nf, sys, config)
+                sai_side_conditions(P_nf, Q_nf, sys, 6)
             return
-        _, backward = sai_side_conditions(P_nf, Q_nf, sys, config)
+        _, backward = sai_side_conditions(P_nf, Q_nf, sys, 6)
         assert backward.hypothesis == hyp
         assert backward.conclusion == concl
 
